@@ -41,7 +41,6 @@ from .families import (
     catalog_load,
     certified_identity_chart,
     classify,
-    coefficient_series,
     shipped_catalog_path,
     verify_congruence,
 )
@@ -114,7 +113,7 @@ def cmd_classify(args) -> int:
         catalog = _load_catalog(args)
         spec = catalog.family(args.family)
         level, prime = spec.level, spec.prime
-    elif args.level:
+    elif args.level is not None:
         level, prime = args.level, args.prime
     else:
         raise CatalogError("classify needs --level or --family")
@@ -158,77 +157,22 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _verify_chunk(prime: int, pairs: list[tuple[int, int]]) -> tuple:
-    count = 0
-    min_val = None
-    witness = None
-    for n, c in pairs:
-        count += 1
-        if c == 0:
-            continue
-        v = 0
-        while c % prime == 0:
-            c //= prime
-            v += 1
-        if min_val is None or v < min_val:
-            min_val = v
-            witness = n
-    return count, min_val, witness
-
-
 def cmd_verify(args) -> int:
     catalog = _load_catalog(args)
     spec = catalog.family(args.family)
-    if args.jobs > 1:
-        step = spec.schedule.get(args.alpha)
-        if step is None:
-            raise CatalogError(
-                f"family {spec.name}: no schedule entry for depth {args.alpha}")
-        beta = args.beta if args.beta is not None else step.beta
-        mod = spec.prime ** step.modulus_exponent
-        r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
-        series = coefficient_series(spec, args.nmax)
-        ns = list(range(r, args.nmax + 1, mod))
-        pairs = [(n, series.coeff_q(n)) for n in ns]
-        chunks = [pairs[i::args.jobs] for i in range(args.jobs)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_verify_chunk, [spec.prime] * len(chunks),
-                                  chunks))
-        count = sum(p[0] for p in parts)
-        mins = [(p[1], p[2]) for p in parts if p[1] is not None]
-        min_val, witness = min(mins) if mins else (None, None)
-        passed = min_val is None or min_val >= beta
-        counterexample = None
-        if not passed:
-            counterexample = {"n": witness,
-                              "coefficient": str(series.coeff_q(witness)),
-                              "valuation": min_val}
-        report_obj = {
-            "family": spec.name, "alpha": args.alpha,
-            "modulus_exponent": step.modulus_exponent, "beta": beta,
-            "n_max": args.nmax, "qualifying_count": count,
-            "min_valuation": min_val, "passed": passed,
-            "counterexample": counterexample,
-        }
-    else:
-        rep = verify_congruence(spec, args.alpha, args.nmax,
-                                beta_override=args.beta)
-        report_obj = rep.to_json_obj()
-        passed = rep.passed
-    min_s = report_obj["min_valuation"]
-    min_s = "infinity" if min_s is None else str(min_s)
-    text = (f"family {report_obj['family']}, depth {report_obj['alpha']} "
-            f"(modulus {spec.prime}^{report_obj['modulus_exponent']}): "
-            f"{report_obj['qualifying_count']} qualifying n <= "
-            f"{report_obj['n_max']}, min {spec.prime}-adic valuation {min_s}, "
-            f"demanded {report_obj['beta']}: "
-            f"{'PASS' if passed else 'FAIL'}")
-    if report_obj["counterexample"]:
-        ce = report_obj["counterexample"]
-        text += (f"\n  counterexample: a({ce['n']}) = {ce['coefficient']} "
-                 f"has valuation {ce['valuation']}")
-    _emit(args, {"command": "verify", **report_obj}, text)
-    return EXIT_OK if passed else EXIT_MATH_FAIL
+    rep = verify_congruence(spec, args.alpha, args.nmax,
+                            beta_override=args.beta)
+    min_s = "infinity" if rep.min_valuation is None else str(rep.min_valuation)
+    text = (f"family {rep.family}, depth {rep.alpha} "
+            f"(modulus {spec.prime}^{rep.modulus_exponent}): "
+            f"{rep.qualifying_count} qualifying n <= {rep.n_max}, "
+            f"min {spec.prime}-adic valuation {min_s}, "
+            f"demanded {rep.beta}: {'PASS' if rep.passed else 'FAIL'}")
+    if rep.counterexample:
+        n, c, v = rep.counterexample
+        text += f"\n  counterexample: a({n}) = {c} has valuation {v}"
+    _emit(args, {"command": "verify", **rep.to_json_obj()}, text)
+    return EXIT_OK if rep.passed else EXIT_MATH_FAIL
 
 
 def _reduce_target(args, catalog, basis_entry, trunc24):
@@ -258,7 +202,7 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
     if target.startswith("poly:"):
         try:
             coeffs = [Fraction(c) for c in target[5:].split(",")]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CatalogError(
                 f"bad poly target {target!r}: want poly:c0,c1,...") from None
         basis = basis_entry.build(trunc24)
@@ -353,6 +297,17 @@ class _Parser(argparse.ArgumentParser):
         raise CatalogError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"want a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -361,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit the JSON report instead of text")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for verification and search")
+    common.add_argument("--jobs", type=_positive_int,
+                        default=argparse.SUPPRESS,
+                        help="worker processes for find-eta")
     parser = _Parser(
         prog="cusp-ledger",
         parents=[common],
@@ -438,6 +394,9 @@ def main(argv=None) -> int:
     except CuspLedgerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug: report it on one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

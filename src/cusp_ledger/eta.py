@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .curves import divisors, enumerate_cusps
+from .curves import divisors, enumerate_cusps, factorize
 from .errors import EtaError, InternalInconsistencyError, TruncationError
-from .series import QSeries, eta_expansion
+from .series import QSeries, pochhammer_product
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,10 @@ def _require_sublevel(f: EtaQuotient, N: int) -> None:
 def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
     """Newman/Ligozat conditions for f to define a function on X_0(N)."""
     _require_sublevel(f, N)
-    square = True
     prime_exponents: dict[int, int] = {}
     for d, r in f.exponents:
-        dd = d
-        p = 2
-        while p * p <= dd:
-            while dd % p == 0:
-                prime_exponents[p] = prime_exponents.get(p, 0) + r
-                dd //= p
-            p += 1
-        if dd > 1:
-            prime_exponents[dd] = prime_exponents.get(dd, 0) + r
+        for p, m in factorize(d):
+            prime_exponents[p] = prime_exponents.get(p, 0) + m * r
     square = all(e % 2 == 0 for e in prime_exponents.values())
     return GammaValidation(
         level=N,
@@ -180,20 +172,12 @@ def cusp_order_vector(f: EtaQuotient, N: int) -> CuspOrderVector:
 
 def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
     """q-expansion at the infinity cusp; leading exponent24 = sum delta*r."""
-    offset = f.degree24
-    rel = trunc24 - offset
+    rel = trunc24 - f.degree24
     if rel <= 0:
         raise TruncationError(
             "truncation too small to hold one term of the expansion"
         )
-    series = QSeries.constant(1, rel)
-    for d, r in f.exponents:
-        if r > 0:
-            series = series * eta_expansion(d, d + rel) ** r
-    for d, r in f.exponents:
-        for _ in range(-r if r < 0 else 0):
-            series = series / eta_expansion(d, d + rel)
-    return series
+    return pochhammer_product(f.exponents, rel).shift(f.degree24)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

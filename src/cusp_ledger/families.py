@@ -35,7 +35,7 @@ from .eta import (
     expand_at_zero,
 )
 from .reduction import ModuleBasis
-from .series import QSeries, is_prime, pochhammer_expansion
+from .series import QSeries, is_prime, pochhammer_product, valuation
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,7 @@ class PochhammerProduct:
 
     def expand(self, trunc24: int) -> QSeries:
         rel = trunc24 - 24 * self.qpow
-        series = QSeries.constant(1, rel)
-        for d, r in self.exponents:
-            if r > 0:
-                series = series * pochhammer_expansion(d, rel) ** r
-        for d, r in self.exponents:
-            for _ in range(-r if r < 0 else 0):
-                series = series / pochhammer_expansion(d, rel)
-        return series.shift(24 * self.qpow)
+        return pochhammer_product(self.exponents, rel).shift(24 * self.qpow)
 
     def to_json_obj(self) -> dict:
         return {"qpow": self.qpow, "r": {str(d): r for d, r in self.exponents}}
@@ -332,16 +325,13 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
             raise ExactnessError(
                 f"family {spec.name}: coefficient a({n}) is not an integer")
         count += 1
-        if c == 0:
+        v = valuation(c, spec.prime)
+        if v is None:
             continue
-        v = 0
-        while c % spec.prime == 0:
-            c //= spec.prime
-            v += 1
         if min_val is None or v < min_val:
             min_val = v
-            if v < beta and counterexample is None:
-                counterexample = (n, series.coeff_q(n), v)
+        if v < beta and counterexample is None:
+            counterexample = (n, c, v)
     passed = min_val is None or min_val >= beta
     return VerificationReport(
         family=spec.name, alpha=alpha, modulus_exponent=step.modulus_exponent,

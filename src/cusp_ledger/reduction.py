@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .eta import CuspOrderVector
-from .series import QSeries, Scalar
+from .series import QSeries, Scalar, valuation
 
 DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 
@@ -285,14 +285,7 @@ def valuation_table(rep: Representation, ell: int) -> ValuationTable:
             raise ExactnessError(
                 f"coefficient at (k={k}, m={m}) is not an integer: {c}"
             )
-        if c == 0:
-            entries[(k, m)] = None
-            continue
-        v = 0
-        while c % ell == 0:
-            c //= ell
-            v += 1
-        entries[(k, m)] = v
+        entries[(k, m)] = valuation(c, ell)
     return ValuationTable(prime=ell, entries=entries)
 
 

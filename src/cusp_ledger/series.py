@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Union
 
+from .curves import factorize
 from .errors import ExactnessError, SeriesError, TruncationError
 
 Scalar = Union[int, Fraction]
@@ -31,18 +32,18 @@ def _norm(value) -> Scalar:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == ((n, 1),)
+
+
+def valuation(c: int, ell: int) -> int | None:
+    """ell-adic valuation of the integer c; None (read: +infinity) for 0."""
+    if c == 0:
+        return None
+    v = 0
+    while c % ell == 0:
+        c //= ell
+        v += 1
+    return v
 
 
 def _check_prime(ell: int) -> None:
@@ -321,22 +322,17 @@ class QSeries:
         _check_prime(ell)
         best: int | None = None
         witness: int | None = None
-        checked = 0
-        for e in sorted(self._c):
-            v = self._c[e]
-            if not isinstance(v, int):
+        for e, c in self.terms():
+            if not isinstance(c, int):
                 raise ExactnessError(
-                    f"non-integer coefficient {v} at q^({e}/24)"
+                    f"non-integer coefficient {c} at q^({e}/24)"
                 )
-            checked += 1
-            val = 0
-            while v % ell == 0:
-                v //= ell
-                val += 1
-            if best is None or val < best:
-                best, witness = val, e
+            v = valuation(c, ell)
+            if best is None or v < best:
+                best, witness = v, e
         return ValuationReport(prime=ell, min_valuation=best,
-                               witness_exponent24=witness, terms_checked=checked)
+                               witness_exponent24=witness,
+                               terms_checked=len(self._c))
 
     # -- rendering / serialisation ----------------------------------------
 
@@ -442,6 +438,21 @@ def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
             break
         k += 1
     return QSeries(entries, trunc24)
+
+
+def pochhammer_product(exponents: tuple[tuple[int, int], ...],
+                       trunc24: int) -> QSeries:
+    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1: the
+    positive factors are multiplied first, then each negative factor is
+    divided out one power at a time."""
+    series = QSeries.constant(1, trunc24)
+    for d, r in exponents:
+        if r > 0:
+            series = series * pochhammer_expansion(d, trunc24) ** r
+    for d, r in exponents:
+        for _ in range(-r):
+            series = series / pochhammer_expansion(d, trunc24)
+    return series
 
 
 def eta_expansion(delta: int, trunc24: int) -> QSeries:

@@ -71,6 +71,11 @@ def test_classify_needs_argument(capsys):
     assert code == 2
 
 
+def test_classify_level_zero_refused_by_profile(capsys):
+    code, _, err = run(capsys, "classify", "--level", "0")
+    assert code == 2 and "positive integer" in err
+
+
 def test_expand_partition_prefix(capsys):
     code, doc, _ = run_json(capsys, "expand", "--eta", "1:-1", "--terms", "6")
     assert code == 0
@@ -174,6 +179,32 @@ def test_reduce_bad_target(capsys):
     code, _, err = run(capsys, "reduce", "--target", "what:1",
                        "--basis", "level-5")
     assert code == 2
+
+
+def test_reduce_poly_zero_denominator(capsys):
+    code, _, err = run(capsys, "reduce", "--target", "poly:1/0",
+                       "--basis", "level-5")
+    assert code == 2 and "bad poly target" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    import cusp_ledger.cli as cli
+
+    def boom(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "cmd_profile", boom)
+    code, out, err = run(capsys, "profile", "5")
+    assert code == 3 and out == ""
+    assert err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_jobs_below_one_refused(capsys):
+    for jobs in ("0", "-2", "x"):
+        code, _, err = run(capsys, "--jobs", jobs, "find-eta", "--level", "5",
+                           "--bound", "1")
+        assert code == 2 and "--jobs" in err
 
 
 def test_find_eta_level5(capsys):

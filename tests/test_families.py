@@ -12,6 +12,7 @@ from cusp_ledger.families import (
     EtaTerm,
     FamilySpec,
     PochhammerProduct,
+    ScheduleStep,
     catalog_load,
     catalog_loads,
     catalog_save,
@@ -181,6 +182,21 @@ def test_verify_sharpness_counterexample(catalog, p_series):
     assert rep.counterexample is not None
     n, c, v = rep.counterexample
     assert n == 4 and c == 5 and v == 1
+
+
+def test_verify_counterexample_is_first_violation():
+    # qualifying n = 1, 6, 11, 16 (n = 1 mod 5); a(1) violates 5^2 | a(n) with
+    # valuation 1, a(11) later attains the global minimum 0
+    spec = FamilySpec(name="toy", generator=EtaQuotient(1, {1: -1}), prime=5,
+                      lam=1, level=5, schedule={1: ScheduleStep(1, 2)})
+    coeffs = [0] * 17
+    coeffs[1], coeffs[6], coeffs[11], coeffs[16] = 15, 0, 7, 250
+    coeffs[2] = 1  # not qualifying: ignored
+    series = QSeries.from_q_coeffs(coeffs, 24 * 17)
+    rep = verify_congruence(spec, 1, 16, series=series)
+    assert rep.qualifying_count == 4
+    assert rep.min_valuation == 0 and not rep.passed
+    assert rep.counterexample == (1, 15, 1)
 
 
 def test_verify_subsequence_consistency(catalog, p_series):

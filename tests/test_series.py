@@ -6,11 +6,18 @@ from fractions import Fraction
 import pytest
 
 from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
-from cusp_ledger.series import QSeries, eta_expansion, pochhammer_expansion
+from cusp_ledger.series import (
+    QSeries,
+    eta_expansion,
+    pochhammer_expansion,
+    pochhammer_product,
+    valuation,
+)
 
 from oracles import (
     binomial_inverse_power,
     distinct_partition_counts,
+    elongated_diamond_counts,
     partition_counts,
     product_expansion,
 )
@@ -168,6 +175,14 @@ def test_eta_ratio_counts_distinct_partitions():
         assert ratio.coeff24(1 + 24 * n) == pd[n]
 
 
+def test_pochhammer_product_matches_oracle():
+    # (q^2;q^2)^2 / (q;q)^7 generates the 2-elongated diamond counts
+    series = pochhammer_product(((1, -7), (2, 2)), 24 * 60)
+    assert series.trunc24 == 24 * 60
+    assert [series.coeff_q(n) for n in range(60)] == elongated_diamond_counts(59)
+    assert pochhammer_product((), 24 * 5) == QSeries.constant(1, 24 * 5)
+
+
 # -- U_ell --------------------------------------------------------------------
 
 def test_u_operator_definition():
@@ -296,6 +311,14 @@ def test_padic_valuation_rodseth_depths():
     depth2 = series.progression_slice(24, 5, 5, target=-1).padic_valuation(5)
     assert depth2.terms_checked >= 1
     assert depth2.min_valuation is not None and depth2.min_valuation >= 2
+
+
+def test_valuation_helper():
+    assert valuation(0, 5) is None
+    assert valuation(1, 5) == 0 and valuation(-1, 5) == 0
+    assert valuation(5 ** 3 * 7, 5) == 3
+    assert valuation(-(5 ** 3) * 7, 5) == 3
+    assert valuation(-7, 5) == 0
 
 
 # -- bookkeeping --------------------------------------------------------------
