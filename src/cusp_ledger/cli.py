@@ -15,7 +15,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+# No command starts a process pool.  The name stays bound only because the
+# benchmark's tracer (perfbench/spans.py) wraps cli.ProcessPoolExecutor.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from fractions import Fraction
 from math import lcm
 
@@ -128,8 +130,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    if args.terms < 1:
-        raise CatalogError("--terms must be at least 1")
     if args.family:
         catalog = _load_catalog(args)
         quotient = catalog.family(args.family).generator
@@ -254,25 +254,9 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _search_shard(packed) -> list:
-    N, text, bound, first = packed
-    cons = parse_constraints(text) if text else []
-    return search_eta_quotients(N, cons, bound, fix_first=first)
-
-
 def cmd_find_eta(args) -> int:
     constraints = parse_constraints(args.constraints) if args.constraints else []
-    if args.jobs > 1:
-        shards = [(args.level, args.constraints or "", args.bound, v)
-                  for v in range(-args.bound, args.bound + 1)]
-        found = []
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for part in pool.map(_search_shard, shards):
-                found.extend(part)
-        found.sort(key=lambda f: (sum(abs(r) for _, r in f.exponents),
-                                  f.exponents))
-    else:
-        found = search_eta_quotients(args.level, constraints, args.bound)
+    found = search_eta_quotients(args.level, constraints, args.bound)
     entries = []
     lines = [f"{len(found)} quotient(s) on Gamma_0({args.level}) with "
              f"|r| <= {args.bound}"
@@ -297,15 +281,18 @@ class _Parser(argparse.ArgumentParser):
         raise CatalogError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"want a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"want an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,9 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit the JSON report instead of text")
-    common.add_argument("--jobs", type=_positive_int,
+    common.add_argument("--jobs", type=_int_at_least(1),
                         default=argparse.SUPPRESS,
-                        help="worker processes for find-eta")
+                        help="accepted for compatibility and ignored; "
+                             "every command runs in one process")
     parser = _Parser(
         prog="cusp-ledger",
         parents=[common],
@@ -342,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("expand", help="q-expansion of an eta quotient")
     p.add_argument("--eta", help='exponent list like "5:6,1:-6"')
     p.add_argument("--family", help="expand a catalog family's generator")
-    p.add_argument("--terms", type=int, default=12)
+    p.add_argument("--terms", type=_int_at_least(1), default=12)
     p.add_argument("--at-cusp", choices=("infinity", "zero"),
                    default="infinity")
     p.add_argument("--level", type=int,
@@ -352,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="check a congruence family directly")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_int_at_least(0), required=True)
     p.add_argument("--beta", type=int,
                    help="override the demanded divisibility exponent")
     p.set_defaults(func=cmd_verify)
@@ -362,10 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="family:NAME:L<d> | eta:SPEC | poly:c0,c1,... | pole:P")
     p.add_argument("--basis", required=True, help="catalog basis name")
     p.add_argument("--localize", action="store_true")
-    p.add_argument("--terms", type=int, default=40,
+    p.add_argument("--terms", type=_int_at_least(1), default=40,
                    help="working truncation in integer q-terms")
-    p.add_argument("--guard", type=int, default=10)
-    p.add_argument("--prime", type=int,
+    p.add_argument("--guard", type=_int_at_least(0), default=10)
+    p.add_argument("--prime", type=_int_at_least(2),
                    help="prime for the valuation table")
     p.set_defaults(func=cmd_reduce)
 
@@ -383,7 +371,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.catalog = getattr(args, "catalog", None)
         args.json = getattr(args, "json", False)
-        args.jobs = getattr(args, "jobs", 1)
         return args.func(args)
     except (GapError, ReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

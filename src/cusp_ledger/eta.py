@@ -8,10 +8,12 @@ formula, normalised per local uniformiser (integral for valid quotients).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import compress, product
 from math import gcd, isqrt
+from operator import mul, xor
 
 from .curves import divisors, enumerate_cusps, factorize
 from .errors import EtaError, InternalInconsistencyError, TruncationError
@@ -26,8 +28,7 @@ class EtaQuotient:
     exponents: tuple[tuple[int, int], ...]  # sorted ((delta, r_delta), ...)
 
     def __init__(self, level: int, exponents):
-        if level < 1:
-            raise EtaError(f"level must be positive, got {level}")
+        _require_level(level)
         items = dict(exponents)
         for delta, r in items.items():
             if level % delta != 0:
@@ -106,26 +107,49 @@ class GammaValidation:
         }
 
 
+def _require_level(N: int) -> None:
+    if N < 1:
+        raise EtaError(f"level must be positive, got {N}")
+
+
 def _require_sublevel(f: EtaQuotient, N: int) -> None:
+    _require_level(N)
     if N % f.level != 0:
         raise EtaError(f"quotient level {f.level} does not divide N={N}")
+
+
+@lru_cache(maxsize=None)
+def _newman_rows(N: int) -> tuple[tuple[int, ...], ...]:
+    """Columns over the divisors d of N, ascending: d, N/d, and a bitmask of
+    the primes of N that divide d to an odd power."""
+    bit = {p: 1 << i for i, (p, _) in enumerate(factorize(N))}
+    ds = divisors(N)
+    masks = [sum(bit[p] for p, m in factorize(d) if m % 2) for d in ds]
+    return tuple(ds), tuple(N // d for d in ds), tuple(masks)
+
+
+def _newman_conditions(N: int, r):
+    """The four Newman/Ligozat conditions, linear in r (one exponent per
+    divisor of N, ascending), each zero exactly when it holds: sum r,
+    sum d*r mod 24, sum (N/d)*r mod 24, and the XOR of the masks of odd r.
+    Yielded lazily, so any() stops at the first that fails."""
+    ds, cods, masks = _newman_rows(N)
+    yield sum(r)
+    yield sum(map(mul, ds, r)) % 24
+    yield sum(map(mul, cods, r)) % 24
+    yield reduce(xor, compress(masks, [e & 1 for e in r]), 0)
 
 
 def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
     """Newman/Ligozat conditions for f to define a function on X_0(N)."""
     _require_sublevel(f, N)
-    prime_exponents: dict[int, int] = {}
-    for d, r in f.exponents:
-        for p, m in factorize(d):
-            prime_exponents[p] = prime_exponents.get(p, 0) + m * r
-    square = all(e % 2 == 0 for e in prime_exponents.values())
-    return GammaValidation(
-        level=N,
-        weight_zero=f.exponent_sum == 0,
-        infinity_order_integral=f.degree24 % 24 == 0,
-        zero_order_integral=sum((N // d) * r for d, r in f.exponents) % 24 == 0,
-        product_is_square=square,
-    )
+    r = f.r
+    weight, inf, zero, odd = _newman_conditions(
+        N, [r.get(d, 0) for d in _newman_rows(N)[0]])
+    return GammaValidation(level=N, weight_zero=weight == 0,
+                           infinity_order_integral=inf == 0,
+                           zero_order_integral=zero == 0,
+                           product_is_square=odd == 0)
 
 
 def order_at_cusp(f: EtaQuotient, N: int, c: int) -> Fraction:
@@ -283,41 +307,29 @@ def localizer_constraints(N: int) -> list[OrderConstraint]:
 
 
 def search_eta_quotients(N: int, constraints: list[OrderConstraint],
-                         bound: int,
-                         fix_first: int | None = None) -> list[EtaQuotient]:
+                         bound: int) -> list[EtaQuotient]:
     """Exhaustive scan of weight-0 quotients on Gamma_0(N) with |r_delta| <= bound
     meeting every order constraint; sorted simplest (smallest sum |r|) first.
 
-    An empty result is not an error.  fix_first pins the exponent of the
-    smallest divisor, which lets callers shard the scan.
+    The last exponent is fixed by weight 0; a candidate becomes an
+    EtaQuotient only once it passes the Newman conditions.  An empty result
+    is not an error.
     """
+    _require_level(N)
     if bound < 1:
         raise EtaError("search bound must be >= 1")
     ds = divisors(N)
     for cons in constraints:
-        if N % cons.denominator != 0:
+        if cons.denominator not in ds:
             raise EtaError(
                 f"constraint references denominator {cons.denominator} "
                 f"which does not divide N={N}")
     found = []
-    head, last = ds[:-1], ds[-1]
-    first_range = (range(-bound, bound + 1) if fix_first is None
-                   else (fix_first,))
-    tail_count = max(len(head) - 1, 0)
-    iterator = (
-        (first,) + rest
-        for first in first_range
-        for rest in itertools.product(range(-bound, bound + 1), repeat=tail_count)
-    ) if head else iter(((),))
-    for combo in iterator:
-        r_last = -sum(combo)
-        if abs(r_last) > bound:
+    for head in product(range(-bound, bound + 1), repeat=len(ds) - 1):
+        r = head + (-sum(head),)
+        if abs(r[-1]) > bound or any(_newman_conditions(N, r)):
             continue
-        r = {d: e for d, e in zip(head, combo)}
-        r[last] = r_last
-        f = EtaQuotient(N, r)
-        if not validate_on_gamma0(f, N).valid:
-            continue
+        f = EtaQuotient(N, zip(ds, r))
         if all(c.satisfied_by(order_at_cusp(f, N, c.denominator))
                for c in constraints):
             found.append(f)

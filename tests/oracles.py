@@ -2,11 +2,15 @@
 
 Nothing in here touches the package's series machinery: partition counts
 come from direct dynamic programming, products from schoolbook polynomial
-multiplication, and cusp/elliptic data from orbit counting on P^1(Z/N).
+multiplication, cusp/elliptic data from orbit counting on P^1(Z/N), and
+eta-quotient validity from the rational number prod delta^r itself.
 """
 
+import operator
 from fractions import Fraction
-from math import gcd, comb
+from functools import lru_cache
+from itertools import product
+from math import comb, gcd, isqrt
 
 
 def partition_counts(n_max: int) -> list[int]:
@@ -254,3 +258,63 @@ def peeled_remainder(coeffs: list, exps: dict[int, Fraction]) -> list[Fraction]:
                         new[j] += x * b
         cur = new
     return cur
+
+
+# ---------------------------------------------------------------------------
+# eta quotients on Gamma_0(N), by brute force
+# ---------------------------------------------------------------------------
+
+def eta_gamma0_verdict(N: int, r: dict[int, int]) -> dict:
+    """Newman/Ligozat verdict for prod eta(delta tau)^r_delta on Gamma_0(N),
+    shaped like GammaValidation.to_json_obj(): prod delta^r as a Fraction
+    with an exact square test, and the two mod-24 sums."""
+    num = den = 1
+    for d, e in r.items():
+        if e > 0:
+            num *= d ** e
+        else:
+            den *= d ** -e
+    prod = Fraction(num, den)
+    verdict = {
+        "level": N,
+        "weight_zero": sum(r.values()) == 0,
+        "infinity_order_integral": sum(d * e for d, e in r.items()) % 24 == 0,
+        "zero_order_integral": sum(N // d * e for d, e in r.items()) % 24 == 0,
+        "product_is_square": (isqrt(prod.numerator) ** 2 == prod.numerator
+                              and isqrt(prod.denominator) ** 2
+                              == prod.denominator),
+    }
+    verdict["valid"] = all(verdict[k] for k in list(verdict)[1:])
+    return verdict
+
+
+@lru_cache(maxsize=None)
+def _valid_eta_exponents(N: int, bound: int) -> tuple[dict[int, int], ...]:
+    """Every exponent vector in the full box |r_delta| <= bound over the
+    divisors of N that the oracle verdict calls valid.  Vectors of nonzero
+    weight or non-integral order at infinity, which the verdict rejects
+    anyway, are skipped before it is asked."""
+    ds = [d for d in range(1, N + 1) if N % d == 0]
+    return tuple(dict(zip(ds, r))
+                 for r in product(range(-bound, bound + 1), repeat=len(ds))
+                 if sum(r) == 0 and sum(map(operator.mul, ds, r)) % 24 == 0
+                 and eta_gamma0_verdict(N, dict(zip(ds, r)))["valid"])
+
+
+_OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge,
+        "<": operator.lt, ">": operator.gt}
+
+
+def eta_search_by_brute_force(N: int, constraints, bound: int) -> list:
+    """Exponent tuples ((delta, r), ...) with zeros dropped of the valid
+    quotients with |r| <= bound whose Ligozat orders meet every (c, op, value)
+    constraint, simplest (smallest sum |r|) first."""
+    out = []
+    for r in _valid_eta_exponents(N, bound):
+        def order(c):
+            return Fraction(N, 24 * gcd(c * c, N)) * sum(
+                Fraction(e * gcd(c, d) ** 2, d) for d, e in r.items())
+        if all(_OPS[op](order(c), value) for c, op, value in constraints):
+            out.append(tuple((d, e) for d, e in r.items() if e))
+    out.sort(key=lambda ex: (sum(abs(e) for _, e in ex), ex))
+    return out

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cusp_ledger.cli import main
 
 
@@ -205,6 +207,36 @@ def test_jobs_below_one_refused(capsys):
         code, _, err = run(capsys, "--jobs", jobs, "find-eta", "--level", "5",
                            "--bound", "1")
         assert code == 2 and "--jobs" in err
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (("reduce", "--target", "poly:1,1", "--basis", "level-5",
+      "--guard", "-3", "--terms", "2"), "--guard"),
+    (("reduce", "--target", "poly:1,1", "--basis", "level-5",
+      "--guard", "0", "--terms", "2"), None),
+    (("reduce", "--target", "poly:1", "--basis", "level-5",
+      "--terms", "0"), "--terms"),
+    (("expand", "--eta", "1:-1", "--terms", "0"), "--terms"),
+    (("expand", "--eta", "1:-1", "--terms", "-1"), "--terms"),
+    (("verify", "--family", "p-5", "--alpha", "1", "--nmax", "-5"), "--nmax"),
+    (("verify", "--family", "p-5", "--alpha", "1", "--nmax", "0"), None),
+    (("reduce", "--target", "poly:1,1", "--basis", "level-5",
+      "--prime", "1"), "--prime"),
+])
+def test_option_ranges_checked_at_parse_time(capsys, argv, refused):
+    code, _, err = run(capsys, *argv)
+    if refused is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and f"argument {refused}" in err
+
+
+def test_find_eta_nonpositive_level_refused(capsys):
+    for level in ("0", "-6"):
+        code, out, err = run(capsys, "find-eta", "--level", level,
+                             "--bound", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: level must be positive, got {level}\n"
 
 
 def test_find_eta_level5(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusp_ledger.curves import divisors, enumerate_cusps
 from cusp_ledger.errors import EtaError, TruncationError
@@ -19,7 +20,12 @@ from cusp_ledger.eta import (
     validate_on_gamma0,
 )
 
-from oracles import distinct_partition_counts, partition_counts
+from oracles import (
+    distinct_partition_counts,
+    eta_gamma0_verdict,
+    eta_search_by_brute_force,
+    partition_counts,
+)
 
 LEVEL5_HAUPTMODUL = EtaQuotient(5, {5: 6, 1: -6})
 
@@ -213,3 +219,41 @@ def test_valence_of_search_output_sum_counts():
         counts = {c.denominator: c.count for c in enumerate_cusps(14)}
         total = sum(counts[c] * order_at_cusp(f, 14, c) for c in divisors(14))
         assert total == 0
+
+
+def test_validate_refuses_nonpositive_level():
+    for N in (0, -5):
+        with pytest.raises(EtaError):
+            validate_on_gamma0(LEVEL5_HAUPTMODUL, N)
+
+
+def test_search_refuses_non_divisor_denominators():
+    for c in (0, -5, 3):
+        with pytest.raises(EtaError):
+            search_eta_quotients(5, [OrderConstraint(c, "<", Fraction(0))], 1)
+
+
+def test_search_matches_brute_force_oracle():
+    for N in range(1, 41):
+        ds = divisors(N)
+        bound = 3 if len(ds) <= 6 else 1
+        patterns = ([], [(1, "<", Fraction(0))],
+                    [(1, "<", Fraction(0))]
+                    + [(c, ">=", Fraction(1)) for c in ds if c != 1])
+        for pattern in patterns:
+            cons = [OrderConstraint(*c) for c in pattern]
+            got = [f.exponents for f in search_eta_quotients(N, cons, bound)]
+            assert got == eta_search_by_brute_force(N, pattern, bound), \
+                (N, pattern)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_validate_matches_oracle(data):
+    N = data.draw(st.integers(1, 120), label="N")
+    level = data.draw(st.sampled_from(divisors(N)), label="level")
+    r = {d: data.draw(st.integers(-12, 12)) for d in divisors(level)}
+    if data.draw(st.booleans(), label="weight zero"):
+        r[level] -= sum(r.values())
+    f = EtaQuotient(level, r)
+    assert validate_on_gamma0(f, N).to_json_obj() == eta_gamma0_verdict(N, r)
