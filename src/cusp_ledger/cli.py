@@ -135,7 +135,7 @@ def cmd_expand(args) -> int:
         quotient = catalog.family(args.family).generator
     else:
         quotient = _parse_eta_spec(args.eta)
-    level = args.level or quotient.level
+    level = quotient.level if args.level is None else args.level
     if args.at_cusp == "zero":
         lead24 = 24 * order_at_cusp(quotient, level, 1)
         trunc24 = 24 * args.terms
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=_int_at_least(1), default=12)
     p.add_argument("--at-cusp", choices=("infinity", "zero"),
                    default="infinity")
-    p.add_argument("--level", type=int,
+    p.add_argument("--level", type=_int_at_least(1),
                    help="curve level for cusp-zero expansions")
     p.set_defaults(func=cmd_expand)
 
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--nmax", type=_int_at_least(0), required=True)
-    p.add_argument("--beta", type=int,
+    p.add_argument("--beta", type=_int_at_least(1),
                    help="override the demanded divisibility exponent")
     p.set_defaults(func=cmd_verify)
 

@@ -26,6 +26,7 @@ from .errors import (
     ExactnessError,
     FamilyError,
     InternalInconsistencyError,
+    TruncationError,
 )
 from .eta import (
     CuspOrderVector,
@@ -196,17 +197,14 @@ def classify(N: int, prime: int | None = None) -> ClassificationReport:
 def coefficient_series(spec: FamilySpec, n_max: int) -> QSeries:
     """The generating sequence a(0..n_max) on the integer exponent grid.
 
-    Expands the generator at infinity and strips its fractional leading
-    power, so exponent n carries a(n) exactly as the congruence reads them.
+    This is the generator's expansion at infinity with its fractional
+    leading power q^(degree24/24) stripped, so exponent n carries a(n)
+    exactly as the congruence reads them.
     """
-    shift = spec.generator.degree24
-    raw = expand_at_infinity(spec.generator, shift + 24 * (n_max + 1))
-    series = raw.shift(-shift)
-    if not series.is_integer_grid:
-        raise FamilyError(
-            f"family {spec.name}: generator exponents are not on a single "
-            f"residue class mod 1 (fractional-exponent mismatch)")
-    return series
+    if n_max < 0:
+        raise TruncationError(
+            "truncation too small to hold one term of the expansion")
+    return pochhammer_product(spec.generator.exponents, 24 * (n_max + 1))
 
 
 def tower_series_direct(spec: FamilySpec, depth: int, terms: int,

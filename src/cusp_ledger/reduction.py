@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .eta import CuspOrderVector
-from .series import QSeries, Scalar, valuation
+from .series import QSeries, Scalar, _check_prime, valuation
 
 DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 
@@ -279,6 +279,7 @@ class ValuationTable:
 
 
 def valuation_table(rep: Representation, ell: int) -> ValuationTable:
+    _check_prime(ell)
     entries: dict[tuple[int, int], int | None] = {}
     for (k, m), c in rep.coeffs.items():
         if not isinstance(c, int):

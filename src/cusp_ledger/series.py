@@ -37,6 +37,8 @@ def is_prime(n: int) -> bool:
 
 def valuation(c: int, ell: int) -> int | None:
     """ell-adic valuation of the integer c; None (read: +infinity) for 0."""
+    if -2 < ell < 2:
+        raise SeriesError(f"no {ell}-adic valuation: |ell| must be at least 2")
     if c == 0:
         return None
     v = 0
@@ -421,38 +423,84 @@ class ValuationReport:
         }
 
 
-def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
-    """(q^delta; q^delta)_infinity via the pentagonal number theorem."""
+def _pentagonal(delta: int, n: int) -> list[tuple[int, int]]:
+    """The terms (e, sign) of (q^delta; q^delta)_infinity with exponent
+    e < n, in ascending order: Euler's pentagonal number theorem."""
     if delta < 1:
         raise SeriesError("delta must be a positive integer")
-    entries = {}
-    k = 0
-    while True:
-        hit = False
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            e = 24 * delta * g
-            if e < trunc24:
-                entries[e] = (-1) ** k
-                hit = True
-        if not hit and k > 0:
-            break
+    terms = [(0, 1)] if n > 0 else []
+    k = 1
+    while (e := delta * (k * (3 * k - 1) // 2)) < n:
+        sign = -1 if k & 1 else 1
+        terms.append((e, sign))
+        if e + delta * k < n:
+            terms.append((e + delta * k, sign))
         k += 1
-    return QSeries(entries, trunc24)
+    return terms
+
+
+def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
+    """(q^delta; q^delta)_infinity via the pentagonal number theorem."""
+    return QSeries({24 * e: sign for e, sign
+                    in _pentagonal(delta, -(-trunc24 // 24))}, trunc24)
+
+
+def _times_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """c * (q^d; q^d)_infinity, scattering the pentagonal terms (the ones
+    past the constant) from the nonzero entries of c only."""
+    n = len(c)
+    out = c[:]
+    for i, v in enumerate(c):
+        if v:
+            room = n - i
+            for e, sign in terms:
+                if e >= room:
+                    break
+                out[i + e] += v if sign > 0 else -v
+    return out
+
+
+def _divide_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> None:
+    """c / (q^d; q^d)_infinity in place, by the forward recurrence
+    c[k] -= sum of sign * c[k - e] over the pentagonal terms (the ones past
+    the constant).  Between consecutive exponents the set of terms with
+    e <= k is fixed, so each segment runs with fixed lists."""
+    plus: list[int] = []   # exponents whose term has sign -1: added
+    minus: list[int] = []  # exponents whose term has sign +1: subtracted
+    ends = [e for e, _ in terms[1:]] + [len(c)]
+    for (e, sign), end in zip(terms, ends):
+        (plus if sign < 0 else minus).append(e)
+        for k in range(e, end):
+            t = c[k]
+            for o in plus:
+                t += c[k - o]
+            for o in minus:
+                t -= c[k - o]
+            c[k] = t
 
 
 def pochhammer_product(exponents: tuple[tuple[int, int], ...],
                        trunc24: int) -> QSeries:
-    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1: the
-    positive factors are multiplied first, then each negative factor is
-    divided out one power at a time."""
-    series = QSeries.constant(1, trunc24)
+    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1.
+
+    The integer coefficients live on a dense list indexed by the integer
+    exponent n < trunc24/24: the positive factors are scattered in first,
+    while the product is still sparse, then each negative factor is divided
+    out one power at a time.
+    """
+    n = max(-(-trunc24 // 24), 0)
+    c = [1] + [0] * (n - 1) if n else []
     for d, r in exponents:
         if r > 0:
-            series = series * pochhammer_expansion(d, trunc24) ** r
+            terms = _pentagonal(d, n)[1:]
+            for _ in range(r):
+                c = _times_pochhammer(c, terms)
     for d, r in exponents:
-        for _ in range(-r):
-            series = series / pochhammer_expansion(d, trunc24)
-    return series
+        if r < 0:
+            terms = _pentagonal(d, n)[1:]
+            for _ in range(-r):
+                _divide_pochhammer(c, terms)
+    return QSeries(((24 * i, v) for i, v in enumerate(c) if v), trunc24)
 
 
 def eta_expansion(delta: int, trunc24: int) -> QSeries:

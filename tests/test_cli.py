@@ -231,6 +231,41 @@ def test_option_ranges_checked_at_parse_time(capsys, argv, refused):
         assert code == 2 and f"argument {refused}" in err
 
 
+def test_verify_beta_below_one_refused(capsys):
+    # a demanded exponent below 1 makes the check vacuous; it used to PASS
+    for beta in ("-1", "0"):
+        code, out, err = run(capsys, "verify", "--family", "p-5", "--alpha",
+                             "1", "--nmax", "50", "--beta", beta)
+        assert code == 2 and out == ""
+        assert "argument --beta" in err
+    code, _, _ = run(capsys, "verify", "--family", "p-5", "--alpha", "1",
+                     "--nmax", "50", "--beta", "1")
+    assert code == 0
+
+
+def test_expand_level_below_one_refused(capsys):
+    # --level 0 used to be replaced by the quotient's own level in silence
+    for level in ("0", "-5"):
+        code, out, err = run(capsys, "expand", "--eta", "5:6,1:-6",
+                             "--at-cusp", "zero", "--level", level,
+                             "--terms", "3")
+        assert code == 2 and out == ""
+        assert "argument --level" in err
+    _, default, _ = run_json(capsys, "expand", "--eta", "5:6,1:-6",
+                             "--at-cusp", "zero", "--terms", "3")
+    _, explicit, _ = run_json(capsys, "expand", "--eta", "5:6,1:-6",
+                              "--at-cusp", "zero", "--level", "5",
+                              "--terms", "3")
+    assert default == explicit and default["level"] == 5
+
+
+def test_reduce_non_prime_refused(capsys):
+    code, out, err = run(capsys, "reduce", "--target", "poly:1,1", "--basis",
+                         "level-5", "--terms", "20", "--prime", "4")
+    assert code == 2 and out == ""
+    assert err == "error: 4 is not prime\n"
+
+
 def test_find_eta_nonpositive_level_refused(capsys):
     for level in ("0", "-6"):
         code, out, err = run(capsys, "find-eta", "--level", level,

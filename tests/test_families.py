@@ -1,11 +1,12 @@
 """Tests for congruence-family data, towers, verification, classification."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from cusp_ledger.errors import CatalogError, FamilyError
+from cusp_ledger.errors import CatalogError, FamilyError, TruncationError
 from cusp_ledger.eta import EtaQuotient
 from cusp_ledger.families import (
     Catalog,
@@ -93,6 +94,34 @@ def test_coefficient_series_diamonds_and_frobenius(catalog):
     assert [d2.coeff_q(n) for n in range(25)] == elongated_diamond_counts(24)[:25]
     cphi = coefficient_series(catalog.family("cphi2-5"), 25)
     assert [cphi.coeff_q(n) for n in range(25)] == frobenius_two_color_counts(24)[:25]
+
+
+# sha256 of the compact, key-sorted JSON of coefficient_series(spec, 3000),
+# recorded with the dict-based kernel that generic QSeries division provided
+COEFFICIENT_SERIES_SHA256 = {
+    "p-5": "4639248dc15f86a53bb90310da0bb612d04349d96f2ba060e1aa862ca533953c",
+    "p-7": "4639248dc15f86a53bb90310da0bb612d04349d96f2ba060e1aa862ca533953c",
+    "p-11": "4639248dc15f86a53bb90310da0bb612d04349d96f2ba060e1aa862ca533953c",
+    "pd-5": "526feca720ab7ac5f14bc48bbe6c82c059d7c9b9e739341cc49d681ff66705fc",
+    "d2-7": "186a827d7ad0eefaf527eb4c61508d4a9dfede824d182294ed36023dd3d620fe",
+    "cphi2-5": "5eb34eb07b2a9e310198e9f9699696bbd6d27f4ccca6caeb29ca52f9188ec686",
+}
+
+
+def test_coefficient_series_byte_identical(catalog):
+    got = {}
+    for spec in catalog.families:
+        obj = coefficient_series(spec, 3000).to_json_obj()
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        got[spec.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == COEFFICIENT_SERIES_SHA256
+
+
+def test_coefficient_series_refuses_negative_nmax(catalog):
+    assert coefficient_series(catalog.family("p-5"), 0).terms() == [(0, 1)]
+    with pytest.raises(TruncationError,
+                       match="truncation too small to hold one term"):
+        coefficient_series(catalog.family("p-5"), -1)
 
 
 # -- towers ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from cusp_ledger.errors import (
     ExactnessError,
     GapError,
     ReductionError,
+    SeriesError,
     TruncationError,
 )
 from cusp_ledger.eta import (
@@ -252,6 +253,14 @@ def test_valuation_table_rejects_fractions():
     rep = reduce_module(basis.monomial(0, 1).scaled(Fraction(1, 2)), basis)
     with pytest.raises(ExactnessError):
         valuation_table(rep, 5)
+
+
+def test_valuation_table_rejects_non_primes():
+    basis = genus1_basis()
+    rep = reduce_module(basis.monomial(0, 1).scaled(5), basis)
+    for ell in (4, 1, -1, 0):
+        with pytest.raises(SeriesError):
+            valuation_table(rep, ell)
 
 
 def test_valuation_gain_reports():

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
+from cusp_ledger.families import catalog_load, shipped_catalog_path
 from cusp_ledger.series import (
     QSeries,
     eta_expansion,
@@ -16,9 +18,11 @@ from cusp_ledger.series import (
 
 from oracles import (
     binomial_inverse_power,
+    colored_partition_counts,
     distinct_partition_counts,
     elongated_diamond_counts,
     partition_counts,
+    poly_mul,
     product_expansion,
 )
 
@@ -181,6 +185,80 @@ def test_pochhammer_product_matches_oracle():
     assert series.trunc24 == 24 * 60
     assert [series.coeff_q(n) for n in range(60)] == elongated_diamond_counts(59)
     assert pochhammer_product((), 24 * 5) == QSeries.constant(1, 24 * 5)
+    n = 300
+    for exponents, want in ((((1, -1),), partition_counts(n)),
+                            (((1, -5),), colored_partition_counts(n, 5)),
+                            (((3, 1),), product_expansion(n, 3)),
+                            (((1, -7), (2, 2)), elongated_diamond_counts(n))):
+        series = pochhammer_product(exponents, 24 * (n + 1))
+        assert [series.coeff_q(k) for k in range(n + 1)] == want, exponents
+
+
+def reference_pochhammer_product(exponents, trunc24):
+    """The previous kernel, kept as a reference: QSeries powers of the
+    positive factors, then generic division by each negative power."""
+    series = QSeries.constant(1, trunc24)
+    for d, r in exponents:
+        if r > 0:
+            series = series * pochhammer_expansion(d, trunc24) ** r
+    for d, r in exponents:
+        for _ in range(-r):
+            series = series / pochhammer_expansion(d, trunc24)
+    return series
+
+
+def oracle_pochhammer_coeffs(exponents, n_max):
+    """a(0..n_max) of prod (q^d;q^d)^r from the DP counters of oracles.py:
+    colored partitions for the negative powers, direct products for the
+    positive ones, each rescaled q -> q^d."""
+    out = [1] + [0] * n_max
+    for d, r in exponents:
+        if r > 0:
+            base = product_expansion(n_max, d)
+            for _ in range(r):
+                out = poly_mul(out, base, n_max)
+        elif r < 0:
+            colored = colored_partition_counts(n_max // d, -r)
+            out = poly_mul(out, [colored[n // d] if n % d == 0 else 0
+                                 for n in range(n_max + 1)], n_max)
+    return out
+
+
+exponent_tuples = st.dictionaries(
+    st.integers(1, 6), st.integers(-7, 7), max_size=4,
+).map(lambda e: tuple(sorted(e.items())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(exponent_tuples,
+       st.one_of(st.builds(lambda n, r: 24 * n + r,
+                           st.integers(2, 120), st.integers(0, 23)),
+                 st.integers(-60, 0), st.sampled_from([1, 23, 24, 25])))
+@example(((1, -7), (2, 2)), 24 * 100)
+@example(((1, -4), (2, 5), (4, -2)), 24 * 90 + 11)
+def test_pochhammer_product_matches_reference_kernel(exponents, trunc24):
+    got = pochhammer_product(exponents, trunc24)
+    if trunc24 <= 0:
+        # nothing is known below a nonpositive truncation
+        assert got == QSeries.zero(trunc24)
+        return
+    assert got == reference_pochhammer_product(exponents, trunc24)
+    n_max = (trunc24 - 1) // 24
+    assert [got.coeff_q(n) for n in range(n_max + 1)] \
+        == oracle_pochhammer_coeffs(exponents, n_max)
+
+
+def test_pochhammer_product_catalog_shapes():
+    catalog = catalog_load(shipped_catalog_path())
+    shapes = set()
+    for spec in catalog.families:
+        shapes.add(spec.generator.exponents)
+        for p in (*spec.prefactors.values(), *spec.multipliers.values()):
+            shapes.add(p.exponents)
+    for exponents in sorted(shapes):
+        for t in (24 * 400, 24 * 400 + 7):
+            assert pochhammer_product(exponents, t) \
+                == reference_pochhammer_product(exponents, t), exponents
 
 
 # -- U_ell --------------------------------------------------------------------
@@ -319,6 +397,15 @@ def test_valuation_helper():
     assert valuation(5 ** 3 * 7, 5) == 3
     assert valuation(-(5 ** 3) * 7, 5) == 3
     assert valuation(-7, 5) == 0
+
+
+def test_valuation_refuses_units_and_zero_base():
+    # ell in {1, -1} used to loop forever
+    for ell in (1, -1, 0):
+        with pytest.raises(SeriesError):
+            valuation(5, ell)
+        with pytest.raises(SeriesError):
+            valuation(0, ell)
 
 
 # -- bookkeeping --------------------------------------------------------------
