@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_MATH_FAIL
 
 
-def _reduce_target(args, catalog, basis_entry, trunc24):
+def _reduce_target(args, catalog, basis, trunc24):
     """Build (chart series, cusp orders or None, prime or None) for --target."""
     target = args.target
     if target.startswith("family:"):
@@ -193,7 +193,7 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
         return chart, orders, spec.prime
     if target.startswith("eta:"):
         quotient = _parse_eta_spec(target[4:])
-        level = basis_entry.level
+        level = basis.level
         if level is None:
             raise CatalogError(
                 "eta targets need a basis with a level (orders live on a curve)")
@@ -205,12 +205,8 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
         except (ValueError, ZeroDivisionError):
             raise CatalogError(
                 f"bad poly target {target!r}: want poly:c0,c1,...") from None
-        basis = basis_entry.build(trunc24)
-        acc = QSeries.zero(trunc24)
-        for m, c in enumerate(coeffs):
-            if c:
-                acc = acc + basis.monomial(0, m).scaled(c)
-        return acc, None, None
+        poly = {(0, m): c for m, c in enumerate(coeffs)}
+        return basis.combine(poly, trunc24), None, None
     if target.startswith("pole:"):
         try:
             order = int(target[5:])
@@ -226,12 +222,9 @@ def cmd_reduce(args) -> int:
     catalog = _load_catalog(args)
     basis_entry = catalog.basis(args.basis)
     trunc24 = 24 * args.terms
-    chart, orders, prime = _reduce_target(args, catalog, basis_entry, trunc24)
     basis = basis_entry.build(trunc24)
-    if args.localize or (orders is not None and basis.z is not None):
-        if orders is None:
-            raise CatalogError(
-                "--localize needs a target with known cusp orders")
+    chart, orders, prime = _reduce_target(args, catalog, basis, trunc24)
+    if orders is not None and basis.z is not None:
         rep = localize_reduce(chart, basis, orders, guard=args.guard)
     else:
         rep = reduce_module(chart, basis, guard=args.guard)
@@ -323,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("classify", help="difficulty class from the cusp count")
     p.add_argument("--level", type=int)
-    p.add_argument("--prime", type=int)
+    p.add_argument("--prime", type=_int_at_least(2),
+                   help="a prime dividing the level")
     p.add_argument("--family")
     p.set_defaults(func=cmd_classify)
 
@@ -349,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="family:NAME:L<d> | eta:SPEC | poly:c0,c1,... | pole:P")
     p.add_argument("--basis", required=True, help="catalog basis name")
-    p.add_argument("--localize", action="store_true")
     p.add_argument("--terms", type=_int_at_least(1), default=40,
                    help="working truncation in integer q-terms")
     p.add_argument("--guard", type=_int_at_least(0), default=10)

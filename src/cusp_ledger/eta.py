@@ -306,6 +306,9 @@ def localizer_constraints(N: int) -> list[OrderConstraint]:
     return out
 
 
+MAX_SEARCH_BOX = 10 ** 7  # candidates (2*bound+1)^(k-1) one search may visit
+
+
 def search_eta_quotients(N: int, constraints: list[OrderConstraint],
                          bound: int) -> list[EtaQuotient]:
     """Exhaustive scan of weight-0 quotients on Gamma_0(N) with |r_delta| <= bound
@@ -313,12 +316,17 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
 
     The last exponent is fixed by weight 0; a candidate becomes an
     EtaQuotient only once it passes the Newman conditions.  An empty result
-    is not an error.
+    is not an error; a box of more than MAX_SEARCH_BOX candidates is.
     """
     _require_level(N)
     if bound < 1:
         raise EtaError("search bound must be >= 1")
     ds = divisors(N)
+    side, dim = 2 * bound + 1, len(ds) - 1
+    if side ** dim > MAX_SEARCH_BOX:
+        raise EtaError(
+            f"search box of {side}^{dim} candidates exceeds the limit of "
+            f"{MAX_SEARCH_BOX}; lower the bound or the level")
     for cons in constraints:
         if cons.denominator not in ds:
             raise EtaError(

@@ -165,9 +165,14 @@ def classify(N: int, prime: int | None = None) -> ClassificationReport:
 
     Cusp count 2 -> classical methods; 4 -> localization; 6 or more -> no
     systematic methods.  Odd cusp counts (N = 1, 4) and prime 2 fall outside
-    the table and are reported as sporadic.
+    the table and are reported as sporadic.  A given prime must divide N.
     """
     profile = curve_profile(N)
+    if prime is not None:
+        if not is_prime(prime):
+            raise FamilyError(f"{prime} is not prime")
+        if N % prime:
+            raise FamilyError(f"prime {prime} does not divide level {N}")
     eps = profile.cusp_count
     flags = []
     if eps % 2 == 1:
@@ -341,54 +346,39 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
 # recorded tower identities (eta combinations) and their chart expansions
 # ---------------------------------------------------------------------------
 
-def identity_series_at_infinity(spec: FamilySpec, depth: int,
-                                trunc24: int) -> QSeries:
-    terms = spec.tower_identities.get(depth)
-    if not terms:
-        raise FamilyError(
-            f"family {spec.name}: no recorded identity for depth {depth}")
-    acc = QSeries.zero(trunc24)
-    for term in terms:
-        acc = acc + expand_at_infinity(term.quotient, trunc24).scaled(term.scale)
-    return acc
+IDENTITY_CHECK_TERMS = 8  # q-terms of the cross-check at infinity
 
 
-def identity_chart_at_zero(spec: FamilySpec, depth: int,
-                           trunc24: int) -> tuple[QSeries, CuspOrderVector]:
-    """Cusp-zero chart of the recorded identity plus per-class order bounds
-    (exact for one term; lower bounds when terms could cancel)."""
-    terms = spec.tower_identities.get(depth)
-    if not terms:
-        raise FamilyError(
-            f"family {spec.name}: no recorded identity for depth {depth}")
-    acc = QSeries.zero(trunc24)
-    bounds: dict[int, Fraction] = {}
-    for term in terms:
-        scale, chart = expand_at_zero(term.quotient, spec.level, trunc24)
-        acc = acc + chart.scaled(scale * term.scale)
-        for c, o in cusp_order_vector(term.quotient, spec.level).orders:
-            bounds[c] = o if c not in bounds else min(bounds[c], o)
-    orders = CuspOrderVector(spec.level, tuple(sorted(bounds.items())))
-    return acc, orders
-
-
-def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
-                             check_terms: int = 0
+def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
                              ) -> tuple[QSeries, CuspOrderVector]:
     """Cross-check the recorded identity against the direct tower series,
-    then hand back its cusp-zero chart.
+    then hand back its cusp-zero chart plus per-class order bounds (exact
+    for one term; lower bounds when terms could cancel).
 
     A mismatch means the shipped catalog is wrong, which is an internal
     inconsistency, not a user error.
     """
-    check = max(check_terms, 8)
-    direct = tower_series_direct(spec, depth, check)
-    recorded = identity_series_at_infinity(spec, depth, 24 * check)
+    direct = tower_series_direct(spec, depth, IDENTITY_CHECK_TERMS)
+    identity = spec.tower_identities.get(depth)
+    if not identity:
+        raise FamilyError(
+            f"family {spec.name}: no recorded identity for depth {depth}")
+    recorded = QSeries.zero(24 * IDENTITY_CHECK_TERMS)
+    for term in identity:
+        recorded = recorded + expand_at_infinity(
+            term.quotient, 24 * IDENTITY_CHECK_TERMS).scaled(term.scale)
     if not direct.agrees_with(recorded):
         raise InternalInconsistencyError(
             f"family {spec.name}: recorded depth-{depth} identity disagrees "
             f"with the sliced construction")
-    return identity_chart_at_zero(spec, depth, 24 * terms)
+    chart = QSeries.zero(24 * terms)
+    bounds: dict[int, Fraction] = {}
+    for term in identity:
+        scale, series = expand_at_zero(term.quotient, spec.level, 24 * terms)
+        chart = chart + series.scaled(scale * term.scale)
+        for c, o in cusp_order_vector(term.quotient, spec.level).orders:
+            bounds[c] = o if c not in bounds else min(bounds[c], o)
+    return chart, CuspOrderVector(spec.level, tuple(sorted(bounds.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -397,36 +387,35 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
 
 @dataclass
 class BasisEntry:
-    """Catalog description of a module basis; series are built on demand."""
+    """Catalog description of a module basis; series are built on demand.
+
+    Each function is an eta quotient, charted at the zero cusp, or an exact
+    Laurent polynomial; the companions ys keep their catalog order.
+    """
 
     name: str
     level: int | None
-    x_eta: EtaQuotient | None = None
-    x_series: QSeries | None = None
-    ys_eta: list[EtaQuotient] = field(default_factory=list)
-    ys_series: list[QSeries] = field(default_factory=list)
-    z_eta: EtaQuotient | None = None
+    x: EtaQuotient | QSeries | None = None
+    ys: list[EtaQuotient | QSeries] = field(default_factory=list)
+    z: EtaQuotient | None = None
     notes: str = ""
 
     def build(self, trunc24: int) -> ModuleBasis:
-        def chart(quotient: EtaQuotient) -> QSeries:
-            scale, series = expand_at_zero(quotient, self.level, trunc24)
+        def chart(source: EtaQuotient | QSeries) -> QSeries:
+            if isinstance(source, QSeries):
+                # an exact Laurent polynomial: any truncation is valid
+                return QSeries(dict(source.terms()), trunc24)
+            scale, series = expand_at_zero(source, self.level, trunc24)
             return series.scaled(scale)
 
-        if self.x_eta is not None:
-            x = chart(self.x_eta)
-        elif self.x_series is not None:
-            # raw entries are exact Laurent polynomials: any truncation is valid
-            x = QSeries(dict(self.x_series.terms()), trunc24)
-        else:
+        if self.x is None:
             raise CatalogError(f"basis {self.name}: no x recorded")
-        ys = [QSeries.constant(1, trunc24)]
-        ys.extend(chart(yq) for yq in self.ys_eta)
-        ys.extend(QSeries(dict(y.terms()), trunc24) for y in self.ys_series)
+        x = chart(self.x)
+        ys = [QSeries.constant(1, trunc24)] + [chart(y) for y in self.ys]
         z = z_orders = None
-        if self.z_eta is not None:
-            z = chart(self.z_eta)
-            z_orders = cusp_order_vector(self.z_eta, self.level)
+        if self.z is not None:
+            z = chart(self.z)
+            z_orders = cusp_order_vector(self.z, self.level)
         return ModuleBasis(x=x, ys=ys, level=self.level, z=z,
                            z_orders=z_orders, label=self.name)
 
@@ -537,57 +526,42 @@ def _family_to_json(spec: FamilySpec) -> dict:
 
 
 def _basis_from_json(obj: dict, path: str) -> BasisEntry:
-    def series_or_eta(spec_obj, what):
+    def source(spec_obj, what):
         if spec_obj is None:
-            return None, None
+            return None
         if "eta" in spec_obj:
-            return EtaQuotient.from_json_obj(spec_obj["eta"]), None
+            return EtaQuotient.from_json_obj(spec_obj["eta"])
         if "series" in spec_obj:
-            return None, QSeries.from_json_obj(spec_obj["series"])
+            return QSeries.from_json_obj(spec_obj["series"])
         raise CatalogError(f"{path}.{what}: need an 'eta' or 'series' entry")
 
     try:
-        x_eta, x_series = series_or_eta(obj.get("x"), "x")
-        ys_eta, ys_series = [], []
-        for i, y in enumerate(obj.get("ys", [])):
-            ye, ys_ = series_or_eta(y, f"ys[{i}]")
-            if ye is not None:
-                ys_eta.append(ye)
-            else:
-                ys_series.append(ys_)
-        z_eta, z_series = series_or_eta(obj.get("z"), "z")
-        if z_series is not None:
+        x = source(obj.get("x"), "x")
+        ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
+        z = source(obj.get("z"), "z")
+        if isinstance(z, QSeries):
             raise CatalogError(f"{path}.z: localizers must be eta quotients "
                                f"(orders must be computable)")
-        return BasisEntry(
-            name=obj["name"],
-            level=obj.get("level"),
-            x_eta=x_eta, x_series=x_series,
-            ys_eta=ys_eta, ys_series=ys_series,
-            z_eta=z_eta,
-            notes=obj.get("notes", ""),
-        )
+        return BasisEntry(name=obj["name"], level=obj.get("level"), x=x,
+                          ys=ys, z=z, notes=obj.get("notes", ""))
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
 
 
 def _basis_to_json(entry: BasisEntry) -> dict:
-    def pack_eta(q):
-        return {"eta": q.to_json_obj()}
+    def pack(source):
+        kind = "series" if isinstance(source, QSeries) else "eta"
+        return {kind: source.to_json_obj()}
 
     obj: dict = {"name": entry.name}
     if entry.level is not None:
         obj["level"] = entry.level
-    if entry.x_eta is not None:
-        obj["x"] = pack_eta(entry.x_eta)
-    elif entry.x_series is not None:
-        obj["x"] = {"series": entry.x_series.to_json_obj()}
-    ys = [pack_eta(y) for y in entry.ys_eta]
-    ys += [{"series": y.to_json_obj()} for y in entry.ys_series]
-    if ys:
-        obj["ys"] = ys
-    if entry.z_eta is not None:
-        obj["z"] = pack_eta(entry.z_eta)
+    if entry.x is not None:
+        obj["x"] = pack(entry.x)
+    if entry.ys:
+        obj["ys"] = [pack(y) for y in entry.ys]
+    if entry.z is not None:
+        obj["z"] = pack(entry.z)
     if entry.notes:
         obj["notes"] = entry.notes
     return obj

@@ -23,7 +23,7 @@ from .errors import (
     TruncationError,
 )
 from .eta import CuspOrderVector
-from .series import QSeries, Scalar, _check_prime, valuation
+from .series import QSeries, Scalar, _check_prime, _norm, valuation
 
 DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 
@@ -80,8 +80,7 @@ class ModuleBasis:
                 "basis not order-complete: companion pole orders cover "
                 f"{len(set(residues))} of {d} residue classes mod {d}"
             )
-        self._power_cache: dict[int, QSeries] = {1: self.x}
-        self._monomial_cache: dict[tuple[int, int], QSeries] = {}
+        self._monomial_cache: dict[tuple[int, int], QSeries] = {(0, 1): self.x}
 
     def gap_set(self) -> tuple[int, ...]:
         """Pole orders no monomial y_k x^m attains (always finite here)."""
@@ -108,9 +107,11 @@ class ModuleBasis:
         return hits[0]
 
     def x_power(self, m: int) -> QSeries:
-        if m not in self._power_cache:
-            self._power_cache[m] = self.x_power(m - 1) * self.x
-        return self._power_cache[m]
+        """x^m for m >= 1, cached as the monomial (0, m)."""
+        key = (0, m)
+        if key not in self._monomial_cache:
+            self._monomial_cache[key] = self.x_power(m - 1) * self.x
+        return self._monomial_cache[key]
 
     def monomial(self, k: int, m: int) -> QSeries:
         key = (k, m)
@@ -123,6 +124,15 @@ class ModuleBasis:
                 s = self.ys[k] * self.x_power(m)
             self._monomial_cache[key] = s
         return self._monomial_cache[key]
+
+    def combine(self, coeffs: dict[tuple[int, int], Scalar],
+                trunc24: int) -> QSeries:
+        """sum c * y_k x^m over the (k, m) -> c entries, to q^(trunc24/24)."""
+        acc = QSeries.zero(trunc24)
+        for (k, m), c in coeffs.items():
+            if c:
+                acc = acc + self.monomial(k, m).scaled(c)
+        return acc
 
 
 @dataclass(frozen=True)
@@ -179,15 +189,7 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
             raise GapError(order)
         mon = basis.monomial(*km)
         _check_window(mon, guard, f"basis monomial y_{km[0]} * x^{km[1]}")
-        mlead = mon.leading()[1]
-        if mlead == 1:
-            c = lead_c
-        elif mlead == -1:
-            c = -lead_c
-        else:
-            c = Fraction(lead_c) / mlead
-        if isinstance(c, Fraction) and c.denominator == 1:
-            c = int(c)
+        c = _norm(Fraction(lead_c) / mon.leading()[1])
         f = f - mon.scaled(c)
         coeffs[km] = coeffs.get(km, 0) + c
     # constant elimination; anything left below truncation must vanish
@@ -208,12 +210,7 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
 
 def _assert_round_trip(original: QSeries, basis: ModuleBasis,
                        rep: Representation) -> None:
-    recon = QSeries.zero(original.trunc24)
-    for (k, m), c in rep.coeffs.items():
-        if (k, m) == (0, 0):
-            recon = recon + QSeries.constant(c, original.trunc24)
-        else:
-            recon = recon + basis.monomial(k, m).scaled(c)
+    recon = basis.combine(rep.coeffs, original.trunc24)
     if not recon.agrees_with(original):
         raise InternalInconsistencyError(
             "re-expansion of the representation does not reproduce the input"

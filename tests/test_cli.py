@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, JSON schema, text output."""
 
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,29 @@ def test_classify_needs_argument(capsys):
 def test_classify_level_zero_refused_by_profile(capsys):
     code, _, err = run(capsys, "classify", "--level", "0")
     assert code == 2 and "positive integer" in err
+
+
+def test_classify_prime_must_divide_level(capsys):
+    from cusp_ledger.families import classify
+
+    for level, prime, message in (
+            ("10", "4", "error: 4 is not prime"),
+            ("10", "0", "argument --prime"),
+            ("10", "-3", "argument --prime"),
+            ("7", "5", "error: prime 5 does not divide level 7")):
+        code, out, err = run(capsys, "classify", "--level", level,
+                             "--prime", prime)
+        assert code == 2 and out == "" and message in err
+    code, doc, _ = run_json(capsys, "classify", "--level", "10",
+                            "--prime", "5")
+    assert code == 0 and doc["prime"] == 5
+    assert doc["difficulty_class"] == "Localization"
+    r8 = classify(8, prime=2)
+    assert r8.difficulty_class == "Unclassified-Sporadic"
+    assert r8.sporadic_flags == ("level-power-of-two", "prime-two")
+    r14 = classify(14, prime=2)
+    assert r14.difficulty_class == "Unclassified-Sporadic"
+    assert r14.sporadic_flags == ("prime-two",)
 
 
 def test_expand_partition_prefix(capsys):
@@ -169,6 +193,52 @@ def test_reduce_eta_target(capsys):
                             "--terms", "60")
     assert code == 0
     assert doc["coeffs"] == [[0, 2, "1", "1"]]
+
+
+# (target, basis, --terms, --prime, exit code, sha256 of the --json stdout,
+# stderr): the reduce output pinned byte for byte
+_E = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+REDUCE_DIGESTS = [
+    ("family:p-5:L1", "level-5", "60", "5", 0,
+     "3b5c822c5a0328d3bfe7a13dc6eb55a5264accc1d814c106450000b23b51391c", ""),
+    ("family:p-5:L2", "level-5", "40", None, 0,
+     "de2dffbbaa1320302a752648f81366701a921c73e7a9dbfff0af4d7e139879d4", ""),
+    ("family:p-7:L1", "level-7", "40", "7", 0,
+     "32d033e3e5990acac5e1f181921f8f69faa9dfcdfe6e516177e37f56b9822a80", ""),
+    ("family:pd-5:L1", "level-10", "60", None, 0,
+     "a5528d753f5ddca37768502e078cd27680724ee2200b19b360d7a378f052066e", ""),
+    ("eta:1:-6,2:2,5:-2,10:6", "level-10", "40", "5", 0,
+     "ec56ed8d066267a7fe5ed97118bb2b5b4653739d32a1c8de2e364e5dc952a832", ""),
+    ("poly:3,-2,0,1", "level-5", "30", "5", 0,
+     "b5ce19ba6501b2aa505301e1170066be4c26b7ea23f9c1090a30188a4185a2f2", ""),
+    ("poly:-7,4,9,-2", "level-7", "30", None, 0,
+     "06f5c7dc1bfeabfad81a8b1c058a51391d11c32113dc86e991c86c09622518a2", ""),
+    ("poly:1,0,-5,3", "level-10", "30", "3", 0,
+     "e87a8ad9ea35cfc9f08158bbc1a5145deeab6a864c04694133941677d6b18e22", ""),
+    ("poly:2,-1,6,-3", "demo-genus1", "30", None, 0,
+     "635c3930d7839f086fb484d6d2e7311d0b2131d2790df2e9ecbda4212ecc65a9", ""),
+    ("pole:1", "demo-genus1", "40", "2", 1, _E,
+     "error: Weierstrass gap hit at pole order 1\n"),
+    ("family:p-5:L9", "level-5", "40", None, 2, _E,
+     "error: family p-5: no prefactor recorded for depth 9; direct "
+     "construction unavailable\n"),
+    ("pole:4", "level-5", "30", None, 1, _E,
+     "error: target is not in the module at this truncation: residual "
+     "coefficient -24 at q^(24/24)\n"),
+]
+
+
+@pytest.mark.parametrize("target, basis, terms, prime, code, digest, err",
+                         REDUCE_DIGESTS, ids=[c[0] for c in REDUCE_DIGESTS])
+def test_reduce_output_byte_identical(capsys, target, basis, terms, prime,
+                                      code, digest, err):
+    argv = ["--json", "reduce", "--target", target, "--basis", basis,
+            "--terms", terms]
+    if prime:
+        argv += ["--prime", prime]
+    got_code, out, got_err = run(capsys, *argv)
+    assert (got_code, got_err) == (code, err)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reduce_unknown_basis(capsys):
@@ -272,6 +342,15 @@ def test_find_eta_nonpositive_level_refused(capsys):
                              "--bound", "1")
         assert code == 2 and out == ""
         assert err == f"error: level must be positive, got {level}\n"
+
+
+def test_find_eta_refuses_unbounded_box(capsys):
+    # 240 divisors at bound 1: 3^239 candidates, refused before the scan
+    code, out, err = run(capsys, "find-eta", "--level", "720720",
+                         "--bound", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: search box of 3^239 candidates exceeds the limit "
+                   "of 10000000; lower the bound or the level\n")
 
 
 def test_find_eta_level5(capsys):

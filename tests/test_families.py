@@ -398,6 +398,46 @@ def test_catalog_rejects_unknown_basis_reference():
     assert "unknown basis" in str(err.value)
 
 
+# a level-5 basis whose companions mix an exact series and an eta quotient:
+# pole orders x 3, y_1 4, y_2 2
+MIXED_BASIS = {
+    "name": "mixed-5", "level": 5,
+    "x": {"series": {"terms": [[-72, "1", "1"]], "trunc24": 24}},
+    "ys": [{"series": {"terms": [[-96, "1", "1"]], "trunc24": 24}},
+           {"eta": {"M": 5, "r": {"5": 12, "1": -12}}}],
+}
+
+
+def test_basis_companions_keep_catalog_order(tmp_path, capsys):
+    from cusp_ledger.cli import main
+
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"families": [], "bases": [MIXED_BASIS]}))
+    # q^-4 is y_1 itself, as listed in the catalog
+    code = main(["--catalog", str(path), "--json", "reduce", "--target",
+                 "pole:4", "--basis", "mixed-5", "--terms", "20",
+                 "--guard", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["coeffs"] == [[1, 0, "1", "1"]]
+    entry = catalog_load(path).basis("mixed-5")
+    assert isinstance(entry.ys[0], QSeries)
+    assert isinstance(entry.ys[1], EtaQuotient)
+    catalog_save(catalog_load(path), tmp_path / "saved.json")
+    reloaded = catalog_load(tmp_path / "saved.json").basis("mixed-5")
+    assert reloaded.ys == entry.ys and reloaded.x == entry.x
+
+
+def test_basis_roles_checked(tmp_path):
+    no_x = {k: v for k, v in MIXED_BASIS.items() if k != "x"}
+    entry = catalog_loads(json.dumps({"families": [], "bases": [no_x]})
+                          ).basis("mixed-5")
+    with pytest.raises(CatalogError, match="basis mixed-5: no x recorded"):
+        entry.build(24 * 10)
+    series_z = dict(MIXED_BASIS, z=MIXED_BASIS["x"])
+    with pytest.raises(CatalogError, match="localizers must be eta quotients"):
+        catalog_loads(json.dumps({"families": [], "bases": [series_z]}))
+
+
 def test_unknown_family_lookup(catalog):
     with pytest.raises(CatalogError):
         catalog.family("nope")
