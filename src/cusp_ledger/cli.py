@@ -189,6 +189,9 @@ def _reduce_target(args, catalog, basis, trunc24):
                 f"bad family target {target!r}: want family:NAME:L<depth>"
             ) from None
         spec = catalog.family(name)
+        if spec.level != basis.level:
+            raise CatalogError(f"family {name} lives on X_0({spec.level}), "
+                               f"not on the curve of basis {basis.label}")
         chart, orders = certified_identity_chart(spec, depth, trunc24 // 24)
         return chart, orders, spec.prime
     if target.startswith("eta:"):
@@ -210,8 +213,11 @@ def _reduce_target(args, catalog, basis, trunc24):
     if target.startswith("pole:"):
         try:
             order = int(target[5:])
+            if order < 0:
+                raise ValueError
         except ValueError:
-            raise CatalogError(f"bad pole target {target!r}") from None
+            raise CatalogError(f"bad pole target {target!r}: want pole:P with "
+                               f"P >= 0") from None
         return QSeries.monomial(-24 * order, trunc24), None, None
     raise CatalogError(
         f"unknown target {target!r}: want family:NAME:L<d>, eta:SPEC, "

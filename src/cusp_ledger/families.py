@@ -527,18 +527,18 @@ def _family_to_json(spec: FamilySpec) -> dict:
 
 def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     def source(spec_obj, what):
-        if spec_obj is None:
-            return None
-        if "eta" in spec_obj:
+        kind = isinstance(spec_obj, dict) and spec_obj.keys() & {"eta", "series"}
+        if not kind:
+            raise CatalogError(f"{path}.{what}: need a JSON object with an "
+                               f"'eta' or 'series' entry")
+        if "eta" in kind:
             return EtaQuotient.from_json_obj(spec_obj["eta"])
-        if "series" in spec_obj:
-            return QSeries.from_json_obj(spec_obj["series"])
-        raise CatalogError(f"{path}.{what}: need an 'eta' or 'series' entry")
+        return QSeries.from_json_obj(spec_obj["series"])
 
     try:
-        x = source(obj.get("x"), "x")
+        x = source(obj["x"], "x") if "x" in obj else None
         ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
-        z = source(obj.get("z"), "z")
+        z = source(obj["z"], "z") if "z" in obj else None
         if isinstance(z, QSeries):
             raise CatalogError(f"{path}.z: localizers must be eta quotients "
                                f"(orders must be computable)")
@@ -546,6 +546,8 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
                           ys=ys, z=z, notes=obj.get("notes", ""))
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"{path}: {exc}") from None
 
 
 def _basis_to_json(entry: BasisEntry) -> dict:

@@ -1,17 +1,24 @@
 """Exact truncated Laurent series in q on a 1/24-integral exponent grid.
 
-Exponents are stored as integers in units of 1/24, so eta-type prefactors
-q^(delta/24) are exact.  Coefficients are exact rationals (Python int or
-Fraction; integral values are normalised to int).  Every series carries
-trunc24, the first unknown exponent: asking for a coefficient at or beyond
-trunc24 is a hard error, never a silent zero.
+Exponents are integers in units of 1/24, so eta-type prefactors q^(delta/24)
+are exact.  Every series carries trunc24, the first unknown exponent: asking
+for a coefficient at or beyond trunc24 is a hard error, never a silent zero.
+
+A series is an integer polynomial times one rational content (FLINT's
+fmpq_poly layout): the coefficient at exponent offset24 + step*i is
+nums[i]/den.  The form is canonical, so equal series have equal fields:
+nums has no leading or trailing zeros and no entry at or past trunc24; den
+is positive and coprime to the gcd of nums; step is 24 when all stored
+exponents agree mod 24, else 1; the zero series has nums [], den 1, step 24
+and offset24 = trunc24.  The ring operations run on integers; Fractions
+appear only at the boundary (coeff24, terms, leading, format, JSON).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .curves import factorize
@@ -26,9 +33,12 @@ def _norm(value) -> Scalar:
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
-    raise ExactnessError(
-        f"coefficients must be exact (int or Fraction), got {type(value).__name__}"
-    )
+    raise ExactnessError("coefficients must be exact (int or Fraction), "
+                         f"got {type(value).__name__}")
+
+
+def _scalar(num: int, den: int) -> Scalar:
+    return num if den == 1 else _norm(Fraction(num, den))
 
 
 def is_prime(n: int) -> bool:
@@ -54,33 +64,53 @@ def _check_prime(ell: int) -> None:
 
 
 class QSeries:
-    """Sparse exact q-series: known coefficients live at exponents < trunc24.
+    """Dense exact q-series: known coefficients live at exponents < trunc24.
 
-    The canonical zero series has no stored entries.  Instances are treated
-    as immutable; all arithmetic returns new objects.
+    Instances are treated as immutable (numerator lists are shared); all
+    arithmetic returns new objects.  offset24 is the lowest stored exponent,
+    and for the zero series the truncation bound.
     """
 
-    __slots__ = ("_c", "trunc24")
+    __slots__ = ("offset24", "_step", "_nums", "_den", "trunc24")
 
-    def __init__(self, entries: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]],
-                 trunc24: int):
+    def __init__(self, entries: Mapping[int, Scalar] | Iterable, trunc24: int):
         items = entries.items() if isinstance(entries, Mapping) else entries
         t = int(trunc24)
-        c: dict[int, Scalar] = {}
-        for e, v in items:
-            if e >= t:
-                continue
-            v = _norm(v)
-            if v:
-                c[int(e)] = v
-        self._c = c
-        self.trunc24 = t
+        c = {int(e): _norm(v) for e, v in items if e < t}
+        off = min(c, default=t)
+        step = 24 if all((e - off) % 24 == 0 for e in c) else 1
+        den = lcm(*(v.denominator for v in c.values()))
+        nums = [0] * ((max(c, default=off) - off) // step + 1)
+        for e, v in c.items():
+            nums[(e - off) // step] = v.numerator * (den // v.denominator)
+        self._set(off, step, nums, den, t)
 
-    # -- constructors ---------------------------------------------------
+    def _set(self, off: int, step: int, nums: list[int], den: int,
+             trunc: int) -> "QSeries":
+        """Store sum nums[i]/den q^((off+step*i)/24) in canonical form."""
+        n = len(nums)
+        end = min(n, max(-(-(trunc - off) // step), 0))
+        while end and not nums[end - 1]:
+            end -= 1
+        start = next((i for i in range(end) if nums[i]), end)
+        if start == end:
+            off, step, nums, den = trunc, 24, [], 1
+        elif start or end < n:
+            nums = nums[start:end]
+            off += step * start
+        if step == 1 and not any(any(nums[j::24]) for j in range(1, 24)):
+            nums, step = nums[::24], 24
+        if den < 0:
+            den, nums = -den, [-v for v in nums]
+        if den != 1 and (g := gcd(den, *nums)) != 1:
+            den, nums = den // g, [v // g for v in nums]
+        self.offset24, self._step, self._nums, self._den = off, step, nums, den
+        self.trunc24 = trunc
+        return self
 
     @classmethod
     def zero(cls, trunc24: int) -> "QSeries":
-        return cls({}, trunc24)
+        return _make(trunc24, 24, [], 1, trunc24)
 
     @classmethod
     def constant(cls, value: Scalar, trunc24: int) -> "QSeries":
@@ -96,41 +126,45 @@ class QSeries:
         """Build from integer-exponent coefficients a(start), a(start+1), ..."""
         return cls({24 * (start + i): v for i, v in enumerate(coeffs)}, trunc24)
 
-    # -- structure ------------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
-        return not self._c
-
-    @property
-    def offset24(self) -> int:
-        """Lowest stored exponent; for the zero series, the truncation bound
-        (everything below it is known to vanish)."""
-        return min(self._c) if self._c else self.trunc24
+        return not self._nums
 
     @property
     def is_integer_grid(self) -> bool:
-        return all(e % 24 == 0 for e in self._c)
+        return not self._nums or (self.offset24 % 24 == 0 and self._step == 24)
+
+    def _on_grid(self, step: int) -> list[int]:
+        """The numerators on a grid of the given step, which divides ours."""
+        if step == self._step or not self._nums:
+            return self._nums
+        k = self._step // step
+        out = [0] * (k * (len(self._nums) - 1) + 1)
+        out[::k] = self._nums
+        return out
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
+        off, step = self.offset24, self._step
+        return tuple(off + step * i for i, v in enumerate(self._nums) if v)
 
     def terms(self) -> list[tuple[int, Scalar]]:
-        return sorted(self._c.items())
+        off, step, den = self.offset24, self._step, self._den
+        return [(off + step * i, _scalar(v, den))
+                for i, v in enumerate(self._nums) if v]
 
     def leading(self) -> tuple[int, Scalar]:
-        if not self._c:
+        if not self._nums:
             raise SeriesError("zero series has no leading term")
-        e = min(self._c)
-        return e, self._c[e]
+        return self.offset24, _scalar(self._nums[0], self._den)
 
     def coeff24(self, exponent24: int) -> Scalar:
         if exponent24 >= self.trunc24:
-            raise TruncationError(
-                f"coefficient at q^({exponent24}/24) is beyond truncation "
-                f"q^({self.trunc24}/24)"
-            )
-        return self._c.get(exponent24, 0)
+            raise TruncationError(f"coefficient at q^({exponent24}/24) is beyond "
+                                  f"truncation q^({self.trunc24}/24)")
+        i, r = divmod(exponent24 - self.offset24, self._step)
+        if r or i < 0 or i >= len(self._nums):
+            return 0
+        return _scalar(self._nums[i], self._den)
 
     def coeff_q(self, n: int) -> Scalar:
         """Coefficient of q^n (integer exponent)."""
@@ -139,53 +173,58 @@ class QSeries:
     def agrees_with(self, other: "QSeries") -> bool:
         """Exact equality on the overlap of the two known ranges."""
         t = min(self.trunc24, other.trunc24)
-        keys = {e for e in self._c if e < t} | {e for e in other._c if e < t}
-        return all(self._c.get(e, 0) == other._c.get(e, 0) for e in keys)
+        return self.truncate(t) == other.truncate(t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.trunc24 == other.trunc24 and self._c == other._c
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._nums)
 
-    # -- ring operations -------------------------------------------------
-
-    def _binop_add(self, other: "QSeries", sign: int) -> "QSeries":
-        t = min(self.trunc24, other.trunc24)
-        out = dict(self._c)
-        for e, v in other._c.items():
-            out[e] = out.get(e, 0) + sign * v
-        return QSeries(out, t)
-
-    def __add__(self, other):
+    def _binop_add(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = QSeries.constant(other, self.trunc24)
         if not isinstance(other, QSeries):
             return NotImplemented
+        t = min(self.trunc24, other.trunc24)
+        off = min(self.offset24, other.offset24)
+        step = 24 if (self._step == other._step == 24
+                      and (self.offset24 - other.offset24) % 24 == 0) else 1
+        den = lcm(self._den, other._den)
+        parts = [((s.offset24 - off) // step, s._on_grid(step), m)
+                 for s, m in ((self, den // self._den),
+                              (other, sign * den // other._den))]
+        out = [0] * min(max(i + len(nums) for i, nums, _ in parts),
+                        -(-(t - off) // step))
+        for i, nums, m in parts:
+            seg = out[i:i + len(nums)]
+            out[i:i + len(seg)] = [o + m * v for o, v in zip(seg, nums)]
+        return _make(off, step, out, den, t)
+
+    def __add__(self, other):
         return self._binop_add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.trunc24)
-        if not isinstance(other, QSeries):
-            return NotImplemented
         return self._binop_add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -v for e, v in self._c.items()}, self.trunc24)
+        return self.scaled(-1)
 
     def scaled(self, factor: Scalar) -> "QSeries":
         factor = _norm(factor)
         if factor == 0:
             return QSeries.zero(self.trunc24)
-        return QSeries({e: v * factor for e, v in self._c.items()}, self.trunc24)
+        p = factor.numerator
+        nums = self._nums if p == 1 else [p * v for v in self._nums]
+        return _make(self.offset24, self._step, nums,
+                     self._den * factor.denominator, self.trunc24)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,37 +234,36 @@ class QSeries:
         # product coefficient at e is known iff every split of e lands in
         # both known ranges
         t = min(self.trunc24 + other.offset24, other.trunc24 + self.offset24)
-        small, big = (self._c, other._c) if len(self._c) <= len(other._c) \
-            else (other._c, self._c)
-        big_keys = sorted(big)
-        out: dict[int, Scalar] = {}
-        for ea, ca in small.items():
-            for eb in big_keys:
-                e = ea + eb
-                if e >= t:
-                    break
-                cb = big[eb]
-                prev = out.get(e)
-                out[e] = ca * cb if prev is None else prev + ca * cb
-        return QSeries(out, t)
+        if not self._nums or not other._nums:
+            return QSeries.zero(t)
+        off = self.offset24 + other.offset24
+        step = self._step if self._step == other._step else 1
+        a, b = self._on_grid(step), other._on_grid(step)
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        n = min(len(a) + len(b) - 1, -(-(t - off) // step))
+        out = [0] * n
+        # dense integer convolution, one row per nonzero entry of the
+        # sparser factor; the content is the product of the denominators
+        for i, x in enumerate(a[:n]):
+            if x:
+                seg = out[i:i + len(b)]
+                out[i:i + len(seg)] = [o + x * y for o, y in zip(seg, b)]
+        return _make(off, step, out, self._den * other._den, t)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _norm(other)
             if other == 0:
                 raise SeriesError("division by zero scalar")
-            return self.scaled(Fraction(1, 1) / other)
+            return self.scaled(1 / Fraction(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         return _divide(self, other)
 
     def invert(self) -> "QSeries":
-        if self.is_zero:
-            raise SeriesError("non-invertible: zero series")
-        one = QSeries.constant(1, self.trunc24 - self.offset24)
-        return _divide(one, self)
+        return _divide(QSeries.constant(1, self.trunc24 - self.offset24), self)
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
@@ -234,38 +272,36 @@ class QSeries:
             return QSeries.constant(1, self.trunc24 - self.offset24)
         if k < 0:
             return self.invert() ** (-k)
-        result = None
-        base = self
-        n = k
-        while n:
-            if n & 1:
+        result, base = None, self
+        while k:
+            if k & 1:
                 result = base if result is None else result * base
-            n >>= 1
-            if n:
+            k >>= 1
+            if k:
                 base = base * base
         return result
 
-    # -- reindexing -------------------------------------------------------
-
     def shift(self, delta24: int) -> "QSeries":
         """Multiply by the exact monomial q^(delta24/24)."""
-        return QSeries({e + delta24: v for e, v in self._c.items()},
-                       self.trunc24 + delta24)
+        return _make(self.offset24 + delta24, self._step, self._nums,
+                     self._den, self.trunc24 + delta24)
 
     def rescale(self, k: int) -> "QSeries":
         """Substitute q -> q^k (k >= 1)."""
         if k < 1:
             raise SeriesError("rescale factor must be >= 1")
-        return QSeries({e * k: v for e, v in self._c.items()}, self.trunc24 * k)
+        nums = [0] * (k * (len(self._nums) - 1) + 1) if self._nums else []
+        nums[::k] = self._nums
+        return _make(self.offset24 * k, self._step, nums, self._den,
+                     self.trunc24 * k)
 
     def truncate(self, trunc24: int) -> "QSeries":
         if trunc24 > self.trunc24:
-            raise TruncationError(
-                f"cannot extend truncation from {self.trunc24} to {trunc24}"
-            )
-        return QSeries(self._c, trunc24)
-
-    # -- operators from the congruence toolkit ----------------------------
+            raise TruncationError(f"cannot extend truncation from "
+                                  f"{self.trunc24} to {trunc24}")
+        if trunc24 == self.trunc24:
+            return self
+        return _make(self.offset24, self._step, self._nums, self._den, trunc24)
 
     def u_operator(self, ell: int) -> "QSeries":
         """Atkin-Lehner style U_ell: sum a(n) q^n  ->  sum a(ell*n) q^n.
@@ -275,18 +311,11 @@ class QSeries:
         """
         _check_prime(ell)
         if not self.is_integer_grid:
-            raise SeriesError(
-                "U_ell undefined on fractional-exponent series; "
-                "absorb prefactor first"
-            )
+            raise SeriesError("U_ell undefined on fractional-exponent series; "
+                              "absorb prefactor first")
         if self.trunc24 % 24 != 0:
             raise SeriesError("U_ell requires truncation on the integer grid")
-        out = {}
-        for e, v in self._c.items():
-            n = e // 24
-            if n % ell == 0:
-                out[24 * (n // ell)] = v
-        return QSeries(out, 24 * ((self.trunc24 // 24) // ell))
+        return self._section(ell, 0, 24 * ((self.trunc24 // 24) // ell))
 
     def progression_slice(self, lam: int, ell: int, alpha: int,
                           target: int = 1) -> "QSeries":
@@ -298,66 +327,53 @@ class QSeries:
         if alpha < 1:
             raise SeriesError("slice depth alpha must be >= 1")
         if gcd(lam, ell) != 1:
-            raise SeriesError(
-                f"gcd({lam}, {ell}) != 1: residue class is ill-defined"
-            )
+            raise SeriesError(f"gcd({lam}, {ell}) != 1: residue class is "
+                              "ill-defined")
         if not self.is_integer_grid:
             raise SeriesError("slicing requires integer exponents")
         mod = ell ** alpha
         r = (pow(lam, -1, mod) * target) % mod
-        out = {}
-        for e, v in self._c.items():
-            n = e // 24
-            if n % mod == r:
-                out[24 * ((n - r) // mod)] = v
         # first unknown integer exponent, then first unknown output index
         n_unknown = -((-self.trunc24) // 24)
-        m_unknown = -(-(n_unknown - r) // mod)
-        return QSeries(out, 24 * m_unknown)
+        return self._section(mod, r, 24 * -(-(n_unknown - r) // mod))
+
+    def _section(self, mod: int, r: int, trunc: int) -> "QSeries":
+        """sum a(mod*m + r) q^m + O(q^(trunc/24)): one list slice."""
+        if not self._nums:
+            return QSeries.zero(trunc)
+        n0 = self.offset24 // 24
+        i0 = (r - n0) % mod  # first index whose exponent is r mod `mod`
+        return _make(24 * ((n0 + i0 - r) // mod), 24, self._nums[i0::mod],
+                     self._den, trunc)
 
     def padic_valuation(self, ell: int) -> "ValuationReport":
-        """Minimum ell-adic valuation over stored coefficients.
-
-        Every inspected coefficient must be an integer; min is None (read:
-        +infinity) when the series is zero.
-        """
+        """Minimum ell-adic valuation over the stored coefficients, which must
+        be integers; min is None (read: +infinity) for the zero series."""
         _check_prime(ell)
-        best: int | None = None
-        witness: int | None = None
-        for e, c in self.terms():
-            if not isinstance(c, int):
-                raise ExactnessError(
-                    f"non-integer coefficient {c} at q^({e}/24)"
-                )
-            v = valuation(c, ell)
-            if best is None or v < best:
-                best, witness = v, e
+        if self._den != 1:
+            e, c = next((e, c) for e, c in self.terms() if not isinstance(c, int))
+            raise ExactnessError(f"non-integer coefficient {c} at q^({e}/24)")
+        found = [(valuation(c, ell), e) for e, c in self.terms()]
+        best, witness = min(found, key=lambda vw: vw[0], default=(None, None))
         return ValuationReport(prime=ell, min_valuation=best,
                                witness_exponent24=witness,
-                               terms_checked=len(self._c))
-
-    # -- rendering / serialisation ----------------------------------------
+                               terms_checked=len(found))
 
     def __repr__(self) -> str:
         return f"QSeries({self.format(max_terms=6)})"
 
     def format(self, max_terms: int = 12) -> str:
-        if not self._c:
-            return f"0 + O({_expstr(self.trunc24)})"
-        parts = []
-        for e, v in self.terms()[:max_terms]:
-            parts.append(_termstr(e, v, first=not parts))
-        if len(self._c) > max_terms:
+        terms = self.terms()
+        parts = [_termstr(e, v, first=not i)
+                 for i, (e, v) in enumerate(terms[:max_terms])] or ["0"]
+        if len(terms) > max_terms:
             parts.append("+ ...")
-        parts.append(f"+ O({_expstr(self.trunc24)})")
-        return " ".join(parts)
+        return " ".join(parts + [f"+ O({_expstr(self.trunc24)})"])
 
     def to_json_obj(self) -> dict:
-        return {
-            "terms": [[e, str(Fraction(v).numerator), str(Fraction(v).denominator)]
-                      for e, v in self.terms()],
-            "trunc24": self.trunc24,
-        }
+        return {"terms": [[e, str(v.numerator), str(v.denominator)]
+                          for e, v in self.terms()],
+                "trunc24": self.trunc24}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
@@ -366,43 +382,41 @@ class QSeries:
         return cls(entries, int(obj["trunc24"]))
 
 
+def _make(off: int, step: int, nums: list[int], den: int,
+          trunc: int) -> QSeries:
+    return object.__new__(QSeries)._set(off, step, nums, den, trunc)
+
+
 def _divide(a: QSeries, b: QSeries) -> QSeries:
-    """Exact division a/b by forward substitution against b's sparse support."""
+    """Exact division a/b by forward substitution on the integer numerators.
+
+    With B = b's numerators and b0 = B[0], the quotient's k-th coefficient
+    is D[k] / b0^(k+1), where D[k] = b0^k A[k] - sum B[s] b0^(s-1) D[k-s]
+    is an integer; the powers of b0 go into the denominator.
+    """
     if b.is_zero:
         raise SeriesError("non-invertible: zero series")
-    eb0 = b.offset24
-    b0 = b._c[eb0]
-    ea0 = a.offset24
-    rel_out = min(a.trunc24 - ea0, b.trunc24 - eb0)
-    trunc = ea0 - eb0 + rel_out
+    rel_out = min(a.trunc24 - a.offset24, b.trunc24 - b.offset24)
+    trunc = a.offset24 - b.offset24 + rel_out
     if a.is_zero:
         return QSeries.zero(trunc)
-    sa = [e - ea0 for e in a._c]
-    sb = sorted(e - eb0 for e in b._c)
-    stride = 0
-    for s in sa + sb:
-        stride = gcd(stride, s)
-    if stride == 0:
-        stride = max(rel_out, 1)
-    out: dict[int, Scalar] = {}
-    bs = sb[1:]
-    for k in range(0, rel_out, stride):
-        acc = a._c.get(ea0 + k, 0)
-        for s in bs:
+    step = a._step if a._step == b._step else 1
+    n = -(-rel_out // step)
+    A = a._on_grid(step)[:n]
+    A += [0] * (n - len(A))
+    B = b._on_grid(step)[:n]
+    pw = [B[0] ** j for j in range(n + 1)]
+    tail = [(s, v * pw[s - 1]) for s, v in enumerate(B) if s and v]
+    d: list[int] = []
+    for k in range(n):
+        acc = A[k] * pw[k]
+        for s, v in tail:
             if s > k:
                 break
-            prev = out.get(k - s)
-            if prev is not None:
-                acc = acc - b._c[eb0 + s] * prev
-        if acc:
-            if b0 == 1:
-                out[k] = acc
-            elif b0 == -1:
-                out[k] = -acc
-            else:
-                out[k] = Fraction(acc) / b0
-    shifted = {ea0 - eb0 + k: v for k, v in out.items()}
-    return QSeries(shifted, trunc)
+            acc -= v * d[k - s]
+        d.append(acc)
+    nums = [b._den * v * pw[n - 1 - k] for k, v in enumerate(d)]
+    return _make(a.offset24 - b.offset24, step, nums, a._den * pw[n], trunc)
 
 
 @dataclass(frozen=True)
@@ -415,12 +429,7 @@ class ValuationReport:
     terms_checked: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "prime": self.prime,
-            "min_valuation": self.min_valuation,
-            "witness_exponent24": self.witness_exponent24,
-            "terms_checked": self.terms_checked,
-        }
+        return asdict(self)
 
 
 def _pentagonal(delta: int, n: int) -> list[tuple[int, int]]:
@@ -441,8 +450,7 @@ def _pentagonal(delta: int, n: int) -> list[tuple[int, int]]:
 
 def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
     """(q^delta; q^delta)_infinity via the pentagonal number theorem."""
-    return QSeries({24 * e: sign for e, sign
-                    in _pentagonal(delta, -(-trunc24 // 24))}, trunc24)
+    return pochhammer_product(((delta, 1),), trunc24)
 
 
 def _times_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
@@ -486,7 +494,7 @@ def pochhammer_product(exponents: tuple[tuple[int, int], ...],
     The integer coefficients live on a dense list indexed by the integer
     exponent n < trunc24/24: the positive factors are scattered in first,
     while the product is still sparse, then each negative factor is divided
-    out one power at a time.
+    out one power at a time.  The list becomes the numerators as it stands.
     """
     n = max(-(-trunc24 // 24), 0)
     c = [1] + [0] * (n - 1) if n else []
@@ -500,7 +508,7 @@ def pochhammer_product(exponents: tuple[tuple[int, int], ...],
             terms = _pentagonal(d, n)[1:]
             for _ in range(-r):
                 _divide_pochhammer(c, terms)
-    return QSeries(((24 * i, v) for i, v in enumerate(c) if v), trunc24)
+    return _make(0, 24, c, 1, trunc24)
 
 
 def eta_expansion(delta: int, trunc24: int) -> QSeries:
@@ -509,22 +517,14 @@ def eta_expansion(delta: int, trunc24: int) -> QSeries:
 
 
 def _expstr(e24: int) -> str:
-    if e24 % 24 == 0:
-        n = e24 // 24
-        return "1" if n == 0 else ("q" if n == 1 else f"q^{n}")
-    f = Fraction(e24, 24)
-    return f"q^({f.numerator}/{f.denominator})"
+    n, f = e24 // 24, Fraction(e24, 24)
+    if f.denominator > 1:
+        return f"q^({f.numerator}/{f.denominator})"
+    return "1" if n == 0 else ("q" if n == 1 else f"q^{n}")
+
 
 def _termstr(e24: int, v: Scalar, first: bool) -> str:
-    sign = "-" if (v < 0) else ("" if first else "+")
-    mag = -v if v < 0 else v
-    base = _expstr(e24)
-    if base == "1":
-        body = str(mag)
-    elif mag == 1:
-        body = base
-    else:
-        body = f"{mag}*{base}"
-    if first:
-        return f"{sign}{body}"
-    return f"{sign} {body}"
+    sign = "-" if v < 0 else ("" if first else "+")
+    mag, base = abs(v), _expstr(e24)
+    body = str(mag) if base == "1" else (base if mag == 1 else f"{mag}*{base}")
+    return f"{sign}{body}" if first else f"{sign} {body}"

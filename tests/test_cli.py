@@ -123,6 +123,29 @@ def test_expand_at_zero_hauptmodul(capsys):
     assert lead == -24  # simple pole
 
 
+# (argv, sha256 of the --json stdout): expansions pinned byte for byte, at
+# infinity with a fractional leading exponent and at the zero cusp with a
+# non-unit rational scale
+EXPAND_DIGESTS = [
+    (["--eta", "1:1,2:-1", "--terms", "30"],
+     "ec4126f4760f2e38663435eefaa35b66bef24f373582329d23890143c009aa75"),
+    (["--eta", "5:6,1:-6", "--at-cusp", "zero", "--level", "5",
+      "--terms", "30"],
+     "50f636254927ff8cc702a435af922bb6d4835a1b3868947865c129dcc5a76bb3"),
+    (["--eta", "1:-6,2:2,5:-2,10:6", "--at-cusp", "zero", "--level", "10",
+      "--terms", "30"],
+     "fcb2085f1bdbc39e45a3f5399343c19b0de0cdd4dcdf107278b9ed232d078ec4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", EXPAND_DIGESTS,
+                         ids=["infinity", "zero-level-5", "zero-level-10"])
+def test_expand_output_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, "--json", "expand", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expand_rejects_zero_terms(capsys):
     code, _, err = run(capsys, "expand", "--eta", "1:-1", "--terms", "0")
     assert code == 2
@@ -258,6 +281,57 @@ def test_reduce_poly_zero_denominator(capsys):
                        "--basis", "level-5")
     assert code == 2 and "bad poly target" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target, basis, terms", [
+    ("family:p-7:L1", "level-5", "40"),
+    ("family:pd-5:L1", "level-5", "40"),
+    ("family:p-5:L1", "demo-genus1", "40"),
+])
+def test_reduce_family_target_off_its_curve_refused(capsys, target, basis,
+                                                    terms):
+    # a family on another curve is a usage error, not a residual or a gap;
+    # the matching pairs exit 0 in test_reduce_output_byte_identical
+    code, out, err = run(capsys, "reduce", "--target", target, "--basis",
+                         basis, "--terms", terms)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: family ") and err.count("\n") == 1
+    assert f"not on the curve of basis {basis}" in err
+
+
+def test_reduce_negative_pole_order_refused(capsys):
+    code, out, err = run(capsys, "reduce", "--target", "pole:-3",
+                         "--basis", "level-5", "--terms", "20")
+    assert (code, out) == (2, "")
+    assert err == "error: bad pole target 'pole:-3': want pole:P with P >= 0\n"
+    code, doc, _ = run_json(capsys, "reduce", "--target", "pole:0",
+                            "--basis", "level-5", "--terms", "20")
+    assert code == 0 and doc["coeffs"] == [[0, 0, "1", "1"]]
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("ys", [None], "ys[0]"),
+    ("ys", [5], "ys[0]"),
+    ("ys", [{"eta": {"M": 5, "r": {"5": 1, "1": -1}}}, "q"], "ys[1]"),
+    ("x", 7, "x"),
+    ("x", None, "x"),
+    ("z", [], "z"),
+])
+def test_malformed_catalog_companion_is_usage_error(tmp_path, capsys, field,
+                                                    value, where):
+    from cusp_ledger.families import shipped_catalog_path
+
+    doc = json.loads(shipped_catalog_path().read_text())
+    basis = {"name": "b", "level": 5,
+             "x": {"eta": {"M": 5, "r": {"5": 6, "1": -6}}}, field: value}
+    doc["bases"].append(basis)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--catalog", str(path), "reduce",
+                         "--target", "poly:1,1", "--basis", "b")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:bases[4].{where}: need a JSON object "
+                   "with an 'eta' or 'series' entry\n")
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

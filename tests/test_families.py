@@ -117,6 +117,78 @@ def test_coefficient_series_byte_identical(catalog):
     assert got == COEFFICIENT_SERIES_SHA256
 
 
+# sha256 of the compact, key-sorted JSON of each tower series with 6 terms:
+# direct at every depth with a recorded prefactor, recursive at every depth
+# its recorded multipliers reach; recorded with the dict-backed QSeries
+TOWER_SERIES_SHA256 = {
+    "p-5:direct:1":
+        "f09d74868515ace682e530099a72da3110fc63b0e93feb53b9298adda55f4cf0",
+    "p-5:direct:2":
+        "7f0c22f19fe9698ee6983c22916cce0c6f6a6e52dace32eb3d325a670c68d16f",
+    "p-5:direct:3":
+        "88d74671665e3a4756aca1a67d5f3a1339ad3eef5553f3bcef4b952ee1d72980",
+    "p-5:direct:4":
+        "cd13014609a8a4c9164a625e1be4b97b590e5910bac838013f0b3d29de85974d",
+    "p-5:recursive:2":
+        "7f0c22f19fe9698ee6983c22916cce0c6f6a6e52dace32eb3d325a670c68d16f",
+    "p-5:recursive:3":
+        "88d74671665e3a4756aca1a67d5f3a1339ad3eef5553f3bcef4b952ee1d72980",
+    "p-5:recursive:4":
+        "cd13014609a8a4c9164a625e1be4b97b590e5910bac838013f0b3d29de85974d",
+    "p-7:direct:1":
+        "98ea6ebae191be4603f0ebde20b1c34fe34018248148feccc5cb6bbf7f6dbb97",
+    "p-7:direct:2":
+        "a3605b68f8e61c9363e95f418892476e55a3e59ed3c27859a7239b9d8844610c",
+    "p-7:direct:3":
+        "8ecda45db672ecaa60ec90369c236ec9cee28f2819356e791dbe63fa87ac4e5c",
+    "p-7:direct:4":
+        "395c5ea9edbb2831536a4e7bfe2b0df670107a98b3abfecc2ad10a3483061c44",
+    "p-7:recursive:2":
+        "a3605b68f8e61c9363e95f418892476e55a3e59ed3c27859a7239b9d8844610c",
+    "p-7:recursive:3":
+        "8ecda45db672ecaa60ec90369c236ec9cee28f2819356e791dbe63fa87ac4e5c",
+    "p-7:recursive:4":
+        "395c5ea9edbb2831536a4e7bfe2b0df670107a98b3abfecc2ad10a3483061c44",
+    "p-11:direct:1":
+        "4c69c53a4ec6b7bab081bb5ac74dc3c5b02de8bcb6ddef1950a8c42fa9ed460d",
+    "p-11:direct:2":
+        "9b97168584e66105a0b2a76cd5208d5b60347561b673c905672ccaed6705bb30",
+    "p-11:direct:3":
+        "e0ff754d32e0265bddcf9b1e87088e48bed5ca17960bd6b5b251a0249b38a72c",
+    "p-11:recursive:2":
+        "9b97168584e66105a0b2a76cd5208d5b60347561b673c905672ccaed6705bb30",
+    "p-11:recursive:3":
+        "e0ff754d32e0265bddcf9b1e87088e48bed5ca17960bd6b5b251a0249b38a72c",
+    "pd-5:direct:1":
+        "f3db515162c86d52c018ecc4dbd3b1ecd60d9dad9533d5590ea367bc6dc6f448",
+    "d2-7:direct:1":
+        "ad1b188311e32815562c846f0c70417df34efd7d03c1eb6df2877608a56c5ac4",
+    "d2-7:direct:2":
+        "b178a2776dfeea2b5e2756070d70824e08f79ed713f80f8c3c87f3d3e25b7bb0",
+    "cphi2-5:direct:1":
+        "c44fc1db4ab91d083284f0d834fc5306d11be65cfb11d3580e043cde6e787c2a",
+    "cphi2-5:direct:2":
+        "1eba3a321c52672ec376f5e7982548047631c71f2e3d7044855a8002ecb36a5d",
+}
+
+
+def test_tower_series_byte_identical(catalog):
+    got = {}
+    for spec in catalog.families:
+        built = [(f"{spec.name}:direct:{d}", tower_series_direct(spec, d, 6))
+                 for d in sorted(spec.prefactors)]
+        d = 2
+        while d - 1 in spec.multipliers:
+            built.append((f"{spec.name}:recursive:{d}",
+                          tower_series_recursive(spec, d, 6)))
+            d += 1
+        for key, series in built:
+            text = json.dumps(series.to_json_obj(), sort_keys=True,
+                              separators=(",", ":"))
+            got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == TOWER_SERIES_SHA256
+
+
 def test_coefficient_series_refuses_negative_nmax(catalog):
     assert coefficient_series(catalog.family("p-5"), 0).terms() == [(0, 1)]
     with pytest.raises(TruncationError,

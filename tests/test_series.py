@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,8 @@ from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
 from cusp_ledger.families import catalog_load, shipped_catalog_path
 from cusp_ledger.series import (
     QSeries,
+    ValuationReport,
+    _norm,
     eta_expansion,
     pochhammer_expansion,
     pochhammer_product,
@@ -430,3 +433,278 @@ def test_scalar_mixing_and_normalisation():
 def test_serialization_round_trip():
     a = QSeries({-24: Fraction(3, 7), 0: 2, 25: -1}, 24 * 9)
     assert QSeries.from_json_obj(a.to_json_obj()) == a
+
+
+# -- the dict-backed series, kept as a reference for the dense kernel ----------
+
+class ReferenceSeries:
+    """The previous QSeries: a dict exponent24 -> int/Fraction coefficient,
+    with every ring operation in Fraction arithmetic."""
+
+    def __init__(self, entries, trunc24):
+        items = entries.items() if isinstance(entries, dict) else entries
+        self.trunc24 = int(trunc24)
+        self._c = {}
+        for e, v in items:
+            if e < self.trunc24:
+                v = _norm(v)
+                if v:
+                    self._c[int(e)] = v
+
+    @classmethod
+    def constant(cls, value, trunc24):
+        return cls({0: value}, trunc24)
+
+    @property
+    def is_zero(self):
+        return not self._c
+
+    @property
+    def offset24(self):
+        return min(self._c) if self._c else self.trunc24
+
+    @property
+    def is_integer_grid(self):
+        return all(e % 24 == 0 for e in self._c)
+
+    def terms(self):
+        return sorted(self._c.items())
+
+    def to_json_obj(self):
+        return {"terms": [[e, str(Fraction(v).numerator),
+                           str(Fraction(v).denominator)]
+                          for e, v in self.terms()],
+                "trunc24": self.trunc24}
+
+    def _binop_add(self, other, sign):
+        out = dict(self._c)
+        for e, v in other._c.items():
+            out[e] = out.get(e, 0) + sign * v
+        return ReferenceSeries(out, min(self.trunc24, other.trunc24))
+
+    def __add__(self, other):
+        return self._binop_add(other, 1)
+
+    def __sub__(self, other):
+        return self._binop_add(other, -1)
+
+    def scaled(self, factor):
+        factor = _norm(factor)
+        return ReferenceSeries({e: v * factor for e, v in self._c.items()},
+                               self.trunc24)
+
+    def __mul__(self, other):
+        t = min(self.trunc24 + other.offset24, other.trunc24 + self.offset24)
+        out = {}
+        for ea, ca in self._c.items():
+            for eb, cb in other._c.items():
+                if ea + eb < t:
+                    out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        return ReferenceSeries(out, t)
+
+    def __truediv__(self, b):
+        if b.is_zero:
+            raise SeriesError("non-invertible: zero series")
+        eb0, ea0 = b.offset24, self.offset24
+        b0 = b._c[eb0]
+        rel_out = min(self.trunc24 - ea0, b.trunc24 - eb0)
+        trunc = ea0 - eb0 + rel_out
+        if self.is_zero:
+            return ReferenceSeries({}, trunc)
+        stride = 0
+        for s in [e - ea0 for e in self._c] + [e - eb0 for e in b._c]:
+            stride = gcd(stride, s)
+        out = {}
+        for k in range(0, rel_out, stride or max(rel_out, 1)):
+            acc = self._c.get(ea0 + k, 0)
+            for eb, cb in b._c.items():
+                if eb != eb0 and k - (eb - eb0) in out:
+                    acc -= cb * out[k - (eb - eb0)]
+            if acc:
+                out[k] = Fraction(acc) / b0
+        return ReferenceSeries({ea0 - eb0 + k: v for k, v in out.items()},
+                               trunc)
+
+    def invert(self):
+        return ReferenceSeries.constant(1, self.trunc24 - self.offset24) / self
+
+    def __pow__(self, k):
+        if k == 0:
+            return ReferenceSeries.constant(1, self.trunc24 - self.offset24)
+        if k < 0:
+            return self.invert() ** -k
+        result = self
+        for _ in range(k - 1):
+            result = result * self
+        return result
+
+    def shift(self, delta24):
+        return ReferenceSeries({e + delta24: v for e, v in self._c.items()},
+                               self.trunc24 + delta24)
+
+    def rescale(self, k):
+        return ReferenceSeries({e * k: v for e, v in self._c.items()},
+                               self.trunc24 * k)
+
+    def truncate(self, trunc24):
+        return ReferenceSeries(self._c, trunc24)
+
+    def u_operator(self, ell):
+        if not self.is_integer_grid or self.trunc24 % 24:
+            raise SeriesError("U_ell needs the integer grid")
+        return ReferenceSeries({24 * (e // 24 // ell): v
+                                for e, v in self._c.items()
+                                if (e // 24) % ell == 0},
+                               24 * ((self.trunc24 // 24) // ell))
+
+    def progression_slice(self, lam, ell, alpha, target=1):
+        if not self.is_integer_grid:
+            raise SeriesError("slicing requires integer exponents")
+        mod = ell ** alpha
+        r = (pow(lam, -1, mod) * target) % mod
+        n_unknown = -((-self.trunc24) // 24)
+        return ReferenceSeries({24 * ((e // 24 - r) // mod): v
+                                for e, v in self._c.items()
+                                if (e // 24) % mod == r},
+                               24 * -(-(n_unknown - r) // mod))
+
+    def padic_valuation(self, ell):
+        best = witness = None
+        for e, c in self.terms():
+            if not isinstance(c, int):
+                raise ExactnessError(f"non-integer coefficient {c} at q^({e}/24)")
+            v = valuation(c, ell)
+            if best is None or v < best:
+                best, witness = v, e
+        return ValuationReport(ell, best, witness, len(self._c))
+
+
+def both(entries, trunc24):
+    return QSeries(entries, trunc24), ReferenceSeries(entries, trunc24)
+
+
+def assert_same(got, want):
+    """The dense series equals the reference, field for field and byte for
+    byte, and is the canonical form of the reference's terms."""
+    assert isinstance(got, QSeries)
+    assert got.terms() == want.terms()
+    assert (got.offset24, got.trunc24) == (want.offset24, want.trunc24)
+    assert got.to_json_obj() == want.to_json_obj()
+    assert got == QSeries(want.terms(), want.trunc24)
+    assert got.is_integer_grid == want.is_integer_grid
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (SeriesError, ExactnessError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+def oracle_mul(a, b):
+    """a * b by oracles.poly_mul over the 1/24 grid, from each offset."""
+    t = min(a.trunc24 + b.offset24, b.trunc24 + a.offset24)
+    if a.is_zero or b.is_zero:
+        return {}, t
+    oa, ob = a.offset24, b.offset24
+    la = [0] * (a.terms()[-1][0] - oa + 1)
+    lb = [0] * (b.terms()[-1][0] - ob + 1)
+    for lst, s, o in ((la, a, oa), (lb, b, ob)):
+        for e, v in s.terms():
+            lst[e - o] = v
+    prod = poly_mul(la, lb, t - oa - ob - 1)
+    return {oa + ob + k: v for k, v in enumerate(prod) if v}, t
+
+
+scalars = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 7, 49])))
+
+
+@st.composite
+def series_entries(draw, max_size=7):
+    """(entries, trunc24): offsets off the integer grid, residues mixed mod
+    24 or shared, Fraction coefficients, zero and one-term series, and
+    truncations at or below 0."""
+    residues = draw(st.sampled_from([(0,), (0,), (5,), (0, 12), (1, 7, 23)]))
+    exps = st.builds(lambda k, r: 24 * k + r, st.integers(-3, 8),
+                     st.sampled_from(residues))
+    entries = draw(st.dictionaries(exps, scalars, max_size=max_size))
+    trunc24 = draw(st.one_of(
+        st.integers(-30, 0),
+        st.builds(lambda k, r: 24 * k + r, st.integers(1, 11),
+                  st.sampled_from([0, 0, 5, 13]))))
+    return entries, trunc24
+
+
+hyp = settings(max_examples=150, deadline=None, derandomize=True,
+               database=None)
+
+
+@hyp
+@given(series_entries(), series_entries())
+def test_dense_ring_operations_match_reference(ea, eb):
+    a, ra = both(*ea)
+    b, rb = both(*eb)
+    assert_same(a, ra)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a * b, ra * rb)
+    want, t = oracle_mul(ra, rb)
+    assert (a * b).trunc24 == t
+    assert dict((a * b).terms()) == want
+    t = min(a.trunc24, b.trunc24)
+    assert a.agrees_with(b) == ({e: v for e, v in ra.terms() if e < t}
+                                == {e: v for e, v in rb.terms() if e < t})
+    assert a.agrees_with(a + b - b)
+    if not b.is_zero:
+        assert_same(a / b, ra / rb)
+        assert_same(b.invert(), rb.invert())
+
+
+@hyp
+@given(series_entries(), scalars, st.integers(-3, 4), st.integers(-40, 40),
+       st.integers(1, 4), st.integers(0, 60))
+def test_dense_unary_operations_match_reference(ea, c, k, delta, m, cut):
+    a, ra = both(*ea)
+    assert_same(a.scaled(c), ra.scaled(c))
+    assert_same(-a, ra.scaled(-1))
+    assert_same(a.shift(delta), ra.shift(delta))
+    assert_same(a.rescale(m), ra.rescale(m))
+    assert_same(a.truncate(a.trunc24 - cut), ra.truncate(ra.trunc24 - cut))
+    if k >= 0 or not a.is_zero:
+        assert_same(a ** k, ra ** k)
+    else:
+        assert outcome(a.__pow__, k)[0] is SeriesError
+    assert QSeries.from_json_obj(a.to_json_obj()) == a
+
+
+@hyp
+@given(series_entries(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 3),
+       st.integers(-3, 3), st.sampled_from([1, 7, 24]))
+def test_dense_slicing_and_valuation_match_reference(ea, ell, alpha, target,
+                                                     lam):
+    a, ra = both(*ea)
+    pairs = [(outcome(a.u_operator, ell), outcome(ra.u_operator, ell))]
+    if lam % ell:
+        pairs.append((outcome(a.progression_slice, lam, ell, alpha, target),
+                      outcome(ra.progression_slice, lam, ell, alpha, target)))
+    for got, want in pairs:
+        if isinstance(want, ReferenceSeries):
+            assert_same(got, want)
+        else:
+            assert got[0] is want[0] is SeriesError
+    assert outcome(a.padic_valuation, ell) == outcome(ra.padic_valuation, ell)
+
+
+def test_dense_form_is_canonical():
+    # the same series built along different routes has the same fields
+    a = QSeries({-24: Fraction(3, 7), 0: 2, 25: -1}, 24 * 9)
+    b = (a.scaled(14) + QSeries({25: 14}, 24 * 9)).scaled(Fraction(1, 14))
+    assert b == a.truncate(24 * 9) - QSeries({25: -1}, 24 * 9)
+    assert (a - a) == QSeries.zero(24 * 9)
+    assert (a - a).offset24 == 24 * 9
+    # cancelling the off-grid term puts the series back on a step-24 grid
+    c = a + QSeries({25: 1}, 24 * 9)
+    assert c.is_integer_grid and c.support() == (-24, 0)
