@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, product
+from itertools import compress
 from math import gcd, isqrt
 from operator import mul, xor
 
@@ -154,15 +154,13 @@ def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
 
 def order_at_cusp(f: EtaQuotient, N: int, c: int) -> Fraction:
     """Ligozat's order of f at the cusp class with denominator c, normalised
-    per local uniformiser: (N / (24 gcd(c^2, N))) * sum r * gcd(c, delta)^2 / delta.
+    per local uniformiser: sum r gcd(c, delta)^2 (N/delta) / (24 gcd(c^2, N)).
     """
     _require_sublevel(f, N)
     if N % c != 0:
         raise EtaError(f"{c} is not a divisor of N={N}")
-    acc = Fraction(0)
-    for d, r in f.exponents:
-        acc += Fraction(r * gcd(c, d) ** 2, d)
-    return Fraction(N, 24 * gcd(c * c, N)) * acc
+    return Fraction(sum(r * gcd(c, d) ** 2 * (N // d) for d, r in f.exponents),
+                    24 * gcd(c * c, N))
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ def parse_constraints(text: str) -> list[OrderConstraint]:
                 c, v = chunk.split(op, 1)
                 try:
                     out.append(OrderConstraint(int(c), op, Fraction(v)))
-                except ValueError as exc:
+                except (ValueError, ZeroDivisionError) as exc:
                     raise EtaError(f"bad constraint {chunk!r}: {exc}") from None
                 break
         else:
@@ -306,22 +304,44 @@ def localizer_constraints(N: int) -> list[OrderConstraint]:
     return out
 
 
-MAX_SEARCH_BOX = 10 ** 7  # candidates (2*bound+1)^(k-1) one search may visit
+MAX_SEARCH_BOX = 10 ** 7  # full box (2*bound+1)^(k-1) one search may span
+
+
+def _keyed(rows, r_range):
+    """Every exponent vector r over `rows`, ((a, b, mask), ...) one per
+    divisor, with entries in r_range, as (r, sum r, key): the key is
+    (sum a*r mod 24, sum b*r mod 24, XOR of the masks of the odd entries).
+    Built one divisor at a time, so a vector costs O(1) and memory O(len)."""
+    if not rows:
+        yield (), 0, (0, 0, 0)
+        return
+    a, b, mask = rows[0]
+    for r, s, (ka, kb, km) in _keyed(rows[1:], r_range):
+        for e in r_range:
+            yield ((e,) + r, s + e, ((ka + a * e) % 24, (kb + b * e) % 24,
+                                     km ^ mask if e & 1 else km))
 
 
 def search_eta_quotients(N: int, constraints: list[OrderConstraint],
                          bound: int) -> list[EtaQuotient]:
-    """Exhaustive scan of weight-0 quotients on Gamma_0(N) with |r_delta| <= bound
-    meeting every order constraint; sorted simplest (smallest sum |r|) first.
+    """Every weight-0 quotient on Gamma_0(N) with |r_delta| <= bound that
+    passes the Newman conditions and meets every order constraint; sorted
+    simplest (smallest sum |r|) first.
 
-    The last exponent is fixed by weight 0; a candidate becomes an
-    EtaQuotient only once it passes the Newman conditions.  An empty result
-    is not an error; a box of more than MAX_SEARCH_BOX candidates is.
+    Weight 0 fixes the last exponent, r_N = -(sum of the others).  The
+    other three conditions are then linear over the first k-1 divisors, with
+    rows d - N, N/d - 1 and mask(d) XOR mask(N) (see _newman_conditions).
+    Meet in the middle: index every vector over the first (k-1)//2 divisors
+    by its key, and look each vector over the rest up by its negated key.
+    A match is a valid quotient once |r_N| <= bound, so the cost is about
+    side^((k-1)//2) + side^ceil((k-1)/2) plus the matches, not side^(k-1).
+    An empty result is not an error; a full box of more than MAX_SEARCH_BOX
+    candidates is.
     """
     _require_level(N)
     if bound < 1:
         raise EtaError("search bound must be >= 1")
-    ds = divisors(N)
+    ds, cods, masks = _newman_rows(N)
     side, dim = 2 * bound + 1, len(ds) - 1
     if side ** dim > MAX_SEARCH_BOX:
         raise EtaError(
@@ -332,14 +352,22 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
             raise EtaError(
                 f"constraint references denominator {cons.denominator} "
                 f"which does not divide N={N}")
+    rows = [(d - N, c - 1, m ^ masks[-1])
+            for d, c, m in zip(ds[:-1], cods, masks)]
+    h, r_range = dim // 2, range(-bound, bound + 1)
+    index: dict[tuple, list] = {}
+    for r, s, key in _keyed(rows[:h], r_range):
+        index.setdefault(key, []).append((r, s))
     found = []
-    for head in product(range(-bound, bound + 1), repeat=len(ds) - 1):
-        r = head + (-sum(head),)
-        if abs(r[-1]) > bound or any(_newman_conditions(N, r)):
-            continue
-        f = EtaQuotient(N, zip(ds, r))
-        if all(c.satisfied_by(order_at_cusp(f, N, c.denominator))
-               for c in constraints):
-            found.append(f)
+    for r_tail, s_tail, key in _keyed([(-a, -b, m) for a, b, m in rows[h:]],
+                                      r_range):
+        for r_head, s_head in index.get(key, ()):
+            last = -s_head - s_tail
+            if abs(last) > bound:
+                continue
+            f = EtaQuotient(N, zip(ds, r_head + r_tail + (last,)))
+            if all(c.satisfied_by(order_at_cusp(f, N, c.denominator))
+                   for c in constraints):
+                found.append(f)
     found.sort(key=lambda f: (sum(abs(r) for _, r in f.exponents), f.exponents))
     return found

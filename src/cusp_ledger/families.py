@@ -452,7 +452,13 @@ def _int_keyed(obj: dict, path: str) -> dict[int, dict]:
     return out
 
 
+def _require_object(obj, path: str) -> None:
+    if not isinstance(obj, dict):
+        raise CatalogError(f"{path}: need a JSON object, got {obj!r}")
+
+
 def _family_from_json(obj: dict, path: str) -> FamilySpec:
+    _require_object(obj, path)
     try:
         schedule = {
             a: ScheduleStep(int(s["modulus"]), int(s["beta"]))
@@ -491,7 +497,7 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         )
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
     try:
         spec.validate()
@@ -535,6 +541,10 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
             return EtaQuotient.from_json_obj(spec_obj["eta"])
         return QSeries.from_json_obj(spec_obj["series"])
 
+    _require_object(obj, path)
+    level = obj.get("level")  # optional; a bool is no level
+    if "level" in obj and (type(level) is not int or level < 1):
+        raise CatalogError(f"{path}.level: need an integer >= 1, got {level!r}")
     try:
         x = source(obj["x"], "x") if "x" in obj else None
         ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
@@ -542,11 +552,11 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
         if isinstance(z, QSeries):
             raise CatalogError(f"{path}.z: localizers must be eta quotients "
                                f"(orders must be computable)")
-        return BasisEntry(name=obj["name"], level=obj.get("level"), x=x,
+        return BasisEntry(name=obj["name"], level=level, x=x,
                           ys=ys, z=z, notes=obj.get("notes", ""))
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
 
 
@@ -576,6 +586,9 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
         raise CatalogError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "families" not in doc:
         raise CatalogError(f"{source}: top level must contain 'families'")
+    for key in ("families", "bases"):
+        if not isinstance(doc.get(key, []), list):
+            raise CatalogError(f"{source}: {key!r} must be a JSON list")
     families = [
         _family_from_json(obj, f"{source}:families[{i}]")
         for i, obj in enumerate(doc["families"])

@@ -301,6 +301,13 @@ def _valid_eta_exponents(N: int, bound: int) -> tuple[dict[int, int], ...]:
                  and eta_gamma0_verdict(N, dict(zip(ds, r)))["valid"])
 
 
+def ligozat_order(N: int, r: dict[int, int], c: int) -> Fraction:
+    """Ligozat's order at the cusp class with denominator c, one Fraction
+    term per divisor: (N / (24 gcd(c^2, N))) * sum r * gcd(c, delta)^2 / delta."""
+    return Fraction(N, 24 * gcd(c * c, N)) * sum(
+        Fraction(e * gcd(c, d) ** 2, d) for d, e in r.items())
+
+
 _OPS = {"==": operator.eq, "<=": operator.le, ">=": operator.ge,
         "<": operator.lt, ">": operator.gt}
 
@@ -311,10 +318,8 @@ def eta_search_by_brute_force(N: int, constraints, bound: int) -> list:
     constraint, simplest (smallest sum |r|) first."""
     out = []
     for r in _valid_eta_exponents(N, bound):
-        def order(c):
-            return Fraction(N, 24 * gcd(c * c, N)) * sum(
-                Fraction(e * gcd(c, d) ** 2, d) for d, e in r.items())
-        if all(_OPS[op](order(c), value) for c, op, value in constraints):
+        if all(_OPS[op](ligozat_order(N, r, c), value)
+               for c, op, value in constraints):
             out.append(tuple((d, e) for d, e in r.items() if e))
     out.sort(key=lambda ex: (sum(abs(e) for _, e in ex), ex))
     return out

@@ -334,6 +334,33 @@ def test_malformed_catalog_companion_is_usage_error(tmp_path, capsys, field,
                    "with an 'eta' or 'series' entry\n")
 
 
+def test_non_object_catalog_family_is_usage_error(tmp_path, capsys):
+    # used to end as "internal error: AttributeError", exit 3
+    path = tmp_path / "catalog.json"
+    path.write_text('{"families": [5]}')
+    code, out, err = run(capsys, "--catalog", str(path), "verify", "--family",
+                         "p-5", "--alpha", "1", "--nmax", "50")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:families[0]: need a JSON object, got 5\n"
+
+
+@pytest.mark.parametrize("level", ["five", True, 0, -5, 5.0, None])
+def test_catalog_basis_level_checked_at_load(tmp_path, capsys, level):
+    # "five" used to load and then end as "internal error: TypeError"
+    from cusp_ledger.families import shipped_catalog_path
+
+    doc = json.loads(shipped_catalog_path().read_text())
+    assert doc["bases"][0]["name"] == "level-5"
+    doc["bases"][0]["level"] = level
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--catalog", str(path), "reduce", "--target",
+                         "poly:1,1", "--basis", "level-5", "--terms", "20")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:bases[0].level: need an integer >= 1, "
+                   f"got {level!r}\n")
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     import cusp_ledger.cli as cli
 
@@ -433,6 +460,69 @@ def test_find_eta_level5(capsys):
     assert code == 0
     assert len(doc["results"]) == 1
     assert doc["results"][0]["quotient"] == {"M": 5, "r": {"1": -6, "5": 6}}
+
+
+# (--level, --bound, --constraints, exit code, sha256 of the --json stdout,
+# sha256 of the text stdout): the find-eta output pinned byte for byte, over
+# one- and two-divisor levels, composite levels, every constraint shape the
+# benchmark draws plus a fractional one, and an empty result (level 12)
+FIND_ETA_DIGESTS = [
+    ("1", "3", None, 0,
+     "d9ef4858f36cdcf45e5cbce9957f28a5642d39cb9bf0861148bafb7080449de3",
+     "07ff77913455c8a54ab2591b71257c38aa2b098d7f8b633ba8a40332d629aba5"),
+    ("7", "4", "1==-1", 0,
+     "7f66888a6dda22764c1a724c439bb650ece6ef1d196203117ecb639b515a5850",
+     "7dff2939c24fc3c2c702b605295e2f7d8a79047772a572b5ceef7f66c5403fd7"),
+    ("7", "4", "7>=1/2", 0,
+     "7f66888a6dda22764c1a724c439bb650ece6ef1d196203117ecb639b515a5850",
+     "786b96097dabcde583c2a1bf8c8bf9e8b5e1b04268b8bb9cbcf9dccb40fb97c5"),
+    ("10", "3", "1<0", 0,
+     "8b40666e60b4df1dfb6e10f7a48a56b3f88f1f67ad850d9c5b7d327d1dcf2675",
+     "3014527103ac57a3c4d108e96e88d3007f841f6c761042f83883c1fe1720a9b7"),
+    ("10", "12", "1<0,2>=1,5>=1,10>=1", 0,
+     "d6076a8cf6ac590cd8647b4b868dc21bb49c480f02349c0465b593ce228ae554",
+     "dbab1531c522897a18b66774a8e8c44efed507430890c739a3d31a273cfc64aa"),
+    ("12", "3", "12>=1/2", 0,
+     "6a72c75bb1ccd3fea7be74a460547616c3920f28473f17dcf373a307a39c6469",
+     "3a77f5b733d4b9135c390ffe66fdd350ef8cfea6b5fe9548412db27c93f43ed3"),
+    ("12", "2", "1<0,2>=1,3>=1,4>=1,6>=1,12>=1", 0,
+     "7ccfadedd0b3512644d164640468b289e4c51f805bb127757e16a76360f82f59",
+     "40043e930e99797b8fb9f6676fdda1ae850fcae115d9424f648b1dd7db93c6f1"),
+    ("30", "2", "1<0", 0,
+     "6f6c94f50763c011320ec678bdeab1afa3ef2d1c0e7c5c7e01af51ae180b348d",
+     "4d88d19c44bdf824192a7c812569a36c770dbc8c9065e943fa0631742428c12f"),
+    ("30", "2", "1==-2", 0,
+     "eec2ba4a4d016972ce4adb1b589acf7827c4d7a0cf85f7e0bd3dd6158d0e527a",
+     "b28aa935ef2a2b3abf76f494d7c9e242a0ea27b0f44ece7e24ab87c62e11cad7"),
+    ("60", "1", None, 0,
+     "6f42dc17b0978a50e208c68c26dc4428b18bdcd7438f7e8b1b23fb96a7143023",
+     "8028521ba494b65e8a77a05e49aaead1b83f91040d79278ebaca597024e8ea75"),
+    ("60", "1", "60>=1/2", 0,
+     "6817b0487313ba62f83b030e4751ca96dedf4c16105269382ffe6ab3a364473a",
+     "aa458426c2bba4c863585281ea16f6940725d697503441f32356303c7de1d621"),
+]
+
+
+@pytest.mark.parametrize("level, bound, constraints, code, json_digest, "
+                         "text_digest", FIND_ETA_DIGESTS,
+                         ids=[f"{c[0]}:{c[1]}:{c[2]}" for c in FIND_ETA_DIGESTS])
+def test_find_eta_output_byte_identical(capsys, level, bound, constraints,
+                                        code, json_digest, text_digest):
+    argv = ["find-eta", "--level", level, "--bound", bound]
+    if constraints:
+        argv += ["--constraints", constraints]
+    for prefix, digest in ((["--json"], json_digest), ([], text_digest)):
+        got_code, out, err = run(capsys, *prefix, *argv)
+        assert (got_code, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_find_eta_zero_denominator_constraint_refused(capsys):
+    # used to end as "internal error: ZeroDivisionError", exit 3
+    code, out, err = run(capsys, "find-eta", "--level", "10", "--constraints",
+                         "1<=1/0", "--bound", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: bad constraint '1<=1/0': Fraction(1, 0)\n"
 
 
 def test_find_eta_parallel_matches_serial(capsys):

@@ -1,5 +1,6 @@
 """Tests for eta-quotient validity, cusp orders, expansions, and search."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from oracles import (
     distinct_partition_counts,
     eta_gamma0_verdict,
     eta_search_by_brute_force,
+    ligozat_order,
     partition_counts,
 )
 
@@ -245,6 +247,56 @@ def test_search_matches_brute_force_oracle():
             got = [f.exponents for f in search_eta_quotients(N, cons, bound)]
             assert got == eta_search_by_brute_force(N, pattern, bound), \
                 (N, pattern)
+
+
+def _search_bound(data, N: int) -> int:
+    """A drawn bound whose full box (2b+1)^(k-1) stays at or below 20k, and
+    whose oracle box (2b+1)^k stays small enough to enumerate."""
+    dim = len(divisors(N)) - 1
+    top = max(b for b in range(1, 5) if (2 * b + 1) ** dim <= 20_000)
+    return data.draw(st.integers(1, top), label="bound")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_search_matches_oracle_under_drawn_constraints(data):
+    N = data.draw(st.sampled_from(
+        [n for n in range(1, 61) if 3 ** (len(divisors(n)) - 1) <= 20_000]),
+        label="N")
+    bound = _search_bound(data, N)
+    pattern = data.draw(st.lists(st.tuples(
+        st.sampled_from(divisors(N)),
+        st.sampled_from(["==", "<=", ">=", "<", ">"]),
+        st.one_of(st.integers(-4, 4).map(Fraction),
+                  st.sampled_from([Fraction(-3, 2), Fraction(1, 4),
+                                   Fraction(-1, 3), Fraction(5, 2)]))),
+        max_size=3), label="constraints")
+    cons = [OrderConstraint(*c) for c in pattern]
+    got = [f.exponents for f in search_eta_quotients(N, cons, bound)]
+    assert got == eta_search_by_brute_force(N, pattern, bound)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_order_at_cusp_matches_oracle(data):
+    N = data.draw(st.integers(1, 120), label="N")
+    level = data.draw(st.sampled_from(divisors(N)), label="level")
+    r = {d: data.draw(st.integers(-12, 12)) for d in divisors(level)}
+    f = EtaQuotient(level, r)
+    for c in divisors(N):
+        assert order_at_cusp(f, N, c) == ligozat_order(N, r, c), c
+
+
+def test_search_memory_stays_flat_at_two_divisors():
+    # two divisors at bound 100000: 200001 candidates, streamed, no index
+    tracemalloc.start()
+    try:
+        found = search_eta_quotients(7, parse_constraints("1==-1"), 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [f.exponents for f in found] == [((1, -4), (7, 4))]
+    assert peak < 10 * 2 ** 20
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -460,6 +460,31 @@ def test_catalog_rejects_bad_json():
         catalog_loads('{"nope": 1}')
 
 
+@pytest.mark.parametrize("doc, want", [
+    ({"families": 5}, "<catalog>: 'families' must be a JSON list"),
+    ({"families": [], "bases": {"b": 1}},
+     "<catalog>: 'bases' must be a JSON list"),
+    ({"families": ["p-5"]}, "<catalog>:families[0]: need a JSON object"),
+    ({"families": [], "bases": ["b"]},
+     "<catalog>:bases[0]: need a JSON object"),
+    ({"families": [{"name": "x", "generator": {"M": 1, "r": {"1": -1}},
+                    "prime": 5, "lam": 24, "level": 5, "schedule": [1]}]},
+     "<catalog>:families[0]: 'list' object has no attribute 'items'"),
+    ({"families": [{"name": "x", "generator": {"M": 1, "r": [1]},
+                    "prime": 5, "lam": 24, "level": 5}]},
+     "<catalog>:families[0]: 'list' object has no attribute 'items'"),
+])
+def test_catalog_rejects_malformed_shapes(doc, want):
+    # each used to escape as AttributeError or TypeError (exit 3)
+    with pytest.raises(CatalogError) as err:
+        catalog_loads(json.dumps(doc))
+    assert str(err.value).startswith(want)
+
+
+def test_catalog_basis_without_level_still_loads(catalog):
+    assert catalog.basis("demo-genus1").level is None
+
+
 def test_catalog_rejects_unknown_basis_reference():
     doc = {"families": [{
         "name": "x", "generator": {"M": 1, "r": {"1": -1}},
