@@ -19,6 +19,7 @@ import sys
 # benchmark's tracer (perfbench/spans.py) wraps cli.ProcessPoolExecutor.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .curves import curve_profile
@@ -294,6 +295,7 @@ def _int_at_least(low: int):
     return parse
 
 
+@lru_cache(maxsize=1)  # one parser per process, built by the first main call
 def build_parser() -> argparse.ArgumentParser:
     # global flags accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -318,14 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("profile", help="topological profile of X_0(N)")
     p.add_argument("level", type=int)
-    p.set_defaults(func=cmd_profile)
 
     p = add_parser("classify", help="difficulty class from the cusp count")
     p.add_argument("--level", type=int)
     p.add_argument("--prime", type=_int_at_least(2),
                    help="a prime dividing the level")
     p.add_argument("--family")
-    p.set_defaults(func=cmd_classify)
 
     p = add_parser("expand", help="q-expansion of an eta quotient")
     p.add_argument("--eta", help='exponent list like "5:6,1:-6"')
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="infinity")
     p.add_argument("--level", type=_int_at_least(1),
                    help="curve level for cusp-zero expansions")
-    p.set_defaults(func=cmd_expand)
 
     p = add_parser("verify", help="check a congruence family directly")
     p.add_argument("--family", required=True)
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_int_at_least(0), required=True)
     p.add_argument("--beta", type=_int_at_least(1),
                    help="override the demanded divisibility exponent")
-    p.set_defaults(func=cmd_verify)
 
     p = add_parser("reduce", help="express a target over a module basis")
     p.add_argument("--target", required=True,
@@ -354,23 +352,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guard", type=_int_at_least(0), default=10)
     p.add_argument("--prime", type=_int_at_least(2),
                    help="prime for the valuation table")
-    p.set_defaults(func=cmd_reduce)
 
     p = add_parser("find-eta", help="search for eta quotients by orders")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--constraints", help='like "1==-1,5>=1"')
     p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(func=cmd_find_eta)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args.catalog = getattr(args, "catalog", None)
         args.json = getattr(args, "json", False)
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (GapError, ReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAIL

@@ -76,8 +76,7 @@ class CuspClass:
     width: int
 
     def to_json_obj(self) -> dict:
-        return {"denominator": self.denominator, "count": self.count,
-                "width": self.width}
+        return {**vars(self)}
 
 
 def enumerate_cusps(N: int) -> list[CuspClass]:
@@ -136,15 +135,8 @@ class CurveProfile:
     genus: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "index": self.index,
-            "cusp_classes": [c.to_json_obj() for c in self.cusp_classes],
-            "cusp_count": self.cusp_count,
-            "nu2": self.nu2,
-            "nu3": self.nu3,
-            "genus": self.genus,
-        }
+        return {**vars(self),
+                "cusp_classes": [c.to_json_obj() for c in self.cusp_classes]}
 
 
 def curve_profile(N: int) -> CurveProfile:

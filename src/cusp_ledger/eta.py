@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul, xor
 
 from .curves import divisors, enumerate_cusps, factorize
 from .errors import EtaError, InternalInconsistencyError, TruncationError
-from .series import QSeries, pochhammer_product
+from .series import QSeries, json_int, pochhammer_product
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class EtaQuotient:
         _require_level(level)
         items = dict(exponents)
         for delta, r in items.items():
+            if delta < 1:
+                raise EtaError(f"divisor {delta} must be a positive integer")
             if level % delta != 0:
                 raise EtaError(f"divisor {delta} does not divide level {level}")
             if not isinstance(r, int):
@@ -42,11 +44,6 @@ class EtaQuotient:
     @property
     def r(self) -> dict[int, int]:
         return dict(self.exponents)
-
-    @property
-    def exponent_sum(self) -> int:
-        """Sum of all exponents; zero means weight 0."""
-        return sum(r for _, r in self.exponents)
 
     @property
     def degree24(self) -> int:
@@ -66,7 +63,8 @@ class EtaQuotient:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EtaQuotient":
-        return cls(int(obj["M"]), {int(d): int(r) for d, r in obj["r"].items()})
+        return cls(json_int(obj["M"], "M"),
+                   {int(d): json_int(r, "exponent") for d, r in obj["r"].items()})
 
 
 @dataclass(frozen=True)
@@ -97,14 +95,7 @@ class GammaValidation:
         return out
 
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "weight_zero": self.weight_zero,
-            "infinity_order_integral": self.infinity_order_integral,
-            "zero_order_integral": self.zero_order_integral,
-            "product_is_square": self.product_is_square,
-            "valid": self.valid,
-        }
+        return {**vars(self), "valid": self.valid}
 
 
 def _require_level(N: int) -> None:
@@ -128,28 +119,19 @@ def _newman_rows(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(ds), tuple(N // d for d in ds), tuple(masks)
 
 
-def _newman_conditions(N: int, r):
-    """The four Newman/Ligozat conditions, linear in r (one exponent per
-    divisor of N, ascending), each zero exactly when it holds: sum r,
-    sum d*r mod 24, sum (N/d)*r mod 24, and the XOR of the masks of odd r.
-    Yielded lazily, so any() stops at the first that fails."""
-    ds, cods, masks = _newman_rows(N)
-    yield sum(r)
-    yield sum(map(mul, ds, r)) % 24
-    yield sum(map(mul, cods, r)) % 24
-    yield reduce(xor, compress(masks, [e & 1 for e in r]), 0)
-
-
 def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
-    """Newman/Ligozat conditions for f to define a function on X_0(N)."""
+    """Newman/Ligozat conditions for f to define a function on X_0(N), each
+    one linear in r over the rows of _newman_rows."""
     _require_sublevel(f, N)
-    r = f.r
-    weight, inf, zero, odd = _newman_conditions(
-        N, [r.get(d, 0) for d in _newman_rows(N)[0]])
-    return GammaValidation(level=N, weight_zero=weight == 0,
-                           infinity_order_integral=inf == 0,
-                           zero_order_integral=zero == 0,
-                           product_is_square=odd == 0)
+    ds, cods, masks = _newman_rows(N)
+    exps = f.r
+    r = [exps.get(d, 0) for d in ds]
+    odd = reduce(xor, compress(masks, [e & 1 for e in r]), 0)
+    return GammaValidation(
+        level=N, weight_zero=sum(r) == 0,
+        infinity_order_integral=sum(map(mul, ds, r)) % 24 == 0,
+        zero_order_integral=sum(map(mul, cods, r)) % 24 == 0,
+        product_is_square=odd == 0)
 
 
 def order_at_cusp(f: EtaQuotient, N: int, c: int) -> Fraction:
@@ -202,15 +184,6 @@ def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
     return pochhammer_product(f.exponents, rel).shift(f.degree24)
 
 
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    if x <= 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def conjugate_quotient(f: EtaQuotient, N: int) -> EtaQuotient:
     """Image of f under the level involution tau -> -1/(N tau): delta -> N/delta."""
     _require_sublevel(f, N)
@@ -231,12 +204,12 @@ def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSer
     if not verdict.valid:
         raise EtaError("not a weight-0 function on Gamma_0(N): "
                        + "; ".join(verdict.failures()))
-    multiplier = Fraction(1)
-    for d, r in f.exponents:
-        multiplier *= Fraction(N, d) ** r
-    scale = _fraction_sqrt(multiplier)
-    if scale is None:
-        raise EtaError("multiplier is not rational: prod delta^r is not a square")
+    square = prod(Fraction(N, d) ** r for d, r in f.exponents)
+    scale = Fraction(isqrt(square.numerator), isqrt(square.denominator))
+    if scale * scale != square:
+        raise InternalInconsistencyError(
+            f"prod (N/delta)^r = {square} is not a square, but the Newman "
+            f"square test passed")
     series = expand_at_infinity(conjugate_quotient(f, N), trunc24)
     if not f.is_trivial():
         want = order_at_cusp(f, N, 1) * 24
@@ -330,7 +303,7 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
 
     Weight 0 fixes the last exponent, r_N = -(sum of the others).  The
     other three conditions are then linear over the first k-1 divisors, with
-    rows d - N, N/d - 1 and mask(d) XOR mask(N) (see _newman_conditions).
+    rows d - N, N/d - 1 and mask(d) XOR mask(N) (see validate_on_gamma0).
     Meet in the middle: index every vector over the first (k-1)//2 divisors
     by its key, and look each vector over the rest up by its negated key.
     A match is a valid quotient once |r_N| <= bound, so the cost is about

@@ -34,9 +34,10 @@ from .eta import (
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
+    validate_on_gamma0,
 )
 from .reduction import ModuleBasis
-from .series import QSeries, is_prime, pochhammer_product, valuation
+from .series import QSeries, is_prime, json_int, pochhammer_product, valuation
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,10 @@ class PochhammerProduct:
 
     def __init__(self, qpow: int, exponents):
         items = dict(exponents)
-        object.__setattr__(self, "qpow", int(qpow))
+        object.__setattr__(self, "qpow", qpow)
         object.__setattr__(
             self, "exponents",
-            tuple(sorted((int(d), int(r)) for d, r in items.items() if r != 0)))
+            tuple(sorted((d, r) for d, r in items.items() if r != 0)))
 
     def is_one(self) -> bool:
         return self.qpow == 0 and not self.exponents
@@ -69,8 +70,9 @@ class PochhammerProduct:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PochhammerProduct":
-        return cls(obj.get("qpow", 0),
-                   {int(d): int(r) for d, r in obj.get("r", {}).items()})
+        return cls(json_int(obj.get("qpow", 0), "qpow"),
+                   {int(d): json_int(r, "exponent")
+                    for d, r in obj.get("r", {}).items()})
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,16 @@ class FamilySpec:
                 f"family {self.name}: generator level {self.generator.level} "
                 f"does not divide curve level {self.level}")
         for a, step in self.schedule.items():
-            if a < 1 or step.modulus_exponent < 1 or step.beta < 0:
+            if a < 1 or step.modulus_exponent < 1 or step.beta < 1:
                 raise FamilyError(
                     f"family {self.name}: bad schedule entry at depth {a}")
+        for a, terms in self.tower_identities.items():
+            for t in terms:
+                if self.level % t.quotient.level \
+                        or not validate_on_gamma0(t.quotient, self.level).valid:
+                    raise FamilyError(
+                        f"family {self.name}: depth-{a} identity term "
+                        f"{t.quotient} is not a function on X_0({self.level})")
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +158,7 @@ class ClassificationReport:
     sporadic_flags: tuple[str, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "prime": self.prime,
-            "cusp_count": self.cusp_count,
-            "genus": self.genus,
-            "difficulty_class": self.difficulty_class,
-            "tedium_score": self.tedium_score,
-            "sporadic_flags": list(self.sporadic_flags),
-        }
+        return {**vars(self), "sporadic_flags": list(self.sporadic_flags)}
 
 
 def classify(N: int, prime: int | None = None) -> ClassificationReport:
@@ -291,17 +292,7 @@ class VerificationReport:
         if self.counterexample is not None:
             n, c, v = self.counterexample
             ce = {"n": n, "coefficient": str(c), "valuation": v}
-        return {
-            "family": self.family,
-            "alpha": self.alpha,
-            "modulus_exponent": self.modulus_exponent,
-            "beta": self.beta,
-            "n_max": self.n_max,
-            "qualifying_count": self.qualifying_count,
-            "min_valuation": self.min_valuation,
-            "passed": self.passed,
-            "counterexample": ce,
-        }
+        return {**vars(self), "counterexample": ce}
 
 
 def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
@@ -445,64 +436,49 @@ class Catalog:
 def _int_keyed(obj: dict, path: str) -> dict[int, dict]:
     out = {}
     for k, v in obj.items():
-        try:
-            out[int(k)] = v
-        except ValueError:
-            raise CatalogError(f"{path}: key {k!r} is not an integer") from None
+        if not k.removeprefix("-").isdecimal():
+            raise CatalogError(f"{path}: key {k!r} is not an integer")
+        out[int(k)] = v
     return out
 
 
-def _require_object(obj, path: str) -> None:
-    if not isinstance(obj, dict):
-        raise CatalogError(f"{path}: need a JSON object, got {obj!r}")
-
-
 def _family_from_json(obj: dict, path: str) -> FamilySpec:
-    _require_object(obj, path)
-    try:
-        schedule = {
-            a: ScheduleStep(int(s["modulus"]), int(s["beta"]))
-            for a, s in _int_keyed(obj.get("schedule", {}), f"{path}.schedule").items()
-        }
-        prefactors = {
-            a: PochhammerProduct.from_json_obj(s)
-            for a, s in _int_keyed(obj.get("prefactors", {}),
-                                   f"{path}.prefactors").items()
-        }
-        multipliers = {
-            a: PochhammerProduct.from_json_obj(s)
-            for a, s in _int_keyed(obj.get("multipliers", {}),
-                                   f"{path}.multipliers").items()
-        }
-        identities = {}
-        for a, terms in _int_keyed(obj.get("tower_identities", {}),
-                                   f"{path}.tower_identities").items():
-            identities[a] = tuple(
-                EtaTerm(Fraction(t["scale"]),
-                        EtaQuotient.from_json_obj(t["eta"]))
-                for t in terms)
-        spec = FamilySpec(
-            name=obj["name"],
-            generator=EtaQuotient.from_json_obj(obj["generator"]),
-            prime=int(obj["prime"]),
-            lam=int(obj["lam"]),
-            level=int(obj["level"]),
-            target_residue=int(obj.get("target_residue", 1)),
-            schedule=schedule,
-            prefactors=prefactors,
-            multipliers=multipliers,
-            tower_identities=identities,
-            basis_name=obj.get("basis"),
-            notes=obj.get("notes", ""),
-        )
-    except KeyError as exc:
-        raise CatalogError(f"{path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CatalogError(f"{path}: {exc}") from None
-    try:
-        spec.validate()
-    except FamilyError as exc:
-        raise CatalogError(f"{path}: {exc}") from None
+    schedule = {
+        a: ScheduleStep(json_int(s["modulus"], "modulus"),
+                        json_int(s["beta"], "beta"))
+        for a, s in _int_keyed(obj.get("schedule", {}), f"{path}.schedule").items()
+    }
+    prefactors = {
+        a: PochhammerProduct.from_json_obj(s)
+        for a, s in _int_keyed(obj.get("prefactors", {}),
+                               f"{path}.prefactors").items()
+    }
+    multipliers = {
+        a: PochhammerProduct.from_json_obj(s)
+        for a, s in _int_keyed(obj.get("multipliers", {}),
+                               f"{path}.multipliers").items()
+    }
+    identities = {}
+    for a, terms in _int_keyed(obj.get("tower_identities", {}),
+                               f"{path}.tower_identities").items():
+        identities[a] = tuple(
+            EtaTerm(Fraction(t["scale"]), EtaQuotient.from_json_obj(t["eta"]))
+            for t in terms)
+    spec = FamilySpec(
+        name=obj["name"],
+        generator=EtaQuotient.from_json_obj(obj["generator"]),
+        prime=json_int(obj["prime"], "prime"),
+        lam=json_int(obj["lam"], "lam"),
+        level=json_int(obj["level"], "level"),
+        target_residue=json_int(obj.get("target_residue", 1), "target_residue"),
+        schedule=schedule,
+        prefactors=prefactors,
+        multipliers=multipliers,
+        tower_identities=identities,
+        basis_name=obj.get("basis"),
+        notes=obj.get("notes", ""),
+    )
+    spec.validate()
     return spec
 
 
@@ -541,23 +517,17 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
             return EtaQuotient.from_json_obj(spec_obj["eta"])
         return QSeries.from_json_obj(spec_obj["series"])
 
-    _require_object(obj, path)
     level = obj.get("level")  # optional; a bool is no level
     if "level" in obj and (type(level) is not int or level < 1):
         raise CatalogError(f"{path}.level: need an integer >= 1, got {level!r}")
-    try:
-        x = source(obj["x"], "x") if "x" in obj else None
-        ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
-        z = source(obj["z"], "z") if "z" in obj else None
-        if isinstance(z, QSeries):
-            raise CatalogError(f"{path}.z: localizers must be eta quotients "
-                               f"(orders must be computable)")
-        return BasisEntry(name=obj["name"], level=level, x=x,
-                          ys=ys, z=z, notes=obj.get("notes", ""))
-    except KeyError as exc:
-        raise CatalogError(f"{path}: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise CatalogError(f"{path}: {exc}") from None
+    x = source(obj["x"], "x") if "x" in obj else None
+    ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
+    z = source(obj["z"], "z") if "z" in obj else None
+    if isinstance(z, QSeries):
+        raise CatalogError(f"{path}.z: localizers must be eta quotients "
+                           f"(orders must be computable)")
+    return BasisEntry(name=obj["name"], level=level, x=x,
+                      ys=ys, z=z, notes=obj.get("notes", ""))
 
 
 def _basis_to_json(entry: BasisEntry) -> dict:
@@ -579,27 +549,41 @@ def _basis_to_json(entry: BasisEntry) -> dict:
     return obj
 
 
-def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
+def _parsed(path: str, parse, *args):
+    """parse(*args); the one place where a Python exception raised by bad
+    catalog input (unreadable file, broken JSON, missing key, wrong shape or
+    number, failed FamilySpec.validate) becomes CatalogError "path: why"."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{source}: not valid JSON: {exc}") from None
+        return parse(*args)
+    except KeyError as exc:
+        raise CatalogError(f"{path}: missing field {exc}") from None
+    except (AttributeError, FamilyError, OSError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise CatalogError(f"{path}: {exc}") from None
+
+
+def _entry(parse, obj, path: str):
+    """One entry of the catalog's families or bases list."""
+    if not isinstance(obj, dict):
+        raise CatalogError(f"{path}: need a JSON object, got {obj!r}")
+    return _parsed(path, parse, obj, path)
+
+
+def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
+    doc = _parsed(f"{source}: not valid JSON", json.loads, text)
     if not isinstance(doc, dict) or "families" not in doc:
         raise CatalogError(f"{source}: top level must contain 'families'")
     for key in ("families", "bases"):
         if not isinstance(doc.get(key, []), list):
             raise CatalogError(f"{source}: {key!r} must be a JSON list")
-    families = [
-        _family_from_json(obj, f"{source}:families[{i}]")
-        for i, obj in enumerate(doc["families"])
-    ]
-    names = [f.name for f in families]
-    if len(set(names)) != len(names):
-        raise CatalogError(f"{source}: duplicate family names")
-    bases = [
-        _basis_from_json(obj, f"{source}:bases[{i}]")
-        for i, obj in enumerate(doc.get("bases", []))
-    ]
+    families = [_entry(_family_from_json, obj, f"{source}:families[{i}]")
+                for i, obj in enumerate(doc["families"])]
+    bases = [_entry(_basis_from_json, obj, f"{source}:bases[{i}]")
+             for i, obj in enumerate(doc.get("bases", []))]
+    for key, entries in (("family", families), ("basis", bases)):
+        names = [e.name for e in entries]
+        if len(set(names)) != len(names):
+            raise CatalogError(f"{source}: duplicate {key} names")
     for f in families:
         if f.basis_name and f.basis_name not in {b.name for b in bases}:
             raise CatalogError(
@@ -610,10 +594,7 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
 
 def catalog_load(path: str | Path) -> Catalog:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from None
+    text = _parsed(f"cannot read catalog {path}", path.read_text)
     return catalog_loads(text, source=str(path))
 
 

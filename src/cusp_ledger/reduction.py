@@ -299,9 +299,7 @@ class GainReport:
     violations: tuple[tuple[int, int, int], ...]  # (k, m, valuation) below target
 
     def to_json_obj(self) -> dict:
-        return {"prime": self.prime, "min_before": self.min_before,
-                "min_after": self.min_after, "gain": self.gain,
-                "meets_gain": self.meets_gain,
+        return {**vars(self),
                 "violations": [list(v) for v in self.violations]}
 
 

@@ -63,6 +63,14 @@ def _check_prime(ell: int) -> None:
         raise SeriesError(f"{ell} is not prime")
 
 
+def json_int(value, what: str) -> int:
+    """An integer field of a JSON document, as it stands: int() would
+    truncate a float or parse a string, and a bool is no number."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class QSeries:
     """Dense exact q-series: known coefficients live at exponents < trunc24.
 
@@ -377,9 +385,9 @@ class QSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
-        entries = {int(e): Fraction(int(num), int(den))
+        entries = {json_int(e, "exponent"): Fraction(int(num), int(den))
                    for e, num, den in obj["terms"]}
-        return cls(entries, int(obj["trunc24"]))
+        return cls(entries, json_int(obj["trunc24"], "trunc24"))
 
 
 def _make(off: int, step: int, nums: list[int], den: int,

@@ -576,3 +576,190 @@ def test_corrupted_identity_is_internal_inconsistency(tmp_path, capsys):
                        "--target", "family:p-5:L1", "--basis", "level-5")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+def test_expand_nonpositive_delta_refused(capsys):
+    # validity used to pass (it reads only the divisors of the level) and
+    # the expansion printed a series with orders -5/24 and -1/24
+    code, out, err = run(capsys, "expand", "--eta=-1:1", "--at-cusp", "zero",
+                         "--level", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: divisor -1 must be a positive integer\n"
+
+
+def test_parser_built_once(capsys):
+    from cusp_ledger.cli import build_parser
+
+    assert run(capsys, "profile", "5")[0] == 0
+    assert build_parser() is build_parser()
+
+
+def _edited_catalog(tmp_path, keys, value):
+    """The shipped catalog with doc[keys[0]][keys[1]]... set to value."""
+    from cusp_ledger.families import shipped_catalog_path
+
+    doc = json.loads(shipped_catalog_path().read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _verify_p5(capsys, path):
+    return run(capsys, "--catalog", str(path), "verify", "--family", "p-5",
+               "--alpha", "1", "--nmax", "50")
+
+
+def test_catalog_not_utf8_is_usage_error(tmp_path, capsys):
+    # used to end as "internal error: UnicodeDecodeError", exit 3
+    path = tmp_path / "catalog.json"
+    path.write_bytes(b"\xff{")
+    code, out, err = _verify_p5(capsys, path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read catalog {path}: 'utf-8' codec")
+
+def test_catalog_nonpositive_delta_refused(tmp_path, capsys):
+    # used to end as "internal error: ZeroDivisionError", exit 3
+    path = _edited_catalog(tmp_path, ("families", 0, "generator", "r"),
+                           {"0": 1})
+    code, out, err = _verify_p5(capsys, path)
+    assert (code, out) == (2, "")
+    assert err == "error: divisor 0 must be a positive integer\n"
+
+
+@pytest.mark.parametrize("keys, value, where", [
+    (("families", 0, "tower_identities", "1", 0, "scale"), "1/0",
+     "families[0]"),
+    (("bases", 3, "x", "series", "terms", 0, 2), "0", "bases[3]"),
+])
+def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
+                                                 value, where):
+    # each used to end as "internal error: ZeroDivisionError", exit 3
+    path = _edited_catalog(tmp_path, keys, value)
+    code, out, err = _verify_p5(capsys, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:{where}: Fraction(1, 0)\n"
+
+
+# (keys of the edited field, value, error after the catalog path): each of
+# these used to load, most of them weakened by int() (5.5 -> 5, "5" -> 5)
+@pytest.mark.parametrize("keys, value, want", [
+    (("families", 0, "prime"), 5.5,
+     ":families[0]: prime must be an integer, got 5.5"),
+    (("families", 0, "prime"), True,
+     ":families[0]: prime must be an integer, got True"),
+    (("families", 0, "lam"), 24.9,
+     ":families[0]: lam must be an integer, got 24.9"),
+    (("families", 0, "level"), "5",
+     ":families[0]: level must be an integer, got '5'"),
+    (("families", 0, "target_residue"), 1.0,
+     ":families[0]: target_residue must be an integer, got 1.0"),
+    (("families", 0, "schedule", "1", "modulus"), 1.5,
+     ":families[0]: modulus must be an integer, got 1.5"),
+    (("families", 0, "schedule", "1", "beta"), 0,
+     ":families[0]: family p-5: bad schedule entry at depth 1"),
+    (("families", 0, "generator", "r", "1"), -1.5,
+     ":families[0]: exponent must be an integer, got -1.5"),
+    (("families", 0, "generator", "M"), "1",
+     ":families[0]: M must be an integer, got '1'"),
+    (("families", 0, "prefactors", "1", "qpow"), 1.5,
+     ":families[0]: qpow must be an integer, got 1.5"),
+    (("bases", 3, "x", "series", "terms", 0, 0), -48.5,
+     ":bases[3]: exponent must be an integer, got -48.5"),
+    (("bases", 3, "x", "series", "trunc24"), 48.0,
+     ":bases[3]: trunc24 must be an integer, got 48.0"),
+    (("families", 0, "schedule"), {"+1": {"modulus": 1, "beta": 1}},
+     ":families[0].schedule: key '+1' is not an integer"),
+    (("bases", 1, "name"), "level-5", ": duplicate basis names"),
+], ids=["prime-float", "prime-bool", "lam-float", "level-string",
+        "residue-float", "modulus-float", "beta-zero", "exponent-float",
+        "M-string", "qpow-float", "series-exponent-float", "trunc24-float",
+        "signed-key", "duplicate-basis"])
+def test_catalog_numbers_refused_at_load(tmp_path, capsys, keys, value, want):
+    path = _edited_catalog(tmp_path, keys, value)
+    code, out, err = _verify_p5(capsys, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}{want}\n"
+
+
+@pytest.mark.parametrize("eta, shown", [
+    ({"M": 7, "r": {"7": 4, "1": -4}}, "eta(1t)^-4 * eta(7t)^4"),
+    ({"M": 5, "r": {"5": 1, "1": -1}}, "eta(1t)^-1 * eta(5t)^1"),
+], ids=["level-7", "not-valid-on-gamma0-5"])
+def test_catalog_identity_off_the_family_curve_refused(tmp_path, capsys, eta,
+                                                       shown):
+    # each used to load and then report "internal inconsistency", exit 3;
+    # a wrong scale on a valid quotient still does (see
+    # test_corrupted_identity_is_internal_inconsistency)
+    path = _edited_catalog(
+        tmp_path, ("families", 0, "tower_identities", "1", 0, "eta"), eta)
+    code, out, err = run(capsys, "--catalog", str(path), "reduce", "--target",
+                         "family:p-5:L1", "--basis", "level-5")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:families[0]: family p-5: depth-1 identity "
+                   f"term {shown} is not a function on X_0(5)\n")
+
+
+def _corpus() -> list[list[str]]:
+    """A fixed corpus of CLI invocations against the shipped catalog, each
+    one in text and in --json: every command, success and error paths."""
+    families = {"p-5": 6, "p-7": 6, "p-11": 4, "pd-5": 2, "d2-7": 2,
+                "cphi2-5": 3}
+    argvs = []
+    for level in range(41):
+        argvs.append(["profile", str(level)])
+        argvs.append(["classify", "--level", str(level)])
+        if level % 2 == 0:
+            argvs.append(["classify", "--level", str(level), "--prime",
+                          str((2, 3, 5, 7)[level // 2 % 4])])
+    for name in families:
+        argvs.append(["classify", "--family", name])
+        for cusp in ("infinity", "zero"):
+            argvs.append(["expand", "--family", name, "--at-cusp", cusp,
+                          "--terms", "15"])
+    for spec, level in (("1:1,2:-1", "2"), ("5:6,1:-6", "5"),
+                        ("5:6,1:-6", "10"), ("1:-6,2:2,5:-2,10:6", "10"),
+                        ("1:1,5:-1", "5"), ("3:12,1:-12", "3")):
+        argvs.append(["expand", "--eta", spec, "--terms", "15"])
+        argvs.append(["expand", "--eta", spec, "--at-cusp", "zero",
+                      "--level", level, "--terms", "15"])
+    argvs.append(["verify", "--family", "p-5", "--alpha", "0", "--nmax", "50"])
+    for name, depths in families.items():
+        for alpha in range(1, depths + 1):
+            verify = ["verify", "--family", name, "--alpha", str(alpha),
+                      "--nmax", "150"]
+            argvs += [verify, verify + ["--beta", "2"]]
+    targets = ("family:p-5:L1", "family:p-5:L2", "family:p-5:X",
+               "family:p-7:L1", "family:pd-5:L1", "eta:5:6,1:-6",
+               "eta:7:4,1:-4", "eta:1:-4,2:2,5:4,10:-2", "poly:0",
+               "poly:1/2,0,-3", "pole:0", "pole:2")
+    for basis in ("level-5", "level-7", "level-10", "demo-genus1"):
+        for target in targets:
+            argvs.append(["reduce", "--target", target, "--basis", basis,
+                          "--terms", "24"])
+        argvs.append(["reduce", "--target", "poly:5,25", "--basis", basis,
+                      "--terms", "24", "--prime", "5"])
+    for level, bound, constraints in (("5", "2", None), ("6", "1", None),
+                                      ("10", "2", "1<0"),
+                                      ("12", "1", "1==-1")):
+        argv = ["find-eta", "--level", level, "--bound", bound]
+        argvs.append(argv + (["--constraints", constraints]
+                             if constraints else []))
+    return [prefix + argv for argv in argvs for prefix in ([], ["--json"])]
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every corpus invocation
+CORPUS_DIGEST = \
+    "e0ad8d1db11fe4519712b85f8cdcdfae32ec430dffeb1b8478f65d275485de79"
+
+
+def test_cli_corpus_byte_identical(capsys, monkeypatch):
+    monkeypatch.delenv("CUSP_LEDGER_CATALOG", raising=False)
+    digest = hashlib.sha256()
+    for argv in _corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cusp_ledger.curves import divisors, enumerate_cusps
-from cusp_ledger.errors import EtaError, TruncationError
+from cusp_ledger.errors import (
+    EtaError,
+    InternalInconsistencyError,
+    TruncationError,
+)
 from cusp_ledger.eta import (
     EtaQuotient,
     OrderConstraint,
@@ -309,3 +313,39 @@ def test_validate_matches_oracle(data):
         r[level] -= sum(r.values())
     f = EtaQuotient(level, r)
     assert validate_on_gamma0(f, N).to_json_obj() == eta_gamma0_verdict(N, r)
+
+
+@pytest.mark.parametrize("delta", [0, -1, -5])
+def test_quotient_refuses_nonpositive_delta(delta):
+    # validity reads only the divisors of N, so EtaQuotient(1, {-1: 1}) used
+    # to pass validate_on_gamma0 at level 5 with orders -5/24 and -1/24
+    with pytest.raises(EtaError, match=f"divisor {delta} must be a positive"):
+        EtaQuotient(1, {delta: 1})
+    with pytest.raises(EtaError):
+        EtaQuotient.from_json_obj({"M": 5, "r": {str(delta): 1, "5": -1}})
+
+
+@pytest.mark.parametrize("obj", [
+    {"M": 5.0, "r": {"5": 6, "1": -6}},
+    {"M": "5", "r": {"5": 6, "1": -6}},
+    {"M": 5, "r": {"5": 6, "1": -6.5}},
+    {"M": 5, "r": {"5": True, "1": -1}},
+])
+def test_quotient_from_json_needs_json_integers(obj):
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        EtaQuotient.from_json_obj(obj)
+
+
+def test_zero_cusp_scale_disagreeing_with_square_test_is_inconsistency(
+        monkeypatch):
+    # the Newman square test decides that prod (N/delta)^r is a square; a
+    # verdict that lets a non-square through is a bug, not bad input
+    import cusp_ledger.eta as eta
+
+    def always_valid(f, N):
+        return eta.GammaValidation(N, True, True, True, True)
+
+    monkeypatch.setattr(eta, "validate_on_gamma0", always_valid)
+    with pytest.raises(InternalInconsistencyError,
+                       match="prod \\(N/delta\\)\\^r = 5 is not a square"):
+        expand_at_zero(EtaQuotient(5, {1: 1, 5: -1}), 5, 48)
