@@ -47,7 +47,7 @@ from .families import (
     shipped_catalog_path,
     verify_congruence,
 )
-from .reduction import localize_reduce, reduce_module, valuation_table
+from .reduction import DEFAULT_GUARD, localize_reduce, reduce_module, valuation_table
 from .series import QSeries
 
 SCHEMA_VERSION = 1
@@ -72,8 +72,8 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
         if not chunk:
             continue
         try:
-            d, r = chunk.split(":")
-            exponents[int(d)] = int(r)
+            delta, r = chunk.split(":")
+            exponents[int(delta)] = int(r)
         except ValueError:
             raise CatalogError(
                 f"bad eta spec component {chunk!r}: want delta:exponent"
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True, help="catalog basis name")
     p.add_argument("--terms", type=_int_at_least(1), default=40,
                    help="working truncation in integer q-terms")
-    p.add_argument("--guard", type=_int_at_least(0), default=10)
+    p.add_argument("--guard", type=_int_at_least(0), default=DEFAULT_GUARD)
     p.add_argument("--prime", type=_int_at_least(2),
                    help="prime for the valuation table")
 

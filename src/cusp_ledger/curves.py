@@ -107,19 +107,11 @@ def _symbol_minus3(p: int) -> int:
 def elliptic_counts(N: int) -> tuple[int, int]:
     """(nu2, nu3): numbers of order-2 and order-3 elliptic points on X_0(N)."""
     _check_level(N)
-    if N % 4 == 0:
-        nu2 = 0
-    else:
-        nu2 = 1
-        for p, _ in factorize(N):
-            nu2 *= 1 + _symbol_minus1(p)
-    if N % 9 == 0:
-        nu3 = 0
-    else:
-        nu3 = 1
-        for p, _ in factorize(N):
-            nu3 *= 1 + _symbol_minus3(p)
-    return nu2, nu3
+    nu2 = nu3 = 1
+    for p, _ in factorize(N):
+        nu2 *= 1 + _symbol_minus1(p)
+        nu3 *= 1 + _symbol_minus3(p)
+    return (0 if N % 4 == 0 else nu2), (0 if N % 9 == 0 else nu3)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd, isqrt, prod
-from operator import mul, xor
+from operator import eq, ge, gt, le, lt, mul, xor
 
 from .curves import divisors, enumerate_cusps, factorize
 from .errors import EtaError, InternalInconsistencyError, TruncationError
-from .series import QSeries, json_int, pochhammer_product
+from .series import QSeries, json_int, json_key, pochhammer_product
 
 
 @dataclass(frozen=True)
@@ -30,14 +30,10 @@ class EtaQuotient:
     def __init__(self, level: int, exponents):
         _require_level(level)
         items = dict(exponents)
-        for delta, r in items.items():
-            if delta < 1:
-                raise EtaError(f"divisor {delta} must be a positive integer")
+        cleaned = exponent_vector(items)
+        for delta in items:
             if level % delta != 0:
                 raise EtaError(f"divisor {delta} does not divide level {level}")
-            if not isinstance(r, int):
-                raise EtaError(f"exponent for delta={delta} must be an integer")
-        cleaned = tuple(sorted((d, r) for d, r in items.items() if r != 0))
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "exponents", cleaned)
 
@@ -64,7 +60,19 @@ class EtaQuotient:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EtaQuotient":
         return cls(json_int(obj["M"], "M"),
-                   {int(d): json_int(r, "exponent") for d, r in obj["r"].items()})
+                   {json_key(d): json_int(r, "exponent")
+                    for d, r in obj["r"].items()})
+
+
+def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
+    """{delta: r_delta} as sorted pairs without zeros, each delta >= 1 and
+    each r_delta an integer: one rule for eta quotients and prefactors."""
+    for delta, r in items.items():
+        if delta < 1:
+            raise EtaError(f"divisor {delta} must be a positive integer")
+        if not isinstance(r, int):
+            raise EtaError(f"exponent for delta={delta} must be an integer")
+    return tuple(sorted([(d, r) for d, r in items.items() if r != 0]))
 
 
 @dataclass(frozen=True)
@@ -229,13 +237,7 @@ class OrderConstraint:
     op: str  # one of == <= >= < >
     value: Fraction
 
-    _OPS = {
-        "==": lambda a, b: a == b,
-        "<=": lambda a, b: a <= b,
-        ">=": lambda a, b: a >= b,
-        "<": lambda a, b: a < b,
-        ">": lambda a, b: a > b,
-    }
+    _OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
 
     def satisfied_by(self, order: Fraction) -> bool:
         try:

@@ -34,10 +34,12 @@ from .eta import (
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
+    exponent_vector,
     validate_on_gamma0,
 )
 from .reduction import ModuleBasis
-from .series import QSeries, is_prime, json_int, pochhammer_product, valuation
+from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
+                     pochhammer_product, valuation)
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,8 @@ class PochhammerProduct:
     exponents: tuple[tuple[int, int], ...]
 
     def __init__(self, qpow: int, exponents):
-        items = dict(exponents)
         object.__setattr__(self, "qpow", qpow)
-        object.__setattr__(
-            self, "exponents",
-            tuple(sorted((d, r) for d, r in items.items() if r != 0)))
+        object.__setattr__(self, "exponents", exponent_vector(dict(exponents)))
 
     def is_one(self) -> bool:
         return self.qpow == 0 and not self.exponents
@@ -71,7 +70,7 @@ class PochhammerProduct:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PochhammerProduct":
         return cls(json_int(obj.get("qpow", 0), "qpow"),
-                   {int(d): json_int(r, "exponent")
+                   {json_key(d): json_int(r, "exponent")
                     for d, r in obj.get("r", {}).items()})
 
 
@@ -433,37 +432,15 @@ class Catalog:
         raise CatalogError(f"no basis named {name!r} in catalog")
 
 
-def _int_keyed(obj: dict, path: str) -> dict[int, dict]:
-    out = {}
-    for k, v in obj.items():
-        if not k.removeprefix("-").isdecimal():
-            raise CatalogError(f"{path}: key {k!r} is not an integer")
-        out[int(k)] = v
-    return out
-
-
 def _family_from_json(obj: dict, path: str) -> FamilySpec:
-    schedule = {
-        a: ScheduleStep(json_int(s["modulus"], "modulus"),
-                        json_int(s["beta"], "beta"))
-        for a, s in _int_keyed(obj.get("schedule", {}), f"{path}.schedule").items()
-    }
-    prefactors = {
-        a: PochhammerProduct.from_json_obj(s)
-        for a, s in _int_keyed(obj.get("prefactors", {}),
-                               f"{path}.prefactors").items()
-    }
-    multipliers = {
-        a: PochhammerProduct.from_json_obj(s)
-        for a, s in _int_keyed(obj.get("multipliers", {}),
-                               f"{path}.multipliers").items()
-    }
-    identities = {}
-    for a, terms in _int_keyed(obj.get("tower_identities", {}),
-                               f"{path}.tower_identities").items():
-        identities[a] = tuple(
-            EtaTerm(Fraction(t["scale"]), EtaQuotient.from_json_obj(t["eta"]))
-            for t in terms)
+    def keyed(field, parse):
+        """obj[field], a JSON object keyed by integers; parse reads a value."""
+        try:
+            items = [(json_key(k), v) for k, v in obj.get(field, {}).items()]
+        except ValueError as exc:
+            raise CatalogError(f"{path}.{field}: {exc}") from None
+        return {a: parse(v) for a, v in items}
+
     spec = FamilySpec(
         name=obj["name"],
         generator=EtaQuotient.from_json_obj(obj["generator"]),
@@ -471,10 +448,13 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         lam=json_int(obj["lam"], "lam"),
         level=json_int(obj["level"], "level"),
         target_residue=json_int(obj.get("target_residue", 1), "target_residue"),
-        schedule=schedule,
-        prefactors=prefactors,
-        multipliers=multipliers,
-        tower_identities=identities,
+        schedule=keyed("schedule", lambda s: ScheduleStep(
+            json_int(s["modulus"], "modulus"), json_int(s["beta"], "beta"))),
+        prefactors=keyed("prefactors", PochhammerProduct.from_json_obj),
+        multipliers=keyed("multipliers", PochhammerProduct.from_json_obj),
+        tower_identities=keyed("tower_identities", lambda terms: tuple(
+            EtaTerm(Fraction(*json_ratio(t["scale"], "scale")),
+                    EtaQuotient.from_json_obj(t["eta"])) for t in terms)),
         basis_name=obj.get("basis"),
         notes=obj.get("notes", ""),
     )
@@ -483,6 +463,9 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
 
 
 def _family_to_json(spec: FamilySpec) -> dict:
+    def keyed(field, pack):
+        return {str(a): pack(v) for a, v in sorted(getattr(spec, field).items())}
+
     obj = {
         "name": spec.name,
         "generator": spec.generator.to_json_obj(),
@@ -490,16 +473,13 @@ def _family_to_json(spec: FamilySpec) -> dict:
         "lam": spec.lam,
         "target_residue": spec.target_residue,
         "level": spec.level,
-        "schedule": {str(a): {"modulus": s.modulus_exponent, "beta": s.beta}
-                     for a, s in sorted(spec.schedule.items())},
-        "prefactors": {str(a): p.to_json_obj()
-                       for a, p in sorted(spec.prefactors.items())},
-        "multipliers": {str(a): p.to_json_obj()
-                        for a, p in sorted(spec.multipliers.items())},
-        "tower_identities": {
-            str(a): [{"scale": str(t.scale), "eta": t.quotient.to_json_obj()}
-                     for t in terms]
-            for a, terms in sorted(spec.tower_identities.items())},
+        "schedule": keyed("schedule", lambda s: {
+            "modulus": s.modulus_exponent, "beta": s.beta}),
+        "prefactors": keyed("prefactors", PochhammerProduct.to_json_obj),
+        "multipliers": keyed("multipliers", PochhammerProduct.to_json_obj),
+        "tower_identities": keyed("tower_identities", lambda terms: [
+            {"scale": str(t.scale), "eta": t.quotient.to_json_obj()}
+            for t in terms]),
         "notes": spec.notes,
     }
     if spec.basis_name:

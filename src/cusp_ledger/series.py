@@ -16,7 +16,7 @@ appear only at the boundary (coeff24, terms, leading, format, JSON).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
@@ -69,6 +69,27 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_key(key: str) -> int:
+    """An integer key of a JSON object: plain decimal digits, optionally
+    negative (int() would also take '+1', ' 1' or '1_0')."""
+    if not key.removeprefix("-").isdecimal():
+        raise ValueError(f"key {key!r} is not an integer")
+    return int(key)
+
+
+def json_ratio(value, what: str) -> tuple[int, int]:
+    """A rational field of a JSON document, a JSON integer or a decimal
+    string "p" or "p/q", as the pair of ints (p, q), q = 1 for "p"."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        p, slash, q = value.partition("/")
+        if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
+            return int(p), int(q) if slash else 1
+    raise ValueError(f"{what} must be an integer or a string 'p' or 'p/q', "
+                     f"got {value!r}")
 
 
 class QSeries:
@@ -385,8 +406,11 @@ class QSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
-        entries = {json_int(e, "exponent"): Fraction(int(num), int(den))
-                   for e, num, den in obj["terms"]}
+        entries = {}
+        for e, num, den in obj["terms"]:
+            a, b = json_ratio(num, "numerator")
+            c, d = json_ratio(den, "denominator")
+            entries[json_int(e, "exponent")] = _scalar(a * d, b * c)
         return cls(entries, json_int(obj["trunc24"], "trunc24"))
 
 
@@ -437,7 +461,7 @@ class ValuationReport:
     terms_checked: int
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _pentagonal(delta: int, n: int) -> list[tuple[int, int]]:

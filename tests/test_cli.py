@@ -621,10 +621,14 @@ def test_catalog_not_utf8_is_usage_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read catalog {path}: 'utf-8' codec")
 
-def test_catalog_nonpositive_delta_refused(tmp_path, capsys):
-    # used to end as "internal error: ZeroDivisionError", exit 3
-    path = _edited_catalog(tmp_path, ("families", 0, "generator", "r"),
-                           {"0": 1})
+@pytest.mark.parametrize("keys", [
+    ("families", 0, "generator", "r"),
+    ("families", 0, "prefactors", "1", "r"),
+], ids=["generator", "prefactor"])
+def test_catalog_nonpositive_delta_refused(tmp_path, capsys, keys):
+    # the generator used to end as "internal error: ZeroDivisionError",
+    # exit 3; the prefactor loaded and failed only when it was expanded
+    path = _edited_catalog(tmp_path, keys, {"0": 1})
     code, out, err = _verify_p5(capsys, path)
     assert (code, out) == (2, "")
     assert err == "error: divisor 0 must be a positive integer\n"
@@ -674,10 +678,33 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
     (("families", 0, "schedule"), {"+1": {"modulus": 1, "beta": 1}},
      ":families[0].schedule: key '+1' is not an integer"),
     (("bases", 1, "name"), "level-5", ": duplicate basis names"),
+    (("families", 0, "tower_identities", "1", 0, "scale"), 0.5,
+     ":families[0]: scale must be an integer or a string 'p' or 'p/q', "
+     "got 0.5"),
+    (("families", 0, "tower_identities", "1", 0, "scale"), True,
+     ":families[0]: scale must be an integer or a string 'p' or 'p/q', "
+     "got True"),
+    (("bases", 3, "x", "series", "terms", 0, 1), 1.5,
+     ":bases[3]: numerator must be an integer or a string 'p' or 'p/q', "
+     "got 1.5"),
+    (("bases", 3, "x", "series", "terms", 0, 1), True,
+     ":bases[3]: numerator must be an integer or a string 'p' or 'p/q', "
+     "got True"),
+    (("bases", 3, "x", "series", "terms", 0, 2), 2.9,
+     ":bases[3]: denominator must be an integer or a string 'p' or 'p/q', "
+     "got 2.9"),
+    (("families", 0, "generator", "r"), {"+1": -1},
+     ":families[0]: key '+1' is not an integer"),
+    (("families", 0, "generator", "r"), {"1_0": -1},
+     ":families[0]: key '1_0' is not an integer"),
+    (("families", 0, "prefactors", "1", "r"), {" 1": 1},
+     ":families[0]: key ' 1' is not an integer"),
 ], ids=["prime-float", "prime-bool", "lam-float", "level-string",
         "residue-float", "modulus-float", "beta-zero", "exponent-float",
         "M-string", "qpow-float", "series-exponent-float", "trunc24-float",
-        "signed-key", "duplicate-basis"])
+        "signed-key", "duplicate-basis", "scale-float", "scale-bool",
+        "numerator-float", "numerator-bool", "denominator-float",
+        "r-key-signed", "r-key-underscore", "prefactor-r-key-space"])
 def test_catalog_numbers_refused_at_load(tmp_path, capsys, keys, value, want):
     path = _edited_catalog(tmp_path, keys, value)
     code, out, err = _verify_p5(capsys, path)
