@@ -57,7 +57,6 @@ from .families import (
     VerificationReport,
     catalog_load,
     catalog_loads,
-    catalog_save,
     certified_identity_chart,
     classify,
     coefficient_series,

@@ -72,12 +72,15 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
         if not chunk:
             continue
         try:
-            delta, r = chunk.split(":")
-            exponents[int(delta)] = int(r)
+            delta, r = (int(part) for part in chunk.split(":"))
         except ValueError:
             raise CatalogError(
                 f"bad eta spec component {chunk!r}: want delta:exponent"
             ) from None
+        if delta in exponents:
+            raise CatalogError(f"bad eta spec {text!r}: divisor {delta} "
+                               f"given twice")
+        exponents[delta] = r
     level = lcm(*exponents.keys()) if exponents else 1
     return EtaQuotient(level, exponents)
 
@@ -112,14 +115,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.family:
-        catalog = _load_catalog(args)
-        spec = catalog.family(args.family)
+    if args.family is not None:
+        spec = _load_catalog(args).family(args.family)
         level, prime = spec.level, spec.prime
-    elif args.level is not None:
-        level, prime = args.level, args.prime
     else:
-        raise CatalogError("classify needs --level or --family")
+        level, prime = args.level, args.prime
     report = classify(level, prime)
     flags = f" flags: {', '.join(report.sporadic_flags)}" \
         if report.sporadic_flags else ""
@@ -131,9 +131,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    if args.family:
-        catalog = _load_catalog(args)
-        quotient = catalog.family(args.family).generator
+    if args.family is not None:
+        quotient = _load_catalog(args).family(args.family).generator
     else:
         quotient = _parse_eta_spec(args.eta)
     level = quotient.level if args.level is None else args.level
@@ -322,14 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("level", type=int)
 
     p = add_parser("classify", help="difficulty class from the cusp count")
-    p.add_argument("--level", type=int)
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--level", type=int)
+    which.add_argument("--family")
     p.add_argument("--prime", type=_int_at_least(2),
                    help="a prime dividing the level")
-    p.add_argument("--family")
 
     p = add_parser("expand", help="q-expansion of an eta quotient")
-    p.add_argument("--eta", help='exponent list like "5:6,1:-6"')
-    p.add_argument("--family", help="expand a catalog family's generator")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--eta", help='exponent list like "5:6,1:-6"')
+    which.add_argument("--family", help="expand a catalog family's generator")
     p.add_argument("--terms", type=_int_at_least(1), default=12)
     p.add_argument("--at-cusp", choices=("infinity", "zero"),
                    default="infinity")

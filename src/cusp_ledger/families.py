@@ -23,6 +23,7 @@ from pathlib import Path
 from .curves import curve_profile
 from .errors import (
     CatalogError,
+    EtaError,
     ExactnessError,
     FamilyError,
     InternalInconsistencyError,
@@ -39,7 +40,7 @@ from .eta import (
 )
 from .reduction import ModuleBasis
 from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
-                     pochhammer_product, valuation)
+                     json_str, pochhammer_product, valuation)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,6 @@ class PochhammerProduct:
     def expand(self, trunc24: int) -> QSeries:
         rel = trunc24 - 24 * self.qpow
         return pochhammer_product(self.exponents, rel).shift(24 * self.qpow)
-
-    def to_json_obj(self) -> dict:
-        return {"qpow": self.qpow, "r": {str(d): r for d, r in self.exponents}}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PochhammerProduct":
@@ -106,7 +104,6 @@ class FamilySpec:
     multipliers: dict[int, PochhammerProduct] = field(default_factory=dict)
     tower_identities: dict[int, tuple[EtaTerm, ...]] = field(default_factory=dict)
     basis_name: str | None = None
-    notes: str = ""
 
     def validate(self) -> None:
         if not is_prime(self.prime):
@@ -388,7 +385,6 @@ class BasisEntry:
     x: EtaQuotient | QSeries | None = None
     ys: list[EtaQuotient | QSeries] = field(default_factory=list)
     z: EtaQuotient | None = None
-    notes: str = ""
 
     def build(self, trunc24: int) -> ModuleBasis:
         def chart(source: EtaQuotient | QSeries) -> QSeries:
@@ -411,7 +407,7 @@ class BasisEntry:
 
 
 # ---------------------------------------------------------------------------
-# catalog IO
+# catalog loading
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -442,7 +438,7 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         return {a: parse(v) for a, v in items}
 
     spec = FamilySpec(
-        name=obj["name"],
+        name=json_str(obj["name"], "name"),
         generator=EtaQuotient.from_json_obj(obj["generator"]),
         prime=json_int(obj["prime"], "prime"),
         lam=json_int(obj["lam"], "lam"),
@@ -455,36 +451,11 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         tower_identities=keyed("tower_identities", lambda terms: tuple(
             EtaTerm(Fraction(*json_ratio(t["scale"], "scale")),
                     EtaQuotient.from_json_obj(t["eta"])) for t in terms)),
-        basis_name=obj.get("basis"),
-        notes=obj.get("notes", ""),
+        basis_name=(json_str(obj["basis"], "basis") if "basis" in obj
+                    else None),
     )
     spec.validate()
     return spec
-
-
-def _family_to_json(spec: FamilySpec) -> dict:
-    def keyed(field, pack):
-        return {str(a): pack(v) for a, v in sorted(getattr(spec, field).items())}
-
-    obj = {
-        "name": spec.name,
-        "generator": spec.generator.to_json_obj(),
-        "prime": spec.prime,
-        "lam": spec.lam,
-        "target_residue": spec.target_residue,
-        "level": spec.level,
-        "schedule": keyed("schedule", lambda s: {
-            "modulus": s.modulus_exponent, "beta": s.beta}),
-        "prefactors": keyed("prefactors", PochhammerProduct.to_json_obj),
-        "multipliers": keyed("multipliers", PochhammerProduct.to_json_obj),
-        "tower_identities": keyed("tower_identities", lambda terms: [
-            {"scale": str(t.scale), "eta": t.quotient.to_json_obj()}
-            for t in terms]),
-        "notes": spec.notes,
-    }
-    if spec.basis_name:
-        obj["basis"] = spec.basis_name
-    return obj
 
 
 def _basis_from_json(obj: dict, path: str) -> BasisEntry:
@@ -506,27 +477,8 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     if isinstance(z, QSeries):
         raise CatalogError(f"{path}.z: localizers must be eta quotients "
                            f"(orders must be computable)")
-    return BasisEntry(name=obj["name"], level=level, x=x,
-                      ys=ys, z=z, notes=obj.get("notes", ""))
-
-
-def _basis_to_json(entry: BasisEntry) -> dict:
-    def pack(source):
-        kind = "series" if isinstance(source, QSeries) else "eta"
-        return {kind: source.to_json_obj()}
-
-    obj: dict = {"name": entry.name}
-    if entry.level is not None:
-        obj["level"] = entry.level
-    if entry.x is not None:
-        obj["x"] = pack(entry.x)
-    if entry.ys:
-        obj["ys"] = [pack(y) for y in entry.ys]
-    if entry.z is not None:
-        obj["z"] = pack(entry.z)
-    if entry.notes:
-        obj["notes"] = entry.notes
-    return obj
+    return BasisEntry(name=json_str(obj["name"], "name"), level=level, x=x,
+                      ys=ys, z=z)
 
 
 def _parsed(path: str, parse, *args):
@@ -537,8 +489,8 @@ def _parsed(path: str, parse, *args):
         return parse(*args)
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
-    except (AttributeError, FamilyError, OSError, TypeError, ValueError,
-            ZeroDivisionError) as exc:
+    except (AttributeError, EtaError, FamilyError, OSError, TypeError,
+            ValueError, ZeroDivisionError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
 
 
@@ -565,7 +517,8 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
         if len(set(names)) != len(names):
             raise CatalogError(f"{source}: duplicate {key} names")
     for f in families:
-        if f.basis_name and f.basis_name not in {b.name for b in bases}:
+        if f.basis_name is not None \
+                and f.basis_name not in {b.name for b in bases}:
             raise CatalogError(
                 f"{source}: family {f.name} references unknown basis "
                 f"{f.basis_name!r}")
@@ -576,15 +529,6 @@ def catalog_load(path: str | Path) -> Catalog:
     path = Path(path)
     text = _parsed(f"cannot read catalog {path}", path.read_text)
     return catalog_loads(text, source=str(path))
-
-
-def catalog_save(catalog: Catalog, path: str | Path) -> None:
-    doc = {
-        "schema_version": 1,
-        "families": [_family_to_json(f) for f in catalog.families],
-        "bases": [_basis_to_json(b) for b in catalog.bases],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def shipped_catalog_path() -> Path:

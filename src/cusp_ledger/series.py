@@ -72,11 +72,21 @@ def json_int(value, what: str) -> int:
 
 
 def json_key(key: str) -> int:
-    """An integer key of a JSON object: plain decimal digits, optionally
-    negative (int() would also take '+1', ' 1' or '1_0')."""
-    if not key.removeprefix("-").isdecimal():
+    """An integer key of a JSON object in canonical decimal form: ASCII
+    digits, optionally negative, no leading zero and no '-0', so two keys
+    never name one integer (int() would also take '01', '+1', ' 1', '1_0')."""
+    digits = key.removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()) \
+            or (digits[0] == "0" and key != "0"):
         raise ValueError(f"key {key!r} is not an integer")
     return int(key)
+
+
+def json_str(value, what: str) -> str:
+    """A string field of a JSON document, as it stands."""
+    if type(value) is not str:
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def json_ratio(value, what: str) -> tuple[int, int]:

@@ -4,8 +4,10 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cusp_ledger.cli import main
+from cusp_ledger.families import shipped_catalog_path
 
 
 def run(capsys, *argv):
@@ -72,6 +74,29 @@ def test_classify_unknown_family(capsys):
 def test_classify_needs_argument(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("expand",), "error: one of the arguments --eta --family is required\n"),
+    (("expand", "--eta", "1:-1", "--family", "p-5"),
+     "error: argument --family: not allowed with argument --eta\n"),
+    (("classify", "--level", "7", "--family", "p-5"),
+     "error: argument --family: not allowed with argument --level\n"),
+], ids=["expand-neither", "expand-both", "classify-both"])
+def test_source_options_exclusive_and_required(capsys, argv, want):
+    # expand without a source used to end as "internal error:
+    # AttributeError", exit 3; with both, --family silently won
+    assert run(capsys, *argv) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--eta", "1:-1,1:2"),
+    ("reduce", "--target", "eta:1:-1,1:2", "--basis", "level-5"),
+], ids=["expand", "eta-target"])
+def test_eta_spec_repeated_divisor_refused(capsys, argv):
+    # the last entry used to win: --eta 1:-1,1:2 expanded eta(1t)^2
+    assert run(capsys, *argv) == (
+        2, "", "error: bad eta spec '1:-1,1:2': divisor 1 given twice\n")
 
 
 def test_classify_level_zero_refused_by_profile(capsys):
@@ -596,8 +621,6 @@ def test_parser_built_once(capsys):
 
 def _edited_catalog(tmp_path, keys, value):
     """The shipped catalog with doc[keys[0]][keys[1]]... set to value."""
-    from cusp_ledger.families import shipped_catalog_path
-
     doc = json.loads(shipped_catalog_path().read_text())
     node = doc
     for key in keys[:-1]:
@@ -631,7 +654,37 @@ def test_catalog_nonpositive_delta_refused(tmp_path, capsys, keys):
     path = _edited_catalog(tmp_path, keys, {"0": 1})
     code, out, err = _verify_p5(capsys, path)
     assert (code, out) == (2, "")
-    assert err == "error: divisor 0 must be a positive integer\n"
+    assert err == (f"error: {path}:families[0]: divisor 0 must be a positive "
+                   f"integer\n")
+
+
+# (keys of the edited field, value, error after the catalog path): a name
+# that is no string used to end as "internal error: TypeError" (list, dict)
+# or load under a name no lookup finds; a basis reference that is no string
+# meant "no basis"
+@pytest.mark.parametrize("keys, value, want", [
+    (("families", 0, "name"), [],
+     ":families[0]: name must be a string, got []"),
+    (("families", 0, "name"), {},
+     ":families[0]: name must be a string, got {}"),
+    (("families", 0, "name"), None,
+     ":families[0]: name must be a string, got None"),
+    (("families", 0, "name"), True,
+     ":families[0]: name must be a string, got True"),
+    (("bases", 0, "name"), [], ":bases[0]: name must be a string, got []"),
+    (("bases", 0, "name"), 5, ":bases[0]: name must be a string, got 5"),
+    (("families", 0, "basis"), None,
+     ":families[0]: basis must be a string, got None"),
+    (("families", 0, "basis"), [],
+     ":families[0]: basis must be a string, got []"),
+    (("families", 0, "basis"), {},
+     ":families[0]: basis must be a string, got {}"),
+], ids=["family-name-list", "family-name-object", "family-name-null",
+        "family-name-bool", "basis-name-list", "basis-name-int",
+        "basis-ref-null", "basis-ref-list", "basis-ref-object"])
+def test_catalog_strings_refused_at_load(tmp_path, capsys, keys, value, want):
+    path = _edited_catalog(tmp_path, keys, value)
+    assert _verify_p5(capsys, path) == (2, "", f"error: {path}{want}\n")
 
 
 @pytest.mark.parametrize("keys, value, where", [
@@ -699,12 +752,29 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
      ":families[0]: key '1_0' is not an integer"),
     (("families", 0, "prefactors", "1", "r"), {" 1": 1},
      ":families[0]: key ' 1' is not an integer"),
+    (("families", 0, "schedule"), {"1": {"modulus": 1, "beta": 1},
+                                   "01": {"modulus": 1, "beta": 2}},
+     ":families[0].schedule: key '01' is not an integer"),
+    (("families", 0, "multipliers"), {"-0": {"qpow": 0, "r": {}}},
+     ":families[0].multipliers: key '-0' is not an integer"),
+    (("families", 0, "generator", "r"), {"1": -1, "01": 5},
+     ":families[0]: key '01' is not an integer"),
+    (("families", 0, "generator", "r"), {"\u0661": -1},
+     ":families[0]: key '\u0661' is not an integer"),
+    # these two used to be refused without the catalog path and entry
+    (("families", 0, "generator", "r"), {"3": -1},
+     ":families[0]: divisor 3 does not divide level 1"),
+    (("families", 0, "tower_identities", "1", 0, "eta", "M"), -1,
+     ":families[0]: level must be positive, got -1"),
 ], ids=["prime-float", "prime-bool", "lam-float", "level-string",
         "residue-float", "modulus-float", "beta-zero", "exponent-float",
         "M-string", "qpow-float", "series-exponent-float", "trunc24-float",
         "signed-key", "duplicate-basis", "scale-float", "scale-bool",
         "numerator-float", "numerator-bool", "denominator-float",
-        "r-key-signed", "r-key-underscore", "prefactor-r-key-space"])
+        "r-key-signed", "r-key-underscore", "prefactor-r-key-space",
+        "schedule-key-leading-zero", "multiplier-key-minus-zero",
+        "r-key-leading-zero", "r-key-non-ascii", "generator-divisor",
+        "identity-level"])
 def test_catalog_numbers_refused_at_load(tmp_path, capsys, keys, value, want):
     path = _edited_catalog(tmp_path, keys, value)
     code, out, err = _verify_p5(capsys, path)
@@ -728,6 +798,33 @@ def test_catalog_identity_off_the_family_curve_refused(tmp_path, capsys, eta,
     assert (code, out) == (2, "")
     assert err == (f"error: {path}:families[0]: family p-5: depth-1 identity "
                    f"term {shown} is not a function on X_0(5)\n")
+
+
+def _read_leaves(node, keys=()):
+    """Key paths to the scalar leaves of a catalog document, skipping the
+    fields the loader does not read (notes, schema_version)."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for k, v in items if k not in ("notes", "schema_version")
+                for leaf in _read_leaves(v, keys + (k,))]
+    return [keys]
+
+
+CATALOG_LEAVES = _read_leaves(json.loads(shipped_catalog_path().read_text()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CATALOG_LEAVES),
+       st.sampled_from([None, True, 1.5, [], {}]))
+def test_catalog_leaf_of_wrong_type_refused_at_load(tmp_path, capsys, keys,
+                                                    value):
+    # every value of the wrong JSON type is a usage error naming the catalog
+    path = _edited_catalog(tmp_path, keys, value)
+    code, out, err = run(capsys, "--catalog", str(path), "verify", "--family",
+                         "p-5", "--alpha", "1", "--nmax", "30")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
 
 
 def _corpus() -> list[list[str]]:

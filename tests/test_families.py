@@ -16,7 +16,6 @@ from cusp_ledger.families import (
     ScheduleStep,
     catalog_load,
     catalog_loads,
-    catalog_save,
     certified_identity_chart,
     classify,
     coefficient_series,
@@ -425,20 +424,6 @@ def test_shipped_catalog_contents(catalog):
                       "pd-5": 10, "d2-7": 14, "cphi2-5": 20}
 
 
-def test_catalog_round_trip(tmp_path, catalog):
-    out = tmp_path / "copy.json"
-    catalog_save(catalog, out)
-    reloaded = catalog_load(out)
-    assert [f.name for f in reloaded.families] == [f.name for f in catalog.families]
-    for a, b in zip(catalog.families, reloaded.families):
-        assert a.generator == b.generator
-        assert a.schedule == b.schedule
-        assert a.prefactors == b.prefactors
-        assert a.multipliers == b.multipliers
-        assert a.tower_identities == b.tower_identities
-    assert [b.name for b in reloaded.bases] == [b.name for b in catalog.bases]
-
-
 def test_empty_catalog():
     cat = catalog_loads('{"families": []}')
     assert cat.families == [] and cat.bases == []
@@ -519,9 +504,6 @@ def test_basis_companions_keep_catalog_order(tmp_path, capsys):
     entry = catalog_load(path).basis("mixed-5")
     assert isinstance(entry.ys[0], QSeries)
     assert isinstance(entry.ys[1], EtaQuotient)
-    catalog_save(catalog_load(path), tmp_path / "saved.json")
-    reloaded = catalog_load(tmp_path / "saved.json").basis("mixed-5")
-    assert reloaded.ys == entry.ys and reloaded.x == entry.x
 
 
 def test_basis_roles_checked(tmp_path):
