@@ -36,11 +36,9 @@ from .eta import (
     EtaQuotient,
     GammaValidation,
     OrderConstraint,
-    conjugate_quotient,
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
-    localizer_constraints,
     order_at_cusp,
     parse_constraints,
     search_eta_quotients,
@@ -66,16 +64,14 @@ from .families import (
     verify_congruence,
 )
 from .reduction import (
-    GainReport,
     ModuleBasis,
     Representation,
     ValuationTable,
     localize_reduce,
     reduce_genus0,
     reduce_module,
-    valuation_gain,
     valuation_table,
 )
-from .series import QSeries, ValuationReport, eta_expansion, pochhammer_expansion
+from .series import QSeries, pochhammer_expansion
 
 __version__ = "0.1.0"

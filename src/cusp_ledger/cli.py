@@ -117,6 +117,9 @@ def cmd_profile(args) -> int:
 def cmd_classify(args) -> int:
     if args.family is not None:
         spec = _load_catalog(args).family(args.family)
+        if args.prime not in (None, spec.prime):
+            raise CatalogError(f"--prime {args.prime} is not the prime "
+                               f"{spec.prime} of family {spec.name}")
         level, prime = spec.level, spec.prime
     else:
         level, prime = args.level, args.prime
@@ -131,6 +134,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    if args.level is not None and args.at_cusp != "zero":
+        raise CatalogError("--level applies only to --at-cusp zero")
     if args.family is not None:
         quotient = _load_catalog(args).family(args.family).generator
     else:

@@ -192,12 +192,6 @@ def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
     return pochhammer_product(f.exponents, rel).shift(f.degree24)
 
 
-def conjugate_quotient(f: EtaQuotient, N: int) -> EtaQuotient:
-    """Image of f under the level involution tau -> -1/(N tau): delta -> N/delta."""
-    _require_sublevel(f, N)
-    return EtaQuotient(N, {N // d: r for d, r in f.exponents})
-
-
 def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSeries]:
     """Chart expansion at the zero cusp via tau -> -1/(N tau).
 
@@ -218,7 +212,9 @@ def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSer
         raise InternalInconsistencyError(
             f"prod (N/delta)^r = {square} is not a square, but the Newman "
             f"square test passed")
-    series = expand_at_infinity(conjugate_quotient(f, N), trunc24)
+    # the image of f under the involution: delta -> N/delta
+    series = expand_at_infinity(
+        EtaQuotient(N, {N // d: r for d, r in f.exponents}), trunc24)
     if not f.is_trivial():
         want = order_at_cusp(f, N, 1) * 24
         if series.offset24 != want:
@@ -266,16 +262,6 @@ def parse_constraints(text: str) -> list[OrderConstraint]:
                 break
         else:
             raise EtaError(f"bad constraint {chunk!r}: no operator found")
-    return out
-
-
-def localizer_constraints(N: int) -> list[OrderConstraint]:
-    """Constraints defining a localizer: pole only at the zero cusp, strictly
-    positive order at every other class."""
-    out = [OrderConstraint(1, "<", Fraction(0))]
-    for c in divisors(N):
-        if c != 1:
-            out.append(OrderConstraint(c, ">=", Fraction(1)))
     return out
 
 

@@ -505,6 +505,11 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
     doc = _parsed(f"{source}: not valid JSON", json.loads, text)
     if not isinstance(doc, dict) or "families" not in doc:
         raise CatalogError(f"{source}: top level must contain 'families'")
+    version = _parsed(source, json_int, doc.get("schema_version", 1),
+                      "schema_version")
+    if version != 1:
+        raise CatalogError(f"{source}: schema_version {version} is not "
+                           f"supported (want 1)")
     for key in ("families", "bases"):
         if not isinstance(doc.get(key, []), list):
             raise CatalogError(f"{source}: {key!r} must be a JSON list")

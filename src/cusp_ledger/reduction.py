@@ -285,36 +285,3 @@ def valuation_table(rep: Representation, ell: int) -> ValuationTable:
             )
         entries[(k, m)] = valuation(c, ell)
     return ValuationTable(prime=ell, entries=entries)
-
-
-@dataclass(frozen=True)
-class GainReport:
-    """Minimum-valuation growth between consecutive valuation tables."""
-
-    prime: int
-    min_before: int | None
-    min_after: int | None
-    gain: int | None
-    meets_gain: bool
-    violations: tuple[tuple[int, int, int], ...]  # (k, m, valuation) below target
-
-    def to_json_obj(self) -> dict:
-        return {**vars(self),
-                "violations": [list(v) for v in self.violations]}
-
-
-def valuation_gain(before: ValuationTable, after: ValuationTable) -> GainReport:
-    """Did the minimum valuation grow by at least one?  Failures are report
-    content, not errors."""
-    if before.prime != after.prime:
-        raise ReductionError("valuation tables use different primes")
-    b, a = before.min_valuation(), after.min_valuation()
-    if b is None or a is None:
-        # an all-zero table puts no obstruction in the way
-        return GainReport(before.prime, b, a, None, True, ())
-    violations = tuple(sorted(
-        (k, m, v) for (k, m), v in after.entries.items()
-        if v is not None and v < b + 1
-    ))
-    gain = a - b
-    return GainReport(before.prime, b, a, gain, gain >= 1, violations)

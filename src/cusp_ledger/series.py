@@ -16,7 +16,6 @@ appear only at the boundary (coeff24, terms, leading, format, JSON).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
@@ -158,12 +157,6 @@ class QSeries:
     @classmethod
     def monomial(cls, exponent24: int, trunc24: int, coeff: Scalar = 1) -> "QSeries":
         return cls({exponent24: coeff}, trunc24)
-
-    @classmethod
-    def from_q_coeffs(cls, coeffs: Iterable[Scalar], trunc24: int,
-                      start: int = 0) -> "QSeries":
-        """Build from integer-exponent coefficients a(start), a(start+1), ..."""
-        return cls({24 * (start + i): v for i, v in enumerate(coeffs)}, trunc24)
 
     @property
     def is_zero(self) -> bool:
@@ -325,15 +318,6 @@ class QSeries:
         return _make(self.offset24 + delta24, self._step, self._nums,
                      self._den, self.trunc24 + delta24)
 
-    def rescale(self, k: int) -> "QSeries":
-        """Substitute q -> q^k (k >= 1)."""
-        if k < 1:
-            raise SeriesError("rescale factor must be >= 1")
-        nums = [0] * (k * (len(self._nums) - 1) + 1) if self._nums else []
-        nums[::k] = self._nums
-        return _make(self.offset24 * k, self._step, nums, self._den,
-                     self.trunc24 * k)
-
     def truncate(self, trunc24: int) -> "QSeries":
         if trunc24 > self.trunc24:
             raise TruncationError(f"cannot extend truncation from "
@@ -384,19 +368,6 @@ class QSeries:
         i0 = (r - n0) % mod  # first index whose exponent is r mod `mod`
         return _make(24 * ((n0 + i0 - r) // mod), 24, self._nums[i0::mod],
                      self._den, trunc)
-
-    def padic_valuation(self, ell: int) -> "ValuationReport":
-        """Minimum ell-adic valuation over the stored coefficients, which must
-        be integers; min is None (read: +infinity) for the zero series."""
-        _check_prime(ell)
-        if self._den != 1:
-            e, c = next((e, c) for e, c in self.terms() if not isinstance(c, int))
-            raise ExactnessError(f"non-integer coefficient {c} at q^({e}/24)")
-        found = [(valuation(c, ell), e) for e, c in self.terms()]
-        best, witness = min(found, key=lambda vw: vw[0], default=(None, None))
-        return ValuationReport(prime=ell, min_valuation=best,
-                               witness_exponent24=witness,
-                               terms_checked=len(found))
 
     def __repr__(self) -> str:
         return f"QSeries({self.format(max_terms=6)})"
@@ -459,19 +430,6 @@ def _divide(a: QSeries, b: QSeries) -> QSeries:
         d.append(acc)
     nums = [b._den * v * pw[n - 1 - k] for k, v in enumerate(d)]
     return _make(a.offset24 - b.offset24, step, nums, a._den * pw[n], trunc)
-
-
-@dataclass(frozen=True)
-class ValuationReport:
-    """Outcome of an ell-adic minimum-valuation scan over a series."""
-
-    prime: int
-    min_valuation: int | None  # None encodes +infinity (all terms vanish)
-    witness_exponent24: int | None
-    terms_checked: int
-
-    def to_json_obj(self) -> dict:
-        return dict(vars(self))
 
 
 def _pentagonal(delta: int, n: int) -> list[tuple[int, int]]:
@@ -551,11 +509,6 @@ def pochhammer_product(exponents: tuple[tuple[int, int], ...],
             for _ in range(-r):
                 _divide_pochhammer(c, terms)
     return _make(0, 24, c, 1, trunc24)
-
-
-def eta_expansion(delta: int, trunc24: int) -> QSeries:
-    """q^(delta/24) * (q^delta; q^delta)_infinity; leading exponent24 = delta."""
-    return pochhammer_expansion(delta, trunc24 - delta).shift(delta)
 
 
 def _expstr(e24: int) -> str:

@@ -4,7 +4,8 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from cusp_ledger.cli import main
 from cusp_ledger.families import shipped_catalog_path
@@ -125,6 +126,15 @@ def test_classify_prime_must_divide_level(capsys):
     r14 = classify(14, prime=2)
     assert r14.difficulty_class == "Unclassified-Sporadic"
     assert r14.sporadic_flags == ("prime-two",)
+
+
+def test_classify_family_prime_must_be_its_own(capsys):
+    # --prime used to be dropped: the family's own prime was reported
+    assert run(capsys, "classify", "--family", "p-5", "--prime", "3") == (
+        2, "", "error: --prime 3 is not the prime 5 of family p-5\n")
+    code, doc, err = run_json(capsys, "classify", "--family", "p-5",
+                              "--prime", "5")
+    assert (code, err, doc["prime"]) == (0, "", 5)
 
 
 def test_expand_partition_prefix(capsys):
@@ -455,6 +465,15 @@ def test_expand_level_below_one_refused(capsys):
     assert default == explicit and default["level"] == 5
 
 
+@pytest.mark.parametrize("cusp", [(), ("--at-cusp", "infinity")],
+                         ids=["default", "infinity"])
+def test_expand_level_only_at_zero_cusp(capsys, cusp):
+    # --level used to be ignored in silence at the infinity cusp
+    assert run(capsys, "expand", "--eta", "1:-1", "--level", "7", "--terms",
+               "3", *cusp) == (
+        2, "", "error: --level applies only to --at-cusp zero\n")
+
+
 def test_reduce_non_prime_refused(capsys):
     code, out, err = run(capsys, "reduce", "--target", "poly:1,1", "--basis",
                          "level-5", "--terms", "20", "--prime", "4")
@@ -766,6 +785,11 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
      ":families[0]: divisor 3 does not divide level 1"),
     (("families", 0, "tower_identities", "1", 0, "eta", "M"), -1,
      ":families[0]: level must be positive, got -1"),
+    # the loader used to ignore the key: version 99 loaded as version 1
+    (("schema_version",), 99, ": schema_version 99 is not supported (want 1)"),
+    (("schema_version",), 0, ": schema_version 0 is not supported (want 1)"),
+    (("schema_version",), "1",
+     ": schema_version must be an integer, got '1'"),
 ], ids=["prime-float", "prime-bool", "lam-float", "level-string",
         "residue-float", "modulus-float", "beta-zero", "exponent-float",
         "M-string", "qpow-float", "series-exponent-float", "trunc24-float",
@@ -774,7 +798,8 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
         "r-key-signed", "r-key-underscore", "prefactor-r-key-space",
         "schedule-key-leading-zero", "multiplier-key-minus-zero",
         "r-key-leading-zero", "r-key-non-ascii", "generator-divisor",
-        "identity-level"])
+        "identity-level", "schema-version-future", "schema-version-zero",
+        "schema-version-string"])
 def test_catalog_numbers_refused_at_load(tmp_path, capsys, keys, value, want):
     path = _edited_catalog(tmp_path, keys, value)
     code, out, err = _verify_p5(capsys, path)
@@ -802,10 +827,10 @@ def test_catalog_identity_off_the_family_curve_refused(tmp_path, capsys, eta,
 
 def _read_leaves(node, keys=()):
     """Key paths to the scalar leaves of a catalog document, skipping the
-    fields the loader does not read (notes, schema_version)."""
+    free-text notes that the loader does not read."""
     if isinstance(node, (dict, list)):
         items = node.items() if isinstance(node, dict) else enumerate(node)
-        return [leaf for k, v in items if k not in ("notes", "schema_version")
+        return [leaf for k, v in items if k != "notes"
                 for leaf in _read_leaves(v, keys + (k,))]
     return [keys]
 
@@ -817,6 +842,7 @@ CATALOG_LEAVES = _read_leaves(json.loads(shipped_catalog_path().read_text()))
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(CATALOG_LEAVES),
        st.sampled_from([None, True, 1.5, [], {}]))
+@example(keys=("schema_version",), value=None)
 def test_catalog_leaf_of_wrong_type_refused_at_load(tmp_path, capsys, keys,
                                                     value):
     # every value of the wrong JSON type is a usage error naming the catalog

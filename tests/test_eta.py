@@ -18,7 +18,6 @@ from cusp_ledger.eta import (
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
-    localizer_constraints,
     order_at_cusp,
     parse_constraints,
     search_eta_quotients,
@@ -181,7 +180,10 @@ def test_search_pole_only_at_zero_level10():
 
 
 def test_search_strict_localizer_level10():
-    out = search_eta_quotients(10, localizer_constraints(10), bound=12)
+    # pole only at the zero cusp, order at least 1 at every other class
+    constraints = [OrderConstraint(1, "<", Fraction(0))] + [
+        OrderConstraint(c, ">=", Fraction(1)) for c in (2, 5, 10)]
+    out = search_eta_quotients(10, constraints, bound=12)
     assert EtaQuotient(10, {1: -12, 2: 8, 5: 4}) in out
     for z in out:
         vec = cusp_order_vector(z, 10)

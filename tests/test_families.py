@@ -243,7 +243,7 @@ def test_tower_recursive_trivial_family_matches_u_iteration():
     )
     base = coefficient_series(spec, 200)  # the constant 1
     # give the toy family a nontrivial generator series by hand
-    series = QSeries.from_q_coeffs([(n * n + 1) for n in range(200)], 24 * 200)
+    series = QSeries({24 * n: n * n + 1 for n in range(200)}, 24 * 200)
     direct = tower_series_direct(spec, 3, 5, series=series)
     shifted = series.shift(-24)
     for _ in range(3):
@@ -292,7 +292,7 @@ def test_verify_counterexample_is_first_violation():
     coeffs = [0] * 17
     coeffs[1], coeffs[6], coeffs[11], coeffs[16] = 15, 0, 7, 250
     coeffs[2] = 1  # not qualifying: ignored
-    series = QSeries.from_q_coeffs(coeffs, 24 * 17)
+    series = QSeries({24 * n: c for n, c in enumerate(coeffs)}, 24 * 17)
     rep = verify_congruence(spec, 1, 16, series=series)
     assert rep.qualifying_count == 4
     assert rep.min_valuation == 0 and not rep.passed
@@ -363,8 +363,6 @@ def test_certified_identity_reduces_p5(catalog):
 
 
 def test_certified_identity_depth2_gain_p5(catalog):
-    from cusp_ledger.reduction import valuation_gain
-
     spec = catalog.family("p-5")
     basis = catalog.basis("level-5").build(24 * 60)
     chart1, _ = certified_identity_chart(spec, 1, 60)
@@ -372,9 +370,7 @@ def test_certified_identity_depth2_gain_p5(catalog):
     tab1 = valuation_table(reduce_genus0(chart1, basis.x), 5)
     tab2 = valuation_table(reduce_genus0(chart2, basis.x), 5)
     assert tab1.min_valuation() == 1
-    assert tab2.min_valuation() == 2
-    gain = valuation_gain(tab1, tab2)
-    assert gain.gain == 1 and gain.meets_gain and not gain.violations
+    assert tab2.min_valuation() == tab1.min_valuation() + 1
 
 
 def test_certified_identity_reduces_p7(catalog):

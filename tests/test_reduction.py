@@ -24,7 +24,6 @@ from cusp_ledger.reduction import (
     localize_reduce,
     reduce_genus0,
     reduce_module,
-    valuation_gain,
     valuation_table,
 )
 from cusp_ledger.series import QSeries
@@ -261,15 +260,3 @@ def test_valuation_table_rejects_non_primes():
     for ell in (4, 1, -1, 0):
         with pytest.raises(SeriesError):
             valuation_table(rep, ell)
-
-
-def test_valuation_gain_reports():
-    basis = genus1_basis()
-    rep1 = reduce_module(basis.monomial(0, 1).scaled(5), basis)
-    rep2 = reduce_module(basis.monomial(0, 1).scaled(50), basis)
-    t1, t2 = valuation_table(rep1, 5), valuation_table(rep2, 5)
-    up = valuation_gain(t1, t2)
-    assert up.gain == 1 and up.meets_gain and not up.violations
-    flat = valuation_gain(t1, t1)
-    assert flat.gain == 0 and not flat.meets_gain
-    assert flat.violations == ((0, 1, 1),)
