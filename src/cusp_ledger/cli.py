@@ -53,6 +53,14 @@ from .series import QSeries
 SCHEMA_VERSION = 1
 CATALOG_ENV = "CUSP_LEDGER_CATALOG"
 
+# Work caps of the size options, checked when the command line is parsed,
+# before anything is allocated: time and memory grow faster than linearly in
+# each size, so a much larger value would run for hours or end in a
+# MemoryError.  Each cap sits well above every benchmark op.
+MAX_VERIFY_NMAX = 100_000   # verify --nmax
+MAX_EXPAND_TERMS = 100_000  # expand --terms
+MAX_REDUCE_TERMS = 10_000   # reduce --terms
+
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
@@ -285,8 +293,9 @@ class _Parser(argparse.ArgumentParser):
         raise CatalogError(message)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_at_least(low: int, cap: int | None = None):
+    """argparse type: an integer no smaller than `low`, and no larger than
+    `cap` when one is given."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -295,6 +304,9 @@ def _int_at_least(low: int):
         if value is None or value < low:
             raise argparse.ArgumentTypeError(
                 f"want an integer >= {low}, got {text!r}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(
+                f"want at most {cap} (the work cap), got {text!r}")
         return value
     return parse
 
@@ -336,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--eta", help='exponent list like "5:6,1:-6"')
     which.add_argument("--family", help="expand a catalog family's generator")
-    p.add_argument("--terms", type=_int_at_least(1), default=12)
+    p.add_argument("--terms", type=_int_at_least(1, MAX_EXPAND_TERMS),
+                   default=12)
     p.add_argument("--at-cusp", choices=("infinity", "zero"),
                    default="infinity")
     p.add_argument("--level", type=_int_at_least(1),
@@ -345,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("verify", help="check a congruence family directly")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--nmax", type=_int_at_least(0), required=True)
+    p.add_argument("--nmax", type=_int_at_least(0, MAX_VERIFY_NMAX),
+                   required=True)
     p.add_argument("--beta", type=_int_at_least(1),
                    help="override the demanded divisibility exponent")
 
@@ -353,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="family:NAME:L<d> | eta:SPEC | poly:c0,c1,... | pole:P")
     p.add_argument("--basis", required=True, help="catalog basis name")
-    p.add_argument("--terms", type=_int_at_least(1), default=40,
+    p.add_argument("--terms", type=_int_at_least(1, MAX_REDUCE_TERMS),
+                   default=40,
                    help="working truncation in integer q-terms")
     p.add_argument("--guard", type=_int_at_least(0), default=DEFAULT_GUARD)
     p.add_argument("--prime", type=_int_at_least(2),

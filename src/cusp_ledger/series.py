@@ -17,6 +17,7 @@ appear only at the boundary (coeff24, terms, leading, format, JSON).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -432,20 +433,86 @@ def _divide(a: QSeries, b: QSeries) -> QSeries:
     return _make(a.offset24 - b.offset24, step, nums, a._den * pw[n], trunc)
 
 
-def _pentagonal(delta: int, n: int) -> list[tuple[int, int]]:
-    """The terms (e, sign) of (q^delta; q^delta)_infinity with exponent
-    e < n, in ascending order: Euler's pentagonal number theorem."""
+def _general_pentagonal(k: int) -> int:
+    """The k-th generalized pentagonal number m(3m-1)/2, m = 0, 1, -1, 2, ..."""
+    m = (k + 1) // 2 if k & 1 else -(k // 2)
+    return m * (3 * m - 1) // 2
+
+
+# The series the kernel scatters and divides by, each also at q -> q^d: its
+# product form as ((multiple of d, r), ...), and the exponent and weight of
+# its k-th term (Andrews, The Theory of Partitions, Thm 2.8; Berndt,
+# Ramanujan's Notebooks III, Entry 22).  Every one has constant term 1.
+_SERIES = (
+    # Euler: (q;q) = sum (-1)^m q^(m(3m-1)/2)
+    (((1, 1),), _general_pentagonal, lambda k: -1 if (k + 1) & 2 else 1),
+    # Jacobi: (q;q)^3 = sum (-1)^k (2k+1) q^(k(k+1)/2)
+    (((1, 3),), lambda k: k * (k + 1) // 2,
+     lambda k: -(2 * k + 1) if k & 1 else 2 * k + 1),
+    # Gauss: psi(q) = (q^2;q^2)^2/(q;q) = sum q^(k(k+1)/2)
+    (((1, -1), (2, 2)), lambda k: k * (k + 1) // 2, lambda k: 1),
+    # Gauss: phi(q) = (q^2;q^2)^5/((q;q)^2 (q^4;q^4)^2) = 1 + 2 sum q^(k^2)
+    (((1, -2), (2, 5), (4, -2)), lambda k: k * k, lambda k: 2 if k else 1),
+    # Gauss: phi(-q) = (q;q)^2/(q^2;q^2) = 1 + 2 sum (-1)^k q^(k^2)
+    (((1, 2), (2, -1)), lambda k: k * k,
+     lambda k: (-2 if k & 1 else 2) if k else 1),
+)
+
+
+def _series_terms(kind: int, delta: int, n: int) -> list[tuple[int, int]]:
+    """The terms (e, weight) with e < n, in ascending order, of the series
+    _SERIES[kind] at q -> q^delta."""
     if delta < 1:
         raise SeriesError("delta must be a positive integer")
-    terms = [(0, 1)] if n > 0 else []
-    k = 1
-    while (e := delta * (k * (3 * k - 1) // 2)) < n:
-        sign = -1 if k & 1 else 1
-        terms.append((e, sign))
-        if e + delta * k < n:
-            terms.append((e + delta * k, sign))
+    _, exponent, weight = _SERIES[kind]
+    terms = []
+    k = 0
+    while (e := delta * exponent(k)) < n:
+        terms.append((e, weight(k)))
         k += 1
     return terms
+
+
+@lru_cache(maxsize=256)
+def _theta_factors(exponents: tuple[tuple[int, int], ...]
+                   ) -> tuple[tuple[int, int, int], ...]:
+    """prod (q^d; q^d)^r as factors (kind, d, power) of the _SERIES, one
+    kernel pass per unit of |power|.
+
+    Greedy: while some theta series (or its inverse) at some q -> q^d takes
+    more than one pass off what is left as plain (q^d; q^d)^r, apply the one
+    that takes the most, the first in _SERIES, base and sign order among
+    equals; what is left stays Euler's.  So the passes never outnumber
+    sum |r|, and the factors depend on the sorted vector alone.
+    """
+    rest: dict[int, int] = {}
+    for d, r in exponents:
+        rest[d] = rest.get(d, 0) + r
+    rest = {d: r for d, r in rest.items() if r}
+    chosen: dict[tuple[int, int], int] = {}
+    while True:
+        best, most = None, 1
+        for kind in range(1, len(_SERIES)):
+            shape = _SERIES[kind][0]
+            for base in sorted({d // m for d in rest for m, _ in shape
+                                if d % m == 0}):
+                for sign in (1, -1):
+                    saved = sum(abs(rest.get(base * m, 0))
+                                - abs(rest.get(base * m, 0) - sign * r)
+                                for m, r in shape)
+                    if saved > most:
+                        best, most = (kind, base, sign), saved
+        if best is None:
+            break
+        kind, base, sign = best
+        for m, r in _SERIES[kind][0]:
+            if not (left := rest.get(base * m, 0) - sign * r):
+                del rest[base * m]
+            else:
+                rest[base * m] = left
+        chosen[kind, base] = chosen.get((kind, base), 0) + sign
+    return tuple((kind, d, power) for (kind, d), power in chosen.items()
+                 if power) + tuple((0, d, r) for d, r in sorted(rest.items()))
 
 
 def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
@@ -453,37 +520,66 @@ def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
     return pochhammer_product(((delta, 1),), trunc24)
 
 
-def _times_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
-    """c * (q^d; q^d)_infinity, scattering the pentagonal terms (the ones
-    past the constant) from the nonzero entries of c only."""
+def _scatter(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """c times the series 1 + sum w q^e over terms (the ones past the
+    constant), scattering them from the nonzero entries of c only."""
     n = len(c)
+    plus = [e for e, w in terms if w == 1]
+    minus = [e for e, w in terms if w == -1]
+    weighted = [(e, w) for e, w in terms if w * w != 1]
     out = c[:]
     for i, v in enumerate(c):
         if v:
             room = n - i
-            for e, sign in terms:
+            for e in plus:
                 if e >= room:
                     break
-                out[i + e] += v if sign > 0 else -v
+                out[i + e] += v
+            for e in minus:
+                if e >= room:
+                    break
+                out[i + e] -= v
+            for e, w in weighted:
+                if e >= room:
+                    break
+                out[i + e] += w * v
     return out
 
 
-def _divide_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> None:
-    """c / (q^d; q^d)_infinity in place, by the forward recurrence
-    c[k] -= sum of sign * c[k - e] over the pentagonal terms (the ones past
-    the constant).  Between consecutive exponents the set of terms with
-    e <= k is fixed, so each segment runs with fixed lists."""
-    plus: list[int] = []   # exponents whose term has sign -1: added
-    minus: list[int] = []  # exponents whose term has sign +1: subtracted
+def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
+    """c / (1 + sum w q^e over terms) in place, by the forward recurrence
+    c[k] -= sum of w * c[k - e]; the constant term is 1, so nothing is ever
+    divided.  Between consecutive exponents the set of terms with e <= k is
+    fixed, so each segment runs with fixed lists, and only a segment that
+    holds a weight other than 1 and -1 runs the multiplying loop."""
+    plus: list[int] = []   # exponents of weight -1: added
+    minus: list[int] = []  # exponents of weight 1: subtracted
+    weighted: list[tuple[int, int]] = []
     ends = [e for e, _ in terms[1:]] + [len(c)]
-    for (e, sign), end in zip(terms, ends):
-        (plus if sign < 0 else minus).append(e)
+    for (e, w), end in zip(terms, ends):
+        if w == -1:
+            plus.append(e)
+        elif w == 1:
+            minus.append(e)
+        else:
+            weighted.append((e, w))
+        if not weighted:
+            for k in range(e, end):
+                t = c[k]
+                for o in plus:
+                    t += c[k - o]
+                for o in minus:
+                    t -= c[k - o]
+                c[k] = t
+            continue
         for k in range(e, end):
             t = c[k]
             for o in plus:
                 t += c[k - o]
             for o in minus:
                 t -= c[k - o]
+            for o, x in weighted:
+                t -= x * c[k - o]
             c[k] = t
 
 
@@ -491,23 +587,26 @@ def pochhammer_product(exponents: tuple[tuple[int, int], ...],
                        trunc24: int) -> QSeries:
     """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1.
 
+    The vector is written as a product of theta series (_theta_factors).
     The integer coefficients live on a dense list indexed by the integer
-    exponent n < trunc24/24: the positive factors are scattered in first,
-    while the product is still sparse, then each negative factor is divided
-    out one power at a time.  The list becomes the numerators as it stands.
+    exponent n < trunc24/24: the numerator factors are scattered in first,
+    while the product is still sparse, then each denominator factor is
+    divided out one power at a time.  The list becomes the numerators as it
+    stands.
     """
     n = max(-(-trunc24 // 24), 0)
     c = [1] + [0] * (n - 1) if n else []
-    for d, r in exponents:
-        if r > 0:
-            terms = _pentagonal(d, n)[1:]
-            for _ in range(r):
-                c = _times_pochhammer(c, terms)
-    for d, r in exponents:
-        if r < 0:
-            terms = _pentagonal(d, n)[1:]
-            for _ in range(-r):
-                _divide_pochhammer(c, terms)
+    factors = _theta_factors(tuple(sorted(exponents)))
+    for kind, d, power in factors:
+        if power > 0:
+            terms = _series_terms(kind, d, n)[1:]
+            for _ in range(power):
+                c = _scatter(c, terms)
+    for kind, d, power in factors:
+        if power < 0:
+            terms = _series_terms(kind, d, n)[1:]
+            for _ in range(-power):
+                _divide_out(c, terms)
     return _make(0, 24, c, 1, trunc24)
 
 

@@ -2,7 +2,9 @@
 
 Nothing in here touches the package's series machinery: partition counts
 come from direct dynamic programming, products from schoolbook polynomial
-multiplication, cusp/elliptic data from orbit counting on P^1(Z/N), and
+multiplication or from one pentagonal pass per factor (the package's
+earlier Pochhammer kernel, kept here as the reference for its theta-series
+kernel), cusp/elliptic data from orbit counting on P^1(Z/N), and
 eta-quotient validity from the rational number prod delta^r itself.
 """
 
@@ -121,6 +123,78 @@ def frobenius_one_color_counts(n_max: int) -> list[int]:
 def frobenius_two_color_counts(n_max: int) -> list[int]:
     """cphi_2(0..n_max)."""
     return _frobenius_counts(n_max, 2)
+
+
+# ---------------------------------------------------------------------------
+# products of Pochhammer symbols, one pentagonal pass per factor
+# ---------------------------------------------------------------------------
+
+def pentagonal_terms(delta: int, n: int) -> list[tuple[int, int]]:
+    """The terms (e, sign) of (q^delta; q^delta)_infinity with exponent
+    e < n, in ascending order: Euler's pentagonal number theorem."""
+    if delta < 1:
+        raise ValueError("delta must be a positive integer")
+    terms = [(0, 1)] if n > 0 else []
+    k = 1
+    while (e := delta * (k * (3 * k - 1) // 2)) < n:
+        sign = -1 if k & 1 else 1
+        terms.append((e, sign))
+        if e + delta * k < n:
+            terms.append((e + delta * k, sign))
+        k += 1
+    return terms
+
+
+def _times_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """c * (q^d; q^d)_infinity, scattering the pentagonal terms (the ones
+    past the constant) from the nonzero entries of c only."""
+    n = len(c)
+    out = c[:]
+    for i, v in enumerate(c):
+        if v:
+            room = n - i
+            for e, sign in terms:
+                if e >= room:
+                    break
+                out[i + e] += v if sign > 0 else -v
+    return out
+
+
+def _divide_pochhammer(c: list[int], terms: list[tuple[int, int]]) -> None:
+    """c / (q^d; q^d)_infinity in place, by the forward recurrence
+    c[k] -= sum of sign * c[k - e] over the pentagonal terms (the ones past
+    the constant).  Between consecutive exponents the set of terms with
+    e <= k is fixed, so each segment runs with fixed lists."""
+    plus: list[int] = []   # exponents whose term has sign -1: added
+    minus: list[int] = []  # exponents whose term has sign +1: subtracted
+    ends = [e for e, _ in terms[1:]] + [len(c)]
+    for (e, sign), end in zip(terms, ends):
+        (plus if sign < 0 else minus).append(e)
+        for k in range(e, end):
+            t = c[k]
+            for o in plus:
+                t += c[k - o]
+            for o in minus:
+                t -= c[k - o]
+            c[k] = t
+
+
+def pochhammer_by_passes(exponents, n: int) -> list[int]:
+    """a(0..n-1) of prod (q^d; q^d)^r: the positive factors scattered in
+    one pass per unit of r, then each negative factor divided out one power
+    at a time."""
+    c = [1] + [0] * (n - 1) if n > 0 else []
+    for d, r in exponents:
+        if r > 0:
+            terms = pentagonal_terms(d, n)[1:]
+            for _ in range(r):
+                c = _times_pochhammer(c, terms)
+    for d, r in exponents:
+        if r < 0:
+            terms = pentagonal_terms(d, n)[1:]
+            for _ in range(-r):
+                _divide_pochhammer(c, terms)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
+from cusp_ledger import cli
 from cusp_ledger.cli import main
 from cusp_ledger.families import shipped_catalog_path
 
@@ -397,8 +398,6 @@ def test_catalog_basis_level_checked_at_load(tmp_path, capsys, level):
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
-    import cusp_ledger.cli as cli
-
     def boom(args):
         raise ZeroDivisionError("division by zero")
 
@@ -435,6 +434,24 @@ def test_option_ranges_checked_at_parse_time(capsys, argv, refused):
         assert code == 0 and err == ""
     else:
         assert code == 2 and f"argument {refused}" in err
+
+
+@pytest.mark.parametrize("argv, option, cap", [
+    (("verify", "--family", "p-5", "--alpha", "1", "--nmax"), "--nmax",
+     cli.MAX_VERIFY_NMAX),
+    (("expand", "--eta", "1:-1", "--terms"), "--terms", cli.MAX_EXPAND_TERMS),
+    (("reduce", "--target", "poly:1", "--basis", "level-5", "--terms"),
+     "--terms", cli.MAX_REDUCE_TERMS),
+], ids=["verify-nmax", "expand-terms", "reduce-terms"])
+def test_size_options_capped_at_parse_time(capsys, argv, option, cap):
+    # past the cap a command used to run for hours or end in MemoryError;
+    # the cap itself is only parsed here, never run
+    assert getattr(cli.build_parser().parse_args([*argv, str(cap)]),
+                   option.lstrip("-")) == cap
+    code, out, err = run(capsys, *argv, str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == (f"error: argument {option}: want at most {cap} "
+                   f"(the work cap), got '{cap + 1}'\n")
 
 
 def test_verify_beta_below_one_refused(capsys):
@@ -898,12 +915,18 @@ def _corpus() -> list[list[str]]:
         argv = ["find-eta", "--level", level, "--bound", bound]
         argvs.append(argv + (["--constraints", constraints]
                              if constraints else []))
+    # one past each work cap
+    argvs += [["verify", "--family", "p-5", "--alpha", "1", "--nmax",
+               "100001"],
+              ["expand", "--eta", "1:-1", "--terms", "100001"],
+              ["reduce", "--target", "poly:1", "--basis", "level-5",
+               "--terms", "10001"]]
     return [prefix + argv for argv in argvs for prefix in ([], ["--json"])]
 
 
 # sha256 over (argv, exit code, stdout, stderr) of every corpus invocation
 CORPUS_DIGEST = \
-    "e0ad8d1db11fe4519712b85f8cdcdfae32ec430dffeb1b8478f65d275485de79"
+    "28d8992003977f2365827dfbf3ae417cd2f56a5661c372d9527d77112a4fdc4a"
 
 
 def test_cli_corpus_byte_identical(capsys, monkeypatch):

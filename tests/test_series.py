@@ -10,8 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
 from cusp_ledger.families import catalog_load, shipped_catalog_path
 from cusp_ledger.series import (
+    _SERIES,
     QSeries,
     _norm,
+    _series_terms,
+    _theta_factors,
     pochhammer_expansion,
     pochhammer_product,
     valuation,
@@ -23,6 +26,7 @@ from oracles import (
     distinct_partition_counts,
     elongated_diamond_counts,
     partition_counts,
+    pochhammer_by_passes,
     poly_mul,
     product_expansion,
 )
@@ -237,8 +241,14 @@ def oracle_pochhammer_coeffs(exponents, n_max):
 
 
 exponent_tuples = st.dictionaries(
-    st.integers(1, 6), st.integers(-7, 7), max_size=4,
+    st.integers(1, 6), st.integers(-8, 8), max_size=4,
 ).map(lambda e: tuple(sorted(e.items())))
+
+D2_7 = ((1, -7), (2, 2))
+CPHI2_5 = ((1, -4), (2, 5), (4, -2))
+LEVEL_5_CHART = ((1, 6), (5, -6))  # the level-5 basis x at the zero cusp
+LEVEL_7_CHART = ((1, 4), (7, -4))
+LEVEL_10_CHART = ((1, 3), (2, -1), (5, 1), (10, -3))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -246,8 +256,12 @@ exponent_tuples = st.dictionaries(
        st.one_of(st.builds(lambda n, r: 24 * n + r,
                            st.integers(2, 120), st.integers(0, 23)),
                  st.integers(-60, 0), st.sampled_from([1, 23, 24, 25])))
-@example(((1, -7), (2, 2)), 24 * 100)
-@example(((1, -4), (2, 5), (4, -2)), 24 * 90 + 11)
+@example(D2_7, 24 * 100)
+@example(CPHI2_5, 24 * 90 + 11)
+@example(LEVEL_5_CHART, 24 * 100 + 5)
+@example(LEVEL_7_CHART, 24 * 100)
+@example(LEVEL_10_CHART, 24 * 100 + 23)
+@example(((1, -1), (1, 3)), 24 * 60)  # one divisor twice: a product
 def test_pochhammer_product_matches_reference_kernel(exponents, trunc24):
     got = pochhammer_product(exponents, trunc24)
     if trunc24 <= 0:
@@ -256,21 +270,89 @@ def test_pochhammer_product_matches_reference_kernel(exponents, trunc24):
         return
     assert got == reference_pochhammer_product(exponents, trunc24)
     n_max = (trunc24 - 1) // 24
-    assert [got.coeff_q(n) for n in range(n_max + 1)] \
-        == oracle_pochhammer_coeffs(exponents, n_max)
+    coeffs = [got.coeff_q(n) for n in range(n_max + 1)]
+    assert coeffs == pochhammer_by_passes(exponents, n_max + 1)
+    assert coeffs == oracle_pochhammer_coeffs(exponents, n_max)
 
 
-def test_pochhammer_product_catalog_shapes():
+def _conjugate(quotient, level):
+    """The quotient's exponents under delta -> N/delta: what its
+    expansion at the zero cusp of X_0(N) runs through the kernel."""
+    return tuple(sorted((level // d, r) for d, r in quotient.exponents))
+
+
+def _kernel_shapes():
+    """Every exponent vector that the shipped catalog puts through the
+    kernel: generators, prefactors and multipliers, tower-identity
+    quotients at both cusps, and basis quotients at the zero cusp."""
     catalog = catalog_load(shipped_catalog_path())
     shapes = set()
     for spec in catalog.families:
         shapes.add(spec.generator.exponents)
         for p in (*spec.prefactors.values(), *spec.multipliers.values()):
             shapes.add(p.exponents)
-    for exponents in sorted(shapes):
+        for identity in spec.tower_identities.values():
+            for term in identity:
+                shapes.add(term.quotient.exponents)
+                shapes.add(_conjugate(term.quotient, spec.level))
+    for basis in catalog.bases:
+        for source in (basis.x, *basis.ys, basis.z):
+            if hasattr(source, "exponents"):
+                shapes.add(_conjugate(source, basis.level))
+    return sorted(shapes)
+
+
+def _passes(exponents):
+    return sum(abs(power) for _, _, power in _theta_factors(exponents))
+
+
+def test_pochhammer_product_catalog_shapes():
+    shapes = _kernel_shapes()
+    for want in (LEVEL_5_CHART, LEVEL_7_CHART, LEVEL_10_CHART,
+                 ((2, 4), (5, 8), (10, -12))):  # the level-10 localizer
+        assert want in shapes
+    for exponents in shapes:
+        assert _passes(exponents) <= sum(abs(r) for _, r in exponents)
         for t in (24 * 400, 24 * 400 + 7):
-            assert pochhammer_product(exponents, t) \
-                == reference_pochhammer_product(exponents, t), exponents
+            got = pochhammer_product(exponents, t)
+            assert got == reference_pochhammer_product(exponents, t), exponents
+            n = -(-t // 24)
+            assert [got.coeff_q(k) for k in range(n)] \
+                == pochhammer_by_passes(exponents, n), exponents
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exponent_tuples)
+def test_theta_factors_never_add_passes(exponents):
+    # the factors multiply back to the vector, in no more passes than one
+    # pentagonal pass per unit of |r|
+    product = {}
+    for kind, d, power in _theta_factors(exponents):
+        for m, r in _SERIES[kind][0]:
+            product[d * m] = product.get(d * m, 0) + power * r
+    assert {d: r for d, r in product.items() if r} \
+        == {d: r for d, r in exponents if r}
+    assert _passes(exponents) <= sum(abs(r) for _, r in exponents)
+
+
+@pytest.mark.parametrize("exponents, passes", [
+    (D2_7, 3),             # one psi scatter, two Jacobi divisions (was 9)
+    (CPHI2_5, 3),          # one phi scatter, two Euler divisions (was 11)
+    (LEVEL_5_CHART, 4),    # two Jacobi scatters and divisions (was 12)
+    (LEVEL_7_CHART, 4),    # was 8
+    (LEVEL_10_CHART, 4),   # was 8
+    (((1, -1),), 1),       # p-5, p-7, p-11: one Euler division
+    (((1, -1), (2, 1)), 2),  # pd-5
+])
+def test_theta_factor_pass_counts(exponents, passes):
+    assert _passes(exponents) == passes
+
+
+@pytest.mark.parametrize("kind", range(len(_SERIES)))
+@pytest.mark.parametrize("delta", [0, -1])
+def test_series_builders_refuse_nonpositive_delta(kind, delta):
+    with pytest.raises(SeriesError, match="delta must be a positive integer"):
+        _series_terms(kind, delta, 10)
 
 
 # -- U_ell --------------------------------------------------------------------
