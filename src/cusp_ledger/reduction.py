@@ -107,11 +107,24 @@ class ModuleBasis:
         return hits[0]
 
     def x_power(self, m: int) -> QSeries:
-        """x^m for m >= 1, cached as the monomial (0, m)."""
-        key = (0, m)
-        if key not in self._monomial_cache:
-            self._monomial_cache[key] = self.x_power(m - 1) * self.x
-        return self._monomial_cache[key]
+        """x^m for m >= 1, cached as the monomial (0, m), built up from the
+        highest power already cached."""
+        cache = self._monomial_cache
+        j = m
+        while (0, j) not in cache:
+            j -= 1
+        for i in range(j + 1, m + 1):
+            cache[0, i] = cache[0, i - 1] * self.x
+        return cache[0, m]
+
+    def window24(self, k: int, m: int) -> int:
+        """The truncation of y_k x^m, found without building it: a product
+        is known as far past its leading term as its shortest factor."""
+        factors = ([self.ys[k]] if k else []) + ([self.x] if m else [])
+        if not factors:
+            return self.x.trunc24
+        past = min(s.trunc24 - s.offset24 for s in factors)
+        return past - 24 * (self.y_orders[k] + m * self.x_order)
 
     def monomial(self, k: int, m: int) -> QSeries:
         key = (k, m)
@@ -157,10 +170,10 @@ class Representation:
                 "residual_is_zero": self.residual.is_zero}
 
 
-def _check_window(series: QSeries, guard: int, what: str) -> None:
-    if series.trunc24 < 24 * guard:
+def _check_window(trunc24: int, guard: int, what: str) -> None:
+    if trunc24 < 24 * guard:
         raise TruncationError(
-            f"{what} known only to q^({series.trunc24}/24); the residual check "
+            f"{what} known only to q^({trunc24}/24); the residual check "
             f"needs at least q^{guard} (guard={guard})"
         )
 
@@ -176,7 +189,7 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
     """
     if not f.is_integer_grid:
         raise ReductionError("reduction target must have integer exponents")
-    _check_window(f, guard, "reduction target")
+    _check_window(f.trunc24, guard, "reduction target")
     original = f
     coeffs: dict[tuple[int, int], Scalar] = {}
     while not f.is_zero:
@@ -187,8 +200,11 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
         km = basis.monomial_for_pole_order(order)
         if km is None:
             raise GapError(order)
+        # checked before the monomial is built: a pole order far past the
+        # truncation would otherwise cost one product per power of x
+        _check_window(basis.window24(*km), guard,
+                      f"basis monomial y_{km[0]} * x^{km[1]}")
         mon = basis.monomial(*km)
-        _check_window(mon, guard, f"basis monomial y_{km[0]} * x^{km[1]}")
         c = _norm(Fraction(lead_c) / mon.leading()[1])
         f = f - mon.scaled(c)
         coeffs[km] = coeffs.get(km, 0) + c

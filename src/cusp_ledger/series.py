@@ -17,7 +17,6 @@ appear only at the boundary (coeff24, terms, leading, format, JSON).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
@@ -473,7 +472,6 @@ def _series_terms(kind: int, delta: int, n: int) -> list[tuple[int, int]]:
     return terms
 
 
-@lru_cache(maxsize=256)
 def _theta_factors(exponents: tuple[tuple[int, int], ...]
                    ) -> tuple[tuple[int, int, int], ...]:
     """prod (q^d; q^d)^r as factors (kind, d, power) of the _SERIES, one
@@ -550,8 +548,8 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
     """c / (1 + sum w q^e over terms) in place, by the forward recurrence
     c[k] -= sum of w * c[k - e]; the constant term is 1, so nothing is ever
     divided.  Between consecutive exponents the set of terms with e <= k is
-    fixed, so each segment runs with fixed lists, and only a segment that
-    holds a weight other than 1 and -1 runs the multiplying loop."""
+    fixed, so each segment runs with fixed lists; weights of 1 and -1 are
+    subtracted and added, and only the others are multiplied."""
     plus: list[int] = []   # exponents of weight -1: added
     minus: list[int] = []  # exponents of weight 1: subtracted
     weighted: list[tuple[int, int]] = []
@@ -563,15 +561,6 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
             minus.append(e)
         else:
             weighted.append((e, w))
-        if not weighted:
-            for k in range(e, end):
-                t = c[k]
-                for o in plus:
-                    t += c[k - o]
-                for o in minus:
-                    t -= c[k - o]
-                c[k] = t
-            continue
         for k in range(e, end):
             t = c[k]
             for o in plus:

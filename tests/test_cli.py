@@ -345,6 +345,17 @@ def test_reduce_negative_pole_order_refused(capsys):
     assert code == 0 and doc["coeffs"] == [[0, 0, "1", "1"]]
 
 
+@pytest.mark.parametrize("order", ["2000", "10" * 12])
+def test_reduce_pole_past_truncation_refused(capsys, order):
+    # the basis monomial for such a pole used to be built one power of x at
+    # a time, recursively: RecursionError and exit 3 from about 1000 on
+    code, out, err = run(capsys, "reduce", "--target", f"pole:{order}",
+                         "--basis", "level-5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: basis monomial y_0 * x^{order} known only "
+                          f"to q^(-") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value, where", [
     ("ys", [None], "ys[0]"),
     ("ys", [5], "ys[0]"),

@@ -173,6 +173,33 @@ def test_gap_sweep_genus1():
     assert rejected == [1]
 
 
+def test_window_matches_built_monomials():
+    # reduce_module checks this window before it builds a monomial
+    bases = [genus1_basis(), ModuleBasis(x=level5_x_chart(),
+                                         ys=[QSeries.constant(1, TRUNC)]),
+             ModuleBasis(x=laurent(2, 3, trunc24=24 * 8),
+                         ys=[QSeries.constant(1, TRUNC), laurent(3, 50)])]
+    for basis in bases:
+        for k in range(len(basis.ys)):
+            for m in range(8):
+                assert basis.window24(k, m) == basis.monomial(k, m).trunc24
+
+
+def test_high_x_power_built_without_recursion():
+    x = QSeries({-24: 1, 0: 2}, 24 * 3)
+    basis = ModuleBasis(x=x, ys=[QSeries.constant(1, 24 * 3)])
+    power = basis.x_power(3000)  # past the interpreter's recursion limit
+    assert power.leading() == (-24 * 3000, 1)
+    assert power.trunc24 == basis.window24(0, 3000)
+
+
+def test_pole_past_window_refused_before_building():
+    basis = ModuleBasis(x=level5_x_chart(), ys=[QSeries.constant(1, TRUNC)])
+    with pytest.raises(TruncationError, match=r"y_0 \* x\^100000 known only"):
+        reduce_module(QSeries.monomial(-24 * 100000, TRUNC), basis)
+    assert (0, 2) not in basis._monomial_cache
+
+
 def test_order_incomplete_basis_rejected():
     one = QSeries.constant(1, TRUNC)
     # pole orders {0, 4} mod 2 collide: not order-complete
