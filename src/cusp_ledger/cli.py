@@ -60,6 +60,9 @@ CATALOG_ENV = "CUSP_LEDGER_CATALOG"
 MAX_VERIFY_NMAX = 100_000   # verify --nmax
 MAX_EXPAND_TERMS = 100_000  # expand --terms
 MAX_REDUCE_TERMS = 10_000   # reduce --terms
+# sum |r| over an eta spec (--eta, or an eta: target): the expansion costs
+# about one pass over the series per unit of |r|.  Catalog quotients reach 60.
+MAX_ETA_WEIGHT = 1_000
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -89,6 +92,11 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
             raise CatalogError(f"bad eta spec {text!r}: divisor {delta} "
                                f"given twice")
         exponents[delta] = r
+    weight = sum(abs(r) for r in exponents.values())
+    if weight > MAX_ETA_WEIGHT:
+        raise CatalogError(
+            f"bad eta spec {text!r}: exponents of absolute sum {weight}, "
+            f"want at most {MAX_ETA_WEIGHT} (the work cap)")
     level = lcm(*exponents.keys()) if exponents else 1
     return EtaQuotient(level, exponents)
 
@@ -297,10 +305,16 @@ def _int_at_least(low: int, cap: int | None = None):
     """argparse type: an integer no smaller than `low`, and no larger than
     `cap` when one is given."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
+        # a digit string with more digits than the cap is over it; int()
+        # would refuse one of more than 4300 (sys.set_int_max_str_digits)
+        if cap is not None and text.isascii() and text.isdigit() \
+                and len(text.lstrip("0")) > len(str(cap)):
+            value = cap + 1
+        else:
+            try:
+                value = int(text)
+            except ValueError:
+                value = None
         if value is None or value < low:
             raise argparse.ArgumentTypeError(
                 f"want an integer >= {low}, got {text!r}")

@@ -457,12 +457,37 @@ def test_option_ranges_checked_at_parse_time(capsys, argv, refused):
 def test_size_options_capped_at_parse_time(capsys, argv, option, cap):
     # past the cap a command used to run for hours or end in MemoryError;
     # the cap itself is only parsed here, never run
-    assert getattr(cli.build_parser().parse_args([*argv, str(cap)]),
-                   option.lstrip("-")) == cap
-    code, out, err = run(capsys, *argv, str(cap + 1))
-    assert (code, out) == (2, "")
-    assert err == (f"error: argument {option}: want at most {cap} "
-                   f"(the work cap), got '{cap + 1}'\n")
+    parse = cli.build_parser().parse_args
+    assert getattr(parse([*argv, str(cap)]), option.lstrip("-")) == cap
+    # leading zeros do not count toward the cap's digits
+    assert getattr(parse([*argv, "0" * 20 + "12"]), option.lstrip("-")) == 12
+    # 5000 digits used to read as "want an integer": int() refuses more
+    # than 4300
+    for text in (str(cap + 1), "9" * 5000):
+        code, out, err = run(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: argument {option}: want at most {cap} "
+                       f"(the work cap), got '{text}'\n")
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("expand", "--terms", "12", "--eta"), "1:-{}"),
+    (("reduce", "--basis", "level-5", "--terms", "20", "--target"),
+     "eta:1:-{}"),
+], ids=["expand", "eta-target"])
+def test_eta_exponents_capped_before_expansion(capsys, argv, spec):
+    # past the cap an expansion ran one pass per unit of |r|: minutes to
+    # hours; the cap itself is only parsed here, never run
+    cap = cli.MAX_ETA_WEIGHT
+    assert cli._parse_eta_spec(f"1:-{cap - 5},5:5").exponents \
+        == ((1, 5 - cap), (5, 5))
+    for weight in (cap + 1, 100_000_000):
+        text = spec.format(weight)
+        code, out, err = run(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad eta spec {text.removeprefix('eta:')!r}: "
+                       f"exponents of absolute sum {weight}, want at most "
+                       f"{cap} (the work cap)\n")
 
 
 def test_verify_beta_below_one_refused(capsys):
@@ -931,13 +956,16 @@ def _corpus() -> list[list[str]]:
                "100001"],
               ["expand", "--eta", "1:-1", "--terms", "100001"],
               ["reduce", "--target", "poly:1", "--basis", "level-5",
-               "--terms", "10001"]]
+               "--terms", "10001"],
+              ["expand", "--eta", "1:-1001", "--terms", "12"],
+              ["reduce", "--target", "eta:1:-501,5:500", "--basis", "level-5",
+               "--terms", "20"]]
     return [prefix + argv for argv in argvs for prefix in ([], ["--json"])]
 
 
 # sha256 over (argv, exit code, stdout, stderr) of every corpus invocation
 CORPUS_DIGEST = \
-    "28d8992003977f2365827dfbf3ae417cd2f56a5661c372d9527d77112a4fdc4a"
+    "95d4412bdba64c539b28851d567afb97717213fe0ea02f88b4fce38fea9b5aec"
 
 
 def test_cli_corpus_byte_identical(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
 from cusp_ledger.families import catalog_load, shipped_catalog_path
 from cusp_ledger.series import (
+    _KRONECKER_NONZEROS,
     _SERIES,
     QSeries,
+    _kronecker,
     _norm,
     _series_terms,
     _theta_factors,
@@ -660,18 +663,21 @@ def outcome(fn, *args):
 
 
 def oracle_mul(a, b):
-    """a * b by oracles.poly_mul over the 1/24 grid, from each offset."""
+    """a * b by oracles.poly_mul from each offset, over the coarsest grid
+    of 1/24 steps that holds both factors' exponents."""
     t = min(a.trunc24 + b.offset24, b.trunc24 + a.offset24)
     if a.is_zero or b.is_zero:
         return {}, t
     oa, ob = a.offset24, b.offset24
-    la = [0] * (a.terms()[-1][0] - oa + 1)
-    lb = [0] * (b.terms()[-1][0] - ob + 1)
+    g = gcd(24, *(e - oa for e, _ in a.terms()),
+            *(e - ob for e, _ in b.terms()))
+    la = [0] * ((a.terms()[-1][0] - oa) // g + 1)
+    lb = [0] * ((b.terms()[-1][0] - ob) // g + 1)
     for lst, s, o in ((la, a, oa), (lb, b, ob)):
         for e, v in s.terms():
-            lst[e - o] = v
-    prod = poly_mul(la, lb, t - oa - ob - 1)
-    return {oa + ob + k: v for k, v in enumerate(prod) if v}, t
+            lst[(e - o) // g] = v
+    prod = poly_mul(la, lb, (t - oa - ob - 1) // g)
+    return {oa + ob + g * k: v for k, v in enumerate(prod) if v}, t
 
 
 scalars = st.one_of(
@@ -718,6 +724,67 @@ def test_dense_ring_operations_match_reference(ea, eb):
     if not b.is_zero:
         assert_same(a / b, ra / rb)
         assert_same(b.invert(), rb.invert())
+
+
+@st.composite
+def dense_factors(draw):
+    """(entries, trunc24) of a factor for the product kernels: 1-300 terms
+    with zeros mixed in at several densities, so that the sparser factor
+    of a product falls on either side of _KRONECKER_NONZEROS;
+    signed numerators of up to about 300 bits over a Fraction content; a
+    step-1 or step-24 grid; truncations that cut into the terms or run
+    past them."""
+    step = draw(st.sampled_from([1, 24]))
+    bound = 2 ** draw(st.sampled_from([1, 8, 64, 300]))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    den = draw(st.sampled_from([1, 1, 125, 3 ** 40]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size, off = rng.randint(1, 300), rng.randint(-48, 48)
+    entries = {off + step * i: Fraction(rng.randint(-bound, bound), den)
+               for i in range(size) if rng.random() >= zeros}
+    return entries, off + rng.randint(1, step * size + 48)
+
+
+def _factor(s):
+    return dict(s.terms()), s.trunc24
+
+
+# the level-5 chart at the zero cusp, squared as by ModuleBasis.x_power
+CHART_5 = _factor(pochhammer_product(LEVEL_5_CHART, 24 * 120))
+# the depth-1 tower series of p-5: q (q^5;q^5) times a slice of 1/(q;q)
+P5_PREFACTOR = _factor(pochhammer_product(((5, 1),), 24 * 150).shift(24))
+P5_SLICE = _factor(pochhammer_product(((1, -1),), 24 * 750)
+                   .progression_slice(24, 5, 1))
+# the largest product coefficients that 300 terms of 301 bits can give
+EXTREMES = ({24 * i: -2 ** 300 for i in range(300)}, 24 * 300)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dense_factors(), dense_factors())
+@example(CHART_5, CHART_5)
+@example(P5_PREFACTOR, P5_SLICE)
+@example(EXTREMES, EXTREMES)
+def test_dense_products_match_reference(ea, eb):
+    a, b = QSeries(*ea), QSeries(*eb)
+    got = a * b
+    want, t = oracle_mul(a, b)
+    assert (got.trunc24, dict(got.terms())) == (t, want)
+    assert got == QSeries(want, t)
+    # the row kernel alone gives the same fields
+    with patch("cusp_ledger.series._KRONECKER_NONZEROS", float("inf")):
+        assert a * b == got
+
+
+def test_product_kernel_chosen_by_nonzeros():
+    chart = QSeries(*CHART_5)
+    prefactor, sliced = QSeries(*P5_PREFACTOR), QSeries(*P5_SLICE)
+    with patch("cusp_ledger.series._kronecker", wraps=_kronecker) as spy:
+        prefactor * sliced  # a pentagonal factor: rows
+        assert not spy.called
+        chart * chart
+        assert spy.call_count == 1
+    assert min(len(s.support()) for s in (prefactor, sliced)) \
+        < _KRONECKER_NONZEROS <= len(chart.support())
 
 
 @hyp
