@@ -19,9 +19,17 @@ def _check_level(N: int) -> None:
         raise CuspLedgerError(f"level must be a positive integer, got {N!r}")
 
 
+# trial division runs to sqrt(n): at most 10^6 steps, about 0.1 s
+MAX_FACTORIZE = 10 ** 12
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorisation as ((p, multiplicity), ...) by trial division."""
+    """Prime factorisation as ((p, multiplicity), ...) by trial division,
+    refused above MAX_FACTORIZE."""
+    if n > MAX_FACTORIZE:
+        raise CuspLedgerError("cannot factorise an integer above 10^12, the "
+                              "work cap for trial division")
     out = []
     d = 2
     while d * d <= n:

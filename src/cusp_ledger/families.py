@@ -23,7 +23,7 @@ from pathlib import Path
 from .curves import curve_profile
 from .errors import (
     CatalogError,
-    EtaError,
+    CuspLedgerError,
     ExactnessError,
     FamilyError,
     InternalInconsistencyError,
@@ -484,13 +484,16 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
 def _parsed(path: str, parse, *args):
     """parse(*args); the one place where a Python exception raised by bad
     catalog input (unreadable file, broken JSON, missing key, wrong shape or
-    number, failed FamilySpec.validate) becomes CatalogError "path: why"."""
+    number, a refusal such as a failed FamilySpec.validate) becomes
+    CatalogError "path: why"; a CatalogError already names its entry."""
     try:
         return parse(*args)
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
-    except (AttributeError, EtaError, FamilyError, OSError, TypeError,
-            ValueError, ZeroDivisionError) as exc:
+    except CatalogError:
+        raise
+    except (AttributeError, CuspLedgerError, OSError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
 
 

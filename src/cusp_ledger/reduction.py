@@ -31,10 +31,9 @@ DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 def _pole_order(series: QSeries, what: str) -> int:
     if series.is_zero:
         raise BasisError(f"{what} must be a nonzero series")
-    e = series.offset24
-    if e % 24 != 0:
+    if not series.is_integer_grid:
         raise BasisError(f"{what} must live on the integer exponent grid")
-    return -(e // 24)
+    return -(series.offset24 // 24)
 
 
 @dataclass

@@ -449,11 +449,13 @@ def _pack(nums: list[int], size: int) -> int:
 
 
 def _divide(a: QSeries, b: QSeries) -> QSeries:
-    """Exact division a/b by forward substitution on the integer numerators.
+    """Exact division a/b on the integer numerators A and B, b0 = B[0].
 
-    With B = b's numerators and b0 = B[0], the quotient's k-th coefficient
-    is D[k] / b0^(k+1), where D[k] = b0^k A[k] - sum B[s] b0^(s-1) D[k-s]
-    is an integer; the powers of b0 go into the denominator.
+    At q -> b0 q the divisor is b0 (1 + sum B[s] b0^(s-1) q^s), whose second
+    factor has integer coefficients and constant term 1, so the kernel's
+    forward recurrence (_divide_out) divides sum b0^k A[k] q^k by it into
+    integers D[k]; the quotient's k-th coefficient is D[k] / b0^(k+1), and
+    the powers of b0 go into the denominator.
     """
     if b.is_zero:
         raise SeriesError("non-invertible: zero series")
@@ -464,18 +466,10 @@ def _divide(a: QSeries, b: QSeries) -> QSeries:
     step = a._step if a._step == b._step else 1
     n = -(-rel_out // step)
     A = a._on_grid(step)[:n]
-    A += [0] * (n - len(A))
     B = b._on_grid(step)[:n]
     pw = [B[0] ** j for j in range(n + 1)]
-    tail = [(s, v * pw[s - 1]) for s, v in enumerate(B) if s and v]
-    d: list[int] = []
-    for k in range(n):
-        acc = A[k] * pw[k]
-        for s, v in tail:
-            if s > k:
-                break
-            acc -= v * d[k - s]
-        d.append(acc)
+    d = [v * p for v, p in zip(A, pw)] + [0] * (n - len(A))
+    _divide_out(d, [(s, v * pw[s - 1]) for s, v in enumerate(B) if s and v])
     nums = [b._den * v * pw[n - 1 - k] for k, v in enumerate(d)]
     return _make(a.offset24 - b.offset24, step, nums, a._den * pw[n], trunc)
 

@@ -490,6 +490,30 @@ def test_eta_exponents_capped_before_expansion(capsys, argv, spec):
                        f"{cap} (the work cap)\n")
 
 
+# 10^12 + 1 = 73 * 137 * 99990001: one past the cap, and quick to factor
+OVER_FACTOR_CAP = str(10 ** 12 + 1)
+FACTOR_CAP_ERROR = ("error: cannot factorise an integer above 10^12, the "
+                    "work cap for trial division\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", OVER_FACTOR_CAP),
+    ("classify", "--level", "5", "--prime", OVER_FACTOR_CAP),
+    ("find-eta", "--level", OVER_FACTOR_CAP, "--bound", "1"),
+    ("reduce", "--target", "poly:1", "--basis", "level-5", "--prime",
+     OVER_FACTOR_CAP),
+    ("expand", "--eta", f"1:1,{OVER_FACTOR_CAP}:-1", "--at-cusp", "zero"),
+], ids=["profile", "classify", "find-eta", "reduce", "expand"])
+def test_factorisation_capped(capsys, argv):
+    # trial division ran to sqrt(n) for any n: at n = 10^18 + 3 each of
+    # these was still running after 10 s
+    assert run(capsys, *argv) == (2, "", FACTOR_CAP_ERROR)
+
+
+def test_factorisation_cap_admits_the_cap(capsys):
+    assert run(capsys, "profile", str(10 ** 12))[0] == 0
+
+
 def test_verify_beta_below_one_refused(capsys):
     # a demanded exponent below 1 makes the check vacuous; it used to PASS
     for beta in ("-1", "0"):
@@ -728,6 +752,36 @@ def test_catalog_nonpositive_delta_refused(tmp_path, capsys, keys):
     assert (code, out) == (2, "")
     assert err == (f"error: {path}:families[0]: divisor 0 must be a positive "
                    f"integer\n")
+
+
+def test_catalog_prime_over_factor_cap_names_the_entry(tmp_path, capsys):
+    # a prime past the cap used to hang every command, since each reads
+    # the whole catalog; a refusal raised while the catalog is read names
+    # the catalog and the entry, whatever error it is
+    path = _edited_catalog(tmp_path, ("families", 0, "prime"),
+                           int(OVER_FACTOR_CAP))
+    assert run(capsys, "--catalog", str(path), "verify", "--family", "p-7",
+               "--alpha", "1", "--nmax", "50") == (
+        2, "", FACTOR_CAP_ERROR.replace("error:",
+                                        f"error: {path}:families[0]:"))
+
+
+@pytest.mark.parametrize("keys, term, where", [
+    (("bases", 3, "x", "series", "terms"), [-23, "1", "1"], "x"),
+    (("bases", 3, "ys", 0, "series", "terms"), [-1, "1", "1"], "ys[1]"),
+], ids=["x", "companion"])
+def test_catalog_basis_series_off_the_integer_grid_refused(tmp_path, capsys,
+                                                           keys, term, where):
+    # only the leading exponent was checked: an off-grid term behind it in
+    # x ended as a math failure (exit 1, "reduction target must have
+    # integer exponents"), and in a companion the reduction passed
+    node = json.loads(shipped_catalog_path().read_text())
+    for key in keys:
+        node = node[key]
+    path = _edited_catalog(tmp_path, keys, node + [term])
+    assert run(capsys, "--catalog", str(path), "reduce", "--target",
+               "poly:1,2", "--basis", "demo-genus1") == (
+        2, "", f"error: {where} must live on the integer exponent grid\n")
 
 
 # (keys of the edited field, value, error after the catalog path): a name

@@ -3,11 +3,11 @@
 A top-level function or class of src/cusp_ledger/, or a non-dunder method
 of one, must be referenced somewhere other than its own definition: in
 src/, in the acceptance suite, or in an attribute path that the benchmark's
-tracer wraps (perfbench/spans.py TRACED).  An import or a re-export in
-__init__.py is no reference.  A method that overrides one its class
-inherits from outside the package (cli._Parser.error) is reached through
-the base class's own calls.  The cli.cmd_* functions are exempt: cli.main
-dispatches them by name.
+tracer wraps (perfbench/spans.py TRACED).  An import is no reference, and
+__init__.py imports nothing: each name is bound once, in its module.  A
+method that overrides one its class inherits from outside the package
+(cli._Parser.error) is reached through the base class's own calls.  The
+cli.cmd_* functions are exempt: cli.main dispatches them by name.
 """
 
 import ast
@@ -85,3 +85,12 @@ def test_every_definition_is_reached():
                 continue
             unreached.append(f"{path.name}: {shown}")
     assert not unreached, "unreached: " + ", ".join(unreached)
+
+
+def test_package_binds_no_names_of_its_modules():
+    # a name is imported from the module that defines it; the package
+    # itself binds only __version__
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports
