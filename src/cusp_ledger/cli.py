@@ -15,9 +15,6 @@ import argparse
 import json
 import os
 import sys
-# No command starts a process pool.  The name stays bound only because the
-# benchmark's tracer (perfbench/spans.py) wraps cli.ProcessPoolExecutor.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -63,11 +60,24 @@ MAX_REDUCE_TERMS = 10_000   # reduce --terms
 # sum |r| over an eta spec (--eta, or an eta: target): the expansion costs
 # about one pass over the series per unit of |r|.  Catalog quotients reach 60.
 MAX_ETA_WEIGHT = 1_000
+# an integer option without a work cap refuses more digits as too large
+MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+
+def __getattr__(name):
+    # No command starts a process pool, so none imports one.  The benchmark's
+    # tracer (perfbench/spans.py) still wraps cli.ProcessPoolExecutor; this
+    # hook serves only that lookup, binding the class on first access.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _load_catalog(args) -> Catalog:
@@ -305,10 +315,14 @@ def _int_at_least(low: int, cap: int | None = None):
     """argparse type: an integer no smaller than `low`, and no larger than
     `cap` when one is given."""
     def parse(text: str) -> int:
-        # a digit string with more digits than the cap is over it; int()
-        # would refuse one of more than 4300 (sys.set_int_max_str_digits)
-        if cap is not None and text.isascii() and text.isdigit() \
-                and len(text.lstrip("0")) > len(str(cap)):
+        # a digit string is judged by its length before int() reads it
+        digits = len(text.lstrip("0")) if text.isascii() and text.isdigit() \
+            else 0
+        if cap is None and digits > MAX_INT_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"too large: want an integer >= {low} of at most "
+                f"{MAX_INT_DIGITS} digits, got {digits} digits")
+        if cap is not None and digits > len(str(cap)):
             value = cap + 1
         else:
             try:

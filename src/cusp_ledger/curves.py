@@ -6,7 +6,6 @@ everything is exact integer/rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -75,13 +74,27 @@ def cusp_count(N: int) -> int:
     return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
 
 
-@dataclass(frozen=True)
-class CuspClass:
+class Value:
+    """A record equal to one of its type with equal fields, hashed by them and
+    read-only once built: its __init__ fills vars(self) directly."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} fields are read-only")
+
+
+class CuspClass(Value):
     """One denominator class of cusps: all cusps a/c with gcd(c, N) fixed."""
 
-    denominator: int
-    count: int
-    width: int
+    def __init__(self, denominator: int, count: int, width: int):
+        vars(self).update(denominator=denominator, count=count, width=width)
 
     def to_json_obj(self) -> dict:
         return {**vars(self)}
@@ -122,17 +135,19 @@ def elliptic_counts(N: int) -> tuple[int, int]:
     return (0 if N % 4 == 0 else nu2), (0 if N % 9 == 0 else nu3)
 
 
-@dataclass(frozen=True)
 class CurveProfile:
     """Full topological profile of X_0(N)."""
 
-    level: int
-    index: int
-    cusp_classes: tuple[CuspClass, ...]
-    cusp_count: int
-    nu2: int
-    nu3: int
-    genus: int
+    def __init__(self, level: int, index: int,
+                 cusp_classes: tuple[CuspClass, ...], cusp_count: int,
+                 nu2: int, nu3: int, genus: int):
+        self.level = level
+        self.index = index
+        self.cusp_classes = cusp_classes
+        self.cusp_count = cusp_count
+        self.nu2 = nu2
+        self.nu3 = nu3
+        self.genus = genus
 
     def to_json_obj(self) -> dict:
         return {**vars(self),

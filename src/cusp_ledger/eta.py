@@ -8,24 +8,20 @@ formula, normalised per local uniformiser (integral for valid quotients).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd, isqrt, prod
 from operator import eq, ge, gt, le, lt, mul, xor
 
-from .curves import divisors, enumerate_cusps, factorize
+from .curves import Value, divisors, enumerate_cusps, factorize
 from .errors import EtaError, InternalInconsistencyError, TruncationError
 from .series import QSeries, json_int, json_key, pochhammer_product
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
-    """Level M and exponent vector over the divisors of M (zeros dropped)."""
-
-    level: int
-    exponents: tuple[tuple[int, int], ...]  # sorted ((delta, r_delta), ...)
+class EtaQuotient(Value):
+    """Level M and exponent vector over the divisors of M (zeros dropped),
+    stored as exponents: sorted ((delta, r_delta), ...)."""
 
     def __init__(self, level: int, exponents):
         _require_level(level)
@@ -34,8 +30,7 @@ class EtaQuotient:
         for delta in items:
             if level % delta != 0:
                 raise EtaError(f"divisor {delta} does not divide level {level}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "exponents", cleaned)
+        vars(self).update(level=level, exponents=cleaned)
 
     @property
     def r(self) -> dict[int, int]:
@@ -75,15 +70,19 @@ def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(d, r) for d, r in items.items() if r != 0]))
 
 
-@dataclass(frozen=True)
 class GammaValidation:
-    """Per-condition verdict for validity as a weight-0 function on Gamma_0(N)."""
+    """Per-condition verdict for validity as a weight-0 function on Gamma_0(N):
+    sum r = 0; sum delta*r and sum (N/delta)*r = 0 mod 24 (integral orders at
+    infinity and zero); prod delta^r the square of a rational."""
 
-    level: int
-    weight_zero: bool            # sum r = 0
-    infinity_order_integral: bool  # sum delta*r = 0 (mod 24)
-    zero_order_integral: bool      # sum (N/delta)*r = 0 (mod 24)
-    product_is_square: bool        # prod delta^r is the square of a rational
+    def __init__(self, level: int, weight_zero: bool,
+                 infinity_order_integral: bool, zero_order_integral: bool,
+                 product_is_square: bool):
+        self.level = level
+        self.weight_zero = weight_zero
+        self.infinity_order_integral = infinity_order_integral
+        self.zero_order_integral = zero_order_integral
+        self.product_is_square = product_is_square
 
     @property
     def valid(self) -> bool:
@@ -153,12 +152,12 @@ def order_at_cusp(f: EtaQuotient, N: int, c: int) -> Fraction:
                     24 * gcd(c * c, N))
 
 
-@dataclass(frozen=True)
 class CuspOrderVector:
     """Exact orders of a quotient at every cusp class of X_0(N)."""
 
-    level: int
-    orders: tuple[tuple[int, Fraction], ...]  # ((denominator, order), ...)
+    def __init__(self, level: int, orders: tuple[tuple[int, Fraction], ...]):
+        self.level = level
+        self.orders = orders  # ((denominator, order), ...)
 
     def order(self, c: int) -> Fraction:
         for d, o in self.orders:
@@ -225,13 +224,11 @@ def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSer
     return scale, series
 
 
-@dataclass(frozen=True)
-class OrderConstraint:
-    """One per-cusp-class constraint on a quotient's order."""
+class OrderConstraint(Value):
+    """One per-cusp-class constraint on a quotient's order; op: == <= >= < >"""
 
-    denominator: int
-    op: str  # one of == <= >= < >
-    value: Fraction
+    def __init__(self, denominator: int, op: str, value: Fraction):
+        vars(self).update(denominator=denominator, op=op, value=value)
 
     _OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
 

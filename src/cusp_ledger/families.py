@@ -15,7 +15,6 @@ constructions cross-validate each other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -43,7 +42,6 @@ from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
                      json_str, pochhammer_product, valuation)
 
 
-@dataclass(frozen=True)
 class PochhammerProduct:
     """q^qpow * prod (q^d; q^d)^e_d: an integer series with leading coefficient 1.
 
@@ -51,12 +49,9 @@ class PochhammerProduct:
     eta quotient proper it carries no fractional q-power.
     """
 
-    qpow: int
-    exponents: tuple[tuple[int, int], ...]
-
     def __init__(self, qpow: int, exponents):
-        object.__setattr__(self, "qpow", qpow)
-        object.__setattr__(self, "exponents", exponent_vector(dict(exponents)))
+        self.qpow = qpow
+        self.exponents = exponent_vector(dict(exponents))
 
     def is_one(self) -> bool:
         return self.qpow == 0 and not self.exponents
@@ -72,38 +67,45 @@ class PochhammerProduct:
                     for d, r in obj.get("r", {}).items()})
 
 
-@dataclass(frozen=True)
 class ScheduleStep:
     """One verification depth: slice modulo ell^modulus_exponent, demand
     divisibility by ell^beta."""
 
-    modulus_exponent: int
-    beta: int
+    def __init__(self, modulus_exponent: int, beta: int):
+        self.modulus_exponent = modulus_exponent
+        self.beta = beta
 
 
-@dataclass(frozen=True)
 class EtaTerm:
     """scale * (eta quotient): one summand of a recorded tower identity."""
 
-    scale: Fraction
-    quotient: EtaQuotient
+    def __init__(self, scale: Fraction, quotient: EtaQuotient):
+        self.scale = scale
+        self.quotient = quotient
 
 
-@dataclass
 class FamilySpec:
     """All data defining one congruence family."""
 
-    name: str
-    generator: EtaQuotient
-    prime: int
-    lam: int
-    level: int
-    target_residue: int = 1
-    schedule: dict[int, ScheduleStep] = field(default_factory=dict)
-    prefactors: dict[int, PochhammerProduct] = field(default_factory=dict)
-    multipliers: dict[int, PochhammerProduct] = field(default_factory=dict)
-    tower_identities: dict[int, tuple[EtaTerm, ...]] = field(default_factory=dict)
-    basis_name: str | None = None
+    def __init__(self, name: str, generator: EtaQuotient, prime: int,
+                 lam: int, level: int, target_residue: int = 1,
+                 schedule: dict[int, ScheduleStep] | None = None,
+                 prefactors: dict[int, PochhammerProduct] | None = None,
+                 multipliers: dict[int, PochhammerProduct] | None = None,
+                 tower_identities: dict[int, tuple[EtaTerm, ...]] | None = None,
+                 basis_name: str | None = None):
+        self.name = name
+        self.generator = generator
+        self.prime = prime
+        self.lam = lam
+        self.level = level
+        self.target_residue = target_residue
+        self.schedule = {} if schedule is None else schedule
+        self.prefactors = {} if prefactors is None else prefactors
+        self.multipliers = {} if multipliers is None else multipliers
+        self.tower_identities = {} if tower_identities is None \
+            else tower_identities
+        self.basis_name = basis_name
 
     def validate(self) -> None:
         if not is_prime(self.prime):
@@ -143,15 +145,17 @@ NO_SYSTEMATIC = "NoSystematicMethods"
 SPORADIC = "Unclassified-Sporadic"
 
 
-@dataclass(frozen=True)
 class ClassificationReport:
-    level: int
-    prime: int | None
-    cusp_count: int
-    genus: int
-    difficulty_class: str
-    tedium_score: int
-    sporadic_flags: tuple[str, ...]
+    def __init__(self, level: int, prime: int | None, cusp_count: int,
+                 genus: int, difficulty_class: str, tedium_score: int,
+                 sporadic_flags: tuple[str, ...]):
+        self.level = level
+        self.prime = prime
+        self.cusp_count = cusp_count
+        self.genus = genus
+        self.difficulty_class = difficulty_class
+        self.tedium_score = tedium_score
+        self.sporadic_flags = sporadic_flags
 
     def to_json_obj(self) -> dict:
         return {**vars(self), "sporadic_flags": list(self.sporadic_flags)}
@@ -271,17 +275,20 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class VerificationReport:
-    family: str
-    alpha: int
-    modulus_exponent: int
-    beta: int
-    n_max: int
-    qualifying_count: int
-    min_valuation: int | None
-    passed: bool
-    counterexample: tuple[int, int, int] | None  # (n, coefficient, valuation)
+    def __init__(self, family: str, alpha: int, modulus_exponent: int,
+                 beta: int, n_max: int, qualifying_count: int,
+                 min_valuation: int | None, passed: bool,
+                 counterexample: tuple[int, int, int] | None):
+        self.family = family
+        self.alpha = alpha
+        self.modulus_exponent = modulus_exponent
+        self.beta = beta
+        self.n_max = n_max
+        self.qualifying_count = qualifying_count
+        self.min_valuation = min_valuation
+        self.passed = passed
+        self.counterexample = counterexample  # (n, coefficient, valuation)
 
     def to_json_obj(self) -> dict:
         ce = None
@@ -372,7 +379,6 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
 # catalog bases
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BasisEntry:
     """Catalog description of a module basis; series are built on demand.
 
@@ -380,11 +386,15 @@ class BasisEntry:
     Laurent polynomial; the companions ys keep their catalog order.
     """
 
-    name: str
-    level: int | None
-    x: EtaQuotient | QSeries | None = None
-    ys: list[EtaQuotient | QSeries] = field(default_factory=list)
-    z: EtaQuotient | None = None
+    def __init__(self, name: str, level: int | None,
+                 x: EtaQuotient | QSeries | None = None,
+                 ys: list[EtaQuotient | QSeries] | None = None,
+                 z: EtaQuotient | None = None):
+        self.name = name
+        self.level = level
+        self.x = x
+        self.ys = [] if ys is None else ys
+        self.z = z
 
     def build(self, trunc24: int) -> ModuleBasis:
         def chart(source: EtaQuotient | QSeries) -> QSeries:
@@ -410,10 +420,10 @@ class BasisEntry:
 # catalog loading
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Catalog:
-    families: list[FamilySpec]
-    bases: list[BasisEntry]
+    def __init__(self, families: list[FamilySpec], bases: list[BasisEntry]):
+        self.families = families
+        self.bases = bases
 
     def family(self, name: str) -> FamilySpec:
         for f in self.families:
@@ -466,7 +476,11 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
                                f"'eta' or 'series' entry")
         if "eta" in kind:
             return EtaQuotient.from_json_obj(spec_obj["eta"])
-        return QSeries.from_json_obj(spec_obj["series"])
+        series = QSeries.from_json_obj(spec_obj["series"])
+        if not series.is_integer_grid:
+            raise CatalogError(
+                f"{path}: {what} must live on the integer exponent grid")
+        return series
 
     level = obj.get("level")  # optional; a bool is no level
     if "level" in obj and (type(level) is not int or level < 1):

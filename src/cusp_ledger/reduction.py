@@ -10,7 +10,6 @@ pole orders form the gap set, whose size equals the genus of the curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
@@ -36,7 +35,6 @@ def _pole_order(series: QSeries, what: str) -> int:
     return -(series.offset24 // 24)
 
 
-@dataclass
 class ModuleBasis:
     """Reference functions spanning the space with poles only at the zero cusp.
 
@@ -45,14 +43,15 @@ class ModuleBasis:
     the pole order of x exactly once, which is validated on construction.
     """
 
-    x: QSeries
-    ys: list[QSeries]
-    level: int | None = None
-    z: QSeries | None = None
-    z_orders: CuspOrderVector | None = None
-    label: str = ""
-
-    def __post_init__(self):
+    def __init__(self, x: QSeries, ys: list[QSeries], level: int | None = None,
+                 z: QSeries | None = None,
+                 z_orders: CuspOrderVector | None = None, label: str = ""):
+        self.x = x
+        self.ys = ys
+        self.level = level
+        self.z = z
+        self.z_orders = z_orders
+        self.label = label
         self.x_order = _pole_order(self.x, "x")
         if self.x_order < 1:
             raise BasisError("x must have a pole at the zero cusp")
@@ -147,13 +146,14 @@ class ModuleBasis:
         return acc
 
 
-@dataclass(frozen=True)
 class Representation:
     """f = z^(-n) * sum s_(k,m) y_k x^m, exact to the recorded truncation."""
 
-    localizer_exponent: int
-    coeffs: dict[tuple[int, int], Scalar]
-    residual: QSeries
+    def __init__(self, localizer_exponent: int,
+                 coeffs: dict[tuple[int, int], Scalar], residual: QSeries):
+        self.localizer_exponent = localizer_exponent
+        self.coeffs = coeffs
+        self.residual = residual
 
     def polynomial(self) -> dict[int, Scalar]:
         """Degree -> coefficient view; only valid when every k is 0."""
@@ -273,12 +273,12 @@ def localize_reduce(f: QSeries, basis: ModuleBasis,
                           residual=rep.residual)
 
 
-@dataclass(frozen=True)
 class ValuationTable:
     """ell-adic valuations of a representation's coefficients."""
 
-    prime: int
-    entries: dict[tuple[int, int], int | None]  # None encodes +infinity
+    def __init__(self, prime: int, entries: dict[tuple[int, int], int | None]):
+        self.prime = prime
+        self.entries = entries  # None encodes +infinity
 
     def min_valuation(self) -> int | None:
         vals = [v for v in self.entries.values() if v is not None]

@@ -16,14 +16,14 @@ appear only at the boundary (coeff24, terms, leading, format, JSON).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
 
 from .curves import factorize
 from .errors import ExactnessError, SeriesError, TruncationError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _norm(value) -> Scalar:

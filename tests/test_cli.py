@@ -453,11 +453,33 @@ def test_option_ranges_checked_at_parse_time(capsys, argv, refused):
     (("expand", "--eta", "1:-1", "--terms"), "--terms", cli.MAX_EXPAND_TERMS),
     (("reduce", "--target", "poly:1", "--basis", "level-5", "--terms"),
      "--terms", cli.MAX_REDUCE_TERMS),
-], ids=["verify-nmax", "expand-terms", "reduce-terms"])
+    (("reduce", "--target", "poly:1", "--basis", "level-5", "--guard"),
+     "--guard", None),
+    (("verify", "--family", "p-5", "--alpha", "1", "--nmax", "1", "--beta"),
+     "--beta", None),
+    (("classify", "--level", "5", "--prime"), "--prime", None),
+    (("reduce", "--target", "poly:1", "--basis", "level-5", "--prime"),
+     "--prime", None),
+    (("expand", "--eta", "1:-1", "--at-cusp", "zero", "--level"), "--level",
+     None),
+    (("profile", "5", "--jobs"), "--jobs", None),
+], ids=["verify-nmax", "expand-terms", "reduce-terms", "reduce-guard",
+        "verify-beta", "classify-prime", "reduce-prime", "expand-level",
+        "jobs"])
 def test_size_options_capped_at_parse_time(capsys, argv, option, cap):
     # past the cap a command used to run for hours or end in MemoryError;
     # the cap itself is only parsed here, never run
     parse = cli.build_parser().parse_args
+    if cap is None:
+        # an option without a cap read 5000 digits as "want an integer":
+        # int() refuses more than 4300
+        code, out, err = run(capsys, *argv, "9" * 5000)
+        assert (code, out) == (2, "")
+        low = {"--guard": 0, "--prime": 2}.get(option, 1)
+        assert err == (f"error: argument {option}: too large: want an "
+                       f"integer >= {low} of at most 4300 digits, got 5000 "
+                       f"digits\n")
+        return
     assert getattr(parse([*argv, str(cap)]), option.lstrip("-")) == cap
     # leading zeros do not count toward the cap's digits
     assert getattr(parse([*argv, "0" * 20 + "12"]), option.lstrip("-")) == 12
@@ -768,20 +790,25 @@ def test_catalog_prime_over_factor_cap_names_the_entry(tmp_path, capsys):
 
 @pytest.mark.parametrize("keys, term, where", [
     (("bases", 3, "x", "series", "terms"), [-23, "1", "1"], "x"),
-    (("bases", 3, "ys", 0, "series", "terms"), [-1, "1", "1"], "ys[1]"),
+    (("bases", 3, "ys", 0, "series", "terms"), [-1, "1", "1"], "ys[0]"),
 ], ids=["x", "companion"])
 def test_catalog_basis_series_off_the_integer_grid_refused(tmp_path, capsys,
                                                            keys, term, where):
     # only the leading exponent was checked: an off-grid term behind it in
     # x ended as a math failure (exit 1, "reduction target must have
-    # integer exponents"), and in a companion the reduction passed
+    # integer exponents"), and in a companion the reduction passed; then
+    # the basis was refused only when built, by a message naming neither
+    # the catalog nor the basis.  The load refuses it, for every command.
     node = json.loads(shipped_catalog_path().read_text())
     for key in keys:
         node = node[key]
     path = _edited_catalog(tmp_path, keys, node + [term])
+    want = (2, "", f"error: {path}:bases[3]: {where} must live on the "
+                   f"integer exponent grid\n")
     assert run(capsys, "--catalog", str(path), "reduce", "--target",
-               "poly:1,2", "--basis", "demo-genus1") == (
-        2, "", f"error: {where} must live on the integer exponent grid\n")
+               "poly:1,2", "--basis", "demo-genus1") == want
+    assert run(capsys, "--catalog", str(path), "verify", "--family", "p-5",
+               "--alpha", "1", "--nmax", "10") == want
 
 
 # (keys of the edited field, value, error after the catalog path): a name

@@ -1,7 +1,7 @@
 """Every definition in the package is reached by something that runs.
 
-A top-level function or class of src/cusp_ledger/, or a non-dunder method
-of one, must be referenced somewhere other than its own definition: in
+A non-dunder top-level function or class of src/cusp_ledger/, or a
+non-dunder method of one, must be referenced somewhere other than its own definition: in
 src/, in the acceptance suite, or in an attribute path that the benchmark's
 tracer wraps (perfbench/spans.py TRACED).  An import is no reference, and
 __init__.py imports nothing: each name is bound once, in its module.  A
@@ -31,19 +31,23 @@ def _identifiers(node: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """(shown name, bare name, node) of each top-level function or class
-    and each non-dunder method of a top-level class."""
+    """(shown name, bare name, node) of each non-dunder top-level function
+    or class and each non-dunder method of a top-level class."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
-        if not isinstance(node, defs):
+        if not isinstance(node, defs) or _dunder(node.name):
             continue
         yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not (
-                        item.name.startswith("__")
-                        and item.name.endswith("__")):
+                if isinstance(item, defs) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name, item
+
+
+def _dunder(name: str) -> bool:
+    """Whether the interpreter, not the package, calls a def of this name
+    (a method such as __eq__, or a module-level __getattr__)."""
+    return name.startswith("__") and name.endswith("__")
 
 
 def _overrides(module: str, shown: str) -> bool:
