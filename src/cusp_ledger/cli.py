@@ -315,18 +315,20 @@ def _int_at_least(low: int, cap: int | None = None):
     """argparse type: an integer no smaller than `low`, and no larger than
     `cap` when one is given."""
     def parse(text: str) -> int:
-        # a digit string is judged by its length before int() reads it
-        digits = len(text.lstrip("0")) if text.isascii() and text.isdigit() \
-            else 0
-        if cap is None and digits > MAX_INT_DIGITS:
+        # a decimal is judged by its digits, past the sign and the leading
+        # zeros, before int() reads it
+        sign = text[:1] if text[:1] in ("-", "+") else ""
+        body = text[len(sign):].lstrip("0")
+        digits = len(body) if body.isascii() and body.isdigit() else 0
+        if cap is not None and sign != "-" and digits > len(str(cap)):
+            value = cap + 1
+        elif digits > MAX_INT_DIGITS:
             raise argparse.ArgumentTypeError(
                 f"too large: want an integer >= {low} of at most "
                 f"{MAX_INT_DIGITS} digits, got {digits} digits")
-        if cap is not None and digits > len(str(cap)):
-            value = cap + 1
         else:
             try:
-                value = int(text)
+                value = int(sign + body) if digits else int(text)
             except ValueError:
                 value = None
         if value is None or value < low:

@@ -191,29 +191,36 @@ def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
     return pochhammer_product(f.exponents, rel).shift(f.degree24)
 
 
-def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSeries]:
-    """Chart expansion at the zero cusp via tau -> -1/(N tau).
-
-    Returns (scale, series): the function's pullback is scale * series with
-    series a monic eta-quotient expansion.  The scale is the exact rational
-    square root of prod (N/delta)^r_delta; the leading exponent24 of the
-    series equals 24 * order_at_cusp(f, N, 1), which is asserted.
-    """
+def require_on_gamma0(f: EtaQuotient, N: int) -> None:
+    """Refuse f unless it is a weight-0 function on Gamma_0(N)."""
     verdict = validate_on_gamma0(f, N)
     if not verdict.product_is_square:
         raise EtaError("multiplier is not rational: prod delta^r is not a square")
     if not verdict.valid:
         raise EtaError("not a weight-0 function on Gamma_0(N): "
                        + "; ".join(verdict.failures()))
+
+
+def zero_cusp_image(f: EtaQuotient, N: int) -> tuple[Fraction, EtaQuotient]:
+    """(scale, image): the pullback of f under tau -> -1/(N tau) is scale
+    times the eta quotient image, f under delta -> N/delta.
+
+    f must be a weight-0 function on Gamma_0(N); the scale is the exact
+    rational square root of prod (N/delta)^r_delta.
+    """
+    require_on_gamma0(f, N)
     square = prod(Fraction(N, d) ** r for d, r in f.exponents)
     scale = Fraction(isqrt(square.numerator), isqrt(square.denominator))
     if scale * scale != square:
         raise InternalInconsistencyError(
             f"prod (N/delta)^r = {square} is not a square, but the Newman "
             f"square test passed")
-    # the image of f under the involution: delta -> N/delta
-    series = expand_at_infinity(
-        EtaQuotient(N, {N // d: r for d, r in f.exponents}), trunc24)
+    return scale, EtaQuotient(N, {N // d: r for d, r in f.exponents})
+
+
+def zero_cusp_checked(f: EtaQuotient, N: int, series: QSeries) -> QSeries:
+    """series, the expansion of f's zero-cusp image, once its leading
+    exponent24 is asserted to be 24 * order_at_cusp(f, N, 1)."""
     if not f.is_trivial():
         want = order_at_cusp(f, N, 1) * 24
         if series.offset24 != want:
@@ -221,7 +228,18 @@ def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSer
                 f"cusp-zero leading exponent {series.offset24} disagrees with "
                 f"Ligozat order {want}"
             )
-    return scale, series
+    return series
+
+
+def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSeries]:
+    """Chart expansion at the zero cusp via tau -> -1/(N tau).
+
+    Returns (scale, series): the function's pullback is scale * series with
+    series the monic expansion of zero_cusp_image; the leading exponent24
+    of the series equals 24 * order_at_cusp(f, N, 1), which is asserted.
+    """
+    scale, image = zero_cusp_image(f, N)
+    return scale, zero_cusp_checked(f, N, expand_at_infinity(image, trunc24))
 
 
 class OrderConstraint(Value):

@@ -35,11 +35,16 @@ from .eta import (
     expand_at_infinity,
     expand_at_zero,
     exponent_vector,
+    order_at_cusp,
+    require_on_gamma0,
     validate_on_gamma0,
+    zero_cusp_checked,
+    zero_cusp_image,
 )
-from .reduction import ModuleBasis
+from .reduction import ModuleBasis, check_pole_orders, pole_order
 from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
-                     json_str, pochhammer_product, valuation)
+                     json_str, pochhammer_passes, pochhammer_product,
+                     pochhammer_times, valuation)
 
 
 class PochhammerProduct:
@@ -349,6 +354,21 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
     then hand back its cusp-zero chart plus per-class order bounds (exact
     for one term; lower bounds when terms could cancel).
 
+    Each term's chart is its scale times the expansion of its zero-cusp
+    image (eta.zero_cusp_image), with every check expand_at_zero makes.  A
+    term is built from the series of the term before it, by the kernel
+    passes of the difference of their images (series.pochhammer_times),
+    whenever those passes are fewer than the division passes of the term's
+    own plan: the identities of the classical families are polynomials in
+    one Hauptmodul, k*v for k = 1, 2, ..., so a power then costs the passes
+    of v.  Division passes are the measure because the own plan scatters
+    its numerator factors first, into the sparse, small-numbered product
+    that grows from 1, while a step runs every pass over a dense list of
+    numbers as large as the term's.  The first term of a run of such steps
+    is expanded as far past its leading term as any term of the run needs,
+    so every term is known to q^terms.  The route is read off the plans
+    (series.pochhammer_passes) before anything is allocated.
+
     A mismatch means the shipped catalog is wrong, which is an internal
     inconsistency, not a user error.
     """
@@ -365,10 +385,38 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
         raise InternalInconsistencyError(
             f"family {spec.name}: recorded depth-{depth} identity disagrees "
             f"with the sliced construction")
-    chart = QSeries.zero(24 * terms)
-    bounds: dict[int, Fraction] = {}
+    trunc24 = 24 * terms
+    images = []
     for term in identity:
-        scale, series = expand_at_zero(term.quotient, spec.level, 24 * terms)
+        scale, image = zero_cusp_image(term.quotient, spec.level)
+        if image.degree24 >= trunc24:
+            raise TruncationError(
+                "truncation too small to hold one term of the expansion")
+        images.append((scale, image))
+    # steps[i]: the vector from image i - 1 to image i when its passes are
+    # fewer than the division passes of image i's own, else None (term i is
+    # expanded afresh)
+    steps = [None]
+    for (_, a), (_, b) in zip(images, images[1:]):
+        step = dict(b.exponents)
+        for d, r in a.exponents:
+            step[d] = step.get(d, 0) - r
+        step = exponent_vector(step)
+        steps.append(step if sum(pochhammer_passes(step))
+                     < pochhammer_passes(b.exponents)[1] else None)
+    # how far past its leading term each fresh expansion must reach
+    reach = [trunc24 - image.degree24 for _, image in images]
+    for i in range(len(images) - 1, 0, -1):
+        if steps[i] is not None:
+            reach[i - 1] = max(reach[i - 1], reach[i])
+    chart = QSeries.zero(trunc24)
+    bounds: dict[int, Fraction] = {}
+    for term, (scale, image), step, rel in zip(identity, images, steps,
+                                               reach):
+        monic = pochhammer_product(image.exponents, rel) if step is None \
+            else pochhammer_times(monic, step)
+        series = zero_cusp_checked(term.quotient, spec.level,
+                                   monic.shift(image.degree24))
         chart = chart + series.scaled(scale * term.scale)
         for c, o in cusp_order_vector(term.quotient, spec.level).orders:
             bounds[c] = o if c not in bounds else min(bounds[c], o)
@@ -476,11 +524,19 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
                                f"'eta' or 'series' entry")
         if "eta" in kind:
             return EtaQuotient.from_json_obj(spec_obj["eta"])
-        series = QSeries.from_json_obj(spec_obj["series"])
-        if not series.is_integer_grid:
-            raise CatalogError(
-                f"{path}: {what} must live on the integer exponent grid")
-        return series
+        return QSeries.from_json_obj(spec_obj["series"])
+
+    def order(source, what):
+        """The pole order at the zero cusp, found without an expansion:
+        the offset of a Laurent series, and Ligozat's order at c = 1 of an
+        eta quotient, which must be a function on the basis curve."""
+        if isinstance(source, QSeries):
+            return pole_order(source, what)
+        if level is None:
+            raise CatalogError(f"{path}: {what} is an eta quotient, which "
+                               f"needs the basis level")
+        require_on_gamma0(source, level)
+        return -int(order_at_cusp(source, level, 1))
 
     level = obj.get("level")  # optional; a bool is no level
     if "level" in obj and (type(level) is not int or level < 1):
@@ -491,6 +547,11 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     if isinstance(z, QSeries):
         raise CatalogError(f"{path}.z: localizers must be eta quotients "
                            f"(orders must be computable)")
+    y_orders = [0] + [order(y, f"ys[{i}]") for i, y in enumerate(ys)]
+    if z is not None:
+        order(z, "z")  # refused here if expand_at_zero would refuse it
+    if x is not None:
+        check_pole_orders(order(x, "x"), y_orders)
     return BasisEntry(name=json_str(obj["name"], "name"), level=level, x=x,
                       ys=ys, z=z)
 

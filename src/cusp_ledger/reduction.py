@@ -27,12 +27,35 @@ from .series import QSeries, Scalar, _check_prime, _norm, valuation
 DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 
 
-def _pole_order(series: QSeries, what: str) -> int:
+def pole_order(series: QSeries, what: str) -> int:
     if series.is_zero:
         raise BasisError(f"{what} must be a nonzero series")
     if not series.is_integer_grid:
         raise BasisError(f"{what} must live on the integer exponent grid")
     return -(series.offset24 // 24)
+
+
+def check_pole_orders(x_order: int, y_orders: list[int]) -> None:
+    """Refuse pole orders at the zero cusp that make no order-complete
+    basis: x needs a pole, so does each companion y_k past y_0 = 1 (order
+    y_orders[0] = 0), and the companion orders must hit each residue class
+    mod the pole order of x exactly once."""
+    if x_order < 1:
+        raise BasisError("x must have a pole at the zero cusp")
+    for k, p in enumerate(y_orders[1:], start=1):
+        if p < 1:
+            raise BasisError(f"y_{k} must have a pole at the zero cusp")
+    residues = [p % x_order for p in y_orders]
+    if len(set(residues)) != len(residues):
+        raise BasisError(
+            "basis not order-complete: companion pole orders collide mod "
+            f"{x_order} (orders {y_orders})"
+        )
+    if len(residues) != x_order:
+        raise BasisError(
+            "basis not order-complete: companion pole orders cover "
+            f"{len(residues)} of {x_order} residue classes mod {x_order}"
+        )
 
 
 class ModuleBasis:
@@ -52,32 +75,15 @@ class ModuleBasis:
         self.z = z
         self.z_orders = z_orders
         self.label = label
-        self.x_order = _pole_order(self.x, "x")
-        if self.x_order < 1:
-            raise BasisError("x must have a pole at the zero cusp")
+        self.x_order = pole_order(self.x, "x")
         if not self.ys:
             raise BasisError("ys must start with the constant 1")
         y0 = self.ys[0]
         if y0.support() != (0,) or y0.coeff24(0) != 1:
             raise BasisError("ys[0] must be the constant series 1")
-        self.y_orders = [0]
-        for k, y in enumerate(self.ys[1:], start=1):
-            p = _pole_order(y, f"ys[{k}]")
-            if p < 1:
-                raise BasisError(f"ys[{k}] must have a pole at the zero cusp")
-            self.y_orders.append(p)
-        d = self.x_order
-        residues = [p % d for p in self.y_orders]
-        if len(set(residues)) != len(residues):
-            raise BasisError(
-                "basis not order-complete: companion pole orders collide mod "
-                f"{d} (orders {self.y_orders})"
-            )
-        if len(residues) != d:
-            raise BasisError(
-                "basis not order-complete: companion pole orders cover "
-                f"{len(set(residues))} of {d} residue classes mod {d}"
-            )
+        self.y_orders = [0] + [pole_order(y, f"ys[{k}]")
+                               for k, y in enumerate(self.ys[1:], start=1)]
+        check_pole_orders(self.x_order, self.y_orders)
         self._monomial_cache: dict[tuple[int, int], QSeries] = {(0, 1): self.x}
 
     def gap_set(self) -> tuple[int, ...]:
@@ -236,7 +242,7 @@ def reduce_genus0(f: QSeries, x: QSeries,
                   guard: int = DEFAULT_GUARD) -> Representation:
     """Genus-0 special case: x has pole order exactly 1, f becomes a
     polynomial in x."""
-    if _pole_order(x, "x") != 1:
+    if pole_order(x, "x") != 1:
         raise BasisError("genus-0 reduction needs x with pole order exactly 1")
     basis = ModuleBasis(x=x, ys=[QSeries.constant(1, x.trunc24)])
     return reduce_module(f, basis, guard=guard)

@@ -522,8 +522,9 @@ def _theta_factors(exponents: tuple[tuple[int, int], ...]
     Greedy: while some theta series (or its inverse) at some q -> q^d takes
     more than one pass off what is left as plain (q^d; q^d)^r, apply the one
     that takes the most, the first in _SERIES, base and sign order among
-    equals; what is left stays Euler's.  So the passes never outnumber
-    sum |r|, and the factors depend on the sorted vector alone.
+    equals, and apply it again for as long as it takes off as many; what is
+    left stays Euler's.  So the passes never outnumber sum |r|, and the
+    factors depend on the sorted vector alone.
     """
     rest: dict[int, int] = {}
     for d, r in exponents:
@@ -536,23 +537,42 @@ def _theta_factors(exponents: tuple[tuple[int, int], ...]
             shape = _SERIES[kind][0]
             for base in sorted({d // m for d in rest for m, _ in shape
                                 if d % m == 0}):
-                for sign in (1, -1):
-                    saved = sum(abs(rest.get(base * m, 0))
-                                - abs(rest.get(base * m, 0) - sign * r)
-                                for m, r in shape)
-                    if saved > most:
-                        best, most = (kind, base, sign), saved
+                plus = minus = 0  # the passes taken off by sign 1 and -1
+                for m, r in shape:
+                    a = rest.get(base * m, 0)
+                    plus += abs(a) - abs(a - r)
+                    minus += abs(a) - abs(a + r)
+                if plus > most:
+                    best, most = (kind, base, 1), plus
+                if minus > most:
+                    best, most = (kind, base, -1), minus
         if best is None:
             break
         kind, base, sign = best
-        for m, r in _SERIES[kind][0]:
-            if not (left := rest.get(base * m, 0) - sign * r):
-                del rest[base * m]
-            else:
-                rest[base * m] = left
-        chosen[kind, base] = chosen.get((kind, base), 0) + sign
+        shape = [(base * m, sign * r) for m, r in _SERIES[kind][0]]
+        times = 0
+        while True:
+            for d, r in shape:
+                if not (left := rest.get(d, 0) - r):
+                    del rest[d]
+                else:
+                    rest[d] = left
+            times += 1
+            if sum(abs(rest.get(d, 0)) - abs(rest.get(d, 0) - r)
+                   for d, r in shape) != most:
+                break
+        chosen[kind, base] = chosen.get((kind, base), 0) + sign * times
     return tuple((kind, d, power) for (kind, d), power in chosen.items()
                  if power) + tuple((0, d, r) for d, r in sorted(rest.items()))
+
+
+def pochhammer_passes(exponents) -> tuple[int, int]:
+    """(scatter passes, division passes) of the kernel on prod
+    (q^d; q^d)^r: one per unit of each positive, and of each negative, power
+    of its theta factors, known before anything is allocated."""
+    factors = _theta_factors(tuple(sorted(exponents)))
+    return (sum(power for _, _, power in factors if power > 0),
+            sum(-power for _, _, power in factors if power < 0))
 
 
 def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
@@ -614,19 +634,23 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
             c[k] = t
 
 
-def pochhammer_product(exponents: tuple[tuple[int, int], ...],
-                       trunc24: int) -> QSeries:
-    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1.
+def pochhammer_times(series: QSeries, exponents) -> QSeries:
+    """series times prod over (d, r) of (q^d; q^d)_infinity^r, known as far
+    as the series is; the series' exponents must agree mod 24.
 
     The vector is written as a product of theta series (_theta_factors).
-    The integer coefficients live on a dense list indexed by the integer
-    exponent n < trunc24/24: the numerator factors are scattered in first,
-    while the product is still sparse, then each denominator factor is
+    The numerators live on a dense list, one entry per integer step of
+    exponent below the truncation: the numerator factors are scattered in
+    first, from the nonzero entries only, then each denominator factor is
     divided out one power at a time.  The list becomes the numerators as it
-    stands.
+    stands, over the series' own denominator.
     """
-    n = max(-(-trunc24 // 24), 0)
-    c = [1] + [0] * (n - 1) if n else []
+    if series._step != 24:
+        raise SeriesError("the Pochhammer kernel needs a series whose "
+                          "exponents agree mod 24")
+    off, trunc = series.offset24, series.trunc24
+    n = -(-(trunc - off) // 24)
+    c = series._nums + [0] * (n - len(series._nums))
     factors = _theta_factors(tuple(sorted(exponents)))
     for kind, d, power in factors:
         if power > 0:
@@ -638,7 +662,14 @@ def pochhammer_product(exponents: tuple[tuple[int, int], ...],
             terms = _series_terms(kind, d, n)[1:]
             for _ in range(-power):
                 _divide_out(c, terms)
-    return _make(0, 24, c, 1, trunc24)
+    return _make(off, 24, c, series._den, trunc)
+
+
+def pochhammer_product(exponents: tuple[tuple[int, int], ...],
+                       trunc24: int) -> QSeries:
+    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1: the
+    kernel (pochhammer_times) applied to the series 1."""
+    return pochhammer_times(_make(0, 24, [1], 1, trunc24), exponents)
 
 
 def _expstr(e24: int) -> str:

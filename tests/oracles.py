@@ -4,7 +4,8 @@ Nothing in here touches the package's series machinery: partition counts
 come from direct dynamic programming, products from schoolbook polynomial
 multiplication or from one pentagonal pass per factor (the package's
 earlier Pochhammer kernel, kept here as the reference for its theta-series
-kernel), cusp/elliptic data from orbit counting on P^1(Z/N), and
+kernel), theta-factor plans from the package's earlier one-at-a-time
+planner, cusp/elliptic data from orbit counting on P^1(Z/N), and
 eta-quotient validity from the rational number prod delta^r itself.
 """
 
@@ -195,6 +196,51 @@ def pochhammer_by_passes(exponents, n: int) -> list[int]:
             for _ in range(-r):
                 _divide_pochhammer(c, terms)
     return c
+
+
+# The product forms of the kernel's theta series, by kind: Euler's (q;q),
+# Jacobi's (q;q)^3, Gauss's psi(q), phi(q) and phi(-q), as ((m, r), ...) for
+# prod (q^m; q^m)^r.
+THETA_SHAPES = (((1, 1),), ((1, 3),), ((1, -1), (2, 2)),
+                ((1, -2), (2, 5), (4, -2)), ((1, 2), (2, -1)))
+
+
+def greedy_theta_factors(exponents) -> tuple[tuple[int, int, int], ...]:
+    """prod (q^d; q^d)^r as theta factors (kind, d, power), one factor
+    applied at a time: while some theta series (or its inverse) at some
+    q -> q^d takes more than one pass off what is left as plain
+    (q^d; q^d)^r, apply the one that takes the most, the first in kind,
+    base and sign order among equals; what is left stays Euler's.  This is
+    the package's earlier planner, kept as the reference for the one that
+    applies a chosen factor in bulk."""
+    rest: dict[int, int] = {}
+    for d, r in exponents:
+        rest[d] = rest.get(d, 0) + r
+    rest = {d: r for d, r in rest.items() if r}
+    chosen: dict[tuple[int, int], int] = {}
+    while True:
+        best, most = None, 1
+        for kind in range(1, len(THETA_SHAPES)):
+            shape = THETA_SHAPES[kind]
+            for base in sorted({d // m for d in rest for m, _ in shape
+                                if d % m == 0}):
+                for sign in (1, -1):
+                    saved = sum(abs(rest.get(base * m, 0))
+                                - abs(rest.get(base * m, 0) - sign * r)
+                                for m, r in shape)
+                    if saved > most:
+                        best, most = (kind, base, sign), saved
+        if best is None:
+            break
+        kind, base, sign = best
+        for m, r in THETA_SHAPES[kind]:
+            if not (left := rest.get(base * m, 0) - sign * r):
+                del rest[base * m]
+            else:
+                rest[base * m] = left
+        chosen[kind, base] = chosen.get((kind, base), 0) + sign
+    return tuple((kind, d, power) for (kind, d), power in chosen.items()
+                 if power) + tuple((0, d, r) for d, r in sorted(rest.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -470,19 +470,24 @@ def test_size_options_capped_at_parse_time(capsys, argv, option, cap):
     # past the cap a command used to run for hours or end in MemoryError;
     # the cap itself is only parsed here, never run
     parse = cli.build_parser().parse_args
+    # leading zeros count toward no limit: 5000 of them used to be refused
+    # as "want an integer >= 1", with all 5002 characters echoed
+    for zeros in (20, 5000):
+        assert getattr(parse([*argv, "0" * zeros + "12"]),
+                       option.lstrip("-")) == 12
+    low = {"--guard": 0, "--prime": 2, "--nmax": 0}.get(option, 1)
+    too_large = (f"error: argument {option}: too large: want an integer >= "
+                 f"{low} of at most 4300 digits, got 5000 digits\n")
+    # a sign is no digit: a negative of 5000 digits was echoed in full as
+    # "want an integer >= 0"
+    assert run(capsys, *argv, "-" + "9" * 5000) == (2, "", too_large)
     if cap is None:
         # an option without a cap read 5000 digits as "want an integer":
         # int() refuses more than 4300
-        code, out, err = run(capsys, *argv, "9" * 5000)
-        assert (code, out) == (2, "")
-        low = {"--guard": 0, "--prime": 2}.get(option, 1)
-        assert err == (f"error: argument {option}: too large: want an "
-                       f"integer >= {low} of at most 4300 digits, got 5000 "
-                       f"digits\n")
+        assert run(capsys, *argv, "9" * 5000) == (2, "", too_large)
+        assert run(capsys, *argv, "+" + "9" * 5000) == (2, "", too_large)
         return
     assert getattr(parse([*argv, str(cap)]), option.lstrip("-")) == cap
-    # leading zeros do not count toward the cap's digits
-    assert getattr(parse([*argv, "0" * 20 + "12"]), option.lstrip("-")) == 12
     # 5000 digits used to read as "want an integer": int() refuses more
     # than 4300
     for text in (str(cap + 1), "9" * 5000):
@@ -809,6 +814,41 @@ def test_catalog_basis_series_off_the_integer_grid_refused(tmp_path, capsys,
                "poly:1,2", "--basis", "demo-genus1") == want
     assert run(capsys, "--catalog", str(path), "verify", "--family", "p-5",
                "--alpha", "1", "--nmax", "10") == want
+
+
+@pytest.mark.parametrize("basis, edit, want", [
+    ("demo-genus1",
+     lambda b: b["ys"][0]["series"]["terms"][0].__setitem__(0, -96),
+     "basis not order-complete: companion pole orders collide mod 2 "
+     "(orders [0, 4])"),
+    ("level-5", lambda b: b["x"]["eta"].__setitem__("r", {"5": -6, "1": 6}),
+     "x must have a pole at the zero cusp"),
+    ("demo-genus1", lambda b: b.__setitem__("ys", []),
+     "basis not order-complete: companion pole orders cover 1 of 2 residue "
+     "classes mod 2"),
+    ("level-5", lambda b: b.__setitem__(
+        "ys", [{"eta": {"M": 5, "r": {"5": 1, "1": -1}}}]),
+     "multiplier is not rational: prod delta^r is not a square"),
+    ("level-7", lambda b: b.pop("level"),
+     "x is an eta quotient, which needs the basis level"),
+    ("level-10", lambda b: b["z"]["eta"].__setitem__("M", 20),
+     "quotient level 20 does not divide N=10"),
+], ids=["collision", "no-pole", "cover", "not-on-the-curve", "no-level",
+        "z-off-the-curve"])
+def test_catalog_basis_pole_orders_checked_at_load(tmp_path, capsys, basis,
+                                                  edit, want):
+    # each used to load, so every other command accepted the catalog, and
+    # failed only when the basis was built: without the catalog path or the
+    # basis, or (no level) as "internal error: TypeError", exit 3
+    doc = json.loads(shipped_catalog_path().read_text())
+    index = [b["name"] for b in doc["bases"]].index(basis)
+    edit(doc["bases"][index])
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    refused = (2, "", f"error: {path}:bases[{index}]: {want}\n")
+    assert run(capsys, "--catalog", str(path), "reduce", "--target",
+               "poly:1,2", "--basis", basis) == refused
+    assert _verify_p5(capsys, path) == refused
 
 
 # (keys of the edited field, value, error after the catalog path): a name

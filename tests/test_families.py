@@ -6,8 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from cusp_ledger.errors import CatalogError, FamilyError, TruncationError
-from cusp_ledger.eta import EtaQuotient
+from cusp_ledger import families
+from cusp_ledger.errors import (
+    CatalogError,
+    FamilyError,
+    InternalInconsistencyError,
+    TruncationError,
+)
+from cusp_ledger.eta import EtaQuotient, expand_at_infinity, expand_at_zero
 from cusp_ledger.families import (
     Catalog,
     EtaTerm,
@@ -408,6 +414,98 @@ def test_localize_pd5_variant_needs_positive_power(catalog):
     rep = localize_reduce(chart, basis, orders)
     assert rep.localizer_exponent >= 1
     assert all(isinstance(c, int) for c in rep.coeffs.values())
+
+
+def _chart_by_terms(spec, depth, terms):
+    """The identity's zero-cusp chart by one expand_at_zero per term, each
+    from scratch: the reference for the term-from-term chart."""
+    chart = QSeries.zero(24 * terms)
+    for term in spec.tower_identities[depth]:
+        scale, series = expand_at_zero(term.quotient, spec.level, 24 * terms)
+        chart = chart + series.scaled(scale * term.scale)
+    return chart
+
+
+@pytest.mark.parametrize("terms", [40, 121, 300])
+def test_identity_chart_matches_per_term_expansion(catalog, terms):
+    identities = [(spec, depth) for spec in catalog.families
+                  for depth in spec.tower_identities]
+    assert len(identities) == 4
+    for spec, depth in identities:
+        chart, _ = certified_identity_chart(spec, depth, terms)
+        assert chart == _chart_by_terms(spec, depth, terms), (spec.name, depth)
+
+
+# level-10 quotients: v is the level-10 basis x, u the pd-5 identity term
+LEVEL_10_V = {1: -3, 2: 1, 5: -1, 10: 3}
+LEVEL_10_U = {1: -4, 2: 2, 5: 4, 10: -2}
+
+
+def _synthetic_level_10(catalog):
+    """pd-5 with the identity v, u, 2v, 3v: u lies off the ray of v, and 3v
+    follows 2v by the passes of v, fewer than its own divisions."""
+    spec = catalog.family("pd-5")
+    ray = [{d: k * r for d, r in LEVEL_10_V.items()} for k in (1, 2, 3)]
+    identity = tuple(EtaTerm(Fraction(scale), EtaQuotient(10, r)) for scale, r
+                     in ((3, ray[0]), (Fraction(-1, 2), LEVEL_10_U),
+                         (7, ray[1]), (-5, ray[2])))
+    return FamilySpec(name="synthetic-10", generator=spec.generator, prime=5,
+                      lam=24, level=10, target_residue=-1,
+                      prefactors=dict(spec.prefactors),
+                      tower_identities={1: identity})
+
+
+def _recorded_at_infinity(spec, depth, terms):
+    out = QSeries.zero(24 * terms)
+    for term in spec.tower_identities[depth]:
+        out = out + expand_at_infinity(term.quotient,
+                                       24 * terms).scaled(term.scale)
+    return out
+
+
+def test_identity_chart_term_from_term_routes(catalog, monkeypatch):
+    # the cross-check against the sliced tower is not what is tested here:
+    # the synthetic identity is its own tower series
+    spec = _synthetic_level_10(catalog)
+    spec.validate()
+    monkeypatch.setattr(
+        families, "tower_series_direct",
+        lambda spec, depth, terms: _recorded_at_infinity(spec, depth, terms))
+    steps = []
+    times = families.pochhammer_times
+    monkeypatch.setattr(families, "pochhammer_times",
+                        lambda series, step: steps.append(step)
+                        or times(series, step))
+    for terms in (1, 40, 121, 300):
+        steps.clear()
+        chart, _ = certified_identity_chart(spec, 1, terms)
+        assert chart == _chart_by_terms(spec, 1, terms), terms
+        # only 3v is built from the term before it, by the passes of v
+        assert steps == [tuple(sorted((10 // d, r)
+                                      for d, r in LEVEL_10_V.items()))]
+    # p-5's L2 is sum c_k (k v): 3v, 4v and 5v follow the term before
+    steps.clear()
+    certified_identity_chart(catalog.family("p-5"), 2, 121)
+    assert steps == [((1, 6), (5, -6))] * 3
+
+
+def test_identity_chart_checks_every_term(catalog, monkeypatch):
+    # a Ligozat order that disagrees with a term's leading exponent is an
+    # internal inconsistency, for a term built from the term before it too
+    import cusp_ledger.eta as eta
+
+    order = eta.order_at_cusp
+    spec = catalog.family("p-5")
+    fifth = spec.tower_identities[2][4].quotient
+
+    def off_for_the_last_term(f, N, c):
+        return order(f, N, c) + (f == fifth and c == 1)
+
+    monkeypatch.setattr(eta, "order_at_cusp", off_for_the_last_term)
+    with pytest.raises(InternalInconsistencyError,
+                       match="cusp-zero leading exponent -120 disagrees with "
+                             "Ligozat order -96"):
+        certified_identity_chart(spec, 2, 40)
 
 
 # -- catalog IO --------------------------------------------------------------------

@@ -19,15 +19,19 @@ from cusp_ledger.series import (
     _series_terms,
     _theta_factors,
     pochhammer_expansion,
+    pochhammer_passes,
     pochhammer_product,
+    pochhammer_times,
     valuation,
 )
 
 from oracles import (
+    THETA_SHAPES,
     binomial_inverse_power,
     colored_partition_counts,
     distinct_partition_counts,
     elongated_diamond_counts,
+    greedy_theta_factors,
     partition_counts,
     pochhammer_by_passes,
     poly_mul,
@@ -336,6 +340,59 @@ def test_theta_factors_never_add_passes(exponents):
     assert {d: r for d, r in product.items() if r} \
         == {d: r for d, r in exponents if r}
     assert _passes(exponents) <= sum(abs(r) for _, r in exponents)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(exponent_tuples)
+def test_theta_factors_match_greedy_oracle(exponents):
+    # applying a chosen factor in bulk plans exactly what applying it once
+    # per scan did
+    assert [shape for shape, _, _ in _SERIES] == list(THETA_SHAPES)
+    assert _theta_factors(exponents) == greedy_theta_factors(exponents)
+
+
+def test_theta_factors_match_greedy_oracle_on_catalog_rays():
+    # k * v for every vector the catalog's eta quotients put through the
+    # kernel at either cusp: the tower identities are such rays
+    catalog = catalog_load(shipped_catalog_path())
+    shapes = set(_kernel_shapes())
+    for basis in catalog.bases:
+        for source in (basis.x, *basis.ys, basis.z):
+            if hasattr(source, "exponents"):
+                shapes.add(source.exponents)
+    for v in sorted(shapes):
+        for k in range(1, 11):
+            kv = tuple((d, k * r) for d, r in v)
+            assert _theta_factors(kv) == greedy_theta_factors(kv), kv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(exponent_tuples, exponent_tuples, st.integers(1, 90),
+       st.integers(-3, 3), st.sampled_from([1, 1, 7, -4]))
+def test_pochhammer_times_multiplies_a_given_series(a, b, n, shift, den):
+    # the kernel on a given series is the product by the kernel on 1, for
+    # any offset and content; on 1 it is pochhammer_product itself
+    t = 24 * n + 5
+    base = pochhammer_product(a, t)
+    merged = {}
+    for d, r in a + b:
+        merged[d] = merged.get(d, 0) + r
+    assert pochhammer_times(base, b) \
+        == pochhammer_product(tuple(sorted(merged.items())), t)
+    given_series = base.shift(24 * shift).scaled(Fraction(3, den))
+    assert pochhammer_times(given_series, b) \
+        == given_series * pochhammer_product(b, t)
+    assert pochhammer_times(QSeries.constant(1, t), b) \
+        == pochhammer_product(b, t)
+    factors = _theta_factors(b)
+    assert pochhammer_passes(b) \
+        == (sum(p for _, _, p in factors if p > 0),
+            -sum(p for _, _, p in factors if p < 0))
+
+
+def test_pochhammer_times_needs_exponents_agreeing_mod_24():
+    with pytest.raises(SeriesError, match="exponents agree mod 24"):
+        pochhammer_times(QSeries({0: 1, 1: 1}, 48), ((1, 1),))
 
 
 @pytest.mark.parametrize("exponents, passes", [
