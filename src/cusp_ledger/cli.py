@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -30,6 +29,7 @@ from .errors import (
 from .eta import (
     EtaQuotient,
     cusp_order_vector,
+    cusp_order_vectors,
     expand_at_infinity,
     expand_at_zero,
     order_at_cusp,
@@ -45,7 +45,7 @@ from .families import (
     verify_congruence,
 )
 from .reduction import DEFAULT_GUARD, localize_reduce, reduce_module, valuation_table
-from .series import QSeries
+from .series import MAX_INT_DIGITS, QSeries, parse_rational
 
 SCHEMA_VERSION = 1
 CATALOG_ENV = "CUSP_LEDGER_CATALOG"
@@ -60,8 +60,6 @@ MAX_REDUCE_TERMS = 10_000   # reduce --terms
 # sum |r| over an eta spec (--eta, or an eta: target): the expansion costs
 # about one pass over the series per unit of |r|.  Catalog quotients reach 60.
 MAX_ETA_WEIGHT = 1_000
-# an integer option without a work cap refuses more digits as too large
-MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -235,10 +233,10 @@ def _reduce_target(args, catalog, basis, trunc24):
         return series.scaled(scale), cusp_order_vector(quotient, level), None
     if target.startswith("poly:"):
         try:
-            coeffs = [Fraction(c) for c in target[5:].split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise CatalogError(
-                f"bad poly target {target!r}: want poly:c0,c1,...") from None
+            coeffs = [parse_rational(c) for c in target[5:].split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CatalogError(f"bad poly target {target!r}, want "
+                               f"poly:c0,c1,...: {exc}") from None
         poly = {(0, m): c for m, c in enumerate(coeffs)}
         return basis.combine(poly, trunc24), None, None
     if target.startswith("pole:"):
@@ -287,18 +285,22 @@ def cmd_reduce(args) -> int:
 def cmd_find_eta(args) -> int:
     constraints = parse_constraints(args.constraints) if args.constraints else []
     found = search_eta_quotients(args.level, constraints, args.bound)
-    entries = []
+    vectors = cusp_order_vectors(found, args.level)
+    # only the rendering that is printed is built
+    if args.json:
+        entries = [{"quotient": f.to_json_obj(),
+                    "orders": vec.to_json_obj()["orders"]}
+                   for f, vec in zip(found, vectors)]
+        _emit(args, {"command": "find-eta", "level": args.level,
+                     "bound": args.bound, "results": entries}, "")
+        return EXIT_OK
     lines = [f"{len(found)} quotient(s) on Gamma_0({args.level}) with "
              f"|r| <= {args.bound}"
              + (f" subject to {args.constraints}" if args.constraints else "")]
-    for f in found:
-        vec = cusp_order_vector(f, args.level)
-        entries.append({"quotient": f.to_json_obj(),
-                        "orders": vec.to_json_obj()["orders"]})
+    for f, vec in zip(found, vectors):
         orders = ", ".join(f"ord[c={c}]={o}" for c, o in vec.orders)
         lines.append(f"  {f}   {orders}")
-    _emit(args, {"command": "find-eta", "level": args.level,
-                 "bound": args.bound, "results": entries}, "\n".join(lines))
+    _emit(args, {}, "\n".join(lines))
     return EXIT_OK
 
 

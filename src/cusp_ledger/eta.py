@@ -16,7 +16,8 @@ from operator import eq, ge, gt, le, lt, mul, xor
 
 from .curves import Value, divisors, enumerate_cusps, factorize
 from .errors import EtaError, InternalInconsistencyError, TruncationError
-from .series import QSeries, json_int, json_key, pochhammer_product
+from .series import (QSeries, json_int, json_key, parse_rational,
+                     pochhammer_product)
 
 
 class EtaQuotient(Value):
@@ -131,8 +132,7 @@ def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
     one linear in r over the rows of _newman_rows."""
     _require_sublevel(f, N)
     ds, cods, masks = _newman_rows(N)
-    exps = f.r
-    r = [exps.get(d, 0) for d in ds]
+    r = _over_divisors(f, ds)
     odd = reduce(xor, compress(masks, [e & 1 for e in r]), 0)
     return GammaValidation(
         level=N, weight_zero=sum(r) == 0,
@@ -141,15 +141,29 @@ def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
         product_is_square=odd == 0)
 
 
+def _over_divisors(f: EtaQuotient, ds) -> list[int]:
+    """f's exponent vector as one entry per divisor in ds, zeros included."""
+    exps = f.r
+    return [exps.get(d, 0) for d in ds]
+
+
+def _ligozat_rows(N: int, ds, classes) -> list[tuple[tuple[int, ...], int]]:
+    """Ligozat's order map at level N, as one integer row per cusp class c in
+    classes: (row, den) with row[i] = gcd(c, d_i)^2 * N/d_i over divisors
+    ds of N, and den = 24 gcd(c^2, N).  The order at c, normalised per
+    local uniformiser, of exponents r over ds is (row . r) / den."""
+    return [(tuple([gcd(c, d) ** 2 * (N // d) for d in ds]),
+             24 * gcd(c * c, N)) for c in classes]
+
+
 def order_at_cusp(f: EtaQuotient, N: int, c: int) -> Fraction:
-    """Ligozat's order of f at the cusp class with denominator c, normalised
-    per local uniformiser: sum r gcd(c, delta)^2 (N/delta) / (24 gcd(c^2, N)).
-    """
+    """Ligozat's order of f at the cusp class with denominator c, read off
+    that class's row (_ligozat_rows) over the divisors f uses."""
     _require_sublevel(f, N)
     if N % c != 0:
         raise EtaError(f"{c} is not a divisor of N={N}")
-    return Fraction(sum(r * gcd(c, d) ** 2 * (N // d) for d, r in f.exponents),
-                    24 * gcd(c * c, N))
+    [(row, den)] = _ligozat_rows(N, [d for d, _ in f.exponents], (c,))
+    return Fraction(sum(map(mul, row, [r for _, r in f.exponents])), den)
 
 
 class CuspOrderVector:
@@ -174,11 +188,32 @@ class CuspOrderVector:
                 "orders": {str(d): str(o) for d, o in self.orders}}
 
 
+def cusp_order_vectors(quotients, N: int) -> list[CuspOrderVector]:
+    """The orders of each quotient at every cusp class of X_0(N), read off
+    one set of Ligozat rows, built only when there is a quotient to read.
+    Equal orders share one Fraction, made once per call."""
+    for f in quotients:
+        _require_sublevel(f, N)
+    if not quotients:
+        return []
+    ds = divisors(N)
+    rows = [(c, row, den)
+            for c, (row, den) in zip(ds, _ligozat_rows(N, ds, ds))]
+    out, made = [], {}
+    for f in quotients:
+        r = _over_divisors(f, ds)
+        orders = []
+        for c, row, den in rows:
+            key = (sum(map(mul, row, r)), den)
+            if (order := made.get(key)) is None:
+                order = made[key] = Fraction(*key)
+            orders.append((c, order))
+        out.append(CuspOrderVector(N, tuple(orders)))
+    return out
+
+
 def cusp_order_vector(f: EtaQuotient, N: int) -> CuspOrderVector:
-    return CuspOrderVector(
-        level=N,
-        orders=tuple((c, order_at_cusp(f, N, c)) for c in divisors(N)),
-    )
+    return cusp_order_vectors([f], N)[0]
 
 
 def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
@@ -248,16 +283,11 @@ class OrderConstraint(Value):
     def __init__(self, denominator: int, op: str, value: Fraction):
         vars(self).update(denominator=denominator, op=op, value=value)
 
-    _OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
-
-    def satisfied_by(self, order: Fraction) -> bool:
-        try:
-            return self._OPS[self.op](order, self.value)
-        except KeyError:
-            raise EtaError(f"unknown constraint operator {self.op!r}") from None
-
     def __str__(self) -> str:
         return f"ord[c={self.denominator}] {self.op} {self.value}"
+
+
+_ORDER_OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
 
 
 def parse_constraints(text: str) -> list[OrderConstraint]:
@@ -267,11 +297,11 @@ def parse_constraints(text: str) -> list[OrderConstraint]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        for op in ("==", "<=", ">=", "<", ">"):
+        for op in _ORDER_OPS:
             if op in chunk:
                 c, v = chunk.split(op, 1)
                 try:
-                    out.append(OrderConstraint(int(c), op, Fraction(v)))
+                    out.append(OrderConstraint(int(c), op, parse_rational(v)))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise EtaError(f"bad constraint {chunk!r}: {exc}") from None
                 break
@@ -311,6 +341,9 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
     by its key, and look each vector over the rest up by its negated key.
     A match is a valid quotient once |r_N| <= bound, so the cost is about
     side^((k-1)//2) + side^ceil((k-1)/2) plus the matches, not side^(k-1).
+    Each constraint is compiled to integers off its Ligozat row, and tested
+    on the raw exponent tuple: ord_c op p/q is (row . r) * q op p * den.
+    Only a returned vector becomes an EtaQuotient.
     An empty result is not an error; a full box of more than MAX_SEARCH_BOX
     candidates is.
     """
@@ -328,6 +361,12 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
             raise EtaError(
                 f"constraint references denominator {cons.denominator} "
                 f"which does not divide N={N}")
+        if cons.op not in _ORDER_OPS:
+            raise EtaError(f"unknown constraint operator {cons.op!r}")
+    tests = [(row, _ORDER_OPS[cons.op], cons.value.denominator,
+              cons.value.numerator * den)
+             for cons, (row, den) in zip(constraints, _ligozat_rows(
+                 N, ds, [cons.denominator for cons in constraints]))]
     rows = [(d - N, c - 1, m ^ masks[-1])
             for d, c, m in zip(ds[:-1], cods, masks)]
     h, r_range = dim // 2, range(-bound, bound + 1)
@@ -341,9 +380,10 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
             last = -s_head - s_tail
             if abs(last) > bound:
                 continue
-            f = EtaQuotient(N, zip(ds, r_head + r_tail + (last,)))
-            if all(c.satisfied_by(order_at_cusp(f, N, c.denominator))
-                   for c in constraints):
-                found.append(f)
-    found.sort(key=lambda f: (sum(abs(r) for _, r in f.exponents), f.exponents))
-    return found
+            r = r_head + r_tail + (last,)
+            if all(op(sum(map(mul, row, r)) * q, target)
+                   for row, op, q, target in tests):
+                found.append((sum(map(abs, r)),
+                              tuple([(d, e) for d, e in zip(ds, r) if e])))
+    found.sort()
+    return [EtaQuotient(N, exponents) for _, exponents in found]

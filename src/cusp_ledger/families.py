@@ -32,6 +32,7 @@ from .eta import (
     CuspOrderVector,
     EtaQuotient,
     cusp_order_vector,
+    cusp_order_vectors,
     expand_at_infinity,
     expand_at_zero,
     exponent_vector,
@@ -43,8 +44,8 @@ from .eta import (
 )
 from .reduction import ModuleBasis, check_pole_orders, pole_order
 from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
-                     json_str, pochhammer_passes, pochhammer_product,
-                     pochhammer_times, valuation)
+                     json_str, pochhammer_passes, pochhammer_plan,
+                     pochhammer_product, pochhammer_times, valuation)
 
 
 class PochhammerProduct:
@@ -367,7 +368,9 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
     numbers as large as the term's.  The first term of a run of such steps
     is expanded as far past its leading term as any term of the run needs,
     so every term is known to q^terms.  The route is read off the plans
-    (series.pochhammer_passes) before anything is allocated.
+    (series.pochhammer_passes) before anything is allocated, and each
+    vector is planned once (series.pochhammer_plan): the kernel runs the
+    plan the route was read off.
 
     A mismatch means the shipped catalog is wrong, which is an internal
     inconsistency, not a user error.
@@ -393,17 +396,18 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
             raise TruncationError(
                 "truncation too small to hold one term of the expansion")
         images.append((scale, image))
-    # steps[i]: the vector from image i - 1 to image i when its passes are
-    # fewer than the division passes of image i's own, else None (term i is
-    # expanded afresh)
+    # plans[i]: image i's own plan; steps[i]: the plan of the vector from
+    # image i - 1 to image i when its passes are fewer than the division
+    # passes of plans[i], else None (term i is expanded afresh)
+    plans = [pochhammer_plan(image.exponents) for _, image in images]
     steps = [None]
-    for (_, a), (_, b) in zip(images, images[1:]):
+    for (_, a), (_, b), own in zip(images, images[1:], plans[1:]):
         step = dict(b.exponents)
         for d, r in a.exponents:
             step[d] = step.get(d, 0) - r
-        step = exponent_vector(step)
+        step = pochhammer_plan(step.items())
         steps.append(step if sum(pochhammer_passes(step))
-                     < pochhammer_passes(b.exponents)[1] else None)
+                     < pochhammer_passes(own)[1] else None)
     # how far past its leading term each fresh expansion must reach
     reach = [trunc24 - image.degree24 for _, image in images]
     for i in range(len(images) - 1, 0, -1):
@@ -411,14 +415,18 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
             reach[i - 1] = max(reach[i - 1], reach[i])
     chart = QSeries.zero(trunc24)
     bounds: dict[int, Fraction] = {}
-    for term, (scale, image), step, rel in zip(identity, images, steps,
-                                               reach):
-        monic = pochhammer_product(image.exponents, rel) if step is None \
-            else pochhammer_times(monic, step)
+    for term, (scale, image), own, step, rel in zip(identity, images, plans,
+                                                    steps, reach):
+        if step is None:
+            monic = pochhammer_times(QSeries.constant(1, rel), own)
+        else:
+            monic = pochhammer_times(monic, step)
         series = zero_cusp_checked(term.quotient, spec.level,
                                    monic.shift(image.degree24))
         chart = chart + series.scaled(scale * term.scale)
-        for c, o in cusp_order_vector(term.quotient, spec.level).orders:
+    for vec in cusp_order_vectors([term.quotient for term in identity],
+                                  spec.level):
+        for c, o in vec.orders:
             bounds[c] = o if c not in bounds else min(bounds[c], o)
     return chart, CuspOrderVector(spec.level, tuple(sorted(bounds.items())))
 

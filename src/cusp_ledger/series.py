@@ -101,6 +101,32 @@ def json_ratio(value, what: str) -> tuple[int, int]:
                      f"got {value!r}")
 
 
+MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refused with a ValueError, before any number is
+    built, when its numerator or denominator would have more than
+    MAX_INT_DIGITS digits as written.  The exponent counts: 1e5000 is the
+    numerator 10^5000, of 5001 digits, and 1e-5000 the denominator.  The
+    digits are counted on the text's parts, without a regular expression,
+    whose compilation would cost every command's start-up."""
+    num, slash, den = text.partition("/")
+    mantissa, _, exp = num.lower().partition("e")
+    e = "".join(filter(str.isdecimal, exp)).lstrip("0")
+    e = int(e or "0") if len(e) <= len(str(MAX_INT_DIGITS)) \
+        else MAX_INT_DIGITS + 1
+    if "-" in exp:
+        e = -e
+    digits = sum(map(str.isdecimal, mantissa)) + max(e, 0)
+    den_digits = sum(map(str.isdecimal, den)) if slash else \
+        sum(map(str.isdecimal, mantissa.partition(".")[2])) + max(-e, 0) + 1
+    if max(digits, den_digits) > MAX_INT_DIGITS:
+        raise ValueError(f"too large: want a numerator and a denominator "
+                         f"of at most {MAX_INT_DIGITS} digits")
+    return Fraction(text)
+
+
 class QSeries:
     """Dense exact q-series: known coefficients live at exponents < trunc24.
 
@@ -514,17 +540,17 @@ def _series_terms(kind: int, delta: int, n: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _theta_factors(exponents: tuple[tuple[int, int], ...]
-                   ) -> tuple[tuple[int, int, int], ...]:
-    """prod (q^d; q^d)^r as factors (kind, d, power) of the _SERIES, one
-    kernel pass per unit of |power|.
+def pochhammer_plan(exponents) -> tuple[tuple[int, int, int], ...]:
+    """The kernel's plan for prod (q^d; q^d)^r over the pairs (d, r):
+    factors (kind, d, power) of the _SERIES, one kernel pass per unit of
+    |power|.
 
     Greedy: while some theta series (or its inverse) at some q -> q^d takes
     more than one pass off what is left as plain (q^d; q^d)^r, apply the one
     that takes the most, the first in _SERIES, base and sign order among
     equals, and apply it again for as long as it takes off as many; what is
     left stays Euler's.  So the passes never outnumber sum |r|, and the
-    factors depend on the sorted vector alone.
+    factors depend on the vector alone, not on the order of its pairs.
     """
     rest: dict[int, int] = {}
     for d, r in exponents:
@@ -566,13 +592,12 @@ def _theta_factors(exponents: tuple[tuple[int, int], ...]
                  if power) + tuple((0, d, r) for d, r in sorted(rest.items()))
 
 
-def pochhammer_passes(exponents) -> tuple[int, int]:
-    """(scatter passes, division passes) of the kernel on prod
-    (q^d; q^d)^r: one per unit of each positive, and of each negative, power
-    of its theta factors, known before anything is allocated."""
-    factors = _theta_factors(tuple(sorted(exponents)))
-    return (sum(power for _, _, power in factors if power > 0),
-            sum(-power for _, _, power in factors if power < 0))
+def pochhammer_passes(plan) -> tuple[int, int]:
+    """(scatter passes, division passes) of the kernel on a plan
+    (pochhammer_plan): one per unit of each positive, and of each negative,
+    power of its theta factors, known before anything is allocated."""
+    return (sum(power for _, _, power in plan if power > 0),
+            sum(-power for _, _, power in plan if power < 0))
 
 
 def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
@@ -634,11 +659,12 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
             c[k] = t
 
 
-def pochhammer_times(series: QSeries, exponents) -> QSeries:
+def pochhammer_times(series: QSeries, plan) -> QSeries:
     """series times prod over (d, r) of (q^d; q^d)_infinity^r, known as far
     as the series is; the series' exponents must agree mod 24.
 
-    The vector is written as a product of theta series (_theta_factors).
+    The vector comes as its plan, a product of theta series
+    (pochhammer_plan), so that a caller that has planned it plans it once.
     The numerators live on a dense list, one entry per integer step of
     exponent below the truncation: the numerator factors are scattered in
     first, from the nonzero entries only, then each denominator factor is
@@ -651,13 +677,12 @@ def pochhammer_times(series: QSeries, exponents) -> QSeries:
     off, trunc = series.offset24, series.trunc24
     n = -(-(trunc - off) // 24)
     c = series._nums + [0] * (n - len(series._nums))
-    factors = _theta_factors(tuple(sorted(exponents)))
-    for kind, d, power in factors:
+    for kind, d, power in plan:
         if power > 0:
             terms = _series_terms(kind, d, n)[1:]
             for _ in range(power):
                 c = _scatter(c, terms)
-    for kind, d, power in factors:
+    for kind, d, power in plan:
         if power < 0:
             terms = _series_terms(kind, d, n)[1:]
             for _ in range(-power):
@@ -669,7 +694,8 @@ def pochhammer_product(exponents: tuple[tuple[int, int], ...],
                        trunc24: int) -> QSeries:
     """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1: the
     kernel (pochhammer_times) applied to the series 1."""
-    return pochhammer_times(_make(0, 24, [1], 1, trunc24), exponents)
+    return pochhammer_times(_make(0, 24, [1], 1, trunc24),
+                            pochhammer_plan(exponents))
 
 
 def _expstr(e24: int) -> str:

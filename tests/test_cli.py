@@ -602,6 +602,57 @@ def test_find_eta_refuses_unbounded_box(capsys):
                    "of 10000000; lower the bound or the level\n")
 
 
+def test_find_eta_box_refused_before_any_ligozat_row(capsys, monkeypatch):
+    # 6720 divisors at bound 1: the box is refused before a row is built
+    from cusp_ledger import eta
+    rows = []
+    monkeypatch.setattr(eta, "_ligozat_rows",
+                        lambda *args: rows.append(args) or [])
+    code, out, err = run(capsys, "find-eta", "--level", "963761198400",
+                         "--bound", "1")
+    assert (code, out, rows) == (2, "", [])
+    assert err == ("error: search box of 3^6719 candidates exceeds the limit "
+                   "of 10000000; lower the bound or the level\n")
+
+
+TOO_LARGE = ("too large: want a numerator and a denominator of at most 4300 "
+             "digits")
+
+
+@pytest.mark.parametrize("argv, err", [
+    # at the parent this ended as exit 3, "internal error: ValueError:
+    # Exceeds the limit (4300 digits) for integer string conversion", when
+    # the report printed the 5001-digit numerator
+    (("reduce", "--target", "poly:1e5000", "--basis", "level-5"),
+     f"bad poly target 'poly:1e5000', want poly:c0,c1,...: {TOO_LARGE}"),
+    # likewise, for the 5001-digit denominator
+    (("reduce", "--target", "poly:1e-5000", "--basis", "level-5"),
+     f"bad poly target 'poly:1e-5000', want poly:c0,c1,...: {TOO_LARGE}"),
+    # at the parent these never finished: Fraction() built 10^100000000
+    (("reduce", "--target", "poly:1e100000000", "--basis", "level-5"),
+     "bad poly target 'poly:1e100000000', want poly:c0,c1,...: "
+     f"{TOO_LARGE}"),
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints",
+      "1<1e100000000"),
+     f"bad constraint '1<1e100000000': {TOO_LARGE}"),
+], ids=["poly-1e5000", "poly-1e-5000", "poly-1e100000000",
+        "constraint-1e100000000"])
+def test_oversized_rational_values_refused_before_they_are_built(
+        capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_rational_values_with_exponents_still_read(capsys):
+    code, doc, _ = run_json(capsys, "find-eta", "--level", "5", "--bound",
+                            "6", "--constraints", "1<=1e5,5>=1")
+    assert code == 0 and len(doc["results"]) == 1
+    _, half, _ = run_json(capsys, "reduce", "--target", "poly:0.5",
+                          "--basis", "level-5")
+    _, ratio, _ = run_json(capsys, "reduce", "--target", "poly:1/2",
+                           "--basis", "level-5")
+    assert half["coeffs"] == ratio["coeffs"] != []
+
+
 def test_find_eta_level5(capsys):
     code, doc, _ = run_json(capsys, "find-eta", "--level", "5",
                             "--constraints", "1==-1,5>=1", "--bound", "6")

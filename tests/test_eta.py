@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cusp_ledger import eta
 from cusp_ledger.curves import divisors, enumerate_cusps
 from cusp_ledger.errors import (
     EtaError,
@@ -16,6 +17,7 @@ from cusp_ledger.eta import (
     EtaQuotient,
     OrderConstraint,
     cusp_order_vector,
+    cusp_order_vectors,
     expand_at_infinity,
     expand_at_zero,
     order_at_cusp,
@@ -291,6 +293,50 @@ def test_order_at_cusp_matches_oracle(data):
     f = EtaQuotient(level, r)
     for c in divisors(N):
         assert order_at_cusp(f, N, c) == ligozat_order(N, r, c), c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cusp_order_vector_matches_oracle(data):
+    # the orders at every class, read off one set of Ligozat rows, for one
+    # quotient and for several at once (equal orders share a Fraction)
+    N = data.draw(st.integers(1, 120), label="N")
+    vectors = [{d: data.draw(st.integers(-12, 12)) for d in divisors(level)}
+               for level in data.draw(st.lists(
+                   st.sampled_from(divisors(N)), min_size=1, max_size=3),
+                   label="levels")]
+    quotients = [EtaQuotient(max(r), r) for r in vectors]
+    want = [tuple((c, ligozat_order(N, r, c)) for c in divisors(N))
+            for r in vectors]
+    assert cusp_order_vector(quotients[0], N).orders == want[0]
+    assert [vec.orders for vec in cusp_order_vectors(quotients, N)] == want
+
+
+def test_cusp_order_vectors_of_no_quotient_build_no_row(monkeypatch):
+    monkeypatch.setattr(eta, "_ligozat_rows", None)
+    assert cusp_order_vectors([], 963761198400) == []
+
+
+def test_constrained_search_builds_only_returned_quotients(monkeypatch):
+    # the constraints are tested on the raw exponent tuple; the search used
+    # to build an EtaQuotient and its orders for each of the 501 valid
+    # vectors here (r_7 = -r_1, a multiple of 4), to keep one
+    built = []
+    init = EtaQuotient.__init__
+
+    def spy(self, level, exponents):
+        built.append(level)
+        init(self, level, exponents)
+
+    monkeypatch.setattr(EtaQuotient, "__init__", spy)
+    found = search_eta_quotients(7, parse_constraints("1==-1"), 1000)
+    assert [f.exponents for f in found] == [((1, -4), (7, 4))]
+    assert built == [7]
+
+
+def test_search_refuses_unknown_operator():
+    with pytest.raises(EtaError, match="unknown constraint operator '=<'"):
+        search_eta_quotients(5, [OrderConstraint(1, "=<", Fraction(0))], 1)
 
 
 def test_search_memory_stays_flat_at_two_divisors():

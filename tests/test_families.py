@@ -31,7 +31,7 @@ from cusp_ledger.families import (
     verify_congruence,
 )
 from cusp_ledger.reduction import localize_reduce, reduce_genus0, valuation_table
-from cusp_ledger.series import QSeries
+from cusp_ledger.series import QSeries, pochhammer_plan
 
 from oracles import (
     distinct_partition_counts,
@@ -473,20 +473,45 @@ def test_identity_chart_term_from_term_routes(catalog, monkeypatch):
         lambda spec, depth, terms: _recorded_at_infinity(spec, depth, terms))
     steps = []
     times = families.pochhammer_times
-    monkeypatch.setattr(families, "pochhammer_times",
-                        lambda series, step: steps.append(step)
-                        or times(series, step))
+
+    def spy(series, plan):
+        # a fresh term runs its own plan on the series 1; a step does not
+        if series != QSeries.constant(1, series.trunc24):
+            steps.append(plan)
+        return times(series, plan)
+
+    monkeypatch.setattr(families, "pochhammer_times", spy)
     for terms in (1, 40, 121, 300):
         steps.clear()
         chart, _ = certified_identity_chart(spec, 1, terms)
         assert chart == _chart_by_terms(spec, 1, terms), terms
         # only 3v is built from the term before it, by the passes of v
-        assert steps == [tuple(sorted((10 // d, r)
-                                      for d, r in LEVEL_10_V.items()))]
+        assert steps == [pochhammer_plan((10 // d, r)
+                                         for d, r in LEVEL_10_V.items())]
     # p-5's L2 is sum c_k (k v): 3v, 4v and 5v follow the term before
     steps.clear()
     certified_identity_chart(catalog.family("p-5"), 2, 121)
-    assert steps == [((1, 6), (5, -6))] * 3
+    assert steps == [pochhammer_plan(((1, 6), (5, -6)))] * 3
+
+
+def test_identity_chart_plans_each_vector_once(catalog, monkeypatch):
+    # each image and each step vector is planned once, and the kernel runs
+    # the plan the route was read off; the kernel used to plan it again
+    planned, run = [], []
+    plan, times = families.pochhammer_plan, families.pochhammer_times
+    monkeypatch.setattr(families, "pochhammer_plan",
+                        lambda pairs: planned.append(plan(pairs))
+                        or planned[-1])
+    monkeypatch.setattr(families, "pochhammer_times",
+                        lambda series, p: run.append(p) or times(series, p))
+    for name, depth in (("p-5", 2), ("p-7", 1), ("pd-5", 1)):
+        planned.clear()
+        run.clear()
+        certified_identity_chart(catalog.family(name), depth, 40)
+        n = len(catalog.family(name).tower_identities[depth])
+        assert len(planned) == 2 * n - 1
+        assert len(run) == n
+        assert all(any(p is q for q in planned) for p in run)
 
 
 def test_identity_chart_checks_every_term(catalog, monkeypatch):

@@ -11,15 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
 from cusp_ledger.families import catalog_load, shipped_catalog_path
 from cusp_ledger.series import (
+    MAX_INT_DIGITS,
     _KRONECKER_NONZEROS,
     _SERIES,
     QSeries,
     _kronecker,
     _norm,
     _series_terms,
-    _theta_factors,
     pochhammer_expansion,
     pochhammer_passes,
+    parse_rational,
+    pochhammer_plan,
     pochhammer_product,
     pochhammer_times,
     valuation,
@@ -310,7 +312,7 @@ def _kernel_shapes():
 
 
 def _passes(exponents):
-    return sum(abs(power) for _, _, power in _theta_factors(exponents))
+    return sum(abs(power) for _, _, power in pochhammer_plan(exponents))
 
 
 def test_pochhammer_product_catalog_shapes():
@@ -334,7 +336,7 @@ def test_theta_factors_never_add_passes(exponents):
     # the factors multiply back to the vector, in no more passes than one
     # pentagonal pass per unit of |r|
     product = {}
-    for kind, d, power in _theta_factors(exponents):
+    for kind, d, power in pochhammer_plan(exponents):
         for m, r in _SERIES[kind][0]:
             product[d * m] = product.get(d * m, 0) + power * r
     assert {d: r for d, r in product.items() if r} \
@@ -348,7 +350,7 @@ def test_theta_factors_match_greedy_oracle(exponents):
     # applying a chosen factor in bulk plans exactly what applying it once
     # per scan did
     assert [shape for shape, _, _ in _SERIES] == list(THETA_SHAPES)
-    assert _theta_factors(exponents) == greedy_theta_factors(exponents)
+    assert pochhammer_plan(exponents) == greedy_theta_factors(exponents)
 
 
 def test_theta_factors_match_greedy_oracle_on_catalog_rays():
@@ -363,7 +365,7 @@ def test_theta_factors_match_greedy_oracle_on_catalog_rays():
     for v in sorted(shapes):
         for k in range(1, 11):
             kv = tuple((d, k * r) for d, r in v)
-            assert _theta_factors(kv) == greedy_theta_factors(kv), kv
+            assert pochhammer_plan(kv) == greedy_theta_factors(kv), kv
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -377,22 +379,22 @@ def test_pochhammer_times_multiplies_a_given_series(a, b, n, shift, den):
     merged = {}
     for d, r in a + b:
         merged[d] = merged.get(d, 0) + r
-    assert pochhammer_times(base, b) \
+    plan = pochhammer_plan(b)
+    assert pochhammer_times(base, plan) \
         == pochhammer_product(tuple(sorted(merged.items())), t)
     given_series = base.shift(24 * shift).scaled(Fraction(3, den))
-    assert pochhammer_times(given_series, b) \
+    assert pochhammer_times(given_series, plan) \
         == given_series * pochhammer_product(b, t)
-    assert pochhammer_times(QSeries.constant(1, t), b) \
+    assert pochhammer_times(QSeries.constant(1, t), plan) \
         == pochhammer_product(b, t)
-    factors = _theta_factors(b)
-    assert pochhammer_passes(b) \
-        == (sum(p for _, _, p in factors if p > 0),
-            -sum(p for _, _, p in factors if p < 0))
+    assert pochhammer_passes(plan) \
+        == (sum(p for _, _, p in plan if p > 0),
+            -sum(p for _, _, p in plan if p < 0))
 
 
 def test_pochhammer_times_needs_exponents_agreeing_mod_24():
     with pytest.raises(SeriesError, match="exponents agree mod 24"):
-        pochhammer_times(QSeries({0: 1, 1: 1}, 48), ((1, 1),))
+        pochhammer_times(QSeries({0: 1, 1: 1}, 48), pochhammer_plan(((1, 1),)))
 
 
 @pytest.mark.parametrize("exponents, passes", [
@@ -887,3 +889,26 @@ def test_dense_form_is_canonical():
     # cancelling the off-grid term puts the series back on a step-24 grid
     c = a + QSeries({25: 1}, 24 * 9)
     assert c.is_integer_grid and c.support() == (-24, 0)
+
+
+def test_parse_rational_caps_digits_before_building():
+    # a numerator or denominator of more than MAX_INT_DIGITS digits as
+    # written, the exponent counting, is refused before Fraction() builds it
+    cap = MAX_INT_DIGITS
+    assert parse_rational(f"1e{cap - 1}") == 10 ** (cap - 1)
+    assert parse_rational(f" -1e-{cap - 1}") == Fraction(-1, 10 ** (cap - 1))
+    assert parse_rational(f"0.5e{cap - 2}") == 5 * 10 ** (cap - 3)
+    assert parse_rational("9" * cap + "/" + "7" * cap) \
+        == Fraction(int("9" * cap), int("7" * cap))
+    assert parse_rational("1e5") == 100_000
+    assert parse_rational("0.5") == parse_rational("1/2") == Fraction(1, 2)
+    for text in (f"1e{cap}", f"1e-{cap}", f"0.5e{cap - 1}", "1" * (cap + 1),
+                 "1/" + "1" * (cap + 1), "1." + "0" * cap,
+                 "1e" + "9" * 5000, "1e-" + "9" * 5000, "1e100000000",
+                 f" -1_0e{cap - 1} "):
+        with pytest.raises(ValueError, match="too large"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        parse_rational("abc")
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("1/0")
