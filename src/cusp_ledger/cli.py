@@ -12,10 +12,10 @@ representation coefficients, scales) are emitted as strings.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .curves import curve_profile
@@ -25,6 +25,7 @@ from .errors import (
     GapError,
     InternalInconsistencyError,
     ReductionError,
+    shown,
 )
 from .eta import (
     EtaQuotient,
@@ -94,25 +95,55 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
             delta, r = (int(part) for part in chunk.split(":"))
         except ValueError:
             raise CatalogError(
-                f"bad eta spec component {chunk!r}: want delta:exponent"
+                f"bad eta spec component {shown(chunk)}: want delta:exponent"
             ) from None
         if delta in exponents:
-            raise CatalogError(f"bad eta spec {text!r}: divisor {delta} "
+            raise CatalogError(f"bad eta spec {shown(text)}: divisor {delta} "
                                f"given twice")
         exponents[delta] = r
     weight = sum(abs(r) for r in exponents.values())
     if weight > MAX_ETA_WEIGHT:
         raise CatalogError(
-            f"bad eta spec {text!r}: exponents of absolute sum {weight}, "
+            f"bad eta spec {shown(text)}: exponents of absolute sum {weight}, "
             f"want at most {MAX_ETA_WEIGHT} (the work cap)")
     level = lcm(*exponents.keys()) if exponents else 1
     return EtaQuotient(level, exponents)
 
 
+# JSON text of each scalar type a report holds; type() keeps bool from int
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 bool: {True: "true", False: "false"}.__getitem__,
+                 type(None): lambda _: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, for str, int, bool and
+    None scalars in lists, tuples and str-keyed dicts: one join per
+    container, each scalar written inline.  Any other value (a float, a
+    Fraction, a dict key that is not a str) raises TypeError."""
+    kind = type(value)
+    if (write := _JSON_SCALARS.get(kind)) is not None:
+        return write(value)
+    get, inner = _JSON_SCALARS.get, indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = [f"{encode_basestring_ascii(k)}: "
+                f"{w(v) if (w := get(type(v))) else _json_text(v, inner)}"
+                for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(body)}{indent}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        body = [w(v) if (w := get(type(v))) else _json_text(v, inner)
+                for v in value]
+        return f"[{inner}{(',' + inner).join(body)}{indent}]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(args, report: dict, text: str) -> None:
     if args.json:
-        report = {"schema_version": SCHEMA_VERSION, **report}
-        print(json.dumps(report, indent=2))
+        print(_json_text({"schema_version": SCHEMA_VERSION, **report}))
     else:
         print(text)
 
@@ -215,8 +246,8 @@ def _reduce_target(args, catalog, basis, trunc24):
             depth = int(label[1:])
         except ValueError:
             raise CatalogError(
-                f"bad family target {target!r}: want family:NAME:L<depth>"
-            ) from None
+                f"bad family target {shown(target)}: want "
+                f"family:NAME:L<depth>") from None
         spec = catalog.family(name)
         if spec.level != basis.level:
             raise CatalogError(f"family {name} lives on X_0({spec.level}), "
@@ -235,7 +266,7 @@ def _reduce_target(args, catalog, basis, trunc24):
         try:
             coeffs = [parse_rational(c) for c in target[5:].split(",")]
         except (ValueError, ZeroDivisionError) as exc:
-            raise CatalogError(f"bad poly target {target!r}, want "
+            raise CatalogError(f"bad poly target {shown(target)}, want "
                                f"poly:c0,c1,...: {exc}") from None
         poly = {(0, m): c for m, c in enumerate(coeffs)}
         return basis.combine(poly, trunc24), None, None
@@ -245,11 +276,11 @@ def _reduce_target(args, catalog, basis, trunc24):
             if order < 0:
                 raise ValueError
         except ValueError:
-            raise CatalogError(f"bad pole target {target!r}: want pole:P with "
-                               f"P >= 0") from None
+            raise CatalogError(f"bad pole target {shown(target)}: want "
+                               f"pole:P with P >= 0") from None
         return QSeries.monomial(-24 * order, trunc24), None, None
     raise CatalogError(
-        f"unknown target {target!r}: want family:NAME:L<d>, eta:SPEC, "
+        f"unknown target {shown(target)}: want family:NAME:L<d>, eta:SPEC, "
         f"poly:c0,c1,..., or pole:P")
 
 
@@ -313,6 +344,16 @@ class _Parser(argparse.ArgumentParser):
         raise CatalogError(message)
 
 
+def _int(text: str) -> int:
+    """argparse type: int(text), refused in argparse's words, with the value
+    as errors.shown repeats it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {shown(text)}") from None
+
+
 def _int_at_least(low: int, cap: int | None = None):
     """argparse type: an integer no smaller than `low`, and no larger than
     `cap` when one is given."""
@@ -335,10 +376,10 @@ def _int_at_least(low: int, cap: int | None = None):
                 value = None
         if value is None or value < low:
             raise argparse.ArgumentTypeError(
-                f"want an integer >= {low}, got {text!r}")
+                f"want an integer >= {low}, got {shown(text)}")
         if cap is not None and value > cap:
             raise argparse.ArgumentTypeError(
-                f"want at most {cap} (the work cap), got {text!r}")
+                f"want at most {cap} (the work cap), got {shown(text)}")
         return value
     return parse
 
@@ -367,11 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[common], **kwargs)
 
     p = add_parser("profile", help="topological profile of X_0(N)")
-    p.add_argument("level", type=int)
+    p.add_argument("level", type=_int)
 
     p = add_parser("classify", help="difficulty class from the cusp count")
     which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--level", type=int)
+    which.add_argument("--level", type=_int)
     which.add_argument("--family")
     p.add_argument("--prime", type=_int_at_least(2),
                    help="a prime dividing the level")
@@ -389,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("verify", help="check a congruence family directly")
     p.add_argument("--family", required=True)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_int, required=True)
     p.add_argument("--nmax", type=_int_at_least(0, MAX_VERIFY_NMAX),
                    required=True)
     p.add_argument("--beta", type=_int_at_least(1),
@@ -407,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prime for the valuation table")
 
     p = add_parser("find-eta", help="search for eta quotients by orders")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int, required=True)
     p.add_argument("--constraints", help='like "1==-1,5>=1"')
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_int, required=True)
     return parser
 
 

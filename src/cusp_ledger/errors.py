@@ -5,6 +5,17 @@ CLI) can map errors onto exit codes without string matching.
 """
 
 
+ECHO_LIMIT = 40  # the longest input value an error message repeats in full
+
+
+def shown(text: str) -> str:
+    """text as an error message repeats it: its repr, or past ECHO_LIMIT
+    characters the repr of the first ones and the length."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+
+
 class CuspLedgerError(Exception):
     """Base class for all workbench errors."""
 

@@ -15,7 +15,8 @@ from math import gcd, isqrt, prod
 from operator import eq, ge, gt, le, lt, mul, xor
 
 from .curves import Value, divisors, enumerate_cusps, factorize
-from .errors import EtaError, InternalInconsistencyError, TruncationError
+from .errors import (EtaError, InternalInconsistencyError, TruncationError,
+                     shown)
 from .series import (QSeries, json_int, json_key, parse_rational,
                      pochhammer_product)
 
@@ -32,6 +33,14 @@ class EtaQuotient(Value):
             if level % delta != 0:
                 raise EtaError(f"divisor {delta} does not divide level {level}")
         vars(self).update(level=level, exponents=cleaned)
+
+    @classmethod
+    def _known(cls, level: int, exponents: tuple) -> "EtaQuotient":
+        """The quotient of pairs known to be sorted, nonzero and over
+        divisors of level (a search result), without __init__'s checks."""
+        self = cls.__new__(cls)
+        vars(self).update(level=level, exponents=exponents)
+        return self
 
     @property
     def r(self) -> dict[int, int]:
@@ -303,10 +312,11 @@ def parse_constraints(text: str) -> list[OrderConstraint]:
                 try:
                     out.append(OrderConstraint(int(c), op, parse_rational(v)))
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise EtaError(f"bad constraint {chunk!r}: {exc}") from None
+                    raise EtaError(
+                        f"bad constraint {shown(chunk)}: {exc}") from None
                 break
         else:
-            raise EtaError(f"bad constraint {chunk!r}: no operator found")
+            raise EtaError(f"bad constraint {shown(chunk)}: no operator found")
     return out
 
 
@@ -343,7 +353,8 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
     side^((k-1)//2) + side^ceil((k-1)/2) plus the matches, not side^(k-1).
     Each constraint is compiled to integers off its Ligozat row, and tested
     on the raw exponent tuple: ord_c op p/q is (row . r) * q op p * den.
-    Only a returned vector becomes an EtaQuotient.
+    Only a returned vector becomes an EtaQuotient, built without rechecking
+    what the search guarantees (EtaQuotient._known).
     An empty result is not an error; a full box of more than MAX_SEARCH_BOX
     candidates is.
     """
@@ -386,4 +397,5 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
                 found.append((sum(map(abs, r)),
                               tuple([(d, e) for d, e in zip(ds, r) if e])))
     found.sort()
-    return [EtaQuotient(N, exponents) for _, exponents in found]
+    known = EtaQuotient._known
+    return [known(N, exponents) for _, exponents in found]

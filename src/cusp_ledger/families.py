@@ -27,6 +27,7 @@ from .errors import (
     FamilyError,
     InternalInconsistencyError,
     TruncationError,
+    shown,
 )
 from .eta import (
     CuspOrderVector,
@@ -485,13 +486,13 @@ class Catalog:
         for f in self.families:
             if f.name == name:
                 return f
-        raise CatalogError(f"no family named {name!r} in catalog")
+        raise CatalogError(f"no family named {shown(name)} in catalog")
 
     def basis(self, name: str) -> BasisEntry:
         for b in self.bases:
             if b.name == name:
                 return b
-        raise CatalogError(f"no basis named {name!r} in catalog")
+        raise CatalogError(f"no basis named {shown(name)} in catalog")
 
 
 def _family_from_json(obj: dict, path: str) -> FamilySpec:

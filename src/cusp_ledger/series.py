@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import factorize
-from .errors import ExactnessError, SeriesError, TruncationError
+from .errors import ExactnessError, SeriesError, TruncationError, shown
 
 Scalar = int | Fraction
 
@@ -124,7 +124,11 @@ def parse_rational(text: str) -> Fraction:
     if max(digits, den_digits) > MAX_INT_DIGITS:
         raise ValueError(f"too large: want a numerator and a denominator "
                          f"of at most {MAX_INT_DIGITS} digits")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:  # Fraction's own message repeats all of the text
+        raise ValueError(
+            f"Invalid literal for Fraction: {shown(text)}") from None
 
 
 class QSeries:

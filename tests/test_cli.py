@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
@@ -9,6 +11,7 @@ from hypothesis import (HealthCheck, example, given, settings,
 
 from cusp_ledger import cli
 from cusp_ledger.cli import main
+from cusp_ledger.errors import shown
 from cusp_ledger.families import shipped_catalog_path
 
 
@@ -489,12 +492,13 @@ def test_size_options_capped_at_parse_time(capsys, argv, option, cap):
         return
     assert getattr(parse([*argv, str(cap)]), option.lstrip("-")) == cap
     # 5000 digits used to read as "want an integer": int() refuses more
-    # than 4300
-    for text in (str(cap + 1), "9" * 5000):
+    # than 4300; then they were echoed in full
+    for text, echo in ((str(cap + 1), f"'{cap + 1}'"),
+                       ("9" * 5000, f"'{'9' * 40}'... (5000 characters)")):
         code, out, err = run(capsys, *argv, text)
         assert (code, out) == (2, "")
         assert err == (f"error: argument {option}: want at most {cap} "
-                       f"(the work cap), got '{text}'\n")
+                       f"(the work cap), got {echo}\n")
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -640,6 +644,68 @@ TOO_LARGE = ("too large: want a numerator and a denominator of at most 4300 "
 def test_oversized_rational_values_refused_before_they_are_built(
         capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("reduce", "--basis", "level-5", "--target", "poly:" + NINES),
+     "bad poly target 'poly:"),
+    (("reduce", "--basis", "level-5", "--target", "poly:" + "x" * 5000),
+     "Invalid literal for Fraction: 'xxx"),
+    (("reduce", "--basis", "level-5", "--target", "pole:" + NINES),
+     "bad pole target 'pole:"),
+    (("reduce", "--basis", "level-5", "--target", "eta:1:" + NINES),
+     "bad eta spec component '1:"),
+    (("reduce", "--basis", "level-" + NINES, "--target", "poly:1"),
+     "no basis named 'level-"),
+    (("verify", "--alpha", "1", "--nmax", "1", "--family", NINES),
+     "no family named '9"),
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints",
+      "1<" + NINES), "bad constraint '1<"),
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints", NINES),
+     "bad constraint '9"),
+    (("verify", "--family", "p-5", "--alpha", "1", "--nmax", "1" + NINES),
+     "got '1"),
+    (("expand", "--eta", "1:-1", "--terms", "1" + NINES), "got '1"),
+    (("profile", NINES), "argument level: invalid int value: '9"),
+    (("classify", "--level", NINES), "invalid int value: '9"),
+    (("find-eta", "--bound", "1", "--level", NINES),
+     "invalid int value: '9"),
+    (("find-eta", "--level", "5", "--bound", NINES),
+     "invalid int value: '9"),
+    (("verify", "--family", "p-5", "--nmax", "1", "--alpha", NINES),
+     "invalid int value: '9"),
+], ids=["poly-too-large", "poly-literal", "pole", "eta-spec", "basis",
+        "family", "constraint-value", "constraint-operator", "verify-nmax",
+        "expand-terms", "profile-level", "classify-level", "find-eta-level",
+        "find-eta-bound", "verify-alpha"])
+def test_refused_long_values_echoed_by_their_start(capsys, argv, echo):
+    # each of these used to print the refused value in full, 5000 bytes
+    # and more on stderr
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert echo in err and err.count("\n") == 1 and len(err) < 250
+    assert re.search(r"'\.\.\. \(500[0-9] characters\)", err)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("profile", "x"), "argument level: invalid int value: 'x'"),
+    (("find-eta", "--level", "5", "--bound", "1.5"),
+     "argument --bound: invalid int value: '1.5'"),
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints", "1<x"),
+     "bad constraint '1<x': Invalid literal for Fraction: 'x'"),
+    (("expand", "--terms", "0", "--eta", "1:-1"),
+     "argument --terms: want an integer >= 1, got '0'"),
+])
+def test_refused_short_values_echoed_in_full(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+def test_echo_limit_is_forty_characters():
+    assert shown("9" * 40) == repr("9" * 40)
+    assert shown("9" * 41) == f"{'9' * 40!r}... (41 characters)"
 
 
 def test_rational_values_with_exponents_still_read(capsys):
@@ -1076,6 +1142,45 @@ def test_catalog_leaf_of_wrong_type_refused_at_load(tmp_path, capsys, keys,
                          "p-5", "--alpha", "1", "--nmax", "30")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}") and err.count("\n") == 1
+
+
+# text over one character of each kind the encoder escapes or passes:
+# ASCII, quotes, backslashes, control characters, non-ASCII in and past the
+# BMP, lone surrogates
+JSON_TEXT = st.text(st.sampled_from(
+    'a/ "\\\x00\b\f\n\r\t\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+    max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 300, 10 ** 300)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=16)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+@example([[], {}, (), {"": [{}]}, True, False, -1, None])
+def test_json_writer_matches_stdlib_indent_encoder(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "a"},
+                                   [{"a": (0.0,)}], {"k": Fraction(1)}])
+def test_json_writer_refuses_what_json_lacks(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def test_report_value_without_json_form_is_internal_error(capsys,
+                                                          monkeypatch):
+    # a float or a Fraction in a report is a bug, never printed
+    monkeypatch.setattr(cli, "cmd_profile", lambda args: cli._emit(
+        args, {"order": Fraction(1, 2)}, ""))
+    assert run(capsys, "--json", "profile", "5") == (
+        3, "", "internal error: TypeError: Object of type Fraction is not "
+               "JSON serializable\n")
 
 
 def _corpus() -> list[list[str]]:

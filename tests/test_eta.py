@@ -320,18 +320,34 @@ def test_cusp_order_vectors_of_no_quotient_build_no_row(monkeypatch):
 def test_constrained_search_builds_only_returned_quotients(monkeypatch):
     # the constraints are tested on the raw exponent tuple; the search used
     # to build an EtaQuotient and its orders for each of the 501 valid
-    # vectors here (r_7 = -r_1, a multiple of 4), to keep one
+    # vectors here (r_7 = -r_1, a multiple of 4), to keep one.  A result is
+    # built by EtaQuotient._known, without __init__'s checks; both count.
     built = []
-    init = EtaQuotient.__init__
+    init, known = EtaQuotient.__init__, EtaQuotient._known
 
     def spy(self, level, exponents):
         built.append(level)
         init(self, level, exponents)
 
+    def known_spy(level, exponents):
+        built.append(level)
+        return known(level, exponents)
+
     monkeypatch.setattr(EtaQuotient, "__init__", spy)
+    monkeypatch.setattr(EtaQuotient, "_known", known_spy)
     found = search_eta_quotients(7, parse_constraints("1==-1"), 1000)
     assert [f.exponents for f in found] == [((1, -4), (7, 4))]
     assert built == [7]
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 6, 12, 25, 30, 36])
+def test_search_results_equal_checked_quotients(N):
+    # results skip __init__'s checks; each must still be the quotient that
+    # the checked constructor builds from its exponents, hash included
+    for bound in (1, 2, 3):
+        for f in search_eta_quotients(N, [], bound):
+            checked = EtaQuotient(N, dict(f.exponents))
+            assert f == checked and hash(f) == hash(checked)
 
 
 def test_search_refuses_unknown_operator():
