@@ -343,6 +343,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CatalogError(message)
 
+    def _check_value(self, action, value):  # argparse's, echoing by shown
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {shown(value)} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {shown(' '.join(extras))}")
+        return args
+
 
 def _int(text: str) -> int:
     """argparse type: int(text), refused in argparse's words, with the value

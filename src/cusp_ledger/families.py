@@ -234,11 +234,12 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
             f"direct construction unavailable")
     mod = spec.prime ** depth
     r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
-    if series is None:
-        series = coefficient_series(spec, mod * (terms + 1) + r)
+    if series is None:  # read for m < terms - qpow; refused below terms -1
+        series = coefficient_series(
+            spec, mod * max(terms - phi.qpow - 1, min(terms + 1, 0)) + r)
     sliced = series.progression_slice(spec.lam, spec.prime, depth,
                                       target=spec.target_residue)
-    out = phi.expand(24 * (terms + 1)) * sliced
+    out = phi.expand(24 * terms) * sliced
     if out.trunc24 < 24 * terms:
         raise FamilyError(
             f"family {spec.name}: depth-{depth} tower series known only to "
@@ -248,9 +249,9 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
 
 def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
                            series: QSeries | None = None) -> QSeries:
-    """L_depth by the operator route: L_1 directly, then repeated
-    multiplier-then-U_ell steps.  Truncation shrinks by a factor of ell per
-    step, so the depth-1 start is built proportionally longer.
+    """L_depth by the operator route: L_1 directly, then multiplier-then-U_ell
+    steps.  U_ell keeps floor(trunc/ell) terms and a multiplier's product is
+    known qpow terms past its level, so L_j gets ell*needed - qpow (>= 1).
     """
     if depth < 1:
         raise FamilyError("tower depth must be >= 1")
@@ -261,7 +262,8 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
             raise FamilyError(
                 f"family {spec.name}: no multiplier recorded for step "
                 f"{j} -> {j + 1}; recursive construction unavailable")
-        needed.append(needed[-1] * spec.prime + mult.qpow + 1)
+        needed.append(max(needed[-1] * spec.prime - mult.qpow,
+                          min(terms + 1, 1)))
     needed.reverse()  # needed[j-1] = terms required of L_j
     if needed[0] < 1:
         raise FamilyError("truncation exhausted before depth 1")
@@ -318,8 +320,9 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
     beta = step.beta if beta_override is None else beta_override
     mod = spec.prime ** step.modulus_exponent
     r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
-    if series is None:
-        series = coefficient_series(spec, n_max)
+    last = n_max - (n_max - r) % mod  # the last qualifying n; < r if none
+    if series is None and (last >= r or n_max < 0):
+        series = coefficient_series(spec, last)
     count = 0
     min_val: int | None = None
     counterexample = None

@@ -677,10 +677,15 @@ NINES = "9" * 5000
      "invalid int value: '9"),
     (("verify", "--family", "p-5", "--nmax", "1", "--alpha", NINES),
      "invalid int value: '9"),
+    (("expand", "--eta", "1:-1", "--at-cusp", "z" * 5000),
+     "argument --at-cusp: invalid choice: 'z"),
+    (("expand", "--eta", "1:-1", "z" * 5000), "unrecognized arguments: 'z"),
+    (("z" * 5000,), "argument command: invalid choice: 'z"),
 ], ids=["poly-too-large", "poly-literal", "pole", "eta-spec", "basis",
         "family", "constraint-value", "constraint-operator", "verify-nmax",
         "expand-terms", "profile-level", "classify-level", "find-eta-level",
-        "find-eta-bound", "verify-alpha"])
+        "find-eta-bound", "verify-alpha", "at-cusp-choice", "stray-positional",
+        "command-choice"])
 def test_refused_long_values_echoed_by_their_start(capsys, argv, echo):
     # each of these used to print the refused value in full, 5000 bytes
     # and more on stderr

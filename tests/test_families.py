@@ -356,6 +356,184 @@ def test_verify_missing_schedule(catalog):
         verify_congruence(catalog.family("pd-5"), 9, 100)
 
 
+# -- exact truncations: the default lengths against the over-long ones ----------
+
+def _residue(spec, mod):
+    return (pow(spec.lam, -1, mod) * spec.target_residue) % mod
+
+
+def _direct_overlong(spec, depth, terms, expand):
+    """The direct tower as built before exact truncations: a(0..mod*(terms
+    + 1) + r) and the prefactor known one term past the request."""
+    mod = spec.prime ** depth
+    series = expand(spec, mod * (terms + 1) + _residue(spec, mod))
+    sliced = series.progression_slice(spec.lam, spec.prime, depth,
+                                      target=spec.target_residue)
+    out = spec.prefactors[depth].expand(24 * (terms + 1)) * sliced
+    return out.truncate(24 * terms)
+
+
+def _recursive_overlong(spec, depth, terms, expand):
+    """The recursive tower as built before exact truncations: each step
+    asked the level below for needed*ell + qpow + 1 terms."""
+    needed = terms
+    for j in range(depth - 1, 0, -1):
+        needed = needed * spec.prime + spec.multipliers[j].qpow + 1
+    if needed < 1:
+        raise FamilyError("truncation exhausted before depth 1")
+    level = _direct_overlong(spec, 1, needed, expand)
+    for j in range(1, depth):
+        mult = spec.multipliers[j]
+        if not mult.is_one():
+            level = mult.expand(level.trunc24 + 24 * mult.qpow) * level
+        level = level.u_operator(spec.prime)
+    return level.truncate(24 * terms)
+
+
+def _outcome(build, *args, **kwargs):
+    """What a call leaves: its result as JSON, or its refusal."""
+    try:
+        result = build(*args, **kwargs)
+    except (FamilyError, TruncationError) as exc:
+        return type(exc).__name__, str(exc)
+    return result.to_json_obj()
+
+
+def _tower_grid(spec):
+    """(depth, terms, whether the recursive route reaches the depth): every
+    depth with a prefactor (1-4), terms from -2 to about 4000 / ell^depth."""
+    grid = []
+    for depth in sorted(spec.prefactors):
+        top = max(4000 // spec.prime ** depth, 1)
+        chain = all(j in spec.multipliers for j in range(1, depth))
+        grid += [(depth, terms, chain) for terms in sorted(
+            {*range(-2, min(top, 24) + 1),
+             *range(0, top + 1, max(top // 16, 1)), top})]
+    return grid
+
+
+# a verify past this is run only where it reads no coefficient
+VERIFY_REACH = 31000
+
+
+def _verify_grid(spec):
+    """(alpha, n_max, the last qualifying n or None) over every schedule
+    depth: n_max at 0, r - 1, r, r + 1, r + mod - 1, r + mod and around
+    2600.  Past VERIFY_REACH only an n_max below r is kept (p-7 at depth 6),
+    as one that reads a(r) would take seconds."""
+    grid = []
+    for alpha, step in sorted(spec.schedule.items()):
+        mod = spec.prime ** step.modulus_exponent
+        r = _residue(spec, mod)
+        grid += [(alpha, n, n - (n - r) % mod if n >= r else None)
+                 for n in sorted({0, r - 1, r, r + 1, r + mod - 1, r + mod,
+                                  2599, 2600, 2601})
+                 if 0 <= n and (n <= VERIFY_REACH or n < r)]
+    return grid
+
+
+@pytest.fixture(scope="module")
+def overlong():
+    """expand(spec, n_max), equal to coefficient_series(spec, n_max): a
+    truncation of one expansion per generator, which grows by doubling."""
+    known = {}
+
+    def expand(spec, n_max):
+        if n_max < 0:
+            return coefficient_series(spec, n_max)  # refused
+        key = spec.generator.exponents
+        have = known[key].trunc24 // 24 if key in known else 0
+        if n_max >= have:
+            known[key] = coefficient_series(spec, max(n_max, 2 * have, 4096))
+        return known[key].truncate(24 * (n_max + 1))
+    return expand
+
+
+def _expansions(monkeypatch, expand):
+    """Route the default path's coefficient_series through expand; return
+    the list of lengths it asks for."""
+    asked = []
+
+    def spy(spec, n_max):
+        asked.append(n_max)
+        return expand(spec, n_max)
+    monkeypatch.setattr(families, "coefficient_series", spy)
+    return asked
+
+
+def test_overlong_reference_truncates_to_fresh_expansions(catalog, overlong):
+    for spec in catalog.families:
+        for n_max in (0, 1, 7, 651, 2600):
+            assert overlong(spec, n_max) == coefficient_series(spec, n_max)
+
+
+FAMILY_NAMES = ["p-5", "p-7", "p-11", "pd-5", "d2-7", "cphi2-5"]
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_towers_match_overlong_expansions(catalog, overlong, monkeypatch, name):
+    spec = catalog.family(name)
+    asked = _expansions(monkeypatch, overlong)
+    for depth, terms, chain in _tower_grid(spec):
+        where = (name, depth, terms)
+        mod = spec.prime ** depth
+        old_n = mod * (terms + 1) + _residue(spec, mod)
+        want = _outcome(_direct_overlong, spec, depth, terms, overlong)
+        if old_n >= 0:
+            assert _outcome(tower_series_direct, spec, depth, terms,
+                            series=overlong(spec, old_n)) == want, where
+        asked.clear()
+        assert _outcome(tower_series_direct, spec, depth, terms) == want, where
+        assert len(asked) == 1 and asked[0] <= old_n, where
+        if chain:
+            got = _outcome(tower_series_recursive, spec, depth, terms)
+            assert got == _outcome(_recursive_overlong, spec, depth, terms,
+                                   overlong), where
+            if terms > 0:
+                assert got == want, where
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_verify_matches_overlong_expansions(catalog, overlong, monkeypatch,
+                                            name):
+    spec = catalog.family(name)
+    asked = _expansions(monkeypatch, overlong)
+    for alpha, n_max, last in _verify_grid(spec):
+        where = (name, alpha, n_max)
+        asked.clear()
+        got = verify_congruence(spec, alpha, n_max).to_json_obj()
+        assert asked == ([] if last is None else [last]), where
+        if n_max <= VERIFY_REACH:
+            want = verify_congruence(spec, alpha, n_max,
+                                     series=overlong(spec, n_max))
+            assert got == want.to_json_obj(), where
+        else:  # the over-long expansion would be read nowhere
+            assert got["qualifying_count"] == 0 and got["passed"], where
+
+
+def test_expansions_stop_at_the_last_coefficient_read(catalog, monkeypatch):
+    asked = []
+
+    def spy(spec, n_max):
+        asked.append(n_max)
+        return coefficient_series(spec, n_max)
+    monkeypatch.setattr(families, "coefficient_series", spy)
+    p5 = catalog.family("p-5")
+    tower_series_direct(p5, 4, 4)  # 625*(4 - 1 - 1) + 599, was 3724
+    assert asked == [1849]
+    asked.clear()
+    # L_1 needs 4*5 - 0, 20*5 - 1, 99*5 - 0 terms: 5*(495 - 1 - 1) + 4
+    tower_series_recursive(p5, 4, 4)
+    assert asked == [2469]
+    asked.clear()
+    rep = verify_congruence(p5, 6, 2600)  # the first qualifying n is 14974
+    assert asked == [] and rep.qualifying_count == 0 and rep.passed
+    rep = verify_congruence(catalog.family("pd-5"), 2, 2500)
+    assert asked == [651] and rep.qualifying_count == 1
+    with pytest.raises(TruncationError, match="one term of the expansion"):
+        verify_congruence(p5, 6, -1)
+
+
 # -- recorded identities and reduction --------------------------------------------
 
 def test_certified_identity_reduces_p5(catalog):
