@@ -74,9 +74,31 @@ def cusp_count(N: int) -> int:
     return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
 
 
-class Value:
+class Record:
+    """Fields named once, in a subclass's _fields, given by position or by
+    keyword (a missing, unknown or repeated one is a TypeError) and kept in
+    _fields order: the key order of every {**vars(self), ...} report."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if not kwargs and len(args) == len(names):
+            vars(self).update(zip(names, args))
+        elif not args and tuple(kwargs) == names:  # keywords in field order
+            vars(self).update(kwargs)
+        else:
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {names}, got "
+                    f"{len(args)} by position and {sorted(kwargs)} by keyword")
+            vars(self).update(zip(names, args + tuple(map(kwargs.get, rest))))
+
+
+class Value(Record):
     """A record equal to one of its type with equal fields, hashed by them and
-    read-only once built: its __init__ fills vars(self) directly."""
+    read-only once built: __init__ fills vars(self) directly."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -93,8 +115,7 @@ class Value:
 class CuspClass(Value):
     """One denominator class of cusps: all cusps a/c with gcd(c, N) fixed."""
 
-    def __init__(self, denominator: int, count: int, width: int):
-        vars(self).update(denominator=denominator, count=count, width=width)
+    _fields = ("denominator", "count", "width")
 
     def to_json_obj(self) -> dict:
         return {**vars(self)}
@@ -135,19 +156,11 @@ def elliptic_counts(N: int) -> tuple[int, int]:
     return (0 if N % 4 == 0 else nu2), (0 if N % 9 == 0 else nu3)
 
 
-class CurveProfile:
+class CurveProfile(Record):
     """Full topological profile of X_0(N)."""
 
-    def __init__(self, level: int, index: int,
-                 cusp_classes: tuple[CuspClass, ...], cusp_count: int,
-                 nu2: int, nu3: int, genus: int):
-        self.level = level
-        self.index = index
-        self.cusp_classes = cusp_classes
-        self.cusp_count = cusp_count
-        self.nu2 = nu2
-        self.nu3 = nu3
-        self.genus = genus
+    _fields = ("level", "index", "cusp_classes", "cusp_count", "nu2", "nu3",
+               "genus")
 
     def to_json_obj(self) -> dict:
         return {**vars(self),

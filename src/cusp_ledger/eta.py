@@ -14,7 +14,7 @@ from itertools import compress
 from math import gcd, isqrt, prod
 from operator import eq, ge, gt, le, lt, mul, xor
 
-from .curves import Value, divisors, enumerate_cusps, factorize
+from .curves import Record, Value, divisors, enumerate_cusps, factorize
 from .errors import (EtaError, InternalInconsistencyError, TruncationError,
                      shown)
 from .series import (QSeries, json_int, json_key, parse_rational,
@@ -24,6 +24,8 @@ from .series import (QSeries, json_int, json_key, parse_rational,
 class EtaQuotient(Value):
     """Level M and exponent vector over the divisors of M (zeros dropped),
     stored as exponents: sorted ((delta, r_delta), ...)."""
+
+    _fields = ("level", "exponents")
 
     def __init__(self, level: int, exponents):
         _require_level(level)
@@ -80,19 +82,13 @@ def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
     return tuple(sorted([(d, r) for d, r in items.items() if r != 0]))
 
 
-class GammaValidation:
+class GammaValidation(Record):
     """Per-condition verdict for validity as a weight-0 function on Gamma_0(N):
     sum r = 0; sum delta*r and sum (N/delta)*r = 0 mod 24 (integral orders at
     infinity and zero); prod delta^r the square of a rational."""
 
-    def __init__(self, level: int, weight_zero: bool,
-                 infinity_order_integral: bool, zero_order_integral: bool,
-                 product_is_square: bool):
-        self.level = level
-        self.weight_zero = weight_zero
-        self.infinity_order_integral = infinity_order_integral
-        self.zero_order_integral = zero_order_integral
-        self.product_is_square = product_is_square
+    _fields = ("level", "weight_zero", "infinity_order_integral",
+               "zero_order_integral", "product_is_square")
 
     @property
     def valid(self) -> bool:
@@ -175,12 +171,10 @@ def order_at_cusp(f: EtaQuotient, N: int, c: int) -> Fraction:
     return Fraction(sum(map(mul, row, [r for _, r in f.exponents])), den)
 
 
-class CuspOrderVector:
+class CuspOrderVector(Record):
     """Exact orders of a quotient at every cusp class of X_0(N)."""
 
-    def __init__(self, level: int, orders: tuple[tuple[int, Fraction], ...]):
-        self.level = level
-        self.orders = orders  # ((denominator, order), ...)
+    _fields = ("level", "orders")  # orders: ((denominator, order), ...)
 
     def order(self, c: int) -> Fraction:
         for d, o in self.orders:
@@ -289,8 +283,7 @@ def expand_at_zero(f: EtaQuotient, N: int, trunc24: int) -> tuple[Fraction, QSer
 class OrderConstraint(Value):
     """One per-cusp-class constraint on a quotient's order; op: == <= >= < >"""
 
-    def __init__(self, denominator: int, op: str, value: Fraction):
-        vars(self).update(denominator=denominator, op=op, value=value)
+    _fields = ("denominator", "op", "value")
 
     def __str__(self) -> str:
         return f"ord[c={self.denominator}] {self.op} {self.value}"

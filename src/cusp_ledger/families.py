@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .curves import curve_profile
+from .curves import Record, curve_profile
 from .errors import (
     CatalogError,
     CuspLedgerError,
@@ -74,21 +74,17 @@ class PochhammerProduct:
                     for d, r in obj.get("r", {}).items()})
 
 
-class ScheduleStep:
+class ScheduleStep(Record):
     """One verification depth: slice modulo ell^modulus_exponent, demand
     divisibility by ell^beta."""
 
-    def __init__(self, modulus_exponent: int, beta: int):
-        self.modulus_exponent = modulus_exponent
-        self.beta = beta
+    _fields = ("modulus_exponent", "beta")
 
 
-class EtaTerm:
+class EtaTerm(Record):
     """scale * (eta quotient): one summand of a recorded tower identity."""
 
-    def __init__(self, scale: Fraction, quotient: EtaQuotient):
-        self.scale = scale
-        self.quotient = quotient
+    _fields = ("scale", "quotient")
 
 
 class FamilySpec:
@@ -152,17 +148,9 @@ NO_SYSTEMATIC = "NoSystematicMethods"
 SPORADIC = "Unclassified-Sporadic"
 
 
-class ClassificationReport:
-    def __init__(self, level: int, prime: int | None, cusp_count: int,
-                 genus: int, difficulty_class: str, tedium_score: int,
-                 sporadic_flags: tuple[str, ...]):
-        self.level = level
-        self.prime = prime
-        self.cusp_count = cusp_count
-        self.genus = genus
-        self.difficulty_class = difficulty_class
-        self.tedium_score = tedium_score
-        self.sporadic_flags = sporadic_flags
+class ClassificationReport(Record):
+    _fields = ("level", "prime", "cusp_count", "genus", "difficulty_class",
+               "tedium_score", "sporadic_flags")
 
     def to_json_obj(self) -> dict:
         return {**vars(self), "sporadic_flags": list(self.sporadic_flags)}
@@ -220,13 +208,18 @@ def coefficient_series(spec: FamilySpec, n_max: int) -> QSeries:
     return pochhammer_product(spec.generator.exponents, 24 * (n_max + 1))
 
 
+def _check_tower_size(depth: int, terms: int) -> None:
+    if depth < 1 or terms < 1:
+        raise FamilyError(f"a tower needs depth >= 1 and terms >= 1, got "
+                          f"depth {depth} and terms {terms}")
+
+
 def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
                         series: QSeries | None = None) -> QSeries:
     """L_depth by the ground-truth route: slice the coefficients on
     lam*n = target (mod ell^depth), then multiply by the recorded prefactor.
     """
-    if depth < 1:
-        raise FamilyError("tower depth must be >= 1")
+    _check_tower_size(depth, terms)
     phi = spec.prefactors.get(depth)
     if phi is None:
         raise FamilyError(
@@ -234,9 +227,8 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
             f"direct construction unavailable")
     mod = spec.prime ** depth
     r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
-    if series is None:  # read for m < terms - qpow; refused below terms -1
-        series = coefficient_series(
-            spec, mod * max(terms - phi.qpow - 1, min(terms + 1, 0)) + r)
+    if series is None:  # read for m < terms - qpow
+        series = coefficient_series(spec, mod * max(terms - phi.qpow - 1, 0) + r)
     sliced = series.progression_slice(spec.lam, spec.prime, depth,
                                       target=spec.target_residue)
     out = phi.expand(24 * terms) * sliced
@@ -253,8 +245,7 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
     steps.  U_ell keeps floor(trunc/ell) terms and a multiplier's product is
     known qpow terms past its level, so L_j gets ell*needed - qpow (>= 1).
     """
-    if depth < 1:
-        raise FamilyError("tower depth must be >= 1")
+    _check_tower_size(depth, terms)
     needed = [terms]
     for j in range(depth - 1, 0, -1):
         mult = spec.multipliers.get(j)
@@ -262,11 +253,8 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
             raise FamilyError(
                 f"family {spec.name}: no multiplier recorded for step "
                 f"{j} -> {j + 1}; recursive construction unavailable")
-        needed.append(max(needed[-1] * spec.prime - mult.qpow,
-                          min(terms + 1, 1)))
+        needed.append(max(needed[-1] * spec.prime - mult.qpow, 1))
     needed.reverse()  # needed[j-1] = terms required of L_j
-    if needed[0] < 1:
-        raise FamilyError("truncation exhausted before depth 1")
     level = tower_series_direct(spec, 1, needed[0], series=series)
     for j in range(1, depth):
         mult = spec.multipliers[j]
@@ -284,20 +272,10 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
 # verification
 # ---------------------------------------------------------------------------
 
-class VerificationReport:
-    def __init__(self, family: str, alpha: int, modulus_exponent: int,
-                 beta: int, n_max: int, qualifying_count: int,
-                 min_valuation: int | None, passed: bool,
-                 counterexample: tuple[int, int, int] | None):
-        self.family = family
-        self.alpha = alpha
-        self.modulus_exponent = modulus_exponent
-        self.beta = beta
-        self.n_max = n_max
-        self.qualifying_count = qualifying_count
-        self.min_valuation = min_valuation
-        self.passed = passed
-        self.counterexample = counterexample  # (n, coefficient, valuation)
+class VerificationReport(Record):
+    _fields = ("family", "alpha", "modulus_exponent", "beta", "n_max",
+               "qualifying_count", "min_valuation", "passed",
+               "counterexample")  # counterexample: (n, coefficient, valuation)
 
     def to_json_obj(self) -> dict:
         ce = None
@@ -480,10 +458,8 @@ class BasisEntry:
 # catalog loading
 # ---------------------------------------------------------------------------
 
-class Catalog:
-    def __init__(self, families: list[FamilySpec], bases: list[BasisEntry]):
-        self.families = families
-        self.bases = bases
+class Catalog(Record):
+    _fields = ("families", "bases")
 
     def family(self, name: str) -> FamilySpec:
         for f in self.families:

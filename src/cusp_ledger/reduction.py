@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil
 
+from .curves import Record
 from .errors import (
     BasisError,
     ExactnessError,
@@ -152,14 +153,10 @@ class ModuleBasis:
         return acc
 
 
-class Representation:
+class Representation(Record):
     """f = z^(-n) * sum s_(k,m) y_k x^m, exact to the recorded truncation."""
 
-    def __init__(self, localizer_exponent: int,
-                 coeffs: dict[tuple[int, int], Scalar], residual: QSeries):
-        self.localizer_exponent = localizer_exponent
-        self.coeffs = coeffs
-        self.residual = residual
+    _fields = ("localizer_exponent", "coeffs", "residual")
 
     def polynomial(self) -> dict[int, Scalar]:
         """Degree -> coefficient view; only valid when every k is 0."""
@@ -279,12 +276,10 @@ def localize_reduce(f: QSeries, basis: ModuleBasis,
                           residual=rep.residual)
 
 
-class ValuationTable:
+class ValuationTable(Record):
     """ell-adic valuations of a representation's coefficients."""
 
-    def __init__(self, prime: int, entries: dict[tuple[int, int], int | None]):
-        self.prime = prime
-        self.entries = entries  # None encodes +infinity
+    _fields = ("prime", "entries")  # entries: None encodes +infinity
 
     def min_valuation(self) -> int | None:
         vals = [v for v in self.entries.values() if v is not None]

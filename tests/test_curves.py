@@ -2,8 +2,11 @@
 
 import pytest
 
+import cusp_ledger.families  # noqa: F401  (defines the rest of the records)
 from cusp_ledger.curves import (
     CuspClass,
+    Record,
+    Value,
     cusp_count,
     curve_profile,
     elliptic_counts,
@@ -11,7 +14,8 @@ from cusp_ledger.curves import (
     euler_phi,
     index_mu,
 )
-from cusp_ledger.errors import CuspLedgerError
+from cusp_ledger.errors import CuspLedgerError, EtaError
+from cusp_ledger.eta import EtaQuotient
 
 from oracles import (
     cusp_count_by_orbits,
@@ -132,3 +136,50 @@ def test_bad_level_rejected():
 
 def test_euler_phi_small():
     assert [euler_phi(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+
+
+# -- the Record contract -------------------------------------------------------
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+@pytest.mark.parametrize("cls", [c for c in _records() if c._fields],
+                         ids=lambda c: c.__name__)
+def test_record_contract(cls):
+    names = cls._fields
+    # Record.__init__ takes any values; EtaQuotient's own __init__ checks them
+    values = ([10, ((1, 2), (2, -2))] if cls is EtaQuotient
+              else [f"{name}-value" for name in names])
+    named = dict(zip(names, values))
+    assert ("__init__" in vars(cls)) == (cls is EtaQuotient)
+    built = cls(*values)
+    assert list(vars(built)) == list(names)
+    for kwargs in (named, dict(reversed(named.items())),
+                   {k: named[k] for k in names[1:]}):
+        again = cls(*values[:len(names) - len(kwargs)], **kwargs)
+        assert list(vars(again)) == list(names)
+        assert vars(again) == vars(built)
+    refused = [
+        ((), {k: v for k, v in named.items() if k != names[-1]}),  # missing
+        (values[:-1], {}),                                         # missing
+        ((), {**named, "unknown": 1}),                             # unknown
+        (values[:1], named),                                       # twice
+        ((*values, values[0]), {}),                                # too many
+    ]
+    for args, kwargs in refused:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    if issubclass(cls, Value):
+        assert cls(*values) == built and hash(cls(*values)) == hash(built)
+        with pytest.raises(AttributeError):
+            setattr(built, names[0], values[0])
+    else:
+        assert cls(*values) != built
+    if cls is EtaQuotient:
+        with pytest.raises(EtaError):
+            EtaQuotient(10, {3: 1})
+        known = EtaQuotient._known(10, ((3, 1),))
+        assert vars(known) == {"level": 10, "exponents": ((3, 1),)}

@@ -478,19 +478,27 @@ def test_towers_match_overlong_expansions(catalog, overlong, monkeypatch, name):
         where = (name, depth, terms)
         mod = spec.prime ** depth
         old_n = mod * (terms + 1) + _residue(spec, mod)
-        want = _outcome(_direct_overlong, spec, depth, terms, overlong)
-        if old_n >= 0:
-            assert _outcome(tower_series_direct, spec, depth, terms,
-                            series=overlong(spec, old_n)) == want, where
         asked.clear()
+        if terms < 1:  # both towers refuse alike, before expanding anything
+            refusal = ("FamilyError", f"a tower needs depth >= 1 and terms "
+                       f">= 1, got depth {depth} and terms {terms}")
+            builds = [tower_series_direct] + [tower_series_recursive] * chain
+            for build in builds:
+                assert _outcome(build, spec, depth, terms) == refusal, where
+                assert _outcome(build, spec, depth, terms,
+                                series=overlong(spec, 0)) == refusal, where
+            assert asked == [], where
+            continue
+        want = _outcome(_direct_overlong, spec, depth, terms, overlong)
+        assert _outcome(tower_series_direct, spec, depth, terms,
+                        series=overlong(spec, old_n)) == want, where
         assert _outcome(tower_series_direct, spec, depth, terms) == want, where
         assert len(asked) == 1 and asked[0] <= old_n, where
         if chain:
             got = _outcome(tower_series_recursive, spec, depth, terms)
             assert got == _outcome(_recursive_overlong, spec, depth, terms,
                                    overlong), where
-            if terms > 0:
-                assert got == want, where
+            assert got == want, where
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
