@@ -285,9 +285,6 @@ class OrderConstraint(Value):
 
     _fields = ("denominator", "op", "value")
 
-    def __str__(self) -> str:
-        return f"ord[c={self.denominator}] {self.op} {self.value}"
-
 
 _ORDER_OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
 

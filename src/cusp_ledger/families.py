@@ -26,6 +26,7 @@ from .errors import (
     ExactnessError,
     FamilyError,
     InternalInconsistencyError,
+    SeriesError,
     TruncationError,
     shown,
 )
@@ -512,7 +513,11 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
                                f"'eta' or 'series' entry")
         if "eta" in kind:
             return EtaQuotient.from_json_obj(spec_obj["eta"])
-        return QSeries.from_json_obj(spec_obj["series"])
+        try:
+            return QSeries.from_json_obj(spec_obj["series"])
+        except SeriesError:  # terms on two cosets mod 24: not all integral
+            raise CatalogError(f"{path}: {what} must live on the integer "
+                               f"exponent grid") from None
 
     def order(source, what):
         """The pole order at the zero cusp, found without an expansion:

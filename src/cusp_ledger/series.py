@@ -4,14 +4,16 @@ Exponents are integers in units of 1/24, so eta-type prefactors q^(delta/24)
 are exact.  Every series carries trunc24, the first unknown exponent: asking
 for a coefficient at or beyond trunc24 is a hard error, never a silent zero.
 
-A series is an integer polynomial times one rational content (FLINT's
-fmpq_poly layout): the coefficient at exponent offset24 + step*i is
-nums[i]/den.  The form is canonical, so equal series have equal fields:
-nums has no leading or trailing zeros and no entry at or past trunc24; den
-is positive and coprime to the gcd of nums; step is 24 when all stored
-exponents agree mod 24, else 1; the zero series has nums [], den 1, step 24
-and offset24 = trunc24.  The ring operations run on integers; Fractions
-appear only at the boundary (coeff24, terms, leading, format, JSON).
+A series lives on one coset of the 1/24 grid, as an eta quotient's
+q^(sum delta*r/24) times a power series in q does: entries whose exponents
+disagree mod 24 are refused.  It is an integer polynomial times one rational
+content (FLINT's fmpq_poly layout): the coefficient at exponent
+offset24 + 24*i is nums[i]/den.  The form is canonical, so equal series have
+equal fields: nums has no leading or trailing zeros and no entry at or past
+trunc24; den is positive and coprime to the gcd of nums; the zero series has
+nums [], den 1 and offset24 = trunc24, and adds to a series on any coset.
+The ring operations run on integers; Fractions appear only at the boundary
+(coeff24, terms, leading, format, JSON).
 """
 
 from __future__ import annotations
@@ -139,46 +141,47 @@ class QSeries:
     and for the zero series the truncation bound.
     """
 
-    __slots__ = ("offset24", "_step", "_nums", "_den", "trunc24")
+    __slots__ = ("offset24", "_nums", "_den", "trunc24")
 
     def __init__(self, entries: Mapping[int, Scalar] | Iterable, trunc24: int):
         items = entries.items() if isinstance(entries, Mapping) else entries
         t = int(trunc24)
         c = {int(e): _norm(v) for e, v in items if e < t}
+        c = {e: v for e, v in c.items() if v}
         off = min(c, default=t)
-        step = 24 if all((e - off) % 24 == 0 for e in c) else 1
+        for e in c:
+            if (e - off) % 24:
+                raise SeriesError(f"a series' exponents agree mod 24, unlike "
+                                  f"{off}/24 and {e}/24")
         den = lcm(*(v.denominator for v in c.values()))
-        nums = [0] * ((max(c, default=off) - off) // step + 1)
+        nums = [0] * ((max(c, default=off) - off) // 24 + 1)
         for e, v in c.items():
-            nums[(e - off) // step] = v.numerator * (den // v.denominator)
-        self._set(off, step, nums, den, t)
+            nums[(e - off) // 24] = v.numerator * (den // v.denominator)
+        self._set(off, nums, den, t)
 
-    def _set(self, off: int, step: int, nums: list[int], den: int,
-             trunc: int) -> "QSeries":
-        """Store sum nums[i]/den q^((off+step*i)/24) in canonical form."""
+    def _set(self, off: int, nums: list[int], den: int, trunc: int) -> QSeries:
+        """Store sum nums[i]/den q^((off+24*i)/24) in canonical form."""
         n = len(nums)
-        end = min(n, max(-(-(trunc - off) // step), 0))
+        end = min(n, max(-(-(trunc - off) // 24), 0))
         while end and not nums[end - 1]:
             end -= 1
         start = next((i for i in range(end) if nums[i]), end)
         if start == end:
-            off, step, nums, den = trunc, 24, [], 1
+            off, nums, den = trunc, [], 1
         elif start or end < n:
             nums = nums[start:end]
-            off += step * start
-        if step == 1 and not any(any(nums[j::24]) for j in range(1, 24)):
-            nums, step = nums[::24], 24
+            off += 24 * start
         if den < 0:
             den, nums = -den, [-v for v in nums]
         if den != 1 and (g := gcd(den, *nums)) != 1:
             den, nums = den // g, [v // g for v in nums]
-        self.offset24, self._step, self._nums, self._den = off, step, nums, den
+        self.offset24, self._nums, self._den = off, nums, den
         self.trunc24 = trunc
         return self
 
     @classmethod
     def zero(cls, trunc24: int) -> "QSeries":
-        return _make(trunc24, 24, [], 1, trunc24)
+        return _make(trunc24, [], 1, trunc24)
 
     @classmethod
     def constant(cls, value: Scalar, trunc24: int) -> "QSeries":
@@ -194,24 +197,15 @@ class QSeries:
 
     @property
     def is_integer_grid(self) -> bool:
-        return not self._nums or (self.offset24 % 24 == 0 and self._step == 24)
-
-    def _on_grid(self, step: int) -> list[int]:
-        """The numerators on a grid of the given step, which divides ours."""
-        if step == self._step or not self._nums:
-            return self._nums
-        k = self._step // step
-        out = [0] * (k * (len(self._nums) - 1) + 1)
-        out[::k] = self._nums
-        return out
+        return not self._nums or self.offset24 % 24 == 0
 
     def support(self) -> tuple[int, ...]:
-        off, step = self.offset24, self._step
-        return tuple(off + step * i for i, v in enumerate(self._nums) if v)
+        off = self.offset24
+        return tuple(off + 24 * i for i, v in enumerate(self._nums) if v)
 
     def terms(self) -> list[tuple[int, Scalar]]:
-        off, step, den = self.offset24, self._step, self._den
-        return [(off + step * i, _scalar(v, den))
+        off, den = self.offset24, self._den
+        return [(off + 24 * i, _scalar(v, den))
                 for i, v in enumerate(self._nums) if v]
 
     def leading(self) -> tuple[int, Scalar]:
@@ -223,7 +217,7 @@ class QSeries:
         if exponent24 >= self.trunc24:
             raise TruncationError(f"coefficient at q^({exponent24}/24) is beyond "
                                   f"truncation q^({self.trunc24}/24)")
-        i, r = divmod(exponent24 - self.offset24, self._step)
+        i, r = divmod(exponent24 - self.offset24, 24)
         if r or i < 0 or i >= len(self._nums):
             return 0
         return _scalar(self._nums[i], self._den)
@@ -251,19 +245,22 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         t = min(self.trunc24, other.trunc24)
-        off = min(self.offset24, other.offset24)
-        step = 24 if (self._step == other._step == 24
-                      and (self.offset24 - other.offset24) % 24 == 0) else 1
+        # a zero series has no coset: its offset24 is its truncation
+        live = [s for s in (self, other) if s._nums]
+        off = min((s.offset24 for s in live), default=t)
+        if (self.offset24 - other.offset24) % 24 and len(live) == 2:
+            raise SeriesError(f"series on two cosets mod 24 do not add: "
+                              f"{self.offset24}/24 and {other.offset24}/24")
         den = lcm(self._den, other._den)
-        parts = [((s.offset24 - off) // step, s._on_grid(step), m)
+        parts = [((s.offset24 - off) // 24, s._nums, m)
                  for s, m in ((self, den // self._den),
-                              (other, sign * den // other._den))]
-        out = [0] * min(max(i + len(nums) for i, nums, _ in parts),
-                        -(-(t - off) // step))
+                              (other, sign * den // other._den)) if s._nums]
+        out = [0] * min(max((i + len(nums) for i, nums, _ in parts),
+                            default=0), -(-(t - off) // 24))
         for i, nums, m in parts:
             seg = out[i:i + len(nums)]
             out[i:i + len(seg)] = [o + m * v for o, v in zip(seg, nums)]
-        return _make(off, step, out, den, t)
+        return _make(off, out, den, t)
 
     def __add__(self, other):
         return self._binop_add(other, 1)
@@ -285,8 +282,8 @@ class QSeries:
             return QSeries.zero(self.trunc24)
         p = factor.numerator
         nums = self._nums if p == 1 else [p * v for v in self._nums]
-        return _make(self.offset24, self._step, nums,
-                     self._den * factor.denominator, self.trunc24)
+        return _make(self.offset24, nums, self._den * factor.denominator,
+                     self.trunc24)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -299,12 +296,11 @@ class QSeries:
         if not self._nums or not other._nums:
             return QSeries.zero(t)
         off = self.offset24 + other.offset24
-        step = self._step if self._step == other._step else 1
-        a, b = self._on_grid(step), other._on_grid(step)
+        a, b = self._nums, other._nums
         nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
         if nonzero_a > nonzero_b:
             a, b = b, a
-        n = min(len(a) + len(b) - 1, -(-(t - off) // step))
+        n = min(len(a) + len(b) - 1, -(-(t - off) // 24))
         if min(nonzero_a, nonzero_b) >= _KRONECKER_NONZEROS:
             out = _kronecker(a, b, n)
         else:
@@ -316,7 +312,7 @@ class QSeries:
                     seg = out[i:i + len(b)]
                     out[i:i + len(seg)] = [o + x * y for o, y in zip(seg, b)]
         # the content is the product of the denominators
-        return _make(off, step, out, self._den * other._den, t)
+        return _make(off, out, self._den * other._den, t)
 
     __rmul__ = __mul__
 
@@ -327,10 +323,27 @@ class QSeries:
             return self.scaled(1 / Fraction(other))
         if not isinstance(other, QSeries):
             return NotImplemented
-        return _divide(self, other)
+        return self * other.invert()
 
     def invert(self) -> "QSeries":
-        return _divide(QSeries.constant(1, self.trunc24 - self.offset24), self)
+        """1/self on the integer numerators B, b0 = B[0].
+
+        At q -> b0 q the series is b0 (1 + sum B[s] b0^(s-1) q^s), whose
+        second factor has integer coefficients and constant term 1, so the
+        kernel's forward recurrence (_divide_out) divides 1 by it into
+        integers D[k]; the inverse's k-th coefficient is D[k] / b0^(k+1),
+        and the powers of b0 go into the denominator.
+        """
+        if not self._nums:
+            raise SeriesError("non-invertible: zero series")
+        n = -(-(self.trunc24 - self.offset24) // 24)
+        B = self._nums[:n]
+        pw = [B[0] ** j for j in range(n + 1)]
+        d = [1] + [0] * (n - 1)
+        _divide_out(d, [(s, v * pw[s - 1]) for s, v in enumerate(B) if s and v])
+        nums = [self._den * v * pw[n - 1 - k] for k, v in enumerate(d)]
+        return _make(-self.offset24, nums, pw[n],
+                     self.trunc24 - 2 * self.offset24)
 
     def __pow__(self, k: int) -> "QSeries":
         if not isinstance(k, int):
@@ -350,8 +363,8 @@ class QSeries:
 
     def shift(self, delta24: int) -> "QSeries":
         """Multiply by the exact monomial q^(delta24/24)."""
-        return _make(self.offset24 + delta24, self._step, self._nums,
-                     self._den, self.trunc24 + delta24)
+        return _make(self.offset24 + delta24, self._nums, self._den,
+                     self.trunc24 + delta24)
 
     def truncate(self, trunc24: int) -> "QSeries":
         if trunc24 > self.trunc24:
@@ -359,7 +372,7 @@ class QSeries:
                                   f"{self.trunc24} to {trunc24}")
         if trunc24 == self.trunc24:
             return self
-        return _make(self.offset24, self._step, self._nums, self._den, trunc24)
+        return _make(self.offset24, self._nums, self._den, trunc24)
 
     def u_operator(self, ell: int) -> "QSeries":
         """Atkin-Lehner style U_ell: sum a(n) q^n  ->  sum a(ell*n) q^n.
@@ -401,7 +414,7 @@ class QSeries:
             return QSeries.zero(trunc)
         n0 = self.offset24 // 24
         i0 = (r - n0) % mod  # first index whose exponent is r mod `mod`
-        return _make(24 * ((n0 + i0 - r) // mod), 24, self._nums[i0::mod],
+        return _make(24 * ((n0 + i0 - r) // mod), self._nums[i0::mod],
                      self._den, trunc)
 
     def __repr__(self) -> str:
@@ -430,9 +443,8 @@ class QSeries:
         return cls(entries, json_int(obj["trunc24"], "trunc24"))
 
 
-def _make(off: int, step: int, nums: list[int], den: int,
-          trunc: int) -> QSeries:
-    return object.__new__(QSeries)._set(off, step, nums, den, trunc)
+def _make(off: int, nums: list[int], den: int, trunc: int) -> QSeries:
+    return object.__new__(QSeries)._set(off, nums, den, trunc)
 
 
 # QSeries.__mul__ multiplies by Kronecker substitution when the sparser
@@ -476,32 +488,6 @@ def _pack(nums: list[int], size: int) -> int:
     borrow = bytearray(size * len(nums) + 1)
     borrow[size::size] = bytes(v < 0 for v in nums)
     return packed - int.from_bytes(borrow, "little")
-
-
-def _divide(a: QSeries, b: QSeries) -> QSeries:
-    """Exact division a/b on the integer numerators A and B, b0 = B[0].
-
-    At q -> b0 q the divisor is b0 (1 + sum B[s] b0^(s-1) q^s), whose second
-    factor has integer coefficients and constant term 1, so the kernel's
-    forward recurrence (_divide_out) divides sum b0^k A[k] q^k by it into
-    integers D[k]; the quotient's k-th coefficient is D[k] / b0^(k+1), and
-    the powers of b0 go into the denominator.
-    """
-    if b.is_zero:
-        raise SeriesError("non-invertible: zero series")
-    rel_out = min(a.trunc24 - a.offset24, b.trunc24 - b.offset24)
-    trunc = a.offset24 - b.offset24 + rel_out
-    if a.is_zero:
-        return QSeries.zero(trunc)
-    step = a._step if a._step == b._step else 1
-    n = -(-rel_out // step)
-    A = a._on_grid(step)[:n]
-    B = b._on_grid(step)[:n]
-    pw = [B[0] ** j for j in range(n + 1)]
-    d = [v * p for v, p in zip(A, pw)] + [0] * (n - len(A))
-    _divide_out(d, [(s, v * pw[s - 1]) for s, v in enumerate(B) if s and v])
-    nums = [b._den * v * pw[n - 1 - k] for k, v in enumerate(d)]
-    return _make(a.offset24 - b.offset24, step, nums, a._den * pw[n], trunc)
 
 
 def _general_pentagonal(k: int) -> int:
@@ -665,7 +651,7 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
 
 def pochhammer_times(series: QSeries, plan) -> QSeries:
     """series times prod over (d, r) of (q^d; q^d)_infinity^r, known as far
-    as the series is; the series' exponents must agree mod 24.
+    as the series is.
 
     The vector comes as its plan, a product of theta series
     (pochhammer_plan), so that a caller that has planned it plans it once.
@@ -675,9 +661,6 @@ def pochhammer_times(series: QSeries, plan) -> QSeries:
     divided out one power at a time.  The list becomes the numerators as it
     stands, over the series' own denominator.
     """
-    if series._step != 24:
-        raise SeriesError("the Pochhammer kernel needs a series whose "
-                          "exponents agree mod 24")
     off, trunc = series.offset24, series.trunc24
     n = -(-(trunc - off) // 24)
     c = series._nums + [0] * (n - len(series._nums))
@@ -691,14 +674,14 @@ def pochhammer_times(series: QSeries, plan) -> QSeries:
             terms = _series_terms(kind, d, n)[1:]
             for _ in range(-power):
                 _divide_out(c, terms)
-    return _make(off, 24, c, series._den, trunc)
+    return _make(off, c, series._den, trunc)
 
 
 def pochhammer_product(exponents: tuple[tuple[int, int], ...],
                        trunc24: int) -> QSeries:
     """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1: the
     kernel (pochhammer_times) applied to the series 1."""
-    return pochhammer_times(_make(0, 24, [1], 1, trunc24),
+    return pochhammer_times(_make(0, [1], 1, trunc24),
                             pochhammer_plan(exponents))
 
 
