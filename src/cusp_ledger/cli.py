@@ -142,10 +142,14 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _emit(args, report: dict, text: str) -> None:
-    if args.json:
-        print(_json_text({"schema_version": SCHEMA_VERSION, **report}))
-    else:
-        print(text)
+    try:
+        if args.json:
+            print(_json_text({"schema_version": SCHEMA_VERSION, **report}))
+        else:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early: keep the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +239,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_MATH_FAIL
 
 
-def _reduce_target(args, catalog, basis, trunc24):
-    """Build (chart series, cusp orders or None, prime or None) for --target."""
+def _reduce_target(args, catalog, basis_entry, trunc24):
+    """Build (chart series, cusp orders or None, prime or None, basis) for
+    --target; a family's chart comes first, for the basis to read."""
     target = args.target
     if target.startswith("family:"):
         try:
@@ -249,11 +254,14 @@ def _reduce_target(args, catalog, basis, trunc24):
                 f"bad family target {shown(target)}: want "
                 f"family:NAME:L<depth>") from None
         spec = catalog.family(name)
-        if spec.level != basis.level:
+        if spec.level != basis_entry.level:
             raise CatalogError(f"family {name} lives on X_0({spec.level}), "
-                               f"not on the curve of basis {basis.label}")
-        chart, orders = certified_identity_chart(spec, depth, trunc24 // 24)
-        return chart, orders, spec.prime
+                               f"not on the curve of basis {basis_entry.name}")
+        powers = {}
+        chart, orders = certified_identity_chart(spec, depth, trunc24 // 24,
+                                                 powers)
+        return chart, orders, spec.prime, basis_entry.build(trunc24, powers)
+    basis = basis_entry.build(trunc24)
     if target.startswith("eta:"):
         quotient = _parse_eta_spec(target[4:])
         level = basis.level
@@ -261,7 +269,8 @@ def _reduce_target(args, catalog, basis, trunc24):
             raise CatalogError(
                 "eta targets need a basis with a level (orders live on a curve)")
         scale, series = expand_at_zero(quotient, level, trunc24)
-        return series.scaled(scale), cusp_order_vector(quotient, level), None
+        return (series.scaled(scale), cusp_order_vector(quotient, level),
+                None, basis)
     if target.startswith("poly:"):
         try:
             coeffs = [parse_rational(c) for c in target[5:].split(",")]
@@ -269,7 +278,7 @@ def _reduce_target(args, catalog, basis, trunc24):
             raise CatalogError(f"bad poly target {shown(target)}, want "
                                f"poly:c0,c1,...: {exc}") from None
         poly = {(0, m): c for m, c in enumerate(coeffs)}
-        return basis.combine(poly, trunc24), None, None
+        return basis.combine(poly, trunc24), None, None, basis
     if target.startswith("pole:"):
         try:
             order = int(target[5:])
@@ -278,7 +287,7 @@ def _reduce_target(args, catalog, basis, trunc24):
         except ValueError:
             raise CatalogError(f"bad pole target {shown(target)}: want "
                                f"pole:P with P >= 0") from None
-        return QSeries.monomial(-24 * order, trunc24), None, None
+        return QSeries.monomial(-24 * order, trunc24), None, None, basis
     raise CatalogError(
         f"unknown target {shown(target)}: want family:NAME:L<d>, eta:SPEC, "
         f"poly:c0,c1,..., or pole:P")
@@ -288,8 +297,8 @@ def cmd_reduce(args) -> int:
     catalog = _load_catalog(args)
     basis_entry = catalog.basis(args.basis)
     trunc24 = 24 * args.terms
-    basis = basis_entry.build(trunc24)
-    chart, orders, prime = _reduce_target(args, catalog, basis, trunc24)
+    chart, orders, prime, basis = _reduce_target(args, catalog, basis_entry,
+                                                 trunc24)
     if orders is not None and basis.z is not None:
         rep = localize_reduce(chart, basis, orders, guard=args.guard)
     else:

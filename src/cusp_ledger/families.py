@@ -46,8 +46,7 @@ from .eta import (
 )
 from .reduction import ModuleBasis, check_pole_orders, pole_order
 from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
-                     json_str, pochhammer_passes, pochhammer_plan,
-                     pochhammer_product, pochhammer_times, valuation)
+                     json_str, pochhammer_product, valuation)
 
 
 class PochhammerProduct:
@@ -332,28 +331,29 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
 IDENTITY_CHECK_TERMS = 8  # q-terms of the cross-check at infinity
 
 
-def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
+def _ray_multiple(f: EtaQuotient, base: EtaQuotient) -> int:
+    """k >= 1 with f = base^k, every exponent k times base's; else 0."""
+    k = next((f.r.get(d, 0) // r for d, r in base.exponents[:1]), 0)
+    return k if k >= 1 and f.exponents == tuple(
+        (d, k * r) for d, r in base.exponents) else 0
+
+
+def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
+                             powers: dict | None = None
                              ) -> tuple[QSeries, CuspOrderVector]:
     """Cross-check the recorded identity against the direct tower series,
     then hand back its cusp-zero chart plus per-class order bounds (exact
     for one term; lower bounds when terms could cancel).
 
     Each term's chart is its scale times the expansion of its zero-cusp
-    image (eta.zero_cusp_image), with every check expand_at_zero makes.  A
-    term is built from the series of the term before it, by the kernel
-    passes of the difference of their images (series.pochhammer_times),
-    whenever those passes are fewer than the division passes of the term's
-    own plan: the identities of the classical families are polynomials in
-    one Hauptmodul, k*v for k = 1, 2, ..., so a power then costs the passes
-    of v.  Division passes are the measure because the own plan scatters
-    its numerator factors first, into the sparse, small-numbered product
-    that grows from 1, while a step runs every pass over a dense list of
-    numbers as large as the term's.  The first term of a run of such steps
-    is expanded as far past its leading term as any term of the run needs,
-    so every term is known to q^terms.  The route is read off the plans
-    (series.pochhammer_passes) before anything is allocated, and each
-    vector is planned once (series.pochhammer_plan): the kernel runs the
-    plan the route was read off.
+    image (eta.zero_cusp_image), with every check expand_at_zero makes.
+    The identities of the classical families are polynomials in one
+    Hauptmodul: their terms are k*Q, k = 1, 2, ..., for the quotient Q of
+    the first term.  Such a term reads a table of the powers of Q's chart:
+    one kernel expansion, as far past its leading term as the highest
+    power needs, then QSeries products.  Any other term is expanded by its
+    own plan.  A given dict `powers` receives the table under (Q, level),
+    for BasisEntry.build to read.
 
     A mismatch means the shipped catalog is wrong, which is an internal
     inconsistency, not a user error.
@@ -379,34 +379,23 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int
             raise TruncationError(
                 "truncation too small to hold one term of the expansion")
         images.append((scale, image))
-    # plans[i]: image i's own plan; steps[i]: the plan of the vector from
-    # image i - 1 to image i when its passes are fewer than the division
-    # passes of plans[i], else None (term i is expanded afresh)
-    plans = [pochhammer_plan(image.exponents) for _, image in images]
-    steps = [None]
-    for (_, a), (_, b), own in zip(images, images[1:], plans[1:]):
-        step = dict(b.exponents)
-        for d, r in a.exponents:
-            step[d] = step.get(d, 0) - r
-        step = pochhammer_plan(step.items())
-        steps.append(step if sum(pochhammer_passes(step))
-                     < pochhammer_passes(own)[1] else None)
-    # how far past its leading term each fresh expansion must reach
-    reach = [trunc24 - image.degree24 for _, image in images]
-    for i in range(len(images) - 1, 0, -1):
-        if steps[i] is not None:
-            reach[i - 1] = max(reach[i - 1], reach[i])
+    base, (scale, image) = identity[0].quotient, images[0]
+    ks = [_ray_multiple(term.quotient, base) for term in identity]
+    table = []  # table[k - 1]: the chart of k * Q, known as far as Q's
+    if kmax := max(ks):
+        table.append(expand_at_infinity(image, trunc24 - (kmax - 1) * min(
+            image.degree24, 0)).scaled(scale))
+        while len(table) < kmax:
+            table.append(table[-1] * table[0])
+        if powers is not None:
+            powers[base, spec.level] = table
     chart = QSeries.zero(trunc24)
     bounds: dict[int, Fraction] = {}
-    for term, (scale, image), own, step, rel in zip(identity, images, plans,
-                                                    steps, reach):
-        if step is None:
-            monic = pochhammer_times(QSeries.constant(1, rel), own)
-        else:
-            monic = pochhammer_times(monic, step)
-        series = zero_cusp_checked(term.quotient, spec.level,
-                                   monic.shift(image.degree24))
-        chart = chart + series.scaled(scale * term.scale)
+    for term, (scale, image), k in zip(identity, images, ks):
+        series = table[k - 1] if k \
+            else expand_at_infinity(image, trunc24).scaled(scale)
+        series = zero_cusp_checked(term.quotient, spec.level, series)
+        chart = chart + series.scaled(term.scale)
     for vec in cusp_order_vectors([term.quotient for term in identity],
                                   spec.level):
         for c, o in vec.orders:
@@ -435,7 +424,10 @@ class BasisEntry:
         self.ys = [] if ys is None else ys
         self.z = z
 
-    def build(self, trunc24: int) -> ModuleBasis:
+    def build(self, trunc24: int, powers: dict | None = None) -> ModuleBasis:
+        """The basis charted to q^(trunc24/24): x and its powers come from
+        the table certified_identity_chart left in `powers` for x, if any,
+        and the localizer z is expanded when a reduction first uses it."""
         def chart(source: EtaQuotient | QSeries) -> QSeries:
             if isinstance(source, QSeries):
                 # an exact Laurent polynomial: any truncation is valid
@@ -445,14 +437,26 @@ class BasisEntry:
 
         if self.x is None:
             raise CatalogError(f"basis {self.name}: no x recorded")
-        x = chart(self.x)
+        table = isinstance(self.x, EtaQuotient) \
+            and (powers or {}).get((self.x, self.level))
+        if table:  # each x^k known as far past its leading term as x
+            require_on_gamma0(self.x, self.level)
+            x, *x_powers = [p.truncate(trunc24 + p.offset24 - table[0].offset24)
+                            for p in table]
+            x = zero_cusp_checked(self.x, self.level, x)
+        else:
+            x, x_powers = chart(self.x), ()
         ys = [QSeries.constant(1, trunc24)] + [chart(y) for y in self.ys]
         z = z_orders = None
-        if self.z is not None:
-            z = chart(self.z)
+        if self.z is not None:  # refused here as expand_at_zero would
+            if zero_cusp_image(self.z, self.level)[1].degree24 >= trunc24:
+                raise TruncationError(
+                    "truncation too small to hold one term of the expansion")
+            z = lambda: chart(self.z)
             z_orders = cusp_order_vector(self.z, self.level)
         return ModuleBasis(x=x, ys=ys, level=self.level, z=z,
-                           z_orders=z_orders, label=self.name)
+                           z_orders=z_orders, label=self.name,
+                           x_powers=x_powers)
 
 
 # ---------------------------------------------------------------------------

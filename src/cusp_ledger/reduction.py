@@ -10,6 +10,7 @@ pole orders form the gap set, whose size equals the genus of the curve.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import ceil
 
@@ -65,11 +66,14 @@ class ModuleBasis:
     ys[0] must be the constant 1; x must have a genuine pole.  The basis is
     order-complete iff the companion pole orders hit each residue class mod
     the pole order of x exactly once, which is validated on construction.
+    The localizer z may be a function that expands it, called when a
+    reduction uses it; x_powers are x^2, x^3, ... when built elsewhere.
     """
 
     def __init__(self, x: QSeries, ys: list[QSeries], level: int | None = None,
-                 z: QSeries | None = None,
-                 z_orders: CuspOrderVector | None = None, label: str = ""):
+                 z: QSeries | Callable[[], QSeries] | None = None,
+                 z_orders: CuspOrderVector | None = None, label: str = "",
+                 x_powers: Sequence[QSeries] = ()):
         self.x = x
         self.ys = ys
         self.level = level
@@ -85,7 +89,8 @@ class ModuleBasis:
         self.y_orders = [0] + [pole_order(y, f"ys[{k}]")
                                for k, y in enumerate(self.ys[1:], start=1)]
         check_pole_orders(self.x_order, self.y_orders)
-        self._monomial_cache: dict[tuple[int, int], QSeries] = {(0, 1): self.x}
+        self._monomial_cache: dict[tuple[int, int], QSeries] = {
+            (0, m): s for m, s in enumerate((self.x, *x_powers), start=1)}
 
     def gap_set(self) -> tuple[int, ...]:
         """Pole orders no monomial y_k x^m attains (always finite here)."""
@@ -270,8 +275,9 @@ def localize_reduce(f: QSeries, basis: ModuleBasis,
                 f"invalid localizer: cannot cancel the pole at cusp class {c}"
             )
         n = max(n, ceil(Fraction(-f_ord) / z_ord))
-    target = f if n == 0 else f * basis.z ** n
-    rep = reduce_module(target, basis, guard=guard)
+    if n:
+        f = f * (basis.z() if callable(basis.z) else basis.z) ** n
+    rep = reduce_module(f, basis, guard=guard)
     return Representation(localizer_exponent=n, coeffs=rep.coeffs,
                           residual=rep.residual)
 

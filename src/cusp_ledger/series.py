@@ -582,14 +582,6 @@ def pochhammer_plan(exponents) -> tuple[tuple[int, int, int], ...]:
                  if power) + tuple((0, d, r) for d, r in sorted(rest.items()))
 
 
-def pochhammer_passes(plan) -> tuple[int, int]:
-    """(scatter passes, division passes) of the kernel on a plan
-    (pochhammer_plan): one per unit of each positive, and of each negative,
-    power of its theta factors, known before anything is allocated."""
-    return (sum(power for _, _, power in plan if power > 0),
-            sum(-power for _, _, power in plan if power < 0))
-
-
 def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
     """(q^delta; q^delta)_infinity via the pentagonal number theorem."""
     return pochhammer_product(((delta, 1),), trunc24)
@@ -654,8 +646,7 @@ def pochhammer_times(series: QSeries, plan) -> QSeries:
     as the series is.
 
     The vector comes as its plan, a product of theta series
-    (pochhammer_plan), so that a caller that has planned it plans it once.
-    The numerators live on a dense list, one entry per integer step of
+    (pochhammer_plan).  The numerators live on a dense list, one entry per integer step of
     exponent below the truncation: the numerator factors are scattered in
     first, from the nonzero entries only, then each denominator factor is
     divided out one power at a time.  The list becomes the numerators as it

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
+import cusp_ledger
 from cusp_ledger import cli
 from cusp_ledger.cli import main
 from cusp_ledger.errors import shown
@@ -1257,3 +1262,64 @@ def test_cli_corpus_byte_identical(capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         digest.update(json.dumps([argv, code, out, err]).encode())
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def _reduce_edges() -> list[list[str]]:
+    """reduce at the small truncations where the window refusals live, for
+    every family target and one target of each other kind: each at 13
+    sizes, with and without --prime, in text and --json."""
+    pairs = [("family:p-5:L1", "level-5"), ("family:p-5:L2", "level-5"),
+             ("family:p-7:L1", "level-7")]
+    pairs += [(target, "level-10") for target in (
+        "family:pd-5:L1", "poly:1,2,3", "eta:1:-4,2:2,5:4,10:-2", "pole:2")]
+    argvs = []
+    for target, basis in pairs:
+        for terms in (1, 2, 5, *range(8, 16), 24, 40):
+            argv = ["reduce", "--target", target, "--basis", basis,
+                    "--terms", str(terms)]
+            argvs += [argv, argv + ["--prime", "5"]]
+    return [prefix + argv for argv in argvs for prefix in ([], ["--json"])]
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every edge invocation
+REDUCE_EDGES_DIGEST = \
+    "82a8236e3ac33304a4ae6d344f38ab84ecbaa90854a58dfff66c4b3751baea1c"
+
+
+def test_reduce_edges_byte_identical(capsys, monkeypatch):
+    monkeypatch.delenv("CUSP_LEDGER_CATALOG", raising=False)
+    argvs = _reduce_edges()
+    assert len(argvs) == 364
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert digest.hexdigest() == REDUCE_EDGES_DIGEST
+
+
+# a command run with the package on its path: cusp-ledger ARGV
+RUN_CLI = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+           "from cusp_ledger.cli import entry; entry()")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["profile", "30"], 0),
+    (["--json", "find-eta", "--level", "30", "--constraints", "1<0",
+      "--bound", "2"], 0),  # 43 KB
+    (["verify", "--family", "p-5", "--alpha", "1", "--nmax", "200",
+      "--beta", "2"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # a reader that stops early is no fault of the command: it keeps its
+    # own exit code, not 3 for a bug, and writes nothing to stderr
+    root = Path(cusp_ledger.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "CUSP_LEDGER_CATALOG"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", RUN_CLI, str(root),
+                               *argv], stdout=write, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")

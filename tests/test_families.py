@@ -13,8 +13,10 @@ from cusp_ledger.errors import (
     InternalInconsistencyError,
     TruncationError,
 )
-from cusp_ledger.eta import EtaQuotient, expand_at_infinity, expand_at_zero
+from cusp_ledger.eta import (CuspOrderVector, EtaQuotient, cusp_order_vector,
+                             expand_at_infinity, expand_at_zero)
 from cusp_ledger.families import (
+    BasisEntry,
     Catalog,
     EtaTerm,
     FamilySpec,
@@ -31,7 +33,7 @@ from cusp_ledger.families import (
     verify_congruence,
 )
 from cusp_ledger.reduction import localize_reduce, reduce_genus0, valuation_table
-from cusp_ledger.series import QSeries, pochhammer_plan
+from cusp_ledger.series import QSeries
 
 from oracles import (
     distinct_partition_counts,
@@ -649,55 +651,79 @@ def _recorded_at_infinity(spec, depth, terms):
     return out
 
 
+def _image(quotient, level, k=1):
+    """The exponents of the zero-cusp image of k * quotient."""
+    return tuple(sorted((level // d, k * r) for d, r in quotient.exponents))
+
+
 def test_identity_chart_term_from_term_routes(catalog, monkeypatch):
     # the cross-check against the sliced tower is not what is tested here:
     # the synthetic identity is its own tower series
-    spec = _synthetic_level_10(catalog)
-    spec.validate()
+    import cusp_ledger.eta as eta
+
+    synthetic = _synthetic_level_10(catalog)
+    synthetic.validate()
+    direct = families.tower_series_direct
     monkeypatch.setattr(
         families, "tower_series_direct",
-        lambda spec, depth, terms: _recorded_at_infinity(spec, depth, terms))
-    steps = []
-    times = families.pochhammer_times
+        lambda spec, depth, terms: _recorded_at_infinity(spec, depth, terms)
+        if spec is synthetic else direct(spec, depth, terms))
+    kernel = []
+    product = eta.pochhammer_product
 
-    def spy(series, plan):
-        # a fresh term runs its own plan on the series 1; a step does not
-        if series != QSeries.constant(1, series.trunc24):
-            steps.append(plan)
-        return times(series, plan)
+    def spy(exponents, trunc24):
+        kernel.append((exponents, trunc24))
+        return product(exponents, trunc24)
 
-    monkeypatch.setattr(families, "pochhammer_times", spy)
-    for terms in (1, 40, 121, 300):
-        steps.clear()
-        chart, _ = certified_identity_chart(spec, 1, terms)
-        assert chart == _chart_by_terms(spec, 1, terms), terms
-        # only 3v is built from the term before it, by the passes of v
-        assert steps == [pochhammer_plan((10 // d, r)
-                                         for d, r in LEVEL_10_V.items())]
-    # p-5's L2 is sum c_k (k v): 3v, 4v and 5v follow the term before
-    steps.clear()
-    certified_identity_chart(catalog.family("p-5"), 2, 121)
-    assert steps == [pochhammer_plan(((1, 6), (5, -6)))] * 3
+    monkeypatch.setattr(eta, "pochhammer_product", spy)
+    v = EtaQuotient(10, LEVEL_10_V)
+    u = EtaQuotient(10, LEVEL_10_U)
+    p5 = catalog.family("p-5")
+    q5 = p5.tower_identities[2][0].quotient
+    for spec, depth, base, kmax, off_ray in ((synthetic, 1, v, 3, [u]),
+                                             (p5, 2, q5, 5, [])):
+        images = {_image(t.quotient, spec.level)
+                  for t in spec.tower_identities[depth]}
+        for terms in (1, 40, 121, 300):
+            kernel.clear()
+            powers = {}
+            chart, _ = certified_identity_chart(spec, depth, terms, powers)
+            # one kernel run on 1 for Q's image, as far past its leading
+            # term as kmax * Q needs, and one for each term off the ray of
+            # Q, by its own plan (every image here has a pole of order 1)
+            reach = 24 * terms + 24 * kmax
+            assert [call for call in kernel if call[0] in images] \
+                == [(_image(base, spec.level), reach)] \
+                + [(_image(f, spec.level), 24 * terms + 24) for f in off_ray]
+            assert chart == _chart_by_terms(spec, depth, terms), terms
+            # the table holds the chart of k * Q, the k-th power of Q's
+            table = powers[base, spec.level]
+            assert len(table) == kmax
+            for k, power in enumerate(table, start=1):
+                kq = EtaQuotient(base.level,
+                                 {d: k * r for d, r in base.exponents})
+                scale, series = expand_at_zero(kq, spec.level,
+                                               reach - 24 * k)
+                assert power == series.scaled(scale), (spec.name, k)
 
 
 def test_identity_chart_plans_each_vector_once(catalog, monkeypatch):
-    # each image and each step vector is planned once, and the kernel runs
-    # the plan the route was read off; the kernel used to plan it again
-    planned, run = [], []
-    plan, times = families.pochhammer_plan, families.pochhammer_times
-    monkeypatch.setattr(families, "pochhammer_plan",
-                        lambda pairs: planned.append(plan(pairs))
-                        or planned[-1])
-    monkeypatch.setattr(families, "pochhammer_times",
-                        lambda series, p: run.append(p) or times(series, p))
+    # the image of Q is planned once; k * Q for k >= 2 is never planned,
+    # since its expansion is a product of table entries
+    import cusp_ledger.series as series
+
+    planned = []
+    plan = series.pochhammer_plan
+    monkeypatch.setattr(series, "pochhammer_plan",
+                        lambda pairs: planned.append(tuple(pairs))
+                        or plan(planned[-1]))
     for name, depth in (("p-5", 2), ("p-7", 1), ("pd-5", 1)):
+        spec = catalog.family(name)
+        identity = spec.tower_identities[depth]
+        images = [_image(t.quotient, spec.level) for t in identity]
         planned.clear()
-        run.clear()
-        certified_identity_chart(catalog.family(name), depth, 40)
-        n = len(catalog.family(name).tower_identities[depth])
-        assert len(planned) == 2 * n - 1
-        assert len(run) == n
-        assert all(any(p is q for q in planned) for p in run)
+        certified_identity_chart(spec, depth, 40)
+        assert [p for p in planned if p in images] == images[:1], name
 
 
 def test_identity_chart_checks_every_term(catalog, monkeypatch):
@@ -820,6 +846,61 @@ def test_basis_roles_checked(tmp_path):
     series_z = dict(MIXED_BASIS, z=MIXED_BASIS["x"])
     with pytest.raises(CatalogError, match="localizers must be eta quotients"):
         catalog_loads(json.dumps({"families": [], "bases": [series_z]}))
+
+
+@pytest.mark.parametrize("terms", [14, 40, 121, 300])
+def test_basis_from_identity_table_matches_products(catalog, terms,
+                                                    monkeypatch):
+    # x and x^k read off the identity's table are the series that
+    # x^(k-1) * x builds, field for field, so every window refusal reads
+    # the same; past the table's top, x_power goes on by products
+    expanded = []
+    expand = families.expand_at_zero
+    monkeypatch.setattr(families, "expand_at_zero",
+                        lambda f, N, t: expanded.append(f) or expand(f, N, t))
+    for name, depth, basis_name in (("p-5", 2, "level-5"),
+                                    ("p-7", 1, "level-7")):
+        powers = {}
+        certified_identity_chart(catalog.family(name), depth, terms, powers)
+        entry = catalog.basis(basis_name)
+        expanded.clear()
+        table = entry.build(24 * terms, powers)
+        assert expanded == []  # x is read off the table
+        products = entry.build(24 * terms)
+        assert table.x == products.x
+        for k in range(1, 6):
+            assert table.monomial(0, k) == products.monomial(0, k), (name, k)
+            assert table.window24(0, k) == table.monomial(0, k).trunc24
+
+
+def test_basis_localizer_expanded_on_first_use(catalog, monkeypatch):
+    # the localizer is refused when the basis is built, as its expansion
+    # would be, and expanded only when a reduction raises it to a power
+    calls = []
+    expand = families.expand_at_zero
+    monkeypatch.setattr(families, "expand_at_zero",
+                        lambda f, N, t: calls.append(f) or expand(f, N, t))
+    entry = catalog.basis("level-10")
+    basis = entry.build(24 * 80)
+    assert calls == [entry.x]
+    x_orders = cusp_order_vector(entry.x, 10)
+    rep = localize_reduce(basis.x, basis, x_orders)
+    assert (rep.localizer_exponent, rep.coeffs) == (0, {(0, 1): 1})
+    assert calls == [entry.x]
+    # x / z has poles away from the zero cusp, which z^1 clears
+    scale, series = expand_at_zero(entry.z, 10, 24 * 80)
+    z_orders = dict(cusp_order_vector(entry.z, 10).orders)
+    f_orders = CuspOrderVector(10, tuple((c, o - z_orders[c])
+                                         for c, o in x_orders.orders))
+    rep = localize_reduce(basis.x / series.scaled(scale), basis, f_orders)
+    assert (rep.localizer_exponent, rep.coeffs) == (1, {(0, 1): 1})
+    assert calls == [entry.x, entry.z]
+    # a localizer with a zero of order 3 at the zero cusp
+    zero = BasisEntry("zero-z", 10, x=entry.x,
+                      z=EtaQuotient(10, {1: 12, 2: -8, 5: -4}))
+    with pytest.raises(TruncationError, match="one term of the expansion"):
+        zero.build(24 * 3)
+    assert zero.build(24 * 4).z().offset24 == 72
 
 
 def test_unknown_family_lookup(catalog):

@@ -19,7 +19,6 @@ from cusp_ledger.series import (
     _norm,
     _series_terms,
     pochhammer_expansion,
-    pochhammer_passes,
     parse_rational,
     pochhammer_plan,
     pochhammer_product,
@@ -387,9 +386,6 @@ def test_pochhammer_times_multiplies_a_given_series(a, b, n, shift, den):
         == given_series * pochhammer_product(b, t)
     assert pochhammer_times(QSeries.constant(1, t), plan) \
         == pochhammer_product(b, t)
-    assert pochhammer_passes(plan) \
-        == (sum(p for _, _, p in plan if p > 0),
-            -sum(p for _, _, p in plan if p < 0))
 
 
 def test_pochhammer_times_needs_exponents_agreeing_mod_24():
