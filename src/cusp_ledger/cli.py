@@ -264,7 +264,7 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
     basis = basis_entry.build(trunc24)
     if target.startswith("eta:"):
         quotient = _parse_eta_spec(target[4:])
-        level = basis.level
+        level = basis_entry.level
         if level is None:
             raise CatalogError(
                 "eta targets need a basis with a level (orders live on a curve)")

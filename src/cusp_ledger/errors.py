@@ -47,9 +47,9 @@ class GapError(CuspLedgerError):
     """Reduction hit a Weierstrass gap: no basis monomial attains the
     required pole order."""
 
-    def __init__(self, pole_order: int, message: str | None = None):
+    def __init__(self, pole_order: int):
         self.pole_order = pole_order
-        super().__init__(message or f"Weierstrass gap hit at pole order {pole_order}")
+        super().__init__(f"Weierstrass gap hit at pole order {pole_order}")
 
 
 class ReductionError(CuspLedgerError):

@@ -219,14 +219,18 @@ def cusp_order_vector(f: EtaQuotient, N: int) -> CuspOrderVector:
     return cusp_order_vectors([f], N)[0]
 
 
+def require_expandable(f: EtaQuotient, trunc24: int) -> None:
+    """Refuse a truncation at or below f's leading exponent at infinity."""
+    if f.degree24 >= trunc24:
+        raise TruncationError(
+            "truncation too small to hold one term of the expansion")
+
+
 def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
     """q-expansion at the infinity cusp; leading exponent24 = sum delta*r."""
-    rel = trunc24 - f.degree24
-    if rel <= 0:
-        raise TruncationError(
-            "truncation too small to hold one term of the expansion"
-        )
-    return pochhammer_product(f.exponents, rel).shift(f.degree24)
+    require_expandable(f, trunc24)
+    return pochhammer_product(f.exponents, trunc24 - f.degree24).shift(
+        f.degree24)
 
 
 def require_on_gamma0(f: EtaQuotient, N: int) -> None:

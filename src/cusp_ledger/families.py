@@ -39,6 +39,7 @@ from .eta import (
     expand_at_zero,
     exponent_vector,
     order_at_cusp,
+    require_expandable,
     require_on_gamma0,
     validate_on_gamma0,
     zero_cusp_checked,
@@ -49,16 +50,15 @@ from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
                      json_str, pochhammer_product, valuation)
 
 
-class PochhammerProduct:
+class PochhammerProduct(Record):
     """q^qpow * prod (q^d; q^d)^e_d: an integer series with leading coefficient 1.
 
     This is the shape of tower prefactors and U-step multipliers; unlike an
-    eta quotient proper it carries no fractional q-power.
+    eta quotient proper it carries no fractional q-power.  exponents are
+    sorted nonzero pairs ((d, e_d), ...), as eta.exponent_vector gives them.
     """
 
-    def __init__(self, qpow: int, exponents):
-        self.qpow = qpow
-        self.exponents = exponent_vector(dict(exponents))
+    _fields = ("qpow", "exponents")
 
     def is_one(self) -> bool:
         return self.qpow == 0 and not self.exponents
@@ -70,8 +70,8 @@ class PochhammerProduct:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PochhammerProduct":
         return cls(json_int(obj.get("qpow", 0), "qpow"),
-                   {json_key(d): json_int(r, "exponent")
-                    for d, r in obj.get("r", {}).items()})
+                   exponent_vector({json_key(d): json_int(r, "exponent")
+                                    for d, r in obj.get("r", {}).items()}))
 
 
 class ScheduleStep(Record):
@@ -87,28 +87,12 @@ class EtaTerm(Record):
     _fields = ("scale", "quotient")
 
 
-class FamilySpec:
+class FamilySpec(Record):
     """All data defining one congruence family."""
 
-    def __init__(self, name: str, generator: EtaQuotient, prime: int,
-                 lam: int, level: int, target_residue: int = 1,
-                 schedule: dict[int, ScheduleStep] | None = None,
-                 prefactors: dict[int, PochhammerProduct] | None = None,
-                 multipliers: dict[int, PochhammerProduct] | None = None,
-                 tower_identities: dict[int, tuple[EtaTerm, ...]] | None = None,
-                 basis_name: str | None = None):
-        self.name = name
-        self.generator = generator
-        self.prime = prime
-        self.lam = lam
-        self.level = level
-        self.target_residue = target_residue
-        self.schedule = {} if schedule is None else schedule
-        self.prefactors = {} if prefactors is None else prefactors
-        self.multipliers = {} if multipliers is None else multipliers
-        self.tower_identities = {} if tower_identities is None \
-            else tower_identities
-        self.basis_name = basis_name
+    _fields = ("name", "generator", "prime", "lam", "level", "target_residue",
+               "schedule", "prefactors", "multipliers", "tower_identities",
+               "basis_name")
 
     def validate(self) -> None:
         if not is_prime(self.prime):
@@ -375,9 +359,7 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
     images = []
     for term in identity:
         scale, image = zero_cusp_image(term.quotient, spec.level)
-        if image.degree24 >= trunc24:
-            raise TruncationError(
-                "truncation too small to hold one term of the expansion")
+        require_expandable(image, trunc24)
         images.append((scale, image))
     base, (scale, image) = identity[0].quotient, images[0]
     ks = [_ray_multiple(term.quotient, base) for term in identity]
@@ -407,22 +389,14 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
 # catalog bases
 # ---------------------------------------------------------------------------
 
-class BasisEntry:
+class BasisEntry(Record):
     """Catalog description of a module basis; series are built on demand.
 
     Each function is an eta quotient, charted at the zero cusp, or an exact
     Laurent polynomial; the companions ys keep their catalog order.
     """
 
-    def __init__(self, name: str, level: int | None,
-                 x: EtaQuotient | QSeries | None = None,
-                 ys: list[EtaQuotient | QSeries] | None = None,
-                 z: EtaQuotient | None = None):
-        self.name = name
-        self.level = level
-        self.x = x
-        self.ys = [] if ys is None else ys
-        self.z = z
+    _fields = ("name", "level", "x", "ys", "z")
 
     def build(self, trunc24: int, powers: dict | None = None) -> ModuleBasis:
         """The basis charted to q^(trunc24/24): x and its powers come from
@@ -449,13 +423,10 @@ class BasisEntry:
         ys = [QSeries.constant(1, trunc24)] + [chart(y) for y in self.ys]
         z = z_orders = None
         if self.z is not None:  # refused here as expand_at_zero would
-            if zero_cusp_image(self.z, self.level)[1].degree24 >= trunc24:
-                raise TruncationError(
-                    "truncation too small to hold one term of the expansion")
+            require_expandable(zero_cusp_image(self.z, self.level)[1], trunc24)
             z = lambda: chart(self.z)
             z_orders = cusp_order_vector(self.z, self.level)
-        return ModuleBasis(x=x, ys=ys, level=self.level, z=z,
-                           z_orders=z_orders, label=self.name,
+        return ModuleBasis(x=x, ys=ys, z=z, z_orders=z_orders,
                            x_powers=x_powers)
 
 

@@ -66,20 +66,18 @@ class ModuleBasis:
     ys[0] must be the constant 1; x must have a genuine pole.  The basis is
     order-complete iff the companion pole orders hit each residue class mod
     the pole order of x exactly once, which is validated on construction.
-    The localizer z may be a function that expands it, called when a
-    reduction uses it; x_powers are x^2, x^3, ... when built elsewhere.
+    The localizer z is a function that expands it, called when a reduction
+    uses it; x_powers are x^2, x^3, ... when built elsewhere.
     """
 
-    def __init__(self, x: QSeries, ys: list[QSeries], level: int | None = None,
-                 z: QSeries | Callable[[], QSeries] | None = None,
-                 z_orders: CuspOrderVector | None = None, label: str = "",
+    def __init__(self, x: QSeries, ys: list[QSeries],
+                 z: Callable[[], QSeries] | None = None,
+                 z_orders: CuspOrderVector | None = None,
                  x_powers: Sequence[QSeries] = ()):
         self.x = x
         self.ys = ys
-        self.level = level
         self.z = z
         self.z_orders = z_orders
-        self.label = label
         self.x_order = pole_order(self.x, "x")
         if not self.ys:
             raise BasisError("ys must start with the constant 1")
@@ -276,7 +274,7 @@ def localize_reduce(f: QSeries, basis: ModuleBasis,
             )
         n = max(n, ceil(Fraction(-f_ord) / z_ord))
     if n:
-        f = f * (basis.z() if callable(basis.z) else basis.z) ** n
+        f = f * basis.z() ** n
     rep = reduce_module(f, basis, guard=guard)
     return Representation(localizer_exponent=n, coeffs=rep.coeffs,
                           residual=rep.residual)

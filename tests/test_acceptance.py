@@ -181,8 +181,9 @@ def test_criterion_8_gap_certification():
         km = basis.monomial_for_pole_order(pole)
         if km is None:
             rejected.append(pole)
-            with pytest.raises(GapError):
+            with pytest.raises(GapError) as err:
                 reduce_module(QSeries.monomial(-24 * pole, trunc), basis)
+            assert err.value.pole_order == pole
         else:
             rep = reduce_module(basis.monomial(*km), basis)
             assert rep.coeffs == {km: 1}

@@ -245,9 +245,10 @@ def test_tower_recursive_trivial_family_matches_u_iteration():
     spec = FamilySpec(
         name="toy",
         generator=EtaQuotient(1, {}),
-        prime=3, lam=1, level=3,
-        prefactors={d: PochhammerProduct(0, {}) for d in (1, 2, 3)},
-        multipliers={d: PochhammerProduct(0, {}) for d in (1, 2)},
+        prime=3, lam=1, level=3, target_residue=1, schedule={},
+        prefactors={d: PochhammerProduct(0, ()) for d in (1, 2, 3)},
+        multipliers={d: PochhammerProduct(0, ()) for d in (1, 2)},
+        tower_identities={}, basis_name=None,
     )
     base = coefficient_series(spec, 200)  # the constant 1
     # give the toy family a nontrivial generator series by hand
@@ -296,7 +297,9 @@ def test_verify_counterexample_is_first_violation():
     # qualifying n = 1, 6, 11, 16 (n = 1 mod 5); a(1) violates 5^2 | a(n) with
     # valuation 1, a(11) later attains the global minimum 0
     spec = FamilySpec(name="toy", generator=EtaQuotient(1, {1: -1}), prime=5,
-                      lam=1, level=5, schedule={1: ScheduleStep(1, 2)})
+                      lam=1, level=5, target_residue=1,
+                      schedule={1: ScheduleStep(1, 2)}, prefactors={},
+                      multipliers={}, tower_identities={}, basis_name=None)
     coeffs = [0] * 17
     coeffs[1], coeffs[6], coeffs[11], coeffs[16] = 15, 0, 7, 250
     coeffs[2] = 1  # not qualifying: ignored
@@ -593,9 +596,12 @@ def test_localize_pd5_variant_needs_positive_power(catalog):
         name="pd-5-variant", generator=spec.generator, prime=5, lam=24,
         level=10, target_residue=-1,
         schedule=dict(spec.schedule),
-        prefactors={1: PochhammerProduct(0, {1: 1, 2: -3, 5: 4, 10: -2})},
+        prefactors={1: PochhammerProduct(
+            0, ((1, 1), (2, -3), (5, 4), (10, -2)))},
+        multipliers={},
         tower_identities={1: (
             EtaTerm(Fraction(1), EtaQuotient(10, {1: -3, 2: -1, 5: 7, 10: -3})),)},
+        basis_name=None,
     )
     chart, orders = certified_identity_chart(variant, 1, 80)
     basis = catalog.basis("level-10").build(24 * 80)
@@ -638,9 +644,9 @@ def _synthetic_level_10(catalog):
                      in ((3, ray[0]), (Fraction(-1, 2), LEVEL_10_U),
                          (7, ray[1]), (-5, ray[2])))
     return FamilySpec(name="synthetic-10", generator=spec.generator, prime=5,
-                      lam=24, level=10, target_residue=-1,
-                      prefactors=dict(spec.prefactors),
-                      tower_identities={1: identity})
+                      lam=24, level=10, target_residue=-1, schedule={},
+                      prefactors=dict(spec.prefactors), multipliers={},
+                      tower_identities={1: identity}, basis_name=None)
 
 
 def _recorded_at_infinity(spec, depth, terms):
@@ -896,7 +902,7 @@ def test_basis_localizer_expanded_on_first_use(catalog, monkeypatch):
     assert (rep.localizer_exponent, rep.coeffs) == (1, {(0, 1): 1})
     assert calls == [entry.x, entry.z]
     # a localizer with a zero of order 3 at the zero cusp
-    zero = BasisEntry("zero-z", 10, x=entry.x,
+    zero = BasisEntry("zero-z", 10, x=entry.x, ys=[],
                       z=EtaQuotient(10, {1: 12, 2: -8, 5: -4}))
     with pytest.raises(TruncationError, match="one term of the expansion"):
         zero.build(24 * 3)

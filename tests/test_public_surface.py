@@ -8,6 +8,10 @@ __init__.py imports nothing: each name is bound once, in its module.  A
 method that overrides one its class inherits from outside the package
 (cli._Parser.error) is reached through the base class's own calls.  The
 cli.cmd_* functions are exempt: cli.main dispatches them by name.
+
+Likewise every field that a package class's __init__ assigns as
+self.NAME = ... is read, as an attribute, in src/, in the acceptance suite
+or in perfbench/spans.py.
 """
 
 import ast
@@ -89,6 +93,37 @@ def test_every_definition_is_reached():
                 continue
             unreached.append(f"{path.name}: {shown}")
     assert not unreached, "unreached: " + ", ".join(unreached)
+
+
+def _attributes_read(path: Path) -> set[str]:
+    return {sub.attr for sub in ast.walk(ast.parse(path.read_text()))
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def _init_fields(tree: ast.Module):
+    """(shown name, field) of each self.NAME = ... in the __init__ of a
+    top-level class."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for sub in ast.walk(item):
+                    if isinstance(sub, ast.Attribute) \
+                            and isinstance(sub.ctx, ast.Store) \
+                            and isinstance(sub.value, ast.Name) \
+                            and sub.value.id == "self":
+                        yield f"{node.name}.{sub.attr}", sub.attr
+
+
+def test_every_field_is_read():
+    paths = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*map(_attributes_read, paths + [
+        ROOT / "tests" / "test_acceptance.py", ROOT / "perfbench" / "spans.py"]))
+    unread = [f"{path.name}: {shown}" for path in paths
+              for shown, field in _init_fields(ast.parse(path.read_text()))
+              if field not in read]
+    assert not unread, "never read: " + ", ".join(unread)
 
 
 def test_package_binds_no_names_of_its_modules():

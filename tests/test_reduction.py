@@ -217,8 +217,9 @@ def level10_basis(trunc24=TRUNC):
     z_eta = EtaQuotient(10, {1: -12, 2: 8, 5: 4})
     zs, zq = expand_at_zero(z_eta, 10, trunc24)
     one = QSeries.constant(1, trunc24)
-    return ModuleBasis(x=xq.scaled(xs), ys=[one], level=10,
-                       z=zq.scaled(zs), z_orders=cusp_order_vector(z_eta, 10))
+    return ModuleBasis(x=xq.scaled(xs), ys=[one],
+                       z=lambda: zq.scaled(zs),
+                       z_orders=cusp_order_vector(z_eta, 10))
 
 
 def test_localize_noop_when_already_in_module():
@@ -234,7 +235,7 @@ def test_localize_noop_when_already_in_module():
 def test_localize_constructed_ratio():
     basis = level10_basis(24 * 80)
     # f = x / z has poles away from the zero cusp; z^1 clears them
-    f = basis.x / basis.z
+    f = basis.x / basis.z()
     x_orders = {1: Fraction(-1), 2: Fraction(0), 5: Fraction(0), 10: Fraction(1)}
     z_orders = dict(basis.z_orders.orders)
     f_orders = CuspOrderVector(10, tuple(
@@ -255,7 +256,7 @@ def test_invalid_localizer_detected():
     basis = level10_basis()
     bad_orders = CuspOrderVector(10, ((1, Fraction(-1)), (2, Fraction(0)),
                                       (5, Fraction(0)), (10, Fraction(1))))
-    broken = ModuleBasis(x=basis.x, ys=basis.ys, level=10,
+    broken = ModuleBasis(x=basis.x, ys=basis.ys,
                          z=basis.z, z_orders=bad_orders)
     f_orders = CuspOrderVector(10, ((1, Fraction(-1)), (2, Fraction(-1)),
                                     (5, Fraction(0)), (10, Fraction(2))))
