@@ -87,6 +87,9 @@ class EtaTerm(Record):
     _fields = ("scale", "quotient")
 
 
+IDENTITY_CHECK_TERMS = 8  # q-terms of the cross-check at infinity
+
+
 class FamilySpec(Record):
     """All data defining one congruence family."""
 
@@ -120,6 +123,11 @@ class FamilySpec(Record):
                     raise FamilyError(
                         f"family {self.name}: depth-{a} identity term "
                         f"{t.quotient} is not a function on X_0({self.level})")
+                if t.quotient.degree24 >= 24 * IDENTITY_CHECK_TERMS:
+                    raise FamilyError(
+                        f"family {self.name}: depth-{a} identity term "
+                        f"{t.quotient} starts at q^({t.quotient.degree24}/24), "
+                        f"past the {IDENTITY_CHECK_TERMS}-term check at infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +319,6 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
 # ---------------------------------------------------------------------------
 # recorded tower identities (eta combinations) and their chart expansions
 # ---------------------------------------------------------------------------
-
-IDENTITY_CHECK_TERMS = 8  # q-terms of the cross-check at infinity
-
 
 def _ray_multiple(f: EtaQuotient, base: EtaQuotient) -> int:
     """k >= 1 with f = base^k, every exponent k times base's; else 0."""

@@ -1126,6 +1126,27 @@ def test_catalog_identity_off_the_family_curve_refused(tmp_path, capsys, eta,
                    f"term {shown} is not a function on X_0(5)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "p-5", "--alpha", "1", "--nmax", "50"),
+    ("reduce", "--target", "family:p-5:L1", "--basis", "level-5",
+     "--terms", "300"),
+], ids=["verify", "reduce"])
+def test_catalog_identity_term_past_the_check_refused(tmp_path, capsys, argv):
+    # reduce used to blame the user's truncation ("truncation too small to
+    # hold one term of the expansion"): the term starts at q^9, where the
+    # 8-term check at infinity cannot see it
+    identity = json.loads(shipped_catalog_path().read_text())[
+        "families"][0]["tower_identities"]["1"]
+    path = _edited_catalog(
+        tmp_path, ("families", 0, "tower_identities", "1"),
+        identity + [{"scale": "1", "eta": {"M": 5, "r": {"5": 54, "1": -54}}}])
+    code, out, err = run(capsys, "--catalog", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}:families[0]: family p-5: depth-1 identity "
+                   f"term eta(1t)^-54 * eta(5t)^54 starts at q^(216/24), past "
+                   f"the 8-term check at infinity\n")
+
+
 def _read_leaves(node, keys=()):
     """Key paths to the scalar leaves of a catalog document, skipping the
     free-text notes that the loader does not read."""

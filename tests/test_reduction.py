@@ -9,6 +9,7 @@ from cusp_ledger.errors import (
     BasisError,
     ExactnessError,
     GapError,
+    InternalInconsistencyError,
     ReductionError,
     SeriesError,
     TruncationError,
@@ -98,6 +99,16 @@ def test_reduce_genus0_rejects_alien_series():
         reduce_genus0(alien, x)
 
 
+def test_constant_subtracted_at_the_target_truncation():
+    # the constant is no basis monomial: x's own truncation, q^30, does not
+    # cut the residual of a target known to q^40
+    x = QSeries({-24: 1, 0: 2, 24: 3}, 24 * 30)
+    rep = reduce_genus0(QSeries.constant(5, 24 * 40), x)
+    assert rep.polynomial() == {0: 5}
+    assert rep.residual == QSeries.zero(24 * 40)
+    assert rep.residual.trunc24 == 960
+
+
 def test_reduce_insufficient_truncation():
     x = level5_x_chart(trunc24=24 * 5)
     with pytest.raises(TruncationError):
@@ -112,6 +123,24 @@ def test_reduce_module_round_trip_fixed():
     target = y * (x ** 2) + x.scaled(4) - 1
     rep = reduce_module(target, basis)
     assert rep.coeffs == {(1, 2): 1, (0, 1): 4, (0, 0): -1}
+
+
+def test_faulty_elimination_is_internal_inconsistency(monkeypatch):
+    # the residual is the round trip: a term left at q^0 or below can only
+    # come from the elimination, never from the target
+    basis = genus1_basis()
+    target = basis.ys[1] * (basis.x ** 2) + basis.x.scaled(4) - 1
+    combine = ModuleBasis.combine
+
+    def drop_x(self, coeffs, trunc24):
+        return combine(self, {km: c for km, c in coeffs.items()
+                              if km != (0, 1)}, trunc24)
+
+    monkeypatch.setattr(ModuleBasis, "combine", drop_x)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^elimination left residual coefficient 4 at "
+                             r"q\^\(-48/24\)$"):
+        reduce_module(target, basis)
 
 
 def test_reduce_module_gap_error_on_simple_pole():

@@ -822,11 +822,35 @@ P5_SLICE = _factor(pochhammer_product(((1, -1),), 24 * 750)
 EXTREMES = ({24 * i: -2 ** 300 for i in range(300)}, 24 * 300)
 
 
+def _flat(value, length):
+    """length equal coefficients, known exactly that far."""
+    return {24 * i: value for i in range(length)}, 24 * length
+
+
+# factors at a Kronecker slot's byte boundary: 33 * 511^2 needs 25 signed
+# bits, exactly the width _kronecker gives it (9 + 9 + 6 + 1), so a width two
+# bits less rounds down to 3 bytes and wraps; every coefficient of the others
+# is the largest of its bit length, of either sign
+SLOT_EDGES = [(_flat(2 ** 9 - 1, 33), _flat(2 ** 9 - 1, 33))] + [
+    (_flat(2 ** k - 1, n), _flat(sign * (2 ** k - 1), n))
+    for k in (7, 8, 15, 16, 31, 32) for n in (32, 63, 64, 79)
+    for sign in (1, -1)]
+
+
+def _examples(pairs):
+    def add(test):
+        for a, b in pairs:
+            test = example(a, b)(test)
+        return test
+    return add
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(dense_factors(), dense_factors())
 @example(CHART_5, CHART_5)
 @example(P5_PREFACTOR, P5_SLICE)
 @example(EXTREMES, EXTREMES)
+@_examples(SLOT_EDGES)
 def test_dense_products_match_reference(ea, eb):
     a, b = QSeries(*ea), QSeries(*eb)
     got = a * b
