@@ -28,9 +28,9 @@ class EtaQuotient(Value):
     _fields = ("level", "exponents")
 
     def __init__(self, level: int, exponents):
-        _require_level(level)
         items = dict(exponents)
-        cleaned = exponent_vector(items)
+        cleaned = exponent_vector(items)  # first: level may be their lcm
+        _require_level(level)
         for delta in items:
             if level % delta != 0:
                 raise EtaError(f"divisor {delta} does not divide level {level}")

@@ -418,11 +418,11 @@ class BasisEntry(Record):
             raise CatalogError(f"basis {self.name}: no x recorded")
         table = isinstance(self.x, EtaQuotient) \
             and (powers or {}).get((self.x, self.level))
-        if table:  # each x^k known as far past its leading term as x
+        if table:
             require_on_gamma0(self.x, self.level)
-            x, *x_powers = [p.truncate(trunc24 + p.offset24 - table[0].offset24)
-                            for p in table]
-            x = zero_cusp_checked(self.x, self.level, x)
+            x = zero_cusp_checked(self.x, self.level,
+                                  table[0].truncate(trunc24))
+            x_powers = table[1:]
         else:
             x, x_powers = chart(self.x), ()
         ys = [QSeries.constant(1, trunc24)] + [chart(y) for y in self.ys]

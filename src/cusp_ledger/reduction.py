@@ -69,7 +69,8 @@ class ModuleBasis:
     order-complete iff the companion pole orders hit each residue class mod
     the pole order of x exactly once, which is validated on construction.
     The localizer z is a function that expands it, called when a reduction
-    uses it; x_powers are x^2, x^3, ... when built elsewhere.
+    uses it.  x_powers are x^2, x^3, ... when built elsewhere, each cut to
+    its window24, the truncation of the product x * ... * x.
     """
 
     def __init__(self, x: QSeries, ys: list[QSeries],
@@ -90,7 +91,8 @@ class ModuleBasis:
                                for k, y in enumerate(self.ys[1:], start=1)]
         check_pole_orders(self.x_order, self.y_orders)
         self._monomial_cache: dict[tuple[int, int], QSeries] = {
-            (0, m): s for m, s in enumerate((self.x, *x_powers), start=1)}
+            (0, m): s.truncate(self.window24(0, m))
+            for m, s in enumerate((self.x, *x_powers), start=1)}
 
     def gap_set(self) -> tuple[int, ...]:
         """Pole orders no monomial y_k x^m attains (always finite here)."""

@@ -18,7 +18,7 @@ The ring operations run on integers; Fractions appear only at the boundary
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -143,10 +143,9 @@ class QSeries:
 
     __slots__ = ("offset24", "_nums", "_den", "trunc24")
 
-    def __init__(self, entries: Mapping[int, Scalar] | Iterable, trunc24: int):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+    def __init__(self, entries: Mapping[int, Scalar], trunc24: int):
         t = int(trunc24)
-        c = {int(e): _norm(v) for e, v in items if e < t}
+        c = {int(e): _norm(v) for e, v in entries.items() if e < t}
         c = {e: v for e, v in c.items() if v}
         off = min(c, default=t)
         for e in c:
@@ -188,8 +187,8 @@ class QSeries:
         return cls({0: value}, trunc24)
 
     @classmethod
-    def monomial(cls, exponent24: int, trunc24: int, coeff: Scalar = 1) -> "QSeries":
-        return cls({exponent24: coeff}, trunc24)
+    def monomial(cls, exponent24: int, trunc24: int) -> "QSeries":
+        return cls({exponent24: 1}, trunc24)
 
     @property
     def is_zero(self) -> bool:
@@ -270,9 +269,6 @@ class QSeries:
     def __sub__(self, other):
         return self._binop_add(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self) -> "QSeries":
         return self.scaled(-1)
 
@@ -286,8 +282,6 @@ class QSeries:
                      self.trunc24)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         # product coefficient at e is known iff every split of e lands in
@@ -314,13 +308,7 @@ class QSeries:
         # the content is the product of the denominators
         return _make(off, out, self._den * other._den, t)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise SeriesError("division by zero scalar")
-            return self.scaled(1 / Fraction(other))
         if not isinstance(other, QSeries):
             return NotImplemented
         return self * other.invert()
@@ -641,20 +629,20 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
             c[k] = t
 
 
-def pochhammer_times(series: QSeries, plan) -> QSeries:
-    """series times prod over (d, r) of (q^d; q^d)_infinity^r, known as far
-    as the series is.
+def pochhammer_product(exponents: tuple[tuple[int, int], ...],
+                       trunc24: int) -> QSeries:
+    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1, known
+    to q^(trunc24/24): the zero series if trunc24 <= 0.
 
     The vector comes as its plan, a product of theta series
-    (pochhammer_plan).  The numerators live on a dense list, one entry per integer step of
-    exponent below the truncation: the numerator factors are scattered in
-    first, from the nonzero entries only, then each denominator factor is
-    divided out one power at a time.  The list becomes the numerators as it
-    stands, over the series' own denominator.
+    (pochhammer_plan).  The numerators live on a dense list, one entry per
+    integer step of exponent below the truncation, starting as the series 1:
+    the numerator factors are scattered in first, from the nonzero entries
+    only, then each denominator factor is divided out one power at a time.
     """
-    off, trunc = series.offset24, series.trunc24
-    n = -(-(trunc - off) // 24)
-    c = series._nums + [0] * (n - len(series._nums))
+    n = -(-trunc24 // 24)
+    c = [1] + [0] * (n - 1)
+    plan = pochhammer_plan(exponents)
     for kind, d, power in plan:
         if power > 0:
             terms = _series_terms(kind, d, n)[1:]
@@ -665,15 +653,7 @@ def pochhammer_times(series: QSeries, plan) -> QSeries:
             terms = _series_terms(kind, d, n)[1:]
             for _ in range(-power):
                 _divide_out(c, terms)
-    return _make(off, c, series._den, trunc)
-
-
-def pochhammer_product(exponents: tuple[tuple[int, int], ...],
-                       trunc24: int) -> QSeries:
-    """prod over (d, r) of (q^d; q^d)_infinity^r with leading term 1: the
-    kernel (pochhammer_times) applied to the series 1."""
-    return pochhammer_times(_make(0, [1], 1, trunc24),
-                            pochhammer_plan(exponents))
+    return _make(0, c, 1, trunc24)
 
 
 def _expstr(e24: int) -> str:

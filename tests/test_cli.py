@@ -862,6 +862,22 @@ def test_expand_nonpositive_delta_refused(capsys):
     assert err == "error: divisor -1 must be a positive integer\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--eta", "0:1"),
+    ("reduce", "--target", "eta:0:1", "--basis", "level-5"),
+], ids=["expand", "reduce"])
+def test_zero_divisor_refused_before_its_level(capsys, argv):
+    # the level of "0:1" is the lcm of its divisors, 0: the refusal used to
+    # be "level must be positive, got 0", naming a level nobody gave
+    assert run(capsys, *argv) == (
+        2, "", "error: divisor 0 must be a positive integer\n")
+
+
+def test_find_eta_zero_bound_refused(capsys):
+    assert run(capsys, "find-eta", "--level", "6", "--bound", "0") == (
+        2, "", "error: search bound must be >= 1\n")
+
+
 def test_parser_built_once(capsys):
     from cusp_ledger.cli import build_parser
 
@@ -1145,6 +1161,32 @@ def test_catalog_identity_term_past_the_check_refused(tmp_path, capsys, argv):
     assert err == (f"error: {path}:families[0]: family p-5: depth-1 identity "
                    f"term eta(1t)^-54 * eta(5t)^54 starts at q^(216/24), past "
                    f"the 8-term check at infinity\n")
+
+
+P5_ENTRY = json.loads(shipped_catalog_path().read_text())["families"][0]
+
+
+@pytest.mark.parametrize("keys, value, want", [
+    (("families", 0), {k: v for k, v in P5_ENTRY.items() if k != "prime"},
+     ":families[0]: missing field 'prime'"),
+    (("families", 0, "prime"), 4, ":families[0]: family p-5: 4 is not prime"),
+    (("families", 0, "prime"), 7,
+     ":families[0]: family p-5: prime 7 does not divide level 5"),
+    (("families", 0, "generator", "M"), 7,
+     ":families[0]: family p-5: generator level 7 does not divide curve "
+     "level 5"),
+], ids=["no-prime", "prime-4", "prime-off-level", "generator-off-level"])
+def test_catalog_family_refused_at_load(tmp_path, capsys, keys, value, want):
+    path = _edited_catalog(tmp_path, keys, value)
+    assert _verify_p5(capsys, path) == (2, "", f"error: {path}{want}\n")
+
+
+def test_reduce_family_target_without_its_identity_refused(tmp_path, capsys):
+    path = _edited_catalog(tmp_path, ("families", 0, "tower_identities"),
+                           {"1": P5_ENTRY["tower_identities"]["1"]})
+    assert run(capsys, "--catalog", str(path), "reduce", "--target",
+               "family:p-5:L2", "--basis", "level-5") == (
+        2, "", "error: family p-5: no recorded identity for depth 2\n")
 
 
 def _read_leaves(node, keys=()):

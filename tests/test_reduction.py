@@ -94,7 +94,7 @@ def test_reduce_genus0_requires_simple_pole():
 
 def test_reduce_genus0_rejects_alien_series():
     x = level5_x_chart()
-    alien = x + QSeries.monomial(24 * 3, TRUNC, 1)  # x plus spurious q^3
+    alien = x + QSeries.monomial(24 * 3, TRUNC)  # x plus spurious q^3
     with pytest.raises(ReductionError):
         reduce_genus0(alien, x)
 
@@ -123,6 +123,7 @@ def test_reduce_module_round_trip_fixed():
     target = y * (x ** 2) + x.scaled(4) - 1
     rep = reduce_module(target, basis)
     assert rep.coeffs == {(1, 2): 1, (0, 1): 4, (0, 0): -1}
+    assert rep.localizer_exponent == 0
 
 
 def test_faulty_elimination_is_internal_inconsistency(monkeypatch):
@@ -140,6 +141,16 @@ def test_faulty_elimination_is_internal_inconsistency(monkeypatch):
     with pytest.raises(InternalInconsistencyError,
                        match=r"^elimination left residual coefficient 4 at "
                              r"q\^\(-48/24\)$"):
+        reduce_module(target, basis)
+
+    def add_one(self, coeffs, trunc24):
+        return combine(self, coeffs, trunc24) + 1
+
+    # q^0 is the elimination's too: it reads the constant off the target
+    monkeypatch.setattr(ModuleBasis, "combine", add_one)
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^elimination left residual coefficient -1 at "
+                             r"q\^\(0/24\)$"):
         reduce_module(target, basis)
 
 
@@ -214,6 +225,18 @@ def test_window_matches_built_monomials():
                 assert basis.window24(k, m) == basis.monomial(k, m).trunc24
 
 
+def test_given_x_powers_cut_to_their_window():
+    # an x^2 built elsewhere and known further than x * x reads only as far
+    # as the product built here would
+    x = level5_x_chart()
+    long_square = level5_x_chart(2 * TRUNC) ** 2
+    assert long_square.trunc24 > (x * x).trunc24
+    basis = ModuleBasis(x=x, ys=[QSeries.constant(1, TRUNC)],
+                        x_powers=[long_square])
+    assert basis.monomial(0, 2).trunc24 == basis.window24(0, 2)
+    assert basis.monomial(0, 2) == x * x
+
+
 def test_high_x_power_built_without_recursion():
     x = QSeries({-24: 1, 0: 2}, 24 * 3)
     basis = ModuleBasis(x=x, ys=[QSeries.constant(1, 24 * 3)])
@@ -227,6 +250,16 @@ def test_pole_past_window_refused_before_building():
     with pytest.raises(TruncationError, match=r"y_0 \* x\^100000 known only"):
         reduce_module(QSeries.monomial(-24 * 100000, TRUNC), basis)
     assert (0, 2) not in basis._monomial_cache
+
+
+def test_companion_refusals_name_the_companion():
+    one = QSeries.constant(1, TRUNC)
+    with pytest.raises(BasisError, match=r"^ys\[1\] must be a nonzero series$"):
+        ModuleBasis(x=laurent(2, 3), ys=[one, QSeries.zero(TRUNC)])
+    with pytest.raises(BasisError, match=r"^ys\[2\] must live on the "
+                                         r"integer exponent grid$"):
+        ModuleBasis(x=laurent(3, 3),
+                    ys=[one, laurent(1, 3), QSeries({-24 * 2 + 1: 1}, TRUNC)])
 
 
 def test_order_incomplete_basis_rejected():

@@ -22,7 +22,6 @@ from cusp_ledger.series import (
     parse_rational,
     pochhammer_plan,
     pochhammer_product,
-    pochhammer_times,
     valuation,
 )
 
@@ -368,35 +367,16 @@ def test_theta_factors_match_greedy_oracle_on_catalog_rays():
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(exponent_tuples, exponent_tuples, st.integers(1, 90),
-       st.integers(-3, 3), st.sampled_from([1, 1, 7, -4]))
-def test_pochhammer_times_multiplies_a_given_series(a, b, n, shift, den):
-    # the kernel on a given series is the product by the kernel on 1, for
-    # any offset and content; on 1 it is pochhammer_product itself
+@given(exponent_tuples, exponent_tuples, st.integers(1, 90))
+def test_pochhammer_product_is_multiplicative(a, b, n):
+    # the kernel on the vector a + b is the product of the kernels on a
+    # and on b, at every truncation
     t = 24 * n + 5
-    base = pochhammer_product(a, t)
     merged = {}
     for d, r in a + b:
         merged[d] = merged.get(d, 0) + r
-    plan = pochhammer_plan(b)
-    assert pochhammer_times(base, plan) \
-        == pochhammer_product(tuple(sorted(merged.items())), t)
-    given_series = base.shift(24 * shift).scaled(Fraction(3, den))
-    assert pochhammer_times(given_series, plan) \
-        == given_series * pochhammer_product(b, t)
-    assert pochhammer_times(QSeries.constant(1, t), plan) \
-        == pochhammer_product(b, t)
-
-
-def test_pochhammer_times_needs_exponents_agreeing_mod_24():
-    # a series on two cosets mod 24 is refused when it is built, so the
-    # kernel only ever sees one coset, here a fractional one
-    plan = pochhammer_plan(((1, 1),))
-    with pytest.raises(SeriesError, match="exponents agree mod 24"):
-        pochhammer_times(QSeries({0: 1, 1: 1}, 48), plan)
-    s = QSeries({1: 1, 25: 2}, 24 * 6 + 1)
-    assert pochhammer_times(s, plan) == s * pochhammer_product(((1, 1),),
-                                                               24 * 6)
+    assert pochhammer_product(tuple(sorted(merged.items())), t) \
+        == pochhammer_product(a, t) * pochhammer_product(b, t)
 
 
 @pytest.mark.parametrize("exponents, passes", [
@@ -711,7 +691,7 @@ def assert_same(got, want):
     assert got.terms() == want.terms()
     assert (got.offset24, got.trunc24) == (want.offset24, want.trunc24)
     assert got.to_json_obj() == want.to_json_obj()
-    assert got == QSeries(want.terms(), want.trunc24)
+    assert got == QSeries(dict(want.terms()), want.trunc24)
     assert got.is_integer_grid == want.is_integer_grid
 
 
@@ -767,6 +747,12 @@ hyp = settings(max_examples=150, deadline=None, derandomize=True,
 
 @hyp
 @given(series_entries(), series_entries())
+# a row of the product loop cut short by the truncation: its slice ends
+# before the list does
+@example(({-24: 3, 48: 3}, 24 * 8), ({0: 1, 24: 2}, 24 * 5))
+# sums of terms 30 steps apart, and of a long series cut by a shorter one
+@example(({0: 1}, 24 * 40), ({24 * 30: 1}, 24 * 40))
+@example(({24 * i: 1 for i in range(40)}, 24 * 40), ({0: 1}, 24 * 30))
 def test_dense_ring_operations_match_reference(ea, eb):
     a, ra = both(*ea)
     b, rb = both(*eb)
@@ -837,6 +823,11 @@ SLOT_EDGES = [(_flat(2 ** 9 - 1, 33), _flat(2 ** 9 - 1, 33))] + [
     for sign in (1, -1)]
 
 
+# exact polynomials known far past their product's last term: the packed
+# product has no slot there, so the product stops at its last term
+POLY_32 = ({24 * i: 1 for i in range(32)}, 24 * 80)
+
+
 def _examples(pairs):
     def add(test):
         for a, b in pairs:
@@ -850,6 +841,7 @@ def _examples(pairs):
 @example(CHART_5, CHART_5)
 @example(P5_PREFACTOR, P5_SLICE)
 @example(EXTREMES, EXTREMES)
+@example(POLY_32, POLY_32)
 @_examples(SLOT_EDGES)
 def test_dense_products_match_reference(ea, eb):
     a, b = QSeries(*ea), QSeries(*eb)
@@ -872,6 +864,23 @@ def test_product_kernel_chosen_by_nonzeros():
         assert spy.call_count == 1
     assert min(len(s.support()) for s in (prefactor, sliced)) \
         < _KRONECKER_NONZEROS <= len(chart.support())
+
+
+def test_product_kernel_switches_at_the_threshold():
+    # the route counts each factor's nonzero numerators (2s between zeros,
+    # so a count of zeros or of 1s would differ): both factors at the
+    # threshold go by Kronecker, and one nonzero fewer in either by rows
+    def factor(nonzeros):
+        return QSeries({48 * i: 2 for i in range(nonzeros)}, 48 * nonzeros)
+
+    edge, below = factor(_KRONECKER_NONZEROS), factor(_KRONECKER_NONZEROS - 1)
+    dense = factor(2 * _KRONECKER_NONZEROS)
+    for x, y, kronecker in ((edge, edge, True), (dense, below, False),
+                            (below, dense, False)):
+        with patch("cusp_ledger.series._kronecker", wraps=_kronecker) as spy:
+            product = x * y
+        assert spy.called == kronecker
+        assert product == QSeries(*oracle_mul(x, y))
 
 
 @hyp

@@ -1,0 +1,405 @@
+"""Mutation sweep over the series kernel and the reduction engine.
+
+Each mutant changes one site of one target function: it swaps `+` and `-`
+(in an expression or an augmented assignment), swaps `<` and `<=` or `>`
+and `>=`, or moves an integer constant up or down by one.  The mutated
+module is written into a temporary copy of the tree, and the kernel tests
+run against it with `-x`; a mutant whose tests all pass survives, and the
+survivors are printed.  A mutant listed in EQUIVALENT is not run: no
+input the program passes tells it from the original.
+
+    python tools/mutants.py                      # every target in TARGETS
+    python tools/mutants.py series:QSeries.__mul__ reduction:ModuleBasis.__init__
+    python tools/mutants.py --list               # the mutants, no tests run
+
+--list fails (exit 1) when an EQUIVALENT entry no longer matches exactly
+one mutant, so the list follows the code it describes.  A sweep exits 1
+when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
+run of the kernel tests (about 17 s on a 2-CPU x86-64 box when it
+survives), and all of TARGETS took 34 min there, so the sweep is not part
+of the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src", "cusp_ledger")
+
+# (module, qualified name) of each function the sweep mutates
+TARGETS = (
+    ("series", "_divide_out"),
+    ("series", "_scatter"),
+    ("series", "_kronecker"),
+    ("series", "_pack"),
+    ("series", "QSeries.invert"),
+    ("series", "QSeries._section"),
+    ("series", "QSeries._binop_add"),
+    ("series", "QSeries.__mul__"),
+    ("series", "QSeries.__truediv__"),
+    ("series", "pochhammer_product"),
+    ("reduction", "ModuleBasis.__init__"),
+    ("reduction", "reduce_module"),
+)
+
+# the kernel tests, run against each mutant
+TESTS = ("tests/test_series.py", "tests/test_reduction.py",
+         "tests/test_families.py")
+
+# (module, qualified name, site, mutated site, why no input the program
+# passes tells them apart); a site is the statement around the mutation,
+# or the test or iterable of the if, for or while that holds it
+_NO_ZERO_POWER = "a plan holds no zero power"
+_CUT = "the entries it adds lie past the truncation, where _make cuts them"
+_UNIT_WEIGHT = ("a weight of 1 or -1 taken as a general weight is "
+                "multiplied in, to the same sum")
+_WIDER = "a wider slot holds every coefficient of the product too"
+_SLOTS_PAST = "the bias slots past the product are never unpacked"
+_TWO_BYTES = ("a slot is two bytes or more (each factor has 32 nonzeros or "
+              "more), so the extra byte holds no borrow")
+_UNREAD_POWER = "the one more power of b0 is never read"
+_NOTHING_LIVE = ("with no nonzero part the list holds only zeros, and the "
+                 "zero series keeps none")
+_GRID_CUT = ("the target is on the integer grid: the cut keeps the same "
+             "terms at q^0 and below, and the elimination reads no other")
+_GRID = "exponents on the integer grid are multiples of 24"
+_EQUAL_COUNTS = "with as many nonzeros in each factor, either may run the rows"
+EQUIVALENT = (
+    ("series", "pochhammer_product",
+     "power > 0",
+     "power >= 0",
+     _NO_ZERO_POWER),
+    ("series", "pochhammer_product",
+     "power > 0",
+     "power > -1",
+     _NO_ZERO_POWER),
+    ("series", "pochhammer_product",
+     "power < 0",
+     "power <= 0",
+     _NO_ZERO_POWER),
+    ("series", "pochhammer_product",
+     "power < 0",
+     "power < 1",
+     _NO_ZERO_POWER),
+    ("series", "pochhammer_product",
+     "n = -(-trunc24 // 24)",
+     "n = -(-trunc24 // 23)",
+     _CUT),
+    ("series", "pochhammer_product",
+     "c = [1] + [0] * (n - 1)",
+     "c = [1] + [0] * (n + 1)",
+     _CUT),
+    ("series", "pochhammer_product",
+     "c = [1] + [0] * (n - 1)",
+     "c = [1] + [0] * (n - 0)",
+     _CUT),
+    ("series", "QSeries.__mul__",
+     "n = min(len(a) + len(b) - 1, -(-(t - off) // 24))",
+     "n = min(len(a) + len(b) - 1, -(-(t - off) // 23))",
+     _CUT),
+    ("series", "QSeries.invert",
+     "n = -(-(self.trunc24 - self.offset24) // 24)",
+     "n = -(-(self.trunc24 - self.offset24) // 23)",
+     _CUT),
+    ("series", "QSeries.invert",
+     "d = [1] + [0] * (n - 1)",
+     "d = [1] + [0] * (n + 1)",
+     _CUT),
+    ("series", "QSeries.invert",
+     "d = [1] + [0] * (n - 1)",
+     "d = [1] + [0] * (n - 0)",
+     _CUT),
+    ("series", "QSeries._binop_add",
+     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
+     "default=0), -(-(t - off) // 24))",
+     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
+     "default=0), -(-(t - off) // 23))",
+     _CUT),
+    ("series", "_divide_out",
+     "w == -1",
+     "w == -0",
+     _UNIT_WEIGHT),
+    ("series", "_divide_out",
+     "w == 1",
+     "w == 0",
+     _UNIT_WEIGHT),
+    ("series", "_kronecker",
+     "bits = max(max(a), -min(a)).bit_length() + max(max(b), "
+     "-min(b)).bit_length() + min(len(a), len(b)).bit_length() + 1",
+     "bits = max(max(a), -min(a)).bit_length() + max(max(b), "
+     "-min(b)).bit_length() + min(len(a), len(b)).bit_length() + 2",
+     _WIDER),
+    ("series", "_kronecker",
+     "size = -(-bits // 8)",
+     "size = -(-bits // 7)",
+     _WIDER),
+    ("series", "_kronecker",
+     "slots = len(a) + len(b) - 1",
+     "slots = len(a) + len(b) + 1",
+     _SLOTS_PAST),
+    ("series", "_kronecker",
+     "slots = len(a) + len(b) - 1",
+     "slots = len(a) + len(b) - 0",
+     _SLOTS_PAST),
+    ("series", "_pack",
+     "borrow = bytearray(size * len(nums) + 1)",
+     "borrow = bytearray(size * len(nums) + 2)",
+     _TWO_BYTES),
+    ("series", "QSeries.invert",
+     "pw = [B[0] ** j for j in range(n + 1)]",
+     "pw = [B[0] ** j for j in range(n + 2)]",
+     _UNREAD_POWER),
+    ("series", "QSeries._binop_add",
+     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
+     "default=0), -(-(t - off) // 24))",
+     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
+     "default=1), -(-(t - off) // 24))",
+     _NOTHING_LIVE),
+    ("series", "QSeries._binop_add",
+     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
+     "default=0), -(-(t - off) // 24))",
+     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
+     "default=-1), -(-(t - off) // 24))",
+     _NOTHING_LIVE),
+    ("reduction", "reduce_module",
+     "head = f.truncate(min(f.trunc24, 24))",
+     "head = f.truncate(min(f.trunc24, 25))",
+     _GRID_CUT),
+    ("reduction", "reduce_module",
+     "head = f.truncate(min(f.trunc24, 24))",
+     "head = f.truncate(min(f.trunc24, 23))",
+     _GRID_CUT),
+    ("reduction", "reduce_module",
+     "head = head - mon.truncate(min(mon.trunc24, 24)).scaled(c)",
+     "head = head - mon.truncate(min(mon.trunc24, 25)).scaled(c)",
+     _GRID_CUT),
+    ("reduction", "reduce_module",
+     "head = head - mon.truncate(min(mon.trunc24, 24)).scaled(c)",
+     "head = head - mon.truncate(min(mon.trunc24, 23)).scaled(c)",
+     _GRID_CUT),
+    ("reduction", "reduce_module",
+     "not head.is_zero and head.offset24 < 0",
+     "not head.is_zero and head.offset24 < -1",
+     _GRID),
+    ("reduction", "reduce_module",
+     "bad_e <= 0",
+     "bad_e <= 1",
+     _GRID),
+    ("series", "QSeries.__mul__",
+     "nonzero_a > nonzero_b",
+     "nonzero_a >= nonzero_b",
+     _EQUAL_COUNTS),
+)
+
+MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
+
+# loaded before the tests: a drawn test that fails stops there, since
+# shrinking its example would only delay the kill
+NO_SHRINK = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse,
+                                             Phase.generate])
+settings.load_profile("mutants")
+"""
+
+
+class Mutant(NamedTuple):
+    """One change at one site of a target function: the index-th of
+    _sites, shown as the site before and after."""
+
+    module: str
+    qualname: str
+    index: int
+    line: int
+    site: str
+    mutated: str
+
+    def key(self) -> tuple[str, str, str, str]:
+        return self.module, self.qualname, self.site, self.mutated
+
+    def __str__(self) -> str:
+        return (f"{self.module}.py:{self.line} {self.qualname}: "
+                f"{self.site}  ->  {self.mutated}")
+
+
+def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    body = tree.body
+    *outer, name = qualname.split(".")
+    for part in outer:
+        body = next(n for n in body
+                    if isinstance(n, ast.ClassDef) and n.name == part).body
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise SystemExit(f"no function {qualname}")
+
+
+_SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Lt: ast.LtE,
+          ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+
+
+def _site(node: ast.AST, parents: dict) -> ast.AST:
+    """The simple statement around node, or the test or iterable that
+    holds it in the header of an if, for or while."""
+    while not isinstance(node, ast.stmt):
+        parent = parents[node]
+        if isinstance(parent, (ast.If, ast.For, ast.While)):
+            return node
+        node = parent
+    return node
+
+
+def _sites(function: ast.FunctionDef):
+    """(site node, node, field, mutated value of the field) for every
+    mutation in function, in a fixed order."""
+    parents = {child: node for node in ast.walk(function)
+               for child in ast.iter_child_nodes(node)}
+    for node in (n for stmt in function.body for n in ast.walk(stmt)):
+        shown = _site(node, parents)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and type(node.op) in (ast.Add, ast.Sub):
+            yield shown, node, "op", _SWAPS[type(node.op)]()
+        elif isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in _SWAPS:
+                    ops = list(node.ops)
+                    ops[i] = _SWAPS[type(op)]()
+                    yield shown, node, "ops", ops
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            for step in (1, -1):
+                yield shown, node, "value", node.value + step
+
+
+def mutants(module: str, qualname: str) -> list[Mutant]:
+    source = (ROOT / PACKAGE / f"{module}.py").read_text()
+    found = []
+    function = _function(ast.parse(source), qualname)
+    for index, (shown, node, field, value) in enumerate(_sites(function)):
+        site, old = ast.unparse(shown), getattr(node, field)
+        setattr(node, field, value)
+        found.append(Mutant(module, qualname, index, shown.lineno, site,
+                            ast.unparse(shown)))
+        setattr(node, field, old)
+    return found
+
+
+def mutated_source(mutant: Mutant, source: str) -> str:
+    """The mutant's whole module, unparsed: comments go, code stays."""
+    tree = ast.parse(source)
+    _, node, field, value = list(_sites(_function(tree, mutant.qualname)))[
+        mutant.index]
+    setattr(node, field, value)
+    return ast.unparse(tree) + "\n"
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_tests(tree: Path, timeout: float) -> str:
+    """'survived' when the tests pass on the copied tree, 'killed' when one
+    fails, 'timed out' past the timeout.  No bytecode is written, so no
+    stale cache outlives a mutant."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(tree / "src")}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", *TESTS],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=timeout,
+            preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    return "survived" if done.returncode == 0 else "killed"
+
+
+def check_equivalents(found: list[Mutant]) -> list[str]:
+    """The EQUIVALENT entries that do not match exactly one mutant."""
+    problems = []
+    for module, qualname, site, mutated, _ in EQUIVALENT:
+        hits = [m for m in found if m.key() == (module, qualname, site,
+                                                mutated)]
+        if len(hits) != 1:
+            problems.append(f"{module}:{qualname}: {site} -> {mutated} "
+                            f"matches {len(hits)} mutants")
+    return problems
+
+
+def sweep(found: list[Mutant]) -> list[Mutant]:
+    reasons = {entry[:4]: entry[4] for entry in EQUIVALENT}
+    survivors = []
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy(ROOT / "pytest.ini", tree)
+        (tree / "conftest.py").write_text(NO_SHRINK)
+        start = time.perf_counter()
+        if run_tests(tree, timeout=3600) != "survived":
+            raise SystemExit("the tests fail on the unmutated tree")
+        timeout = max(60.0, 5 * (time.perf_counter() - start))
+        for n, mutant in enumerate(found, start=1):
+            if mutant.key() in reasons:
+                print(f"[{n}/{len(found)}] equivalent  {mutant}  "
+                      f"({reasons[mutant.key()]})", file=sys.stderr)
+                continue
+            path = tree / PACKAGE / f"{mutant.module}.py"
+            original = path.read_text()
+            path.write_text(mutated_source(mutant, original))
+            try:
+                outcome = run_tests(tree, timeout)
+            finally:
+                path.write_text(original)
+            print(f"[{n}/{len(found)}] {outcome:11} {mutant}",
+                  file=sys.stderr, flush=True)
+            if outcome == "survived":
+                survivors.append(mutant)
+    return survivors
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("targets", nargs="*", metavar="MODULE:FUNCTION",
+                        help="functions to mutate (default: all of TARGETS)")
+    parser.add_argument("--list", action="store_true",
+                        help="print the mutants and check EQUIVALENT; run "
+                             "no tests")
+    args = parser.parse_args(argv)
+    targets = [t.partition(":")[::2] for t in args.targets] or TARGETS
+    found = [m for module, qualname in targets
+             for m in mutants(module, qualname)]
+    if args.list:
+        for mutant in found:
+            print(mutant)
+        problems = check_equivalents(
+            [m for target in TARGETS for m in mutants(*target)])
+        for problem in problems:
+            print(f"EQUIVALENT entry {problem}", file=sys.stderr)
+        print(f"{len(found)} mutants", file=sys.stderr)
+        return 1 if problems else 0
+    survivors = sweep(found)
+    reasons = {entry[:4] for entry in EQUIVALENT}
+    listed = sum(m.key() in reasons for m in found)
+    print(f"{len(survivors)} of {len(found) - listed} mutants survived "
+          f"({listed} listed as equivalent were not run):")
+    for mutant in survivors:
+        print(f"  {mutant}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
