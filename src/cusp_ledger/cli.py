@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import lcm
@@ -29,8 +30,8 @@ from .errors import (
 )
 from .eta import (
     EtaQuotient,
+    cusp_order_numerators,
     cusp_order_vector,
-    cusp_order_vectors,
     expand_at_infinity,
     expand_at_zero,
     order_at_cusp,
@@ -110,8 +111,14 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
     return EtaQuotient(level, exponents)
 
 
-# JSON text of each scalar type a report holds; type() keeps bool from int
+class _Verbatim(str):
+    """JSON text, already written, that _json_text writes as it stands."""
+
+
+# JSON text of each scalar type a report holds, and of _Verbatim text;
+# type() keeps bool from int
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 _Verbatim: str.__str__,
                  bool: {True: "true", False: "false"}.__getitem__,
                  type(None): lambda _: "null"}
 
@@ -119,8 +126,10 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 def _json_text(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, for str, int, bool and
     None scalars in lists, tuples and str-keyed dicts: one join per
-    container, each scalar written inline.  Any other value (a float, a
-    Fraction, a dict key that is not a str) raises TypeError."""
+    container, each scalar written inline.  A _Verbatim value is JSON text
+    already written for its place, and goes out as it stands.  Any other
+    value (a float, a Fraction, a dict key that is not a str) raises
+    TypeError."""
     kind = type(value)
     if (write := _JSON_SCALARS.get(kind)) is not None:
         return write(value)
@@ -322,24 +331,56 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+class _OrderTexts(dict):
+    """numerator -> the text of the Fraction numerator/den, made once per
+    numerator: the orders at one cusp class, in one command."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> str:
+        text = self[num] = str(Fraction(num, self.den))
+        return text
+
+
+def _find_eta_results(level: int, classes, found, orders) -> list[_Verbatim]:
+    """The results of find-eta --json, one _Verbatim row per quotient, each
+    as _json_text writes an item of the report's results list.  _json_text
+    writes one placeholder row per level, and the exponents dict in the
+    place of its "r"; each quotient's exponents and order texts (one
+    column per class) fill in the slots."""
+    row = _json_text({"quotient": {"M": level, "r": _Verbatim("%s")},
+                      "orders": {str(c): _Verbatim('"%s"')
+                                 for c, _ in classes}}, "\n    ")
+    before = row[:row.index('"r": %s')]
+    at = before[before.rindex("\n"):]  # the indent of "r"
+    pair = '"%d": %d'
+    head, tail = _json_text({"%d": _Verbatim("%d")}, at).split(pair)
+    comma = "," + head[1:]
+    exponents = [f"{head}{comma.join([pair % p for p in f.exponents])}{tail}"
+                 if f.exponents else "{}" for f in found]
+    return list(map(_Verbatim, map(row.__mod__, zip(exponents, *orders))))
+
+
 def cmd_find_eta(args) -> int:
     constraints = parse_constraints(args.constraints) if args.constraints else []
     found = search_eta_quotients(args.level, constraints, args.bound)
-    vectors = cusp_order_vectors(found, args.level)
+    classes, columns = cusp_order_numerators(found, args.level)
+    # each class's column of numerators as texts, each made once
+    orders = [list(map(_OrderTexts(den).__getitem__, column))
+              for (_, den), column in zip(classes, columns)]
     # only the rendering that is printed is built
     if args.json:
-        entries = [{"quotient": f.to_json_obj(),
-                    "orders": vec.to_json_obj()["orders"]}
-                   for f, vec in zip(found, vectors)]
         _emit(args, {"command": "find-eta", "level": args.level,
-                     "bound": args.bound, "results": entries}, "")
+                     "bound": args.bound, "results": _find_eta_results(
+                         args.level, classes, found, orders)}, "")
         return EXIT_OK
     lines = [f"{len(found)} quotient(s) on Gamma_0({args.level}) with "
              f"|r| <= {args.bound}"
              + (f" subject to {args.constraints}" if args.constraints else "")]
-    for f, vec in zip(found, vectors):
-        orders = ", ".join(f"ord[c={c}]={o}" for c, o in vec.orders)
-        lines.append(f"  {f}   {orders}")
+    line = "  %s   " + ", ".join(f"ord[c={c}]=%s" for c, _ in classes)
+    lines += map(line.__mod__, zip(found, *orders))
     _emit(args, {}, "\n".join(lines))
     return EXIT_OK
 

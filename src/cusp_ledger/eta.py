@@ -8,6 +8,7 @@ formula, normalised per local uniformiser (integral for valid quotients).
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress
@@ -186,33 +187,78 @@ class CuspOrderVector(Record):
         counts = {cl.denominator: cl.count for cl in enumerate_cusps(self.level)}
         return sum((Fraction(counts[d]) * o for d, o in self.orders), Fraction(0))
 
-    def to_json_obj(self) -> dict:
-        return {"level": self.level,
-                "orders": {str(d): str(o) for d, o in self.orders}}
+
+# the unsigned native formats of 8-, 16-, 32- and 64-bit slots, with their
+# sizes in bytes
+_SLOT_CODES = [(c, memoryview(bytes(8)).cast(c).itemsize) for c in "BHIQ"]
+
+# the fewest quotients for which packing them (_packed_products) beats one
+# dot product per quotient and row
+_PACK_FROM = 8
 
 
-def cusp_order_vectors(quotients, N: int) -> list[CuspOrderVector]:
-    """The orders of each quotient at every cusp class of X_0(N), read off
-    one set of Ligozat rows, built only when there is a quotient to read.
-    Equal orders share one Fraction, made once per call."""
+def _packed_products(quotients, ds, rows):
+    """Each row dotted with the exponents (over ds) of every quotient at
+    once, as one list per row, or None when an order needs more than 64
+    bits.  The exponents of one divisor over all quotients, each raised by
+    lift, the largest |r|, to be nonnegative, are the slots of one integer,
+    W bits a slot with W = 8, 16, 32 or 64 wide enough for every order; a
+    row is one sum of products of those integers, and its slots are the
+    numerators."""
+    lift = max([abs(e) for f in quotients for _, e in f.exponents], default=0)
+    top = lift * max(sum(row) for row, _ in rows)  # bounds |row . r|
+    slot = next(((c, size) for c, size in _SLOT_CODES
+                 if top < 1 << 8 * size - 1), None)
+    if slot is None:
+        return None
+    (code, size), n, order = slot, len(quotients), sys.byteorder
+    column = {d: memoryview(bytearray(lift.to_bytes(size, order) * n))
+              .cast(code) for d in ds}
+    for j, f in enumerate(quotients):
+        for d, e in f.exponents:
+            column[d][j] = e + lift
+    packed = [int.from_bytes(column[d], order) for d in ds]
+    ones = int.from_bytes((1).to_bytes(size, order) * n, order)
+    half = ones << 8 * size - 1
+    columns = []
+    for row, _ in rows:
+        # each slot holds its numerator plus 2^(W-1), in [0, 2^W): no slot
+        # borrows, and flipping each top bit leaves two's complement
+        value = sum(map(mul, row, packed)) - lift * sum(row) * ones + half
+        columns.append(memoryview((value ^ half).to_bytes(n * size, order))
+                       .cast(code.lower()).tolist())
+    return columns
+
+
+def cusp_order_numerators(quotients, N: int):
+    """Ligozat's orders of each quotient at every cusp class of X_0(N), in
+    integers: (classes, columns), with classes ((c, den), ...) over the
+    divisors c of N and columns one list per class, whose j-th entry is
+    the row of that class (_ligozat_rows) dotted with the exponents of
+    quotients[j]; the order is that over den.  The rows are built only
+    when there is a quotient to read.  From _PACK_FROM quotients on, each
+    row is dotted with all of them at once (_packed_products)."""
     for f in quotients:
         _require_sublevel(f, N)
     if not quotients:
-        return []
+        return [], []
     ds = divisors(N)
-    rows = [(c, row, den)
-            for c, (row, den) in zip(ds, _ligozat_rows(N, ds, ds))]
-    out, made = [], {}
-    for f in quotients:
-        r = _over_divisors(f, ds)
-        orders = []
-        for c, row, den in rows:
-            key = (sum(map(mul, row, r)), den)
-            if (order := made.get(key)) is None:
-                order = made[key] = Fraction(*key)
-            orders.append((c, order))
-        out.append(CuspOrderVector(N, tuple(orders)))
-    return out
+    rows = _ligozat_rows(N, ds, ds)
+    columns = (_packed_products(quotients, ds, rows)
+               if len(quotients) >= _PACK_FROM else None)
+    if columns is None:  # few quotients, or orders past 64-bit slots
+        dense = [_over_divisors(f, ds) for f in quotients]
+        columns = [[sum(map(mul, row, r)) for r in dense] for row, _ in rows]
+    return [(c, den) for c, (_, den) in zip(ds, rows)], columns
+
+
+def cusp_order_vectors(quotients, N: int) -> list[CuspOrderVector]:
+    """The orders of each quotient at every cusp class of X_0(N): the
+    integers of cusp_order_numerators over their denominators."""
+    classes, columns = cusp_order_numerators(quotients, N)
+    return [CuspOrderVector(N, tuple([(c, Fraction(num, den)) for (c, den),
+                                      num in zip(classes, nums)]))
+            for nums in zip(*columns)]
 
 
 def cusp_order_vector(f: EtaQuotient, N: int) -> CuspOrderVector:

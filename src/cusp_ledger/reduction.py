@@ -196,7 +196,8 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
     order-completeness, and a pole order in the gap set raises GapError.
     One residual, f less the combination, then reads the whole series: a
     term past q^0 raises ReductionError, one at q^0 or below can only come
-    from a faulty elimination.  Every check is exact.
+    from a faulty elimination.  A constant term the windows leave unknown
+    raises TruncationError.  Every check is exact.
     """
     if not f.is_integer_grid:
         raise ReductionError("reduction target must have integer exponents")
@@ -216,7 +217,11 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
         mon = basis.monomial(*km)
         c = coeffs[km] = _norm(Fraction(lead_c) / mon.leading()[1])
         head = head - mon.truncate(min(mon.trunc24, 24)).scaled(c)
-    const = head.coeff24(0) if head.trunc24 > 0 else 0
+    if head.trunc24 <= 0:  # only a guard of 0 lets a window end here
+        raise TruncationError(
+            f"the elimination knows the target only to q^({head.trunc24}/24),"
+            f" so its constant term at q^0 is unknown; raise the truncation")
+    const = head.coeff24(0)
     residual = f - basis.combine(coeffs, f.trunc24) - const
     if const:
         coeffs[(0, 0)] = const

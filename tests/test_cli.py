@@ -16,7 +16,10 @@ from hypothesis import (HealthCheck, example, given, settings,
 import cusp_ledger
 from cusp_ledger import cli
 from cusp_ledger.cli import main
+from cusp_ledger.curves import divisors
 from cusp_ledger.errors import shown
+from cusp_ledger.eta import (EtaQuotient, cusp_order_vectors, parse_constraints,
+                             search_eta_quotients)
 from cusp_ledger.families import shipped_catalog_path
 
 
@@ -362,6 +365,21 @@ def test_reduce_pole_past_truncation_refused(capsys, order):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: basis monomial y_0 * x^{order} known only "
                           f"to q^(-") and err.count("\n") == 1
+
+
+def test_reduce_constant_past_the_window_refused(capsys):
+    # with --guard 0, x^3 at 2 terms is known only below q^0: the constant
+    # term was taken as 0 and the reduction reported exit 0 with
+    # residual_is_zero, though at 20 terms the target is not in the module
+    argv = ["reduce", "--target", "pole:3", "--basis", "level-5", "--guard",
+            "0", "--terms"]
+    assert run(capsys, *argv, "2") == (
+        2, "", "error: the elimination knows the target only to q^(0/24), so "
+               "its constant term at q^0 is unknown; raise the truncation\n")
+    code, _, err = run(capsys, *argv, "20")
+    assert (code, err) == (1, "error: target is not in the module at this "
+                              "truncation: residual coefficient 90 at "
+                              "q^(24/24)\n")
 
 
 @pytest.mark.parametrize("field, value, where", [
@@ -790,6 +808,136 @@ def test_find_eta_output_byte_identical(capsys, level, bound, constraints,
         got_code, out, err = run(capsys, *prefix, *argv)
         assert (got_code, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _search_sweep() -> list[list[str]]:
+    """find-eta --json over levels 1-60, 72, 84, 90, 96 and 120, bounds 1-3
+    and six constraint patterns: the searches, and the refusals of boxes
+    past MAX_SEARCH_BOX."""
+    argvs = []
+    for level in (*range(1, 61), 72, 84, 90, 96, 120):
+        for bound in (1, 2, 3):
+            for constraints in (None, "1<0", "1==-1", "1==-2",
+                                f"1<0,{level}>=1", f"1>=-3,{level}<=2"):
+                argv = ["--json", "find-eta", "--level", str(level),
+                        "--bound", str(bound)]
+                argvs.append(argv + (["--constraints", constraints]
+                                     if constraints else []))
+    return argvs
+
+
+# sha256 over (argv, exit code, stdout, stderr) of every sweep invocation
+SEARCH_SWEEP_DIGEST = \
+    "285754bfa45f8332e4d8a9bb9a4c35a09426cda87dce9292175ca2c5c697ace3"
+
+
+def test_find_eta_sweep_byte_identical(capsys):
+    digest, found = hashlib.sha256(), 0
+    argvs = _search_sweep()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        found += out.count('"quotient": ')
+        digest.update(json.dumps([argv, code, out, err]).encode())
+    assert (len(argvs), found) == (1170, 26141)
+    assert digest.hexdigest() == SEARCH_SWEEP_DIGEST
+
+
+def _find_eta_reference(level: int, bound: int, constraints: str | None,
+                        found: list, as_json: bool) -> str:
+    """find-eta's stdout written the way the command first wrote it: each
+    result's orders as Fractions (cusp_order_vectors), each entry a dict,
+    the whole report through the generic _json_text walk."""
+    vectors = cusp_order_vectors(found, level)
+    if as_json:
+        entries = [{"quotient": f.to_json_obj(),
+                    "orders": {str(c): str(o) for c, o in vec.orders}}
+                   for f, vec in zip(found, vectors)]
+        return cli._json_text({"schema_version": 1, "command": "find-eta",
+                               "level": level, "bound": bound,
+                               "results": entries}) + "\n"
+    lines = [f"{len(found)} quotient(s) on Gamma_0({level}) with "
+             f"|r| <= {bound}"
+             + (f" subject to {constraints}" if constraints else "")]
+    for f, vec in zip(found, vectors):
+        orders = ", ".join(f"ord[c={c}]={o}" for c, o in vec.orders)
+        lines.append(f"  {f}   {orders}")
+    return "\n".join(lines) + "\n"
+
+
+def _find_eta_both(capsys, level, bound, constraints, found):
+    """Run find-eta in --json and in text; assert each stdout is the
+    reference's for the quotients `found`."""
+    argv = ["find-eta", "--level", str(level), "--bound", str(bound)]
+    if constraints is not None:
+        argv += ["--constraints", constraints]
+    for prefix in (["--json"], []):
+        want = _find_eta_reference(level, bound, constraints, found,
+                                   bool(prefix))
+        assert run(capsys, *prefix, *argv) == (0, want, "")
+
+
+# the least level with 1, 2, ..., 16 divisors
+LEVELS_BY_DIVISORS = (1, 2, 4, 6, 16, 12, 64, 24, 36, 48, 1024, 60, 4096,
+                      192, 144, 120)
+ORDER_CONSTRAINTS = st.tuples(
+    st.sampled_from(["==", "<=", ">=", "<", ">"]),
+    st.one_of(st.integers(-4, 4).map(Fraction),
+              st.sampled_from([Fraction(-3, 2), Fraction(1, 4),
+                               Fraction(-1, 3), Fraction(5, 2)])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_find_eta_matches_reference_on_searches(capsys, data):
+    # levels with 1 to 15 divisors, each at a bound whose box the search
+    # takes, with and without drawn order constraints
+    level = data.draw(st.sampled_from(LEVELS_BY_DIVISORS[:15]), label="level")
+    dim = len(divisors(level)) - 1
+    top = max([1] + [b for b in (2, 3) if (2 * b + 1) ** dim <= 10 ** 6])
+    bound = data.draw(st.integers(1, top), label="bound")
+    pattern = data.draw(st.lists(st.tuples(
+        st.sampled_from(divisors(level)), ORDER_CONSTRAINTS), max_size=3),
+        label="constraints")
+    constraints = ",".join(f"{c}{op}{v}" for c, (op, v) in pattern) or None
+    found = search_eta_quotients(level, parse_constraints(constraints or ""),
+                                 bound)
+    _find_eta_both(capsys, level, bound, constraints, found)
+
+
+@pytest.mark.parametrize("level, bound, constraints", [
+    (6, 1, None),  # the trivial quotient alone: "r": {}
+    (12, 2, "1<0,2>=1,3>=1,4>=1,6>=1,12>=1"),  # no result: "results": []
+    (1, 3, None),  # one divisor, one cusp class
+    (36, 3, None),  # 2201 quotients, the first of them trivial
+    (30, 2, "1==-2"),  # negative, zero and positive orders
+    (7, 4, "7>=1/2"),  # a fractional constraint value
+])
+def test_find_eta_matches_reference_at_the_edges(capsys, level, bound,
+                                                 constraints):
+    found = search_eta_quotients(level, parse_constraints(constraints or ""),
+                                 bound)
+    _find_eta_both(capsys, level, bound, constraints, found)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_find_eta_renders_any_quotients_as_the_reference(capsys, data):
+    # the search returns only valid quotients, whose orders are integers;
+    # handed any quotients over the divisors of the level (levels with 1 to
+    # 16 divisors, exponents up to 40), the command writes their fractional
+    # orders as the reference does too, and no quotient or the trivial one
+    level = data.draw(st.sampled_from(LEVELS_BY_DIVISORS), label="level")
+    exponents = st.dictionaries(st.sampled_from(divisors(level)),
+                                st.integers(-40, 40), max_size=6)
+    found = [EtaQuotient(level, r) for r in data.draw(
+        st.lists(exponents, min_size=1, max_size=6), label="quotients")]
+    for quotients in ([], [EtaQuotient(level, {})], found):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "search_eta_quotients",
+                          lambda *_: list(quotients))
+            _find_eta_both(capsys, level, 1, None, quotients)
 
 
 def test_find_eta_zero_denominator_constraint_refused(capsys):

@@ -299,7 +299,7 @@ def test_order_at_cusp_matches_oracle(data):
 @given(st.data())
 def test_cusp_order_vector_matches_oracle(data):
     # the orders at every class, read off one set of Ligozat rows, for one
-    # quotient and for several at once (equal orders share a Fraction)
+    # quotient and for several at once
     N = data.draw(st.integers(1, 120), label="N")
     vectors = [{d: data.draw(st.integers(-12, 12)) for d in divisors(level)}
                for level in data.draw(st.lists(
@@ -312,9 +312,71 @@ def test_cusp_order_vector_matches_oracle(data):
     assert [vec.orders for vec in cusp_order_vectors(quotients, N)] == want
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cusp_order_numerators_match_oracle_at_every_width(data):
+    # exponents of every size, so that the orders fill 8-, 16-, 32- and
+    # 64-bit slots and run past the widest, for fewer quotients than
+    # _PACK_FROM (one dot product each) and for more (packed)
+    N = data.draw(st.integers(1, 120), label="N")
+    size = data.draw(st.sampled_from([3, 6, 12, 25, 28, 55, 60, 70]),
+                     label="log2 of the largest |r|")
+    vectors = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(divisors(N)), st.integers(-2 ** size, 2 ** size),
+        max_size=4), min_size=1, max_size=2 * eta._PACK_FROM),
+        label="exponents")
+    classes, columns = eta.cusp_order_numerators(
+        [EtaQuotient(N, r) for r in vectors], N)
+    assert [c for c, _ in classes] == divisors(N)
+    assert [[Fraction(num, den) for num in column]
+            for (_, den), column in zip(classes, columns)] == [
+        [ligozat_order(N, r, c) for r in vectors] for c in divisors(N)]
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_cusp_order_numerators_at_the_edge_of_a_slot(bits, monkeypatch):
+    # at level 1 the numerator is r_1 itself: |r| = 2^(W-1) - 1 is the
+    # largest a W-bit slot holds, and 2^(W-1) takes the next width, or one
+    # dot product per quotient past 64 bits (the only use of _over_divisors)
+    dense = eta._over_divisors
+    for e in (2 ** (bits - 1) - 1, 2 ** (bits - 1)):
+        monkeypatch.setattr(eta, "_over_divisors",
+                            dense if e == 2 ** 63 else None)
+        quotients = [EtaQuotient(1, {1: e}), EtaQuotient(1, {1: -e}),
+                     EtaQuotient(1, {})] * eta._PACK_FROM
+        assert eta.cusp_order_numerators(quotients, 1) == (
+            [(1, 24)], [[e, -e, 0] * eta._PACK_FROM])
+
+
+def test_cusp_order_numerators_pack_from_the_threshold(monkeypatch):
+    # one dot product per quotient below _PACK_FROM quotients, and one
+    # packed sum per row from _PACK_FROM on
+    quotients = [EtaQuotient(6, {1: j, 2: 1, 6: -j - 1})
+                 for j in range(eta._PACK_FROM)]
+    want = [[ligozat_order(6, dict(f.exponents), c) for f in quotients]
+            for c in divisors(6)]
+
+    def fractions(got):
+        classes, columns = got
+        return [[Fraction(num, den) for num in column]
+                for (_, den), column in zip(classes, columns)]
+
+    monkeypatch.setattr(eta, "_packed_products", None)
+    assert fractions(eta.cusp_order_numerators(quotients[:-1], 6)) == [
+        column[:-1] for column in want]
+    monkeypatch.undo()
+    monkeypatch.setattr(eta, "_over_divisors", None)
+    assert fractions(eta.cusp_order_numerators(quotients, 6)) == want
+    # packed quotients with no nonzero exponent: every numerator is 0
+    trivial = [EtaQuotient(6, {})] * eta._PACK_FROM
+    assert eta.cusp_order_numerators(trivial, 6)[1] == [
+        [0] * eta._PACK_FROM] * 4
+
+
 def test_cusp_order_vectors_of_no_quotient_build_no_row(monkeypatch):
     monkeypatch.setattr(eta, "_ligozat_rows", None)
     assert cusp_order_vectors([], 963761198400) == []
+    assert eta.cusp_order_numerators([], 963761198400) == ([], [])
 
 
 def test_constrained_search_builds_only_returned_quotients(monkeypatch):

@@ -115,6 +115,19 @@ def test_reduce_insufficient_truncation():
         reduce_genus0(x.scaled(3), x)
 
 
+def test_constant_past_every_window_refused():
+    # x known below q^2 gives x^3 only below q^0: under guard 0 the
+    # elimination reaches a constant term it cannot read, and refuses rather
+    # than take it as 0; known one step of the 1/24 grid further, x^3 holds
+    # its constant term, and it is read
+    x = level5_x_chart(trunc24=48)
+    with pytest.raises(TruncationError, match=r"to q\^\(0/24\)"):
+        reduce_genus0(QSeries.monomial(-72, 48), x, guard=0)
+    x = level5_x_chart(trunc24=49)
+    rep = reduce_genus0(QSeries.monomial(-72, 49), x, guard=0)
+    assert rep.coeffs[0, 0] == 24
+
+
 # -- general module ------------------------------------------------------------
 
 def test_reduce_module_round_trip_fixed():

@@ -1,12 +1,13 @@
-"""Mutation sweep over the series kernel and the reduction engine.
+"""Mutation sweep over the series kernel, the reduction engine and the
+find-eta orders and rendering.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
 and `>=`, or moves an integer constant up or down by one.  The mutated
-module is written into a temporary copy of the tree, and the kernel tests
-run against it with `-x`; a mutant whose tests all pass survives, and the
-survivors are printed.  A mutant listed in EQUIVALENT is not run: no
-input the program passes tells it from the original.
+module is written into a temporary copy of the tree, and the tests of that
+module (TESTS) run against it with `-x`; a mutant whose tests all pass
+survives, and the survivors are printed.  A mutant listed in EQUIVALENT is
+not run: no input the program passes tells it from the original.
 
     python tools/mutants.py                      # every target in TARGETS
     python tools/mutants.py series:QSeries.__mul__ reduction:ModuleBasis.__init__
@@ -15,7 +16,7 @@ input the program passes tells it from the original.
 --list fails (exit 1) when an EQUIVALENT entry no longer matches exactly
 one mutant, so the list follows the code it describes.  A sweep exits 1
 when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
-run of the kernel tests (about 17 s on a 2-CPU x86-64 box when it
+run of its module's tests (about 17 s on a 2-CPU x86-64 box when it
 survives), and all of TARGETS took 34 min there, so the sweep is not part
 of the test suite.
 """
@@ -51,11 +52,17 @@ TARGETS = (
     ("series", "pochhammer_product"),
     ("reduction", "ModuleBasis.__init__"),
     ("reduction", "reduce_module"),
+    ("eta", "cusp_order_numerators"),
+    ("eta", "_packed_products"),
+    ("cli", "_find_eta_results"),
 )
 
-# the kernel tests, run against each mutant
-TESTS = ("tests/test_series.py", "tests/test_reduction.py",
-         "tests/test_families.py")
+# the tests run against a mutant of each module
+_KERNEL_TESTS = ("tests/test_series.py", "tests/test_reduction.py",
+                 "tests/test_families.py")
+TESTS = {"series": _KERNEL_TESTS, "reduction": _KERNEL_TESTS,
+         "eta": ("tests/test_eta.py", "tests/test_cli.py"),
+         "cli": ("tests/test_cli.py",)}
 
 # (module, qualified name, site, mutated site, why no input the program
 # passes tells them apart); a site is the statement around the mutation,
@@ -75,6 +82,8 @@ _GRID_CUT = ("the target is on the integer grid: the cut keeps the same "
              "terms at q^0 and below, and the elimination reads no other")
 _GRID = "exponents on the integer grid are multiples of 24"
 _EQUAL_COUNTS = "with as many nonzeros in each factor, either may run the rows"
+_NO_EXPONENT = ("with no nonzero exponent every numerator is 0, and the "
+                "offset is taken off as it was put on")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -200,6 +209,12 @@ EQUIVALENT = (
      "nonzero_a > nonzero_b",
      "nonzero_a >= nonzero_b",
      _EQUAL_COUNTS),
+    ("eta", "_packed_products",
+     "lift = max([abs(e) for f in quotients for _, e in f.exponents], "
+     "default=0)",
+     "lift = max([abs(e) for f in quotients for _, e in f.exponents], "
+     "default=1)",
+     _NO_EXPONENT),
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
@@ -308,7 +323,7 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def run_tests(tree: Path, timeout: float) -> str:
+def run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> str:
     """'survived' when the tests pass on the copied tree, 'killed' when one
     fails, 'timed out' past the timeout.  No bytecode is written, so no
     stale cache outlives a mutant."""
@@ -317,7 +332,7 @@ def run_tests(tree: Path, timeout: float) -> str:
     try:
         done = subprocess.run(
             [sys.executable, "-B", "-m", "pytest", "-x", "-q",
-             "-p", "no:cacheprovider", *TESTS],
+             "-p", "no:cacheprovider", *tests],
             cwd=tree, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=timeout,
             preexec_fn=_limit_memory)
@@ -348,10 +363,13 @@ def sweep(found: list[Mutant]) -> list[Mutant]:
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pytest.ini", tree)
         (tree / "conftest.py").write_text(NO_SHRINK)
-        start = time.perf_counter()
-        if run_tests(tree, timeout=3600) != "survived":
-            raise SystemExit("the tests fail on the unmutated tree")
-        timeout = max(60.0, 5 * (time.perf_counter() - start))
+        timeouts = {}
+        for tests in {TESTS[mutant.module] for mutant in found}:
+            start = time.perf_counter()
+            if run_tests(tree, tests, timeout=3600) != "survived":
+                raise SystemExit(f"{' '.join(tests)} fail on the unmutated "
+                                 f"tree")
+            timeouts[tests] = max(60.0, 5 * (time.perf_counter() - start))
         for n, mutant in enumerate(found, start=1):
             if mutant.key() in reasons:
                 print(f"[{n}/{len(found)}] equivalent  {mutant}  "
@@ -361,7 +379,8 @@ def sweep(found: list[Mutant]) -> list[Mutant]:
             original = path.read_text()
             path.write_text(mutated_source(mutant, original))
             try:
-                outcome = run_tests(tree, timeout)
+                tests = TESTS[mutant.module]
+                outcome = run_tests(tree, tests, timeouts[tests])
             finally:
                 path.write_text(original)
             print(f"[{n}/{len(found)}] {outcome:11} {mutant}",
