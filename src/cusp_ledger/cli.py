@@ -47,7 +47,7 @@ from .families import (
     verify_congruence,
 )
 from .reduction import DEFAULT_GUARD, localize_reduce, reduce_module, valuation_table
-from .series import MAX_INT_DIGITS, QSeries, parse_rational
+from .series import MAX_INT_DIGITS, QSeries, json_key, parse_rational
 
 SCHEMA_VERSION = 1
 CATALOG_ENV = "CUSP_LEDGER_CATALOG"
@@ -255,9 +255,8 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
     if target.startswith("family:"):
         try:
             _, name, label = target.split(":")
-            if not label.startswith("L"):
+            if not label.startswith("L") or (depth := json_key(label[1:])) < 1:
                 raise ValueError
-            depth = int(label[1:])
         except ValueError:
             raise CatalogError(
                 f"bad family target {shown(target)}: want "
@@ -331,19 +330,6 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-class _OrderTexts(dict):
-    """numerator -> the text of the Fraction numerator/den, made once per
-    numerator: the orders at one cusp class, in one command."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, num: int) -> str:
-        text = self[num] = str(Fraction(num, self.den))
-        return text
-
-
 def _find_eta_results(level: int, classes, found, orders) -> list[_Verbatim]:
     """The results of find-eta --json, one _Verbatim row per quotient, each
     as _json_text writes an item of the report's results list.  _json_text
@@ -368,7 +354,8 @@ def cmd_find_eta(args) -> int:
     found = search_eta_quotients(args.level, constraints, args.bound)
     classes, columns = cusp_order_numerators(found, args.level)
     # each class's column of numerators as texts, each made once
-    orders = [list(map(_OrderTexts(den).__getitem__, column))
+    orders = [list(map({num: str(Fraction(num, den))
+                        for num in set(column)}.__getitem__, column))
               for (_, den), column in zip(classes, columns)]
     # only the rendering that is printed is built
     if args.json:

@@ -235,9 +235,6 @@ class QSeries:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
-    def __bool__(self) -> bool:
-        return bool(self._nums)
-
     def _binop_add(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = QSeries.constant(other, self.trunc24)
@@ -268,9 +265,6 @@ class QSeries:
 
     def __sub__(self, other):
         return self._binop_add(other, -1)
-
-    def __neg__(self) -> "QSeries":
-        return self.scaled(-1)
 
     def scaled(self, factor: Scalar) -> "QSeries":
         factor = _norm(factor)
@@ -334,12 +328,8 @@ class QSeries:
                      self.trunc24 - 2 * self.offset24)
 
     def __pow__(self, k: int) -> "QSeries":
-        if not isinstance(k, int):
-            raise SeriesError("series powers must be integers")
-        if k == 0:
-            return QSeries.constant(1, self.trunc24 - self.offset24)
-        if k < 0:
-            return self.invert() ** (-k)
+        if not isinstance(k, int) or k < 1:
+            raise SeriesError(f"series powers are integers >= 1, got {k!r}")
         result, base = None, self
         while k:
             if k & 1:
@@ -470,12 +460,12 @@ def _kronecker(a: list[int], b: list[int], n: int) -> list[int]:
 
 def _pack(nums: list[int], size: int) -> int:
     """sum nums[i] 2^(8 size i) in linear time: the two's-complement slots
-    read as one unsigned integer, less the borrow of each negative slot."""
+    read as one unsigned integer, less the borrow of each negative slot,
+    whose sign bit moves up to the bottom of the next slot."""
     packed = int.from_bytes(b"".join(v.to_bytes(size, "little", signed=True)
                                      for v in nums), "little")
-    borrow = bytearray(size * len(nums) + 1)
-    borrow[size::size] = bytes(v < 0 for v in nums)
-    return packed - int.from_bytes(borrow, "little")
+    ones = int.from_bytes((1).to_bytes(size, "little") * len(nums), "little")
+    return packed - ((packed >> (8 * size - 1) & ones) << 8 * size)
 
 
 def _general_pentagonal(k: int) -> int:

@@ -346,6 +346,19 @@ def test_reduce_family_target_off_its_curve_refused(capsys, target, basis,
     assert f"not on the curve of basis {basis}" in err
 
 
+@pytest.mark.parametrize("label", ["L01", "L+1", "L 1", "L1_0", "L\u0663",
+                                   "L0", "L-1"])
+def test_reduce_family_depth_is_a_canonical_decimal(capsys, label):
+    # the depth reads as a catalog key does (one text per depth), and a
+    # tower starts at depth 1
+    target = f"family:p-5:{label}"
+    code, out, err = run(capsys, "reduce", "--target", target,
+                         "--basis", "level-5", "--terms", "20")
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad family target {shown(target)}: want "
+                   f"family:NAME:L<depth>\n")
+
+
 def test_reduce_negative_pole_order_refused(capsys):
     code, out, err = run(capsys, "reduce", "--target", "pole:-3",
                          "--basis", "level-5", "--terms", "20")

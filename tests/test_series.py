@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from unittest.mock import patch
 
@@ -17,6 +18,7 @@ from cusp_ledger.series import (
     QSeries,
     _kronecker,
     _norm,
+    _pack,
     _series_terms,
     pochhammer_expansion,
     parse_rational,
@@ -150,9 +152,11 @@ def test_invert_zero_fails():
 
 
 def test_pow_zero():
+    # a power takes an integer exponent >= 1: 1/a is a.invert()
     a = qs([2, 5, 1])
-    assert (a ** 0).coeff_q(0) == 1
-    assert len((a ** 0).support()) == 1
+    for k in (0, -1, 1.5):
+        with pytest.raises(SeriesError, match="integers >= 1"):
+            a ** k
 
 
 def test_pow_exponent_bookkeeping():
@@ -161,7 +165,7 @@ def test_pow_exponent_bookkeeping():
 
 
 def test_pow_negative_binomial():
-    got = qs([1, -1]) ** -2
+    got = qs([1, -1]).invert() ** 2
     expected = binomial_inverse_power(2, 30)
     assert [got.coeff_q(n) for n in range(30)] == expected[:30]
 
@@ -854,6 +858,17 @@ def test_dense_products_match_reference(ea, eb):
         assert a * b == got
 
 
+@pytest.mark.parametrize("size", range(1, 10))
+def test_pack_reads_every_slot_signed(size):
+    # the extremes of a signed slot in every order, and a negative top slot,
+    # whose borrow lies past the packed bytes
+    half = 1 << (8 * size - 1)
+    slots = [-half, -1, 0, half - 1]
+    for nums in [*map(list, permutations(slots)), slots + [-half], [-1], []]:
+        assert _pack(nums, size) == sum(v << 8 * size * i
+                                        for i, v in enumerate(nums))
+
+
 def test_product_kernel_chosen_by_nonzeros():
     chart = QSeries(*CHART_5)
     prefactor, sliced = QSeries(*P5_PREFACTOR), QSeries(*P5_SLICE)
@@ -889,13 +904,15 @@ def test_product_kernel_switches_at_the_threshold():
 def test_dense_unary_operations_match_reference(ea, c, k, delta, cut):
     a, ra = both(*ea)
     assert_same(a.scaled(c), ra.scaled(c))
-    assert_same(-a, ra.scaled(-1))
+    assert_same(a.scaled(-1), ra.scaled(-1))
     assert_same(a.shift(delta), ra.shift(delta))
     assert_same(a.truncate(a.trunc24 - cut), ra.truncate(ra.trunc24 - cut))
-    if k >= 0 or not a.is_zero:
+    if k >= 1:
         assert_same(a ** k, ra ** k)
     else:
         assert outcome(a.__pow__, k)[0] is SeriesError
+        if k and not a.is_zero:
+            assert_same(a.invert() ** -k, ra ** k)
     assert QSeries.from_json_obj(a.to_json_obj()) == a
 
 
@@ -941,7 +958,7 @@ def test_series_live_on_one_coset_mod_24():
     for zero in (QSeries.zero(24 * 4), QSeries.zero(7), a - a):
         t = min(a.trunc24, zero.trunc24)
         assert a + zero == zero + a == a.truncate(t)
-        assert zero - a == -a.truncate(t)
+        assert zero - a == a.truncate(t).scaled(-1)
     b = QSeries({-12: -2, 12: 3, 36: 1}, 24 * 3)
     with pytest.raises(SeriesError, match="two cosets"):
         a + b

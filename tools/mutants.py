@@ -49,6 +49,7 @@ TARGETS = (
     ("series", "QSeries._binop_add"),
     ("series", "QSeries.__mul__"),
     ("series", "QSeries.__truediv__"),
+    ("series", "QSeries.__pow__"),
     ("series", "pochhammer_product"),
     ("reduction", "ModuleBasis.__init__"),
     ("reduction", "reduce_module"),
@@ -73,8 +74,6 @@ _UNIT_WEIGHT = ("a weight of 1 or -1 taken as a general weight is "
                 "multiplied in, to the same sum")
 _WIDER = "a wider slot holds every coefficient of the product too"
 _SLOTS_PAST = "the bias slots past the product are never unpacked"
-_TWO_BYTES = ("a slot is two bytes or more (each factor has 32 nonzeros or "
-              "more), so the extra byte holds no borrow")
 _UNREAD_POWER = "the one more power of b0 is never read"
 _NOTHING_LIVE = ("with no nonzero part the list holds only zeros, and the "
                  "zero series keeps none")
@@ -161,10 +160,6 @@ EQUIVALENT = (
      "slots = len(a) + len(b) - 1",
      "slots = len(a) + len(b) - 0",
      _SLOTS_PAST),
-    ("series", "_pack",
-     "borrow = bytearray(size * len(nums) + 1)",
-     "borrow = bytearray(size * len(nums) + 2)",
-     _TWO_BYTES),
     ("series", "QSeries.invert",
      "pw = [B[0] ** j for j in range(n + 1)]",
      "pw = [B[0] ** j for j in range(n + 2)]",
