@@ -210,10 +210,8 @@ def cmd_expand(args) -> int:
         quotient = _parse_eta_spec(args.eta)
     level = quotient.level if args.level is None else args.level
     if args.at_cusp == "zero":
-        lead24 = 24 * order_at_cusp(quotient, level, 1)
-        trunc24 = 24 * args.terms
-        if lead24.denominator == 1:
-            trunc24 += int(lead24)
+        # Ligozat's order at the zero cusp is a whole number of 24ths
+        trunc24 = 24 * args.terms + int(24 * order_at_cusp(quotient, level, 1))
         scale, series = expand_at_zero(quotient, level, trunc24)
         report = {"command": "expand", "cusp": "zero",
                   "quotient": quotient.to_json_obj(), "level": level,

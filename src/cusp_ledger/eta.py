@@ -54,9 +54,6 @@ class EtaQuotient(Value):
         """Leading exponent at infinity in 1/24 units: sum of delta * r_delta."""
         return sum(d * r for d, r in self.exponents)
 
-    def is_trivial(self) -> bool:
-        return not self.exponents
-
     def __str__(self) -> str:
         if not self.exponents:
             return "1"
@@ -95,21 +92,6 @@ class GammaValidation(Record):
     def valid(self) -> bool:
         return (self.weight_zero and self.infinity_order_integral
                 and self.zero_order_integral and self.product_is_square)
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.weight_zero:
-            out.append("exponent sum is nonzero (not weight 0)")
-        if not self.infinity_order_integral:
-            out.append("order at infinity is not integral (mod-24 condition)")
-        if not self.zero_order_integral:
-            out.append("order at zero is not integral (mod-24 condition)")
-        if not self.product_is_square:
-            out.append("prod delta^r_delta is not a rational square")
-        return out
-
-    def to_json_obj(self) -> dict:
-        return {**vars(self), "valid": self.valid}
 
 
 def _require_level(N: int) -> None:
@@ -252,17 +234,18 @@ def cusp_order_numerators(quotients, N: int):
     return [(c, den) for c, (_, den) in zip(ds, rows)], columns
 
 
-def cusp_order_vectors(quotients, N: int) -> list[CuspOrderVector]:
-    """The orders of each quotient at every cusp class of X_0(N): the
-    integers of cusp_order_numerators over their denominators."""
+def cusp_order_bounds(quotients, N: int) -> CuspOrderVector:
+    """The least order of the quotients at every cusp class of X_0(N), each
+    class's least integer of cusp_order_numerators over its denominator:
+    one quotient's orders, or lower bounds on the orders of a sum of them.
+    No quotient gives no classes."""
     classes, columns = cusp_order_numerators(quotients, N)
-    return [CuspOrderVector(N, tuple([(c, Fraction(num, den)) for (c, den),
-                                      num in zip(classes, nums)]))
-            for nums in zip(*columns)]
+    return CuspOrderVector(N, tuple([(c, Fraction(min(column), den)) for
+                                     (c, den), column in zip(classes, columns)]))
 
 
 def cusp_order_vector(f: EtaQuotient, N: int) -> CuspOrderVector:
-    return cusp_order_vectors([f], N)[0]
+    return cusp_order_bounds([f], N)
 
 
 def require_expandable(f: EtaQuotient, trunc24: int) -> None:
@@ -281,12 +264,18 @@ def expand_at_infinity(f: EtaQuotient, trunc24: int) -> QSeries:
 
 def require_on_gamma0(f: EtaQuotient, N: int) -> None:
     """Refuse f unless it is a weight-0 function on Gamma_0(N)."""
-    verdict = validate_on_gamma0(f, N)
-    if not verdict.product_is_square:
+    v = validate_on_gamma0(f, N)
+    if not v.product_is_square:
         raise EtaError("multiplier is not rational: prod delta^r is not a square")
-    if not verdict.valid:
-        raise EtaError("not a weight-0 function on Gamma_0(N): "
-                       + "; ".join(verdict.failures()))
+    if not v.valid:
+        raise EtaError("not a weight-0 function on Gamma_0(N): " + "; ".join(
+            why for ok, why in (
+                (v.weight_zero, "exponent sum is nonzero (not weight 0)"),
+                (v.infinity_order_integral,
+                 "order at infinity is not integral (mod-24 condition)"),
+                (v.zero_order_integral,
+                 "order at zero is not integral (mod-24 condition)"))
+            if not ok))
 
 
 def zero_cusp_image(f: EtaQuotient, N: int) -> tuple[Fraction, EtaQuotient]:
@@ -309,13 +298,11 @@ def zero_cusp_image(f: EtaQuotient, N: int) -> tuple[Fraction, EtaQuotient]:
 def zero_cusp_checked(f: EtaQuotient, N: int, series: QSeries) -> QSeries:
     """series, the expansion of f's zero-cusp image, once its leading
     exponent24 is asserted to be 24 * order_at_cusp(f, N, 1)."""
-    if not f.is_trivial():
-        want = order_at_cusp(f, N, 1) * 24
-        if series.offset24 != want:
-            raise InternalInconsistencyError(
-                f"cusp-zero leading exponent {series.offset24} disagrees with "
-                f"Ligozat order {want}"
-            )
+    want = order_at_cusp(f, N, 1) * 24
+    if series.offset24 != want:
+        raise InternalInconsistencyError(
+            f"cusp-zero leading exponent {series.offset24} disagrees with "
+            f"Ligozat order {want}")
     return series
 
 

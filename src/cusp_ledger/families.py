@@ -33,8 +33,8 @@ from .errors import (
 from .eta import (
     CuspOrderVector,
     EtaQuotient,
+    cusp_order_bounds,
     cusp_order_vector,
-    cusp_order_vectors,
     expand_at_infinity,
     expand_at_zero,
     exponent_vector,
@@ -377,17 +377,13 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
         if powers is not None:
             powers[base, spec.level] = table
     chart = QSeries.zero(trunc24)
-    bounds: dict[int, Fraction] = {}
     for term, (scale, image), k in zip(identity, images, ks):
         series = table[k - 1] if k \
             else expand_at_infinity(image, trunc24).scaled(scale)
         series = zero_cusp_checked(term.quotient, spec.level, series)
         chart = chart + series.scaled(term.scale)
-    for vec in cusp_order_vectors([term.quotient for term in identity],
-                                  spec.level):
-        for c, o in vec.orders:
-            bounds[c] = o if c not in bounds else min(bounds[c], o)
-    return chart, CuspOrderVector(spec.level, tuple(sorted(bounds.items())))
+    return chart, cusp_order_bounds([term.quotient for term in identity],
+                                    spec.level)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +414,8 @@ class BasisEntry(Record):
             raise CatalogError(f"basis {self.name}: no x recorded")
         table = isinstance(self.x, EtaQuotient) \
             and (powers or {}).get((self.x, self.level))
-        if table:
-            require_on_gamma0(self.x, self.level)
-            x = zero_cusp_checked(self.x, self.level,
-                                  table[0].truncate(trunc24))
-            x_powers = table[1:]
+        if table:  # certified_identity_chart checked x when it built table
+            x, x_powers = table[0].truncate(trunc24), table[1:]
         else:
             x, x_powers = chart(self.x), ()
         ys = [QSeries.constant(1, trunc24)] + [chart(y) for y in self.ys]

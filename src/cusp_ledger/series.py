@@ -261,8 +261,6 @@ class QSeries:
     def __add__(self, other):
         return self._binop_add(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binop_add(other, -1)
 

@@ -386,8 +386,8 @@ def peeled_remainder(coeffs: list, exps: dict[int, Fraction]) -> list[Fraction]:
 
 def eta_gamma0_verdict(N: int, r: dict[int, int]) -> dict:
     """Newman/Ligozat verdict for prod eta(delta tau)^r_delta on Gamma_0(N),
-    shaped like GammaValidation.to_json_obj(): prod delta^r as a Fraction
-    with an exact square test, and the two mod-24 sums."""
+    shaped like GammaValidation's fields followed by its valid: prod delta^r
+    as a Fraction with an exact square test, and the two mod-24 sums."""
     num = den = 1
     for d, e in r.items():
         if e > 0:

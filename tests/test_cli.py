@@ -18,7 +18,7 @@ from cusp_ledger import cli
 from cusp_ledger.cli import main
 from cusp_ledger.curves import divisors
 from cusp_ledger.errors import shown
-from cusp_ledger.eta import (EtaQuotient, cusp_order_vectors, parse_constraints,
+from cusp_ledger.eta import (EtaQuotient, cusp_order_vector, parse_constraints,
                              search_eta_quotients)
 from cusp_ledger.families import shipped_catalog_path
 
@@ -858,9 +858,9 @@ def test_find_eta_sweep_byte_identical(capsys):
 def _find_eta_reference(level: int, bound: int, constraints: str | None,
                         found: list, as_json: bool) -> str:
     """find-eta's stdout written the way the command first wrote it: each
-    result's orders as Fractions (cusp_order_vectors), each entry a dict,
+    result's orders as Fractions (cusp_order_vector), each entry a dict,
     the whole report through the generic _json_text walk."""
-    vectors = cusp_order_vectors(found, level)
+    vectors = [cusp_order_vector(f, level) for f in found]
     if as_json:
         entries = [{"quotient": f.to_json_obj(),
                     "orders": {str(c): str(o) for c, o in vec.orders}}

@@ -16,8 +16,8 @@ from cusp_ledger.errors import (
 from cusp_ledger.eta import (
     EtaQuotient,
     OrderConstraint,
+    cusp_order_bounds,
     cusp_order_vector,
-    cusp_order_vectors,
     expand_at_infinity,
     expand_at_zero,
     order_at_cusp,
@@ -136,10 +136,10 @@ def test_expand_at_zero_rejects_invalid():
 
 
 def test_expand_at_zero_matches_ligozat_order():
+    # the trivial quotient, first in each search, included: its expansion
+    # is 1, at the order 0 its empty exponents give
     for N in (5, 10, 14):
         for f in search_eta_quotients(N, [], bound=2)[:6]:
-            if f.is_trivial():
-                continue
             _, series = expand_at_zero(f, N, 24 * 8)
             assert series.offset24 == 24 * order_at_cusp(f, N, 1)
 
@@ -147,8 +147,6 @@ def test_expand_at_zero_matches_ligozat_order():
 def test_order_at_infinity_matches_expansion():
     for N in (5, 10, 14):
         for f in search_eta_quotients(N, [], bound=2)[:6]:
-            if f.is_trivial():
-                continue
             s = expand_at_infinity(f, abs(f.degree24) + 24 * 4)
             assert Fraction(s.offset24, 24) == order_at_cusp(f, N, N)
 
@@ -298,18 +296,34 @@ def test_order_at_cusp_matches_oracle(data):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_cusp_order_vector_matches_oracle(data):
-    # the orders at every class, read off one set of Ligozat rows, for one
-    # quotient and for several at once
+    # the orders at every class, read off one set of Ligozat rows, for each
+    # of several quotients
     N = data.draw(st.integers(1, 120), label="N")
     vectors = [{d: data.draw(st.integers(-12, 12)) for d in divisors(level)}
                for level in data.draw(st.lists(
                    st.sampled_from(divisors(N)), min_size=1, max_size=3),
                    label="levels")]
-    quotients = [EtaQuotient(max(r), r) for r in vectors]
-    want = [tuple((c, ligozat_order(N, r, c)) for c in divisors(N))
-            for r in vectors]
-    assert cusp_order_vector(quotients[0], N).orders == want[0]
-    assert [vec.orders for vec in cusp_order_vectors(quotients, N)] == want
+    for r in vectors:
+        assert cusp_order_vector(EtaQuotient(max(r), r), N).orders == tuple(
+            (c, ligozat_order(N, r, c)) for c in divisors(N))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_cusp_order_bounds_are_the_least_oracle_orders(data):
+    # the least order at every class over any number of quotients, fewer
+    # than _PACK_FROM (one dot product each) or more (packed), each at a
+    # level that divides N
+    N = data.draw(st.integers(1, 120), label="N")
+    vectors = [{d: data.draw(st.integers(-12, 12)) for d in divisors(level)}
+               for level in data.draw(st.lists(
+                   st.sampled_from(divisors(N)), max_size=2 * eta._PACK_FROM),
+                   label="levels")]
+    got = cusp_order_bounds([EtaQuotient(max(r), r) for r in vectors], N)
+    assert got.level == N
+    assert got.orders == (tuple(
+        (c, min(ligozat_order(N, r, c) for r in vectors)) for c in divisors(N))
+        if vectors else ())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -375,7 +389,7 @@ def test_cusp_order_numerators_pack_from_the_threshold(monkeypatch):
 
 def test_cusp_order_vectors_of_no_quotient_build_no_row(monkeypatch):
     monkeypatch.setattr(eta, "_ligozat_rows", None)
-    assert cusp_order_vectors([], 963761198400) == []
+    assert cusp_order_bounds([], 963761198400).orders == ()
     assert eta.cusp_order_numerators([], 963761198400) == ([], [])
 
 
@@ -438,7 +452,8 @@ def test_validate_matches_oracle(data):
     if data.draw(st.booleans(), label="weight zero"):
         r[level] -= sum(r.values())
     f = EtaQuotient(level, r)
-    assert validate_on_gamma0(f, N).to_json_obj() == eta_gamma0_verdict(N, r)
+    verdict = validate_on_gamma0(f, N)
+    assert {**vars(verdict), "valid": verdict.valid} == eta_gamma0_verdict(N, r)
 
 
 @pytest.mark.parametrize("delta", [0, -1, -5])

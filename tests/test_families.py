@@ -630,6 +630,23 @@ def test_identity_chart_matches_per_term_expansion(catalog, terms):
         assert chart == _chart_by_terms(spec, depth, terms), (spec.name, depth)
 
 
+def test_identity_chart_orders_are_the_least_term_orders(catalog):
+    # a sum's order at a cusp class is at least the least of its terms'
+    # orders there: the bounds the chart hands localize_reduce
+    identities = [(spec, depth) for spec in catalog.families
+                  for depth in spec.tower_identities]
+    assert [(spec.name, depth) for spec, depth in identities] == [
+        ("p-5", 1), ("p-5", 2), ("p-7", 1), ("pd-5", 1)]
+    for spec, depth in identities:
+        _, orders = certified_identity_chart(spec, depth, 40)
+        terms = [cusp_order_vector(term.quotient, spec.level)
+                 for term in spec.tower_identities[depth]]
+        assert orders.level == spec.level
+        assert orders.orders == tuple(
+            (c, min(vec.order(c) for vec in terms))
+            for c, _ in terms[0].orders), (spec.name, depth)
+
+
 # level-10 quotients: v is the level-10 basis x, u the pd-5 identity term
 LEVEL_10_V = {1: -3, 2: 1, 5: -1, 10: 3}
 LEVEL_10_U = {1: -4, 2: 2, 5: 4, 10: -2}
