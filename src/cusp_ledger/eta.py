@@ -268,7 +268,7 @@ def require_on_gamma0(f: EtaQuotient, N: int) -> None:
     if not v.product_is_square:
         raise EtaError("multiplier is not rational: prod delta^r is not a square")
     if not v.valid:
-        raise EtaError("not a weight-0 function on Gamma_0(N): " + "; ".join(
+        raise EtaError(f"not a weight-0 function on Gamma_0({N}): " + "; ".join(
             why for ok, why in (
                 (v.weight_zero, "exponent sum is nonzero (not weight 0)"),
                 (v.infinity_order_integral,

@@ -618,6 +618,22 @@ def test_expand_level_only_at_zero_cusp(capsys, cusp):
         2, "", "error: --level applies only to --at-cusp zero\n")
 
 
+NOT_INTEGRAL = ("order at infinity is not integral (mod-24 condition); "
+                "order at zero is not integral (mod-24 condition)")
+
+
+@pytest.mark.parametrize("argv, why", [
+    (("--family", "p-5"), "1): exponent sum is nonzero (not weight 0); "
+                          + NOT_INTEGRAL),
+    (("--eta", "1:-1,4:1"), "4): " + NOT_INTEGRAL),
+    (("--eta", "1:-1,4:1", "--level", "12"), "12): " + NOT_INTEGRAL),
+])
+def test_expand_refusal_names_the_level(capsys, argv, why):
+    # the message used to print the literal Gamma_0(N)
+    assert run(capsys, "expand", *argv, "--at-cusp", "zero") == (
+        2, "", f"error: not a weight-0 function on Gamma_0({why}\n")
+
+
 def test_reduce_non_prime_refused(capsys):
     code, out, err = run(capsys, "reduce", "--target", "poly:1,1", "--basis",
                          "level-5", "--terms", "20", "--prime", "4")
@@ -1476,7 +1492,7 @@ def _corpus() -> list[list[str]]:
 
 # sha256 over (argv, exit code, stdout, stderr) of every corpus invocation
 CORPUS_DIGEST = \
-    "95d4412bdba64c539b28851d567afb97717213fe0ea02f88b4fce38fea9b5aec"
+    "2417bdd0b41a17bed2842788b30b6e03c441d67b3dfe09531ec1f7b8f8ba6f0e"
 
 
 def test_cli_corpus_byte_identical(capsys, monkeypatch):
