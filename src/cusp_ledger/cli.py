@@ -47,7 +47,8 @@ from .families import (
     verify_congruence,
 )
 from .reduction import DEFAULT_GUARD, localize_reduce, reduce_module, valuation_table
-from .series import MAX_INT_DIGITS, QSeries, json_key, parse_rational
+from .series import (MAX_INT_DIGITS, QSeries, ascii_decimal, json_key,
+                     parse_rational)
 
 SCHEMA_VERSION = 1
 CATALOG_ENV = "CUSP_LEDGER_CATALOG"
@@ -93,7 +94,7 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
         if not chunk:
             continue
         try:
-            delta, r = (int(part) for part in chunk.split(":"))
+            delta, r = (int(ascii_decimal(part)) for part in chunk.split(":"))
         except ValueError:
             raise CatalogError(
                 f"bad eta spec component {shown(chunk)}: want delta:exponent"
@@ -287,7 +288,7 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
         return basis.combine(poly, trunc24), None, None, basis
     if target.startswith("pole:"):
         try:
-            order = int(target[5:])
+            order = int(ascii_decimal(target[5:]))
             if order < 0:
                 raise ValueError
         except ValueError:
@@ -392,10 +393,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int(text: str) -> int:
-    """argparse type: int(text), refused in argparse's words, with the value
-    as errors.shown repeats it."""
+    """argparse type: int(text) of an ASCII decimal, refused in argparse's
+    words, with the value as errors.shown repeats it."""
     try:
-        return int(text)
+        return int(ascii_decimal(text))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {shown(text)}") from None
@@ -418,7 +419,7 @@ def _int_at_least(low: int, cap: int | None = None):
                 f"{MAX_INT_DIGITS} digits, got {digits} digits")
         else:
             try:
-                value = int(sign + body) if digits else int(text)
+                value = int(sign + body if digits else ascii_decimal(text))
             except ValueError:
                 value = None
         if value is None or value < low:

@@ -18,8 +18,8 @@ from operator import eq, ge, gt, le, lt, mul, xor
 from .curves import Record, Value, divisors, enumerate_cusps, factorize
 from .errors import (EtaError, InternalInconsistencyError, TruncationError,
                      shown)
-from .series import (QSeries, json_int, json_key, parse_rational,
-                     pochhammer_product)
+from .series import (QSeries, ascii_decimal, json_int, json_key,
+                     parse_rational, pochhammer_product)
 
 
 class EtaQuotient(Value):
@@ -337,7 +337,8 @@ def parse_constraints(text: str) -> list[OrderConstraint]:
             if op in chunk:
                 c, v = chunk.split(op, 1)
                 try:
-                    out.append(OrderConstraint(int(c), op, parse_rational(v)))
+                    out.append(OrderConstraint(int(ascii_decimal(c)), op,
+                                               parse_rational(v)))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise EtaError(
                         f"bad constraint {shown(chunk)}: {exc}") from None

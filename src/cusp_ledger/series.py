@@ -83,6 +83,17 @@ def json_key(key: str) -> int:
     return int(key)
 
 
+def ascii_decimal(text: str) -> str:
+    """text, a number typed on the command line, refused with a ValueError
+    if it holds '_' or a non-ASCII character, which int() and Fraction()
+    read as digits ('1_0' as 10; Fraction only on some Pythons).  Signs,
+    leading zeros and surrounding blanks pass."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"invalid literal {shown(text)}: want ASCII digits "
+                         f"without '_'")
+    return text
+
+
 def json_str(value, what: str) -> str:
     """A string field of a JSON document, as it stands."""
     if type(value) is not str:
@@ -127,7 +138,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"too large: want a numerator and a denominator "
                          f"of at most {MAX_INT_DIGITS} digits")
     try:
-        return Fraction(text)
+        return Fraction(ascii_decimal(text))
     except ValueError:  # Fraction's own message repeats all of the text
         raise ValueError(
             f"Invalid literal for Fraction: {shown(text)}") from None

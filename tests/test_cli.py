@@ -359,6 +359,64 @@ def test_reduce_family_depth_is_a_canonical_decimal(capsys, label):
                    f"family:NAME:L<depth>\n")
 
 
+# every number typed on the command line, each with '_' or a non-ASCII digit,
+# and the refusal it already had for a number it cannot read
+NOT_ASCII = "want ASCII digits without '_'"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("expand", "--eta", "1:-1", "--terms", "1_0"),
+     "argument --terms: want an integer >= 1, got '1_0'"),
+    (("profile", "\u06630"), "argument level: invalid int value: '\u06630'"),
+    (("classify", "--level", "3_0"),
+     "argument --level: invalid int value: '3_0'"),
+    (("verify", "--family", "p-5", "--alpha", "1", "--nmax", "2_0_0"),
+     "argument --nmax: want an integer >= 0, got '2_0_0'"),
+    (("verify", "--family", "p-5", "--alpha", "\u0661", "--nmax", "20"),
+     "argument --alpha: invalid int value: '\u0661'"),
+    (("expand", "--eta", "1_0:-1"),
+     "bad eta spec component '1_0:-1': want delta:exponent"),
+    (("expand", "--eta", "1:-\u0661"),
+     "bad eta spec component '1:-\u0661': want delta:exponent"),
+    (("reduce", "--target", "eta:5:6,1:-6_0", "--basis", "level-5"),
+     "bad eta spec component '1:-6_0': want delta:exponent"),
+    (("reduce", "--target", "pole:1_0", "--basis", "level-5"),
+     "bad pole target 'pole:1_0': want pole:P with P >= 0"),
+    (("reduce", "--target", "poly:1_0,1", "--basis", "level-5"),
+     "bad poly target 'poly:1_0,1', want poly:c0,c1,...: Invalid literal "
+     "for Fraction: '1_0'"),
+    (("reduce", "--target", "poly:\u0663/2", "--basis", "level-5"),
+     "bad poly target 'poly:\u0663/2', want poly:c0,c1,...: Invalid literal "
+     "for Fraction: '\u0663/2'"),
+    (("find-eta", "--level", "10", "--constraints", "1_0>=1", "--bound", "1"),
+     f"bad constraint '1_0>=1': invalid literal '1_0': {NOT_ASCII}"),
+    (("find-eta", "--level", "10", "--constraints", "1>=1_0", "--bound", "1"),
+     "bad constraint '1>=1_0': Invalid literal for Fraction: '1_0'"),
+    (("find-eta", "--level", "10", "--bound", "\u0661"),
+     "argument --bound: invalid int value: '\u0661'"),
+])
+def test_numbers_typed_are_ascii_decimals(capsys, argv, err):
+    # int() and Fraction() read '_' and other scripts' digits: '--terms 1_0'
+    # used to expand ten terms, and 'poly:1_0,1' passed on Python 3.11 and
+    # was refused on 3.10
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("argv, same", [
+    (("expand", "--eta", "1:-1", "--terms", "+012"), "12"),
+    (("expand", "--eta", "1:-1", "--terms", " 12 "), "12"),
+    (("expand", "--eta", " 01:-1 ", "--terms", "12"), None),
+    (("profile", " +030"), "30"),
+    (("find-eta", "--level", "10", "--constraints", "01>= -1/02",
+      "--bound", "1"), None),
+])
+def test_numbers_typed_keep_sign_zeros_and_blanks(capsys, argv, same):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if same is not None:
+        assert out == run(capsys, *argv[:-1], same)[1]
+
+
 def test_reduce_negative_pole_order_refused(capsys):
     code, out, err = run(capsys, "reduce", "--target", "pole:-3",
                          "--basis", "level-5", "--terms", "20")
