@@ -1,5 +1,6 @@
-"""Mutation sweep over the series kernel, the reduction engine and the
-find-eta orders and rendering.
+"""Mutation sweep over the series kernel, the reduction engine, the
+cusp orders and their bounds, the Gamma_0(N) refusal, and find-eta's
+rendering.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -55,6 +56,8 @@ TARGETS = (
     ("reduction", "reduce_module"),
     ("eta", "cusp_order_numerators"),
     ("eta", "_packed_products"),
+    ("eta", "cusp_order_bounds"),
+    ("eta", "require_on_gamma0"),
     ("cli", "_find_eta_results"),
 )
 
