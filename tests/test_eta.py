@@ -136,8 +136,8 @@ def test_expand_at_zero_rejects_invalid():
 
 
 def test_expand_at_zero_matches_ligozat_order():
-    # the trivial quotient, first in each search, included: its expansion
-    # is 1, at the order 0 its empty exponents give
+    # the trivial quotient, first in each search, too: its expansion is 1,
+    # at order 0
     for N in (5, 10, 14):
         for f in search_eta_quotients(N, [], bound=2)[:6]:
             _, series = expand_at_zero(f, N, 24 * 8)
