@@ -198,7 +198,7 @@ def cmd_classify(args) -> int:
     text = (f"level {report.level}: cusp count {report.cusp_count}, genus "
             f"{report.genus} -> {report.difficulty_class} "
             f"(tedium {report.tedium_score}){flags}")
-    _emit(args, {"command": "classify", **report.to_json_obj()}, text)
+    _emit(args, {"command": "classify", **vars(report)}, text)
     return EXIT_OK
 
 
@@ -217,14 +217,14 @@ def cmd_expand(args) -> int:
         report = {"command": "expand", "cusp": "zero",
                   "quotient": quotient.to_json_obj(), "level": level,
                   "scale": str(scale), "series": series.to_json_obj()}
-        text = f"scale {scale}\n{series.format(max_terms=args.terms)}"
+        text = f"scale {scale}\n{series.format()}"
     else:
         trunc24 = quotient.degree24 + 24 * args.terms
         series = expand_at_infinity(quotient, trunc24)
         report = {"command": "expand", "cusp": "infinity",
                   "quotient": quotient.to_json_obj(),
                   "series": series.to_json_obj()}
-        text = series.format(max_terms=args.terms)
+        text = series.format()
     _emit(args, report, text)
     return EXIT_OK
 

@@ -117,9 +117,6 @@ class CuspClass(Value):
 
     _fields = ("denominator", "count", "width")
 
-    def to_json_obj(self) -> dict:
-        return {**vars(self)}
-
 
 def enumerate_cusps(N: int) -> list[CuspClass]:
     """Cusp classes of X_0(N), one per divisor c of N.
@@ -164,7 +161,7 @@ class CurveProfile(Record):
 
     def to_json_obj(self) -> dict:
         return {**vars(self),
-                "cusp_classes": [c.to_json_obj() for c in self.cusp_classes]}
+                "cusp_classes": [vars(c) for c in self.cusp_classes]}
 
 
 def curve_profile(N: int) -> CurveProfile:

@@ -144,9 +144,6 @@ class ClassificationReport(Record):
     _fields = ("level", "prime", "cusp_count", "genus", "difficulty_class",
                "tedium_score", "sporadic_flags")
 
-    def to_json_obj(self) -> dict:
-        return {**vars(self), "sporadic_flags": list(self.sporadic_flags)}
-
 
 def classify(N: int, prime: int | None = None) -> ClassificationReport:
     """Difficulty from the cusp count, tedium from the genus.

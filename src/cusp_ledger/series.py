@@ -277,8 +277,6 @@ class QSeries:
 
     def scaled(self, factor: Scalar) -> "QSeries":
         factor = _norm(factor)
-        if factor == 0:
-            return QSeries.zero(self.trunc24)
         p = factor.numerator
         nums = self._nums if p == 1 else [p * v for v in self._nums]
         return _make(self.offset24, nums, self._den * factor.denominator,
@@ -290,8 +288,6 @@ class QSeries:
         # product coefficient at e is known iff every split of e lands in
         # both known ranges
         t = min(self.trunc24 + other.offset24, other.trunc24 + self.offset24)
-        if not self._nums or not other._nums:
-            return QSeries.zero(t)
         off = self.offset24 + other.offset24
         a, b = self._nums, other._nums
         nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
@@ -397,22 +393,17 @@ class QSeries:
 
     def _section(self, mod: int, r: int, trunc: int) -> "QSeries":
         """sum a(mod*m + r) q^m + O(q^(trunc/24)): one list slice."""
-        if not self._nums:
-            return QSeries.zero(trunc)
         n0 = self.offset24 // 24
         i0 = (r - n0) % mod  # first index whose exponent is r mod `mod`
         return _make(24 * ((n0 + i0 - r) // mod), self._nums[i0::mod],
                      self._den, trunc)
 
     def __repr__(self) -> str:
-        return f"QSeries({self.format(max_terms=6)})"
+        return f"QSeries({self.format()})"
 
-    def format(self, max_terms: int = 12) -> str:
-        terms = self.terms()
+    def format(self) -> str:
         parts = [_termstr(e, v, first=not i)
-                 for i, (e, v) in enumerate(terms[:max_terms])] or ["0"]
-        if len(terms) > max_terms:
-            parts.append("+ ...")
+                 for i, (e, v) in enumerate(self.terms())] or ["0"]
         return " ".join(parts + [f"+ O({_expstr(self.trunc24)})"])
 
     def to_json_obj(self) -> dict:

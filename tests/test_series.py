@@ -757,6 +757,11 @@ hyp = settings(max_examples=150, deadline=None, derandomize=True,
 # sums of terms 30 steps apart, and of a long series cut by a shorter one
 @example(({0: 1}, 24 * 40), ({24 * 30: 1}, 24 * 40))
 @example(({24 * i: 1 for i in range(40)}, 24 * 40), ({0: 1}, 24 * 30))
+# a zero factor on either side, and on both: the zero series, known to
+# min(trunc_a + offset_b, trunc_b + offset_a) like any product
+@example(({}, 24 * 5), ({-24: 3, 48: 3}, 24 * 8))
+@example(({5: 2, 29: -1}, 24 * 6), ({0: 0}, 24 * 3 + 13))
+@example(({}, 24 * 5), ({}, -7))
 def test_dense_ring_operations_match_reference(ea, eb):
     a, ra = both(*ea)
     b, rb = both(*eb)
@@ -901,6 +906,9 @@ def test_product_kernel_switches_at_the_threshold():
 @hyp
 @given(series_entries(), scalars, st.integers(-3, 4), st.integers(-40, 40),
        st.integers(0, 60))
+# a scale of 0, an int or a Fraction: the zero series at the same truncation
+@example(({-24: Fraction(3, 7), 48: 2}, 24 * 5 + 5), 0, 2, 3, 1)
+@example(({-24: Fraction(3, 7), 48: 2}, 24 * 5 + 5), Fraction(0), 1, -3, 0)
 def test_dense_unary_operations_match_reference(ea, c, k, delta, cut):
     a, ra = both(*ea)
     assert_same(a.scaled(c), ra.scaled(c))
@@ -919,6 +927,11 @@ def test_dense_unary_operations_match_reference(ea, c, k, delta, cut):
 @hyp
 @given(series_entries(), st.sampled_from([2, 3, 5, 7]), st.integers(1, 3),
        st.integers(-3, 3), st.sampled_from([1, 7, 24]))
+# U_ell and a slice of the zero series: the zero series at the truncation
+# each computes from the input's
+@example(({}, 24 * 9), 5, 1, 1, 7)
+@example(({0: 0}, 24 * 40), 2, 3, -3, 1)
+@example(({}, -30), 3, 2, 2, 1)
 def test_dense_slicing_and_valuation_match_reference(ea, ell, alpha, target,
                                                      lam):
     a, ra = both(*ea)
