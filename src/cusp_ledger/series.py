@@ -102,11 +102,12 @@ def json_str(value, what: str) -> str:
 
 
 def json_ratio(value, what: str) -> tuple[int, int]:
-    """A rational field of a JSON document, a JSON integer or a decimal
-    string "p" or "p/q", as the pair of ints (p, q), q = 1 for "p"."""
+    """A rational field of a JSON document, a JSON integer or an ASCII
+    decimal string "p" or "p/q", as the pair of ints (p, q), q = 1 for "p"
+    (int() would also read non-ASCII digits, as json_key says)."""
     if type(value) is int:
         return value, 1
-    if type(value) is str:
+    if type(value) is str and value.isascii():
         p, slash, q = value.partition("/")
         if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
             return int(p), int(q) if slash else 1

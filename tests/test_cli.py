@@ -1315,6 +1315,14 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
     (("bases", 3, "x", "series", "terms", 0, 2), 2.9,
      ":bases[3]: denominator must be an integer or a string 'p' or 'p/q', "
      "got 2.9"),
+    # int() reads the Arabic-Indic digit five as 5: the scale made p-5's
+    # depth-1 chart 5 x, exit 0
+    (("families", 0, "tower_identities", "1", 0, "scale"), "\u0665",
+     ":families[0]: scale must be an integer or a string 'p' or 'p/q', "
+     "got '\u0665'"),
+    (("bases", 3, "x", "series", "terms", 0, 1), "\u0665",
+     ":bases[3]: numerator must be an integer or a string 'p' or 'p/q', "
+     "got '\u0665'"),
     (("families", 0, "generator", "r"), {"+1": -1},
      ":families[0]: key '+1' is not an integer"),
     (("families", 0, "generator", "r"), {"1_0": -1},
@@ -1345,6 +1353,7 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
         "M-string", "qpow-float", "series-exponent-float", "trunc24-float",
         "signed-key", "duplicate-basis", "scale-float", "scale-bool",
         "numerator-float", "numerator-bool", "denominator-float",
+        "scale-non-ascii", "numerator-non-ascii",
         "r-key-signed", "r-key-underscore", "prefactor-r-key-space",
         "schedule-key-leading-zero", "multiplier-key-minus-zero",
         "r-key-leading-zero", "r-key-non-ascii", "generator-divisor",
