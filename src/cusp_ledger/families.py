@@ -407,8 +407,6 @@ class BasisEntry(Record):
             scale, series = expand_at_zero(source, self.level, trunc24)
             return series.scaled(scale)
 
-        if self.x is None:
-            raise CatalogError(f"basis {self.name}: no x recorded")
         table = isinstance(self.x, EtaQuotient) \
             and (powers or {}).get((self.x, self.level))
         if table:  # certified_identity_chart checked x when it built table
@@ -417,8 +415,7 @@ class BasisEntry(Record):
             x, x_powers = chart(self.x), ()
         ys = [QSeries.constant(1, trunc24)] + [chart(y) for y in self.ys]
         z = z_orders = None
-        if self.z is not None:  # refused here as expand_at_zero would
-            require_expandable(zero_cusp_image(self.z, self.level)[1], trunc24)
+        if self.z is not None:
             z = lambda: chart(self.z)
             z_orders = cusp_order_vector(self.z, self.level)
         return ModuleBasis(x=x, ys=ys, z=z, z_orders=z_orders,
@@ -504,17 +501,16 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     level = obj.get("level")  # optional; a bool is no level
     if "level" in obj and (type(level) is not int or level < 1):
         raise CatalogError(f"{path}.level: need an integer >= 1, got {level!r}")
-    x = source(obj["x"], "x") if "x" in obj else None
+    x = source(obj["x"], "x")
     ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
     z = source(obj["z"], "z") if "z" in obj else None
     if isinstance(z, QSeries):
         raise CatalogError(f"{path}.z: localizers must be eta quotients "
                            f"(orders must be computable)")
     y_orders = [0] + [order(y, f"ys[{i}]") for i, y in enumerate(ys)]
-    if z is not None:
-        order(z, "z")  # refused here if expand_at_zero would refuse it
-    if x is not None:
-        check_pole_orders(order(x, "x"), y_orders)
+    if z is not None and order(z, "z") < 1:
+        raise CatalogError(f"{path}: z must have a pole at the zero cusp")
+    check_pole_orders(order(x, "x"), y_orders)
     return BasisEntry(name=json_str(obj["name"], "name"), level=level, x=x,
                       ys=ys, z=z)
 

@@ -1209,8 +1209,14 @@ def test_catalog_basis_series_off_the_integer_grid_refused(tmp_path, capsys,
      "x is an eta quotient, which needs the basis level"),
     ("level-10", lambda b: b["z"]["eta"].__setitem__("M", 20),
      "quotient level 20 does not divide N=10"),
+    # a zero of order 3 at the zero cusp: refused only when a reduction
+    # expanded z, or at --terms 2 even for a poly: target
+    ("level-10",
+     lambda b: b["z"]["eta"].__setitem__("r", {"1": 12, "2": -8, "5": -4}),
+     "z must have a pole at the zero cusp"),
+    ("level-5", lambda b: b.pop("x"), "missing field 'x'"),
 ], ids=["collision", "no-pole", "cover", "not-on-the-curve", "no-level",
-        "z-off-the-curve"])
+        "z-off-the-curve", "z-no-pole", "no-x"])
 def test_catalog_basis_pole_orders_checked_at_load(tmp_path, capsys, basis,
                                                   edit, want):
     # each used to load, so every other command accepted the catalog, and

@@ -8,6 +8,7 @@ import pytest
 
 from cusp_ledger import families
 from cusp_ledger.errors import (
+    BasisError,
     CatalogError,
     FamilyError,
     InternalInconsistencyError,
@@ -862,10 +863,8 @@ def test_basis_companions_keep_catalog_order(tmp_path, capsys):
 
 def test_basis_roles_checked(tmp_path):
     no_x = {k: v for k, v in MIXED_BASIS.items() if k != "x"}
-    entry = catalog_loads(json.dumps({"families": [], "bases": [no_x]})
-                          ).basis("mixed-5")
-    with pytest.raises(CatalogError, match="basis mixed-5: no x recorded"):
-        entry.build(24 * 10)
+    with pytest.raises(CatalogError, match=r"bases\[0\]: missing field 'x'"):
+        catalog_loads(json.dumps({"families": [], "bases": [no_x]}))
     series_z = dict(MIXED_BASIS, z=MIXED_BASIS["x"])
     with pytest.raises(CatalogError, match="localizers must be eta quotients"):
         catalog_loads(json.dumps({"families": [], "bases": [series_z]}))
@@ -897,8 +896,7 @@ def test_basis_from_identity_table_matches_products(catalog, terms,
 
 
 def test_basis_localizer_expanded_on_first_use(catalog, monkeypatch):
-    # the localizer is refused when the basis is built, as its expansion
-    # would be, and expanded only when a reduction raises it to a power
+    # the localizer is expanded only when a reduction raises it to a power
     calls = []
     expand = families.expand_at_zero
     monkeypatch.setattr(families, "expand_at_zero",
@@ -918,11 +916,16 @@ def test_basis_localizer_expanded_on_first_use(catalog, monkeypatch):
     rep = localize_reduce(basis.x / series.scaled(scale), basis, f_orders)
     assert (rep.localizer_exponent, rep.coeffs) == (1, {(0, 1): 1})
     assert calls == [entry.x, entry.z]
-    # a localizer with a zero of order 3 at the zero cusp
+    # a localizer with a zero of order 3 at the zero cusp, which a catalog
+    # refuses at load: built in code, it is refused when a reduction uses
+    # it, and its expansion when it is asked for
     zero = BasisEntry("zero-z", 10, x=entry.x, ys=[],
                       z=EtaQuotient(10, {1: 12, 2: -8, 5: -4}))
+    basis = zero.build(24 * 3)
+    with pytest.raises(BasisError, match="no pole at the zero cusp"):
+        localize_reduce(basis.x, basis, x_orders)
     with pytest.raises(TruncationError, match="one term of the expansion"):
-        zero.build(24 * 3)
+        basis.z()
     assert zero.build(24 * 4).z().offset24 == 72
 
 
