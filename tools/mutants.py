@@ -52,6 +52,7 @@ TARGETS = (
     ("series", "QSeries.__truediv__"),
     ("series", "QSeries.__pow__"),
     ("series", "pochhammer_product"),
+    ("series", "pochhammer_plan"),
     ("reduction", "ModuleBasis.__init__"),
     ("reduction", "reduce_module"),
     ("eta", "cusp_order_numerators"),
@@ -86,6 +87,22 @@ _GRID = "exponents on the integer grid are multiples of 24"
 _EQUAL_COUNTS = "with as many nonzeros in each factor, either may run the rows"
 _NO_EXPONENT = ("with no nonzero exponent every numerator is 0, and the "
                 "offset is taken off as it was put on")
+_ODD_PASSES = ("each shape's exponents sum to an odd number, so a factor "
+               "takes an odd number of passes off: more than 1 is more than 2")
+_EULER_ONCE = "Euler's series takes at most one pass off, never more than most"
+# the repeat test stopping early changes no plan: the next scan picks the
+# same factor again, and applying it in bulk or once a scan plans the same
+_SHIFTED = ("every count moves down by 1, which by parity crosses no "
+            "threshold and keeps their order; the repeat test, a true count "
+            "against one less, stops at once and the next scan goes on")
+_UNDO = ("the inverse step takes off minus the passes the step just taken "
+         "did, never most; the repeat stops and the next scan goes on")
+_CLEARED = ("a shape divisor is missing from rest only when the step just "
+            "taken cleared it, and then the next step takes off 2|r| fewer "
+            "passes than most, more than a default of 1 adds back; the "
+            "repeat stops and the next scan goes on")
+_REPEAT = ("sum((abs(rest.get(d, 0)) - abs(rest.get(d, 0) - r) "
+           "for d, r in shape)) != most")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -213,6 +230,28 @@ EQUIVALENT = (
      "lift = max([abs(e) for f in quotients for _, e in f.exponents], "
      "default=1)",
      _NO_EXPONENT),
+    ("series", "pochhammer_plan",
+     "best, most = (None, 1)",
+     "best, most = (None, 2)",
+     _ODD_PASSES),
+    ("series", "pochhammer_plan",
+     "range(1, len(_SERIES))",
+     "range(0, len(_SERIES))",
+     _EULER_ONCE),
+    ("series", "pochhammer_plan",
+     "plus = minus = 0",
+     "plus = minus = -1",
+     _SHIFTED),
+    ("series", "pochhammer_plan",
+     _REPEAT,
+     _REPEAT.replace("rest.get(d, 0) - r", "rest.get(d, 0) + r"),
+     _UNDO),
+    *(("series", "pochhammer_plan", _REPEAT, _REPEAT.replace(old, new),
+       _CLEARED)
+      for old, new in (("abs(rest.get(d, 0))", "abs(rest.get(d, 1))"),
+                       ("abs(rest.get(d, 0))", "abs(rest.get(d, -1))"),
+                       ("rest.get(d, 0) - r", "rest.get(d, 1) - r"),
+                       ("rest.get(d, 0) - r", "rest.get(d, -1) - r"))),
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
