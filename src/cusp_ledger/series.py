@@ -79,7 +79,7 @@ def json_key(key: str) -> int:
     digits = key.removeprefix("-")
     if not (digits.isdigit() and digits.isascii()) \
             or (digits[0] == "0" and key != "0"):
-        raise ValueError(f"key {key!r} is not an integer")
+        raise ValueError(f"key {key!r} is not a canonical ASCII decimal")
     return int(key)
 
 
@@ -111,8 +111,8 @@ def json_ratio(value, what: str) -> tuple[int, int]:
         p, slash, q = value.partition("/")
         if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
             return int(p), int(q) if slash else 1
-    raise ValueError(f"{what} must be an integer or a string 'p' or 'p/q', "
-                     f"got {value!r}")
+    raise ValueError(f"{what} must be an integer or an ASCII decimal string "
+                     f"'p' or 'p/q', got {value!r}")
 
 
 MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)

@@ -1304,46 +1304,46 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
     (("bases", 3, "x", "series", "trunc24"), 48.0,
      ":bases[3]: trunc24 must be an integer, got 48.0"),
     (("families", 0, "schedule"), {"+1": {"modulus": 1, "beta": 1}},
-     ":families[0].schedule: key '+1' is not an integer"),
+     ":families[0].schedule: key '+1' is not a canonical ASCII decimal"),
     (("bases", 1, "name"), "level-5", ": duplicate basis names"),
     (("families", 0, "tower_identities", "1", 0, "scale"), 0.5,
-     ":families[0]: scale must be an integer or a string 'p' or 'p/q', "
-     "got 0.5"),
+     ":families[0]: scale must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got 0.5"),
     (("families", 0, "tower_identities", "1", 0, "scale"), True,
-     ":families[0]: scale must be an integer or a string 'p' or 'p/q', "
-     "got True"),
+     ":families[0]: scale must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got True"),
     (("bases", 3, "x", "series", "terms", 0, 1), 1.5,
-     ":bases[3]: numerator must be an integer or a string 'p' or 'p/q', "
-     "got 1.5"),
+     ":bases[3]: numerator must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got 1.5"),
     (("bases", 3, "x", "series", "terms", 0, 1), True,
-     ":bases[3]: numerator must be an integer or a string 'p' or 'p/q', "
-     "got True"),
+     ":bases[3]: numerator must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got True"),
     (("bases", 3, "x", "series", "terms", 0, 2), 2.9,
-     ":bases[3]: denominator must be an integer or a string 'p' or 'p/q', "
-     "got 2.9"),
+     ":bases[3]: denominator must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got 2.9"),
     # int() reads the Arabic-Indic digit five as 5: the scale made p-5's
     # depth-1 chart 5 x, exit 0
     (("families", 0, "tower_identities", "1", 0, "scale"), "\u0665",
-     ":families[0]: scale must be an integer or a string 'p' or 'p/q', "
-     "got '\u0665'"),
+     ":families[0]: scale must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got '\u0665'"),
     (("bases", 3, "x", "series", "terms", 0, 1), "\u0665",
-     ":bases[3]: numerator must be an integer or a string 'p' or 'p/q', "
-     "got '\u0665'"),
+     ":bases[3]: numerator must be an integer or an ASCII decimal "
+     "string 'p' or 'p/q', got '\u0665'"),
     (("families", 0, "generator", "r"), {"+1": -1},
-     ":families[0]: key '+1' is not an integer"),
+     ":families[0]: key '+1' is not a canonical ASCII decimal"),
     (("families", 0, "generator", "r"), {"1_0": -1},
-     ":families[0]: key '1_0' is not an integer"),
+     ":families[0]: key '1_0' is not a canonical ASCII decimal"),
     (("families", 0, "prefactors", "1", "r"), {" 1": 1},
-     ":families[0]: key ' 1' is not an integer"),
+     ":families[0]: key ' 1' is not a canonical ASCII decimal"),
     (("families", 0, "schedule"), {"1": {"modulus": 1, "beta": 1},
                                    "01": {"modulus": 1, "beta": 2}},
-     ":families[0].schedule: key '01' is not an integer"),
+     ":families[0].schedule: key '01' is not a canonical ASCII decimal"),
     (("families", 0, "multipliers"), {"-0": {"qpow": 0, "r": {}}},
-     ":families[0].multipliers: key '-0' is not an integer"),
+     ":families[0].multipliers: key '-0' is not a canonical ASCII decimal"),
     (("families", 0, "generator", "r"), {"1": -1, "01": 5},
-     ":families[0]: key '01' is not an integer"),
+     ":families[0]: key '01' is not a canonical ASCII decimal"),
     (("families", 0, "generator", "r"), {"\u0661": -1},
-     ":families[0]: key '\u0661' is not an integer"),
+     ":families[0]: key '\u0661' is not a canonical ASCII decimal"),
     # these two used to be refused without the catalog path and entry
     (("families", 0, "generator", "r"), {"3": -1},
      ":families[0]: divisor 3 does not divide level 1"),
