@@ -119,6 +119,18 @@ def test_genus_integral_nonnegative_sweep():
         assert curve_profile(N).genus >= 0
 
 
+def test_genus_at_most_two_matches_the_classical_lists():
+    # Ogg, Bull. Soc. Math. France 102 (1974): every level of genus 0, 1, 2
+    by_genus = {0: set(), 1: set(), 2: set()}
+    for N in range(1, 2001):
+        by_genus.get(curve_profile(N).genus, set()).add(N)
+    assert by_genus == {
+        0: {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25},
+        1: {11, 14, 15, 17, 19, 20, 21, 24, 27, 32, 36, 49},
+        2: {22, 23, 26, 28, 29, 31, 37, 50},
+    }
+
+
 def test_profile_fields():
     p = curve_profile(20)
     assert p.index == 36
