@@ -3,7 +3,9 @@
 Every CLI command is its own process, so what `import cusp_ledger.cli`
 pulls in is paid on every run.  A fresh `python -I` imports the cli and
 loads the shipped catalog, as each command does, and must not load a
-module of UNUSED that a bare interpreter does not load already.  The
+module of UNUSED that a bare interpreter does not load already.  The check
+runs under `-I -S` as well, since a `site` hook may preload a module
+(`typing`, say) and so hide the package's own import of it.  The
 package is imported from wherever this process found it: src/ in the
 checkout, the installed package when the suite runs outside it.
 """
@@ -28,15 +30,16 @@ print("\\n".join(sys.modules))
 """
 
 
-def _loaded(what: str) -> set[str]:
+def _loaded(flags: tuple[str, ...], what: str) -> set[str]:
     root = Path(cusp_ledger.__file__).resolve().parents[1]
     out = subprocess.run(
-        [sys.executable, "-I", "-c", LOADED, str(root), what],
+        [sys.executable, *flags, "-c", LOADED, str(root), what],
         capture_output=True, text=True, timeout=60, check=True).stdout
     return set(out.split())
 
 
 def test_start_up_imports_no_pool_no_dataclasses_no_typing():
-    bare, cli = _loaded("bare"), _loaded("cli")
-    assert "cusp_ledger.cli" in cli
-    assert [m for m in UNUSED if m in cli and m not in bare] == []
+    for flags in ("-I",), ("-I", "-S"):
+        bare, cli = _loaded(flags, "bare"), _loaded(flags, "cli")
+        assert "cusp_ledger.cli" in cli, flags
+        assert [m for m in UNUSED if m in cli and m not in bare] == [], flags
