@@ -1,6 +1,6 @@
 """Mutation sweep over the series kernel, the reduction engine, the
-cusp orders and their bounds, the Gamma_0(N) refusal, and find-eta's
-rendering.
+cusp orders and their bounds, the Gamma_0(N) refusal, find-eta's
+rendering, and the cusps, elliptic points and genus of X_0(N).
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -18,8 +18,8 @@ not run: no input the program passes tells it from the original.
 one mutant, so the list follows the code it describes.  A sweep exits 1
 when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
 run of its module's tests (about 17 s on a 2-CPU x86-64 box when it
-survives), and all of TARGETS took 34 min there, so the sweep is not part
-of the test suite.
+survives), and all of TARGETS took about 36 min there, so the sweep is not
+part of the test suite.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ TARGETS = (
     ("eta", "cusp_order_bounds"),
     ("eta", "require_on_gamma0"),
     ("cli", "_find_eta_results"),
+    ("curves", "curve_profile"),
+    ("curves", "cusp_count"),
+    ("curves", "enumerate_cusps"),
+    ("curves", "elliptic_counts"),
+    ("curves", "index_mu"),
 )
 
 # the tests run against a mutant of each module
@@ -67,7 +72,9 @@ _KERNEL_TESTS = ("tests/test_series.py", "tests/test_reduction.py",
                  "tests/test_families.py")
 TESTS = {"series": _KERNEL_TESTS, "reduction": _KERNEL_TESTS,
          "eta": ("tests/test_eta.py", "tests/test_cli.py"),
-         "cli": ("tests/test_cli.py",)}
+         "cli": ("tests/test_cli.py",),
+         "curves": ("tests/test_curves.py", "tests/test_acceptance.py",
+                    "tests/test_cli.py")}
 
 # (module, qualified name, site, mutated site, why no input the program
 # passes tells them apart); a site is the statement around the mutation,
@@ -103,6 +110,8 @@ _CLEARED = ("a shape divisor is missing from rest only when the step just "
             "repeat stops and the next scan goes on")
 _REPEAT = ("sum((abs(rest.get(d, 0)) - abs(rest.get(d, 0) - r) "
            "for d, r in shape)) != most")
+_GENUS = ("the genus of a curve is never negative, so at no level does the "
+          "raise fire on either test")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -252,6 +261,10 @@ EQUIVALENT = (
                        ("abs(rest.get(d, 0))", "abs(rest.get(d, -1))"),
                        ("rest.get(d, 0) - r", "rest.get(d, 1) - r"),
                        ("rest.get(d, 0) - r", "rest.get(d, -1) - r"))),
+    ("curves", "curve_profile",
+     "rest or genus < 0",
+     "rest or genus < -1",
+     _GENUS),
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
