@@ -94,8 +94,7 @@ class FamilySpec(Record):
     """All data defining one congruence family."""
 
     _fields = ("name", "generator", "prime", "lam", "level", "target_residue",
-               "schedule", "prefactors", "multipliers", "tower_identities",
-               "basis_name")
+               "schedule", "prefactors", "multipliers", "tower_identities")
 
     def validate(self) -> None:
         if not is_prime(self.prime):
@@ -465,8 +464,6 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         tower_identities=keyed("tower_identities", lambda terms: tuple(
             EtaTerm(Fraction(*json_ratio(t["scale"], "scale")),
                     EtaQuotient.from_json_obj(t["eta"])) for t in terms)),
-        basis_name=(json_str(obj["basis"], "basis") if "basis" in obj
-                    else None),
     )
     spec.validate()
     return spec
@@ -558,12 +555,6 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
         names = [e.name for e in entries]
         if len(set(names)) != len(names):
             raise CatalogError(f"{source}: duplicate {key} names")
-    for f in families:
-        if f.basis_name is not None \
-                and f.basis_name not in {b.name for b in bases}:
-            raise CatalogError(
-                f"{source}: family {f.name} references unknown basis "
-                f"{f.basis_name!r}")
     return Catalog(families=families, bases=bases)
 
 

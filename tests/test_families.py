@@ -249,7 +249,7 @@ def test_tower_recursive_trivial_family_matches_u_iteration():
         prime=3, lam=1, level=3, target_residue=1, schedule={},
         prefactors={d: PochhammerProduct(0, ()) for d in (1, 2, 3)},
         multipliers={d: PochhammerProduct(0, ()) for d in (1, 2)},
-        tower_identities={}, basis_name=None,
+        tower_identities={},
     )
     base = coefficient_series(spec, 200)  # the constant 1
     # give the toy family a nontrivial generator series by hand
@@ -300,7 +300,7 @@ def test_verify_counterexample_is_first_violation():
     spec = FamilySpec(name="toy", generator=EtaQuotient(1, {1: -1}), prime=5,
                       lam=1, level=5, target_residue=1,
                       schedule={1: ScheduleStep(1, 2)}, prefactors={},
-                      multipliers={}, tower_identities={}, basis_name=None)
+                      multipliers={}, tower_identities={})
     coeffs = [0] * 17
     coeffs[1], coeffs[6], coeffs[11], coeffs[16] = 15, 0, 7, 250
     coeffs[2] = 1  # not qualifying: ignored
@@ -602,7 +602,6 @@ def test_localize_pd5_variant_needs_positive_power(catalog):
         multipliers={},
         tower_identities={1: (
             EtaTerm(Fraction(1), EtaQuotient(10, {1: -3, 2: -1, 5: 7, 10: -3})),)},
-        basis_name=None,
     )
     chart, orders = certified_identity_chart(variant, 1, 80)
     basis = catalog.basis("level-10").build(24 * 80)
@@ -664,7 +663,7 @@ def _synthetic_level_10(catalog):
     return FamilySpec(name="synthetic-10", generator=spec.generator, prime=5,
                       lam=24, level=10, target_residue=-1, schedule={},
                       prefactors=dict(spec.prefactors), multipliers={},
-                      tower_identities={1: identity}, basis_name=None)
+                      tower_identities={1: identity})
 
 
 def _recorded_at_infinity(spec, depth, terms):
@@ -825,14 +824,16 @@ def test_catalog_basis_without_level_still_loads(catalog):
     assert catalog.basis("demo-genus1").level is None
 
 
-def test_catalog_rejects_unknown_basis_reference():
+@pytest.mark.parametrize("basis", ["missing", 5, None])
+def test_catalog_ignores_a_family_basis_key(basis):
+    # a family is reduced on any basis at its level, so a catalog that
+    # still names one (as the shipped one did) loads as notes do
     doc = {"families": [{
         "name": "x", "generator": {"M": 1, "r": {"1": -1}},
         "prime": 5, "lam": 24, "level": 5, "schedule": {},
-        "basis": "missing"}]}
-    with pytest.raises(CatalogError) as err:
-        catalog_loads(json.dumps(doc))
-    assert "unknown basis" in str(err.value)
+        "basis": basis}]}
+    family = catalog_loads(json.dumps(doc)).family("x")
+    assert (family.name, family.prime, family.level) == ("x", 5, 5)
 
 
 # a level-5 basis whose companions mix an exact series and an eta quotient:
