@@ -97,6 +97,9 @@ class FamilySpec(Record):
                "schedule", "prefactors", "multipliers", "tower_identities")
 
     def validate(self) -> None:
+        if self.level < 1:
+            raise FamilyError(f"family {self.name}: level must be an integer "
+                              f">= 1, got {self.level}")
         if not is_prime(self.prime):
             raise FamilyError(f"family {self.name}: {self.prime} is not prime")
         if self.level % self.prime != 0:

@@ -1415,7 +1415,12 @@ P5_ENTRY = json.loads(shipped_catalog_path().read_text())["families"][0]
     (("families", 0, "generator", "M"), 7,
      ":families[0]: family p-5: generator level 7 does not divide curve "
      "level 5"),
-], ids=["no-prime", "prime-4", "prime-off-level", "generator-off-level"])
+    (("families", 2, "level"), 0,
+     ":families[2]: family p-11: level must be an integer >= 1, got 0"),
+    (("families", 2, "level"), -55,
+     ":families[2]: family p-11: level must be an integer >= 1, got -55"),
+], ids=["no-prime", "prime-4", "prime-off-level", "generator-off-level",
+        "level-0", "level-negative"])
 def test_catalog_family_refused_at_load(tmp_path, capsys, keys, value, want):
     path = _edited_catalog(tmp_path, keys, value)
     assert _verify_p5(capsys, path) == (2, "", f"error: {path}{want}\n")
