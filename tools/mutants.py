@@ -1,6 +1,7 @@
 """Mutation sweep over the series kernel, the reduction engine, the
-cusp orders and their bounds, the Gamma_0(N) refusal, find-eta's
-rendering, and the cusps, elliptic points and genus of X_0(N).
+cusp orders and their bounds, the Gamma_0(N) conditions and refusal,
+find-eta's rendering, the cusps, elliptic points and genus of X_0(N), and
+the classification and verification of congruence families.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -18,8 +19,8 @@ not run: no input the program passes tells it from the original.
 one mutant, so the list follows the code it describes.  A sweep exits 1
 when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
 run of its module's tests (about 17 s on a 2-CPU x86-64 box when it
-survives), and all of TARGETS took about 36 min there, so the sweep is not
-part of the test suite.
+survives), and all of TARGETS took about 42 min there, summed over the
+sweeps that added them, so the sweep is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ TARGETS = (
     ("curves", "enumerate_cusps"),
     ("curves", "elliptic_counts"),
     ("curves", "index_mu"),
+    ("families", "classify"),
+    ("families", "verify_congruence"),
+    ("eta", "validate_on_gamma0"),
 )
 
 # the tests run against a mutant of each module
@@ -74,7 +78,9 @@ TESTS = {"series": _KERNEL_TESTS, "reduction": _KERNEL_TESTS,
          "eta": ("tests/test_eta.py", "tests/test_cli.py"),
          "cli": ("tests/test_cli.py",),
          "curves": ("tests/test_curves.py", "tests/test_acceptance.py",
-                    "tests/test_cli.py")}
+                    "tests/test_cli.py"),
+         "families": ("tests/test_families.py", "tests/test_acceptance.py",
+                      "tests/test_cli.py")}
 
 # (module, qualified name, site, mutated site, why no input the program
 # passes tells them apart); a site is the statement around the mutation,
@@ -112,6 +118,8 @@ _REPEAT = ("sum((abs(rest.get(d, 0)) - abs(rest.get(d, 0) - r) "
            "for d, r in shape)) != most")
 _GENUS = ("the genus of a curve is never negative, so at no level does the "
           "raise fire on either test")
+_SAME_MIN = ("a valuation equal to the least so far leaves it as it was, "
+             "whether or not it is stored again")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -265,6 +273,10 @@ EQUIVALENT = (
      "rest or genus < 0",
      "rest or genus < -1",
      _GENUS),
+    ("families", "verify_congruence",
+     "min_val is None or v < min_val",
+     "min_val is None or v <= min_val",
+     _SAME_MIN),
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
