@@ -826,8 +826,8 @@ def test_catalog_basis_without_level_still_loads(catalog):
 
 @pytest.mark.parametrize("basis", ["missing", 5, None])
 def test_catalog_ignores_a_family_basis_key(basis):
-    # a family is reduced on any basis at its level, so a catalog that
-    # still names one (as the shipped one did) loads as notes do
+    # reduce takes a family on any basis at its level, so the loader does
+    # not read a family's basis key: a catalog that names one still loads
     doc = {"families": [{
         "name": "x", "generator": {"M": 1, "r": {"1": -1}},
         "prime": 5, "lam": 24, "level": 5, "schedule": {},
