@@ -11,13 +11,13 @@ representation coefficients, scales) are emitted as strings.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import lcm
+from types import SimpleNamespace
 
 from .curves import curve_profile
 from .errors import (
@@ -375,21 +375,10 @@ def cmd_find_eta(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CatalogError(message)
-
-    def _check_value(self, action, value):  # argparse's, echoing by shown
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            message = f"invalid choice: {shown(value)} (choose from {choices})"
-            raise argparse.ArgumentError(action, message)
-
-    def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {shown(' '.join(extras))}")
-        return args
+def _type_error(message: str):
+    """argparse's ArgumentTypeError, imported only when a value is refused."""
+    from argparse import ArgumentTypeError
+    return ArgumentTypeError(message)
 
 
 def _int(text: str) -> int:
@@ -398,8 +387,7 @@ def _int(text: str) -> int:
     try:
         return int(ascii_decimal(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {shown(text)}") from None
+        raise _type_error(f"invalid int value: {shown(text)}") from None
 
 
 def _int_at_least(low: int, cap: int | None = None):
@@ -414,7 +402,7 @@ def _int_at_least(low: int, cap: int | None = None):
         if cap is not None and sign != "-" and digits > len(str(cap)):
             value = cap + 1
         elif digits > MAX_INT_DIGITS:
-            raise argparse.ArgumentTypeError(
+            raise _type_error(
                 f"too large: want an integer >= {low} of at most "
                 f"{MAX_INT_DIGITS} digits, got {digits} digits")
         else:
@@ -423,88 +411,152 @@ def _int_at_least(low: int, cap: int | None = None):
             except ValueError:
                 value = None
         if value is None or value < low:
-            raise argparse.ArgumentTypeError(
-                f"want an integer >= {low}, got {shown(text)}")
+            raise _type_error(f"want an integer >= {low}, got {shown(text)}")
         if cap is not None and value > cap:
-            raise argparse.ArgumentTypeError(
+            raise _type_error(
                 f"want at most {cap} (the work cap), got {shown(text)}")
         return value
     return parse
 
 
-@lru_cache(maxsize=1)  # one parser per process, built by the first main call
-def build_parser() -> argparse.ArgumentParser:
-    # global flags accepted both before and after the subcommand
+# The command line as one table, read by build_parser and by _fast_parse:
+# the common options, taken before and after the subcommand and set only
+# when given, and for each subcommand its help, the flags of its required
+# group (exactly one of them is given) and its options, in the order --help
+# lists them, as flag: add_argument keywords.  A flag without "--" is a
+# positional.
+_COMMON = {
+    "--catalog": dict(help=f"catalog path (or ${CATALOG_ENV})"),
+    "--json": dict(action="store_true",
+                   help="emit the JSON report instead of text"),
+    "--jobs": dict(type=_int_at_least(1),
+                   help="accepted for compatibility and ignored; "
+                        "every command runs in one process"),
+}
+_COMMANDS = {
+    "profile": ("topological profile of X_0(N)", (),
+                {"level": dict(type=_int)}),
+    "classify": ("difficulty class from the cusp count",
+                 ("--level", "--family"), {
+        "--level": dict(type=_int), "--family": {},
+        "--prime": dict(type=_int_at_least(2),
+                        help="a prime dividing the level")}),
+    "expand": ("q-expansion of an eta quotient", ("--eta", "--family"), {
+        "--eta": dict(help='exponent list like "5:6,1:-6"'),
+        "--family": dict(help="expand a catalog family's generator"),
+        "--terms": dict(type=_int_at_least(1, MAX_EXPAND_TERMS), default=12),
+        "--at-cusp": dict(choices=("infinity", "zero"), default="infinity"),
+        "--level": dict(type=_int_at_least(1),
+                        help="curve level for cusp-zero expansions")}),
+    "verify": ("check a congruence family directly", (), {
+        "--family": dict(required=True),
+        "--alpha": dict(type=_int, required=True),
+        "--nmax": dict(type=_int_at_least(0, MAX_VERIFY_NMAX), required=True),
+        "--beta": dict(type=_int_at_least(1),
+                       help="override the demanded divisibility exponent")}),
+    "reduce": ("express a target over a module basis", (), {
+        "--target": dict(required=True, help="family:NAME:L<d> | eta:SPEC | "
+                                             "poly:c0,c1,... | pole:P"),
+        "--basis": dict(required=True, help="catalog basis name"),
+        "--terms": dict(type=_int_at_least(1, MAX_REDUCE_TERMS), default=40,
+                        help="working truncation in integer q-terms"),
+        "--guard": dict(type=_int_at_least(0), default=DEFAULT_GUARD),
+        "--prime": dict(type=_int_at_least(2),
+                        help="prime for the valuation table")}),
+    "find-eta": ("search for eta quotients by orders", (), {
+        "--level": dict(type=_int, required=True),
+        "--constraints": dict(help='like "1==-1,5>=1"'),
+        "--bound": dict(type=_int, required=True)}),
+}
+
+
+def _fast_parse(argv):
+    """argparse's namespace for argv, read off the table without argparse;
+    or None, to leave argv to argparse, unless argv is common options, a
+    subcommand, then its options, common ones and its positional, each
+    named exactly, once, and each value (but --json's none) one token that
+    does not start with "-" and that its type and choices take."""
+    known, given, command, positional = _COMMON, {}, None, iter(())
+    tokens = iter(argv)
+    for token in tokens:
+        if command is None and token in _COMMANDS:
+            command, (_, group, options) = token, _COMMANDS[token]
+            known = {**_COMMON, **options}
+            positional = (flag for flag in options if not flag.startswith("-"))
+            continue
+        if not token.startswith("-") and (flag := next(positional, None)):
+            value = token
+        elif token.startswith("--") and token in known and token not in given:
+            flag = token
+            if known[flag].get("action"):  # --json takes no value
+                given[flag] = True
+                continue
+            value = next(tokens, "-")  # no value left is declined as "-" is
+            if value.startswith("-"):
+                return None
+        else:
+            return None
+        keywords = known[flag]
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:  # refused: argparse says so in its own words
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if command is None or (group and sum(f in given for f in group) != 1) \
+            or any(flag not in given and (keywords.get("required")
+                                          or not flag.startswith("-"))
+                   for flag, keywords in options.items()):
+        return None
+    space = {flag: keywords.get("default")
+             for flag, keywords in options.items()}
+    space.update(given, command=command)
+    return SimpleNamespace(**{flag.lstrip("-").replace("-", "_"): value
+                              for flag, value in space.items()})
+
+
+@lru_cache(maxsize=1)  # one parser per process, built on first need
+def build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise CatalogError(message)
+
+        def _check_value(self, action, value):  # argparse's, echoing by shown
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                message = (f"invalid choice: {shown(value)} "
+                           f"(choose from {choices})")
+                raise argparse.ArgumentError(action, message)
+
+        def parse_args(self, args=None, namespace=None):
+            args, extras = self.parse_known_args(args, namespace)
+            if extras:
+                self.error(
+                    f"unrecognized arguments: {shown(' '.join(extras))}")
+            return args
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--catalog", default=argparse.SUPPRESS,
-                        help=f"catalog path (or ${CATALOG_ENV})")
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="emit the JSON report instead of text")
-    common.add_argument("--jobs", type=_int_at_least(1),
-                        default=argparse.SUPPRESS,
-                        help="accepted for compatibility and ignored; "
-                             "every command runs in one process")
-    parser = _Parser(
-        prog="cusp-ledger",
-        parents=[common],
-        description="Exact workbench for modular congruence families: "
-                    "curve topology, eta quotients, tower slices, reductions.")
+    for flag, keywords in _COMMON.items():
+        common.add_argument(flag, default=argparse.SUPPRESS, **keywords)
+    parser = _Parser(prog="cusp-ledger", parents=[common], description=(
+        "Exact workbench for modular congruence families: "
+        "curve topology, eta quotients, tower slices, reductions."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    p = add_parser("profile", help="topological profile of X_0(N)")
-    p.add_argument("level", type=_int)
-
-    p = add_parser("classify", help="difficulty class from the cusp count")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--level", type=_int)
-    which.add_argument("--family")
-    p.add_argument("--prime", type=_int_at_least(2),
-                   help="a prime dividing the level")
-
-    p = add_parser("expand", help="q-expansion of an eta quotient")
-    which = p.add_mutually_exclusive_group(required=True)
-    which.add_argument("--eta", help='exponent list like "5:6,1:-6"')
-    which.add_argument("--family", help="expand a catalog family's generator")
-    p.add_argument("--terms", type=_int_at_least(1, MAX_EXPAND_TERMS),
-                   default=12)
-    p.add_argument("--at-cusp", choices=("infinity", "zero"),
-                   default="infinity")
-    p.add_argument("--level", type=_int_at_least(1),
-                   help="curve level for cusp-zero expansions")
-
-    p = add_parser("verify", help="check a congruence family directly")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", type=_int, required=True)
-    p.add_argument("--nmax", type=_int_at_least(0, MAX_VERIFY_NMAX),
-                   required=True)
-    p.add_argument("--beta", type=_int_at_least(1),
-                   help="override the demanded divisibility exponent")
-
-    p = add_parser("reduce", help="express a target over a module basis")
-    p.add_argument("--target", required=True,
-                   help="family:NAME:L<d> | eta:SPEC | poly:c0,c1,... | pole:P")
-    p.add_argument("--basis", required=True, help="catalog basis name")
-    p.add_argument("--terms", type=_int_at_least(1, MAX_REDUCE_TERMS),
-                   default=40,
-                   help="working truncation in integer q-terms")
-    p.add_argument("--guard", type=_int_at_least(0), default=DEFAULT_GUARD)
-    p.add_argument("--prime", type=_int_at_least(2),
-                   help="prime for the valuation table")
-
-    p = add_parser("find-eta", help="search for eta quotients by orders")
-    p.add_argument("--level", type=_int, required=True)
-    p.add_argument("--constraints", help='like "1==-1,5>=1"')
-    p.add_argument("--bound", type=_int, required=True)
+    for name, (text, group, options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=text)
+        one = group and p.add_mutually_exclusive_group(required=True)
+        for flag, keywords in options.items():
+            (one if flag in group else p).add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = (_fast_parse(sys.argv[1:] if argv is None else argv)
+                or build_parser().parse_args(argv))
         args.catalog = getattr(args, "catalog", None)
         args.json = getattr(args, "json", False)
         # looked up per call, so a rebound cmd_* is the one that runs

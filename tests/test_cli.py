@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, JSON schema, text output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -17,7 +19,7 @@ import cusp_ledger
 from cusp_ledger import cli
 from cusp_ledger.cli import main
 from cusp_ledger.curves import divisors
-from cusp_ledger.errors import shown
+from cusp_ledger.errors import CatalogError, shown
 from cusp_ledger.eta import (EtaQuotient, cusp_order_vector, parse_constraints,
                              search_eta_quotients)
 from cusp_ledger.families import shipped_catalog_path
@@ -1116,6 +1118,166 @@ def test_parser_built_once(capsys):
 
     assert run(capsys, "profile", "5")[0] == 0
     assert build_parser() is build_parser()
+
+
+def _argparse_reads(argv) -> dict | None:
+    """vars() of argparse's namespace for argv, or None where argparse
+    refuses it (or, for -h, prints the help and exits)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except (CatalogError, SystemExit):
+        return None
+
+
+def _fast_path_reads(argv) -> bool:
+    """Whether cli._fast_parse reads argv, checking that it reads what
+    argparse reads, and declines whatever argparse refuses."""
+    fast = cli._fast_parse(argv)
+    assert fast is None or vars(fast) == _argparse_reads(argv), argv
+    return fast is not None
+
+
+def test_fast_path_reads_every_corpus_argv_argparse_accepts():
+    declined = [argv for argv in _corpus() if not _fast_path_reads(argv)]
+    # the three sizes one past a work cap, in text and --json: argparse
+    # refuses each in its own words
+    assert len(declined) == 6
+    assert all(_argparse_reads(argv) is None for argv in declined)
+
+
+# one op of each slot shape of the benchmark's workloads (perfbench/
+# workloads.py), anchors included
+WORKLOAD_ARGVS = [
+    ("verify", "--family", "p-5", "--alpha", "3", "--nmax", "20000"),
+    ("verify", "--family", "p-11", "--alpha", "2", "--nmax", "2600"),
+    ("--jobs", "2", "verify", "--family", "p-11", "--alpha", "1",
+     "--nmax", "2551"),
+    ("verify", "--family", "p-7", "--alpha", "2", "--nmax", "2570",
+     "--beta", "3"),
+    ("reduce", "--target", "family:p-5:L2", "--basis", "level-5",
+     "--terms", "300"),
+    ("reduce", "--target", "family:pd-5:L1", "--basis", "level-10",
+     "--terms", "200", "--prime", "5"),
+    ("reduce", "--target", "poly:-3,0,9,2", "--basis", "level-7",
+     "--terms", "100"),
+    ("reduce", "--target", "poly:1,-9,4,-1", "--basis", "demo-genus1",
+     "--terms", "95", "--prime", "7"),
+    ("reduce", "--target", "pole:3", "--basis", "demo-genus1",
+     "--terms", "40"),
+    ("profile", "30"),
+    ("classify", "--level", "30"),
+    ("find-eta", "--level", "30", "--constraints", "1<0", "--bound", "2"),
+    ("--jobs", "2", "find-eta", "--level", "24", "--bound", "2"),
+    ("find-eta", "--level", "12", "--constraints",
+     "1<0,2>=1,3>=1,4>=1,6>=1,12>=1", "--bound", "3"),
+    ("find-eta", "--level", "45", "--constraints", "1==-2", "--bound", "3"),
+    ("find-eta", "--level", "81", "--bound", "3"),
+]
+
+
+@pytest.mark.parametrize("argv", WORKLOAD_ARGVS)
+def test_fast_path_reads_every_workload_op(argv):
+    assert _fast_path_reads(["--json", *argv])
+
+
+# well-formed ops of every option the workloads leave out, each subcommand's
+# options after it in another order
+OTHER_OPS = [
+    ("--catalog", "x.json", "classify", "--family", "p-5", "--prime", "5"),
+    ("expand", "--eta", "5:6,1:-6", "--at-cusp", "zero", "--level", "10",
+     "--terms", "15", "--json"),
+    ("expand", "--family", "p-5", "--jobs", "1", "--at-cusp", "infinity"),
+    ("reduce", "--guard", "3", "--basis", "level-5", "--target", "poly:1"),
+    ("profile", "30", "--json", "--catalog", "x.json"),
+]
+FLAGS = [*cli._COMMON, *sorted({flag for *_, options in cli._COMMANDS.values()
+                                for flag in options})]
+VALUES = ["", "-1", "p-5", "zero", "9" * 5000, "30", "2", "infinity",
+          "level-5", "poly:1,2", "1<0"]
+TOKENS = st.sampled_from([
+    *cli._COMMANDS, *FLAGS, *VALUES, "--lev", "--fam", "--js", "--at",
+    "--level=30", "--family=p-5", "--terms=5", "-h", "--help", "--"])
+
+
+def _pieces(op) -> list[tuple[str, ...]]:
+    """op cut into its pieces: each flag but --json with its value, and
+    each other token alone."""
+    tokens = iter(op)
+    return [(token, next(tokens)) if token.startswith("--")
+            and token != "--json" else (token,) for token in tokens]
+
+
+def _shuffled(op):
+    """The pieces of op, those after its subcommand in a drawn order."""
+    pieces = _pieces(op)
+    at = 1 + next(i for i, piece in enumerate(pieces)
+                  if piece[0] in cli._COMMANDS)
+    return st.permutations(pieces[at:]).map(lambda rest: pieces[:at] + rest)
+
+
+def _joined(pieces) -> list[str]:
+    return [token for piece in pieces for token in piece]
+
+
+def _edited(pieces, at, tokens) -> list[str]:
+    """The argv of pieces, the piece at `at` replaced by tokens (none takes
+    it out); an `at` past the end puts them on."""
+    return _joined([*pieces[:at], tokens, *pieces[at + 1:]])
+
+
+def _revalued(pieces, at, value) -> list[str]:
+    """The argv of pieces, with the last token of the piece at `at` (an
+    option's value, or a token alone) replaced by value."""
+    return _joined([*pieces[:at], (*pieces[at][:-1], value),
+                    *pieces[at + 1:]])
+
+
+WELL_FORMED = st.sampled_from(WORKLOAD_ARGVS + OTHER_OPS).flatmap(_shuffled)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(WELL_FORMED)
+def test_fast_path_reads_well_formed_argv_in_any_order(pieces):
+    assert _fast_path_reads(_joined(pieces))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(_edited, WELL_FORMED, st.integers(0, 8), st.one_of(
+        st.lists(TOKENS, max_size=2),
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)))),
+    WELL_FORMED.flatmap(lambda pieces: st.builds(
+        _revalued, st.just(pieces), st.integers(0, len(pieces) - 1),
+        st.sampled_from(VALUES))),
+    # pieces of a command line in any order
+    st.lists(st.one_of(
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+        st.tuples(TOKENS)), max_size=9).map(_joined)))
+def test_fast_path_reads_drawn_argv_as_argparse(argv):
+    _fast_path_reads(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--lev", "30"],
+    ["classify", "--level=30"],
+    ["profile", "--", "30"],
+    ["verify", "--family", "p-5", "--alpha", "-1", "--nmax", "5"],
+    ["profile", "30", "--json", "--json"],
+    ["--catalog", "a.json", "profile", "30", "--catalog", "b.json"],
+    ["profile", "-5"],
+])
+def test_fast_path_leaves_other_spellings_to_argparse(argv):
+    # argparse reads each of these; the fast path reads none
+    assert cli._fast_parse(argv) is None and _argparse_reads(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "30", "classify", "--level", "5"],
+    ["classify", "--level", "5", "profile", "5"],
+])
+def test_fast_path_reads_one_subcommand_only(argv):
+    assert not _fast_path_reads(argv)
 
 
 def _edited_catalog(tmp_path, keys, value):

@@ -1,9 +1,11 @@
 """A command imports only what it uses.
 
 Every CLI command is its own process, so what `import cusp_ledger.cli`
-pulls in is paid on every run.  A fresh `python -I` imports the cli and
-loads the shipped catalog, as each command does, and must not load a
-module of UNUSED that a bare interpreter does not load already.  The check
+pulls in is paid on every run.  A fresh `python -I` imports the cli,
+loads the shipped catalog and runs a well-formed command, as each command
+does, and must not load a module of UNUSED that a bare interpreter does not
+load already: argparse (and gettext with it) is imported only for an argv
+that the cli's own reader leaves to it.  The check
 runs under `-I -S` as well, since a `site` hook may preload a module
 (`typing`, say) and so hide the package's own import of it.  The
 package is imported from wherever this process found it: src/ in the
@@ -17,15 +19,18 @@ from pathlib import Path
 import cusp_ledger
 
 UNUSED = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect",
-          "typing")
+          "typing", "argparse", "gettext")
 
 LOADED = """\
-import sys
+import os, sys
 if sys.argv[2] == "cli":
     sys.path.insert(0, sys.argv[1])
     import cusp_ledger.cli
     from cusp_ledger.families import catalog_load, shipped_catalog_path
     catalog_load(shipped_catalog_path())
+    stdout, sys.stdout = sys.stdout, open(os.devnull, "w")
+    assert cusp_ledger.cli.main(["--json", "profile", "30"]) == 0
+    sys.stdout = stdout
 print("\\n".join(sys.modules))
 """
 

@@ -61,6 +61,7 @@ TARGETS = (
     ("eta", "cusp_order_bounds"),
     ("eta", "require_on_gamma0"),
     ("cli", "_find_eta_results"),
+    ("cli", "_fast_parse"),
     ("curves", "curve_profile"),
     ("curves", "cusp_count"),
     ("curves", "enumerate_cusps"),
