@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from .curves import Record, curve_profile
@@ -97,23 +97,19 @@ class FamilySpec(Record):
                "schedule", "prefactors", "multipliers", "tower_identities")
 
     def validate(self) -> None:
-        if self.level < 1:
-            raise FamilyError(f"family {self.name}: level must be an integer "
-                              f">= 1, got {self.level}")
         if not is_prime(self.prime):
             raise FamilyError(f"family {self.name}: {self.prime} is not prime")
-        if self.level % self.prime != 0:
+        # the family's curve is X_0(lcm(M, ell)), read off its data
+        level = lcm(self.generator.level, self.prime)
+        if self.level != level:
             raise FamilyError(
-                f"family {self.name}: prime {self.prime} does not divide "
-                f"level {self.level}")
+                f"family {self.name}: level must be lcm(generator level "
+                f"{self.generator.level}, prime {self.prime}) = {level}, "
+                f"got {self.level}")
         if gcd(self.lam, self.prime) != 1:
             raise FamilyError(
                 f"family {self.name}: lam {self.lam} shares a factor with "
                 f"the prime {self.prime}")
-        if self.level % self.generator.level != 0:
-            raise FamilyError(
-                f"family {self.name}: generator level {self.generator.level} "
-                f"does not divide curve level {self.level}")
         for a, step in self.schedule.items():
             if a < 1 or step.modulus_exponent < 1 or step.beta < 1:
                 raise FamilyError(

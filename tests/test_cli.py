@@ -1573,16 +1573,24 @@ P5_ENTRY = json.loads(shipped_catalog_path().read_text())["families"][0]
      ":families[0]: missing field 'prime'"),
     (("families", 0, "prime"), 4, ":families[0]: family p-5: 4 is not prime"),
     (("families", 0, "prime"), 7,
-     ":families[0]: family p-5: prime 7 does not divide level 5"),
+     ":families[0]: family p-5: level must be lcm(generator level 1, "
+     "prime 7) = 7, got 5"),
     (("families", 0, "generator", "M"), 7,
-     ":families[0]: family p-5: generator level 7 does not divide curve "
-     "level 5"),
+     ":families[0]: family p-5: level must be lcm(generator level 7, "
+     "prime 5) = 35, got 5"),
     (("families", 2, "level"), 0,
-     ":families[2]: family p-11: level must be an integer >= 1, got 0"),
+     ":families[2]: family p-11: level must be lcm(generator level 1, "
+     "prime 11) = 11, got 0"),
     (("families", 2, "level"), -55,
-     ":families[2]: family p-11: level must be an integer >= 1, got -55"),
+     ":families[2]: family p-11: level must be lcm(generator level 1, "
+     "prime 11) = 11, got -55"),
+    # a multiple of the family's level, which 5 and the generator's level 1
+    # divide, is still not the level of its curve
+    *((("families", 0, "level"), level,
+       f":families[0]: family p-5: level must be lcm(generator level 1, "
+       f"prime 5) = 5, got {level}") for level in (10, 25, 35)),
 ], ids=["no-prime", "prime-4", "prime-off-level", "generator-off-level",
-        "level-0", "level-negative"])
+        "level-0", "level-negative", "level-10", "level-25", "level-35"])
 def test_catalog_family_refused_at_load(tmp_path, capsys, keys, value, want):
     path = _edited_catalog(tmp_path, keys, value)
     assert _verify_p5(capsys, path) == (2, "", f"error: {path}{want}\n")

@@ -789,7 +789,8 @@ def test_catalog_rejects_prime_not_dividing_level():
         "prime": 3, "lam": 24, "level": 5, "schedule": {}}]}
     with pytest.raises(CatalogError) as err:
         catalog_loads(json.dumps(doc))
-    assert "does not divide" in str(err.value)
+    assert "level must be lcm(generator level 1, prime 3) = 3, got 5" \
+        in str(err.value)
 
 
 def test_catalog_rejects_bad_json():
