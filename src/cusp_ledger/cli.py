@@ -471,11 +471,11 @@ _COMMANDS = {
 
 
 def _fast_parse(argv):
-    """argparse's namespace for argv, read off the table without argparse;
-    or None, to leave argv to argparse, unless argv is common options, a
-    subcommand, then its options, common ones and its positional, each
-    named exactly, once, and each value (but --json's none) one token that
-    does not start with "-" and that its type and choices take."""
+    """argparse's namespace for argv, read off the option table, where argv
+    is common options, the exact subcommand, then its options, common ones
+    and positional, each named in full and once, each option's value
+    (--json takes none) one token not starting with "-" that its type and
+    choices take; None for any other argv, for argparse to read or refuse."""
     known, given, command, positional = _COMMON, {}, None, iter(())
     tokens = iter(argv)
     for token in tokens:
@@ -547,9 +547,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, group, options) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=text)
-        one = group and p.add_mutually_exclusive_group(required=True)
+        which = group and p.add_mutually_exclusive_group(required=True)
         for flag, keywords in options.items():
-            (one if flag in group else p).add_argument(flag, **keywords)
+            (which if flag in group else p).add_argument(flag, **keywords)
     return parser
 
 
