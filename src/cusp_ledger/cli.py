@@ -108,8 +108,7 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
         raise CatalogError(
             f"bad eta spec {shown(text)}: exponents of absolute sum {weight}, "
             f"want at most {MAX_ETA_WEIGHT} (the work cap)")
-    level = lcm(*exponents.keys()) if exponents else 1
-    return EtaQuotient(level, exponents)
+    return EtaQuotient(lcm(*exponents), exponents)
 
 
 class _Verbatim(str):

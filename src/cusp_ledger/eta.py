@@ -46,10 +46,6 @@ class EtaQuotient(Value):
         return self
 
     @property
-    def r(self) -> dict[int, int]:
-        return dict(self.exponents)
-
-    @property
     def degree24(self) -> int:
         """Leading exponent at infinity in 1/24 units: sum of delta * r_delta."""
         return sum(d * r for d, r in self.exponents)
@@ -131,7 +127,7 @@ def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
 
 def _over_divisors(f: EtaQuotient, ds) -> list[int]:
     """f's exponent vector as one entry per divisor in ds, zeros included."""
-    exps = f.r
+    exps = dict(f.exponents)
     return [exps.get(d, 0) for d in ds]
 
 

@@ -27,7 +27,6 @@ from .errors import (
     FamilyError,
     InternalInconsistencyError,
     SeriesError,
-    TruncationError,
     shown,
 )
 from .eta import (
@@ -189,10 +188,9 @@ def coefficient_series(spec: FamilySpec, n_max: int) -> QSeries:
     leading power q^(degree24/24) stripped, so exponent n carries a(n)
     exactly as the congruence reads them.
     """
-    if n_max < 0:
-        raise TruncationError(
-            "truncation too small to hold one term of the expansion")
-    return pochhammer_product(spec.generator.exponents, 24 * (n_max + 1))
+    g = spec.generator
+    return expand_at_infinity(g, g.degree24 + 24 * (n_max + 1)).shift(
+        -g.degree24)
 
 
 def _check_tower_size(depth: int, terms: int) -> None:
@@ -317,7 +315,7 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
 
 def _ray_multiple(f: EtaQuotient, base: EtaQuotient) -> int:
     """k >= 1 with f = base^k, every exponent k times base's; else 0."""
-    k = next((f.r.get(d, 0) // r for d, r in base.exponents[:1]), 0)
+    k = next((dict(f.exponents).get(d, 0) // r for d, r in base.exponents), 0)
     return k if k >= 1 and f.exponents == tuple(
         (d, k * r) for d, r in base.exponents) else 0
 
