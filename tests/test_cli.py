@@ -453,6 +453,22 @@ def test_reduce_constant_past_the_window_refused(capsys):
                               "q^(24/24)\n")
 
 
+def _edited_catalog(tmp_path, keys, value):
+    """The shipped catalog with doc[keys[0]][keys[1]]... set to value, or,
+    for a callable value, edited in place by value(that node)."""
+    doc = json.loads(shipped_catalog_path().read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    if callable(value):
+        value(node[keys[-1]])
+    else:
+        node[keys[-1]] = value
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("field, value, where", [
     ("ys", [None], "ys[0]"),
     ("ys", [5], "ys[0]"),
@@ -463,14 +479,10 @@ def test_reduce_constant_past_the_window_refused(capsys):
 ])
 def test_malformed_catalog_companion_is_usage_error(tmp_path, capsys, field,
                                                     value, where):
-    from cusp_ledger.families import shipped_catalog_path
-
-    doc = json.loads(shipped_catalog_path().read_text())
     basis = {"name": "b", "level": 5,
              "x": {"eta": {"M": 5, "r": {"5": 6, "1": -6}}}, field: value}
-    doc["bases"].append(basis)
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(doc))
+    path = _edited_catalog(tmp_path, ("bases",),
+                           lambda bases: bases.append(basis))
     code, out, err = run(capsys, "--catalog", str(path), "reduce",
                          "--target", "poly:1,1", "--basis", "b")
     assert (code, out) == (2, "")
@@ -491,13 +503,7 @@ def test_non_object_catalog_family_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("level", ["five", True, 0, -5, 5.0, None])
 def test_catalog_basis_level_checked_at_load(tmp_path, capsys, level):
     # "five" used to load and then end as "internal error: TypeError"
-    from cusp_ledger.families import shipped_catalog_path
-
-    doc = json.loads(shipped_catalog_path().read_text())
-    assert doc["bases"][0]["name"] == "level-5"
-    doc["bases"][0]["level"] = level
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(doc))
+    path = _edited_catalog(tmp_path, ("bases", 0, "level"), level)
     code, out, err = run(capsys, "--catalog", str(path), "reduce", "--target",
                          "poly:1,1", "--basis", "level-5", "--terms", "20")
     assert (code, out) == (2, "")
@@ -1073,16 +1079,9 @@ def test_global_flags_after_subcommand(capsys):
 def test_corrupted_identity_is_internal_inconsistency(tmp_path, capsys):
     # a recorded tower identity that disagrees with the sliced construction
     # is shipped-data corruption: exit 3, never a silent wrong answer
-    import json as _json
-    from cusp_ledger.families import shipped_catalog_path
-
-    doc = _json.loads(shipped_catalog_path().read_text())
-    for fam in doc["families"]:
-        if fam["name"] == "p-5":
-            fam["tower_identities"]["1"][0]["scale"] = "6"
-    bad = tmp_path / "corrupt.json"
-    bad.write_text(_json.dumps(doc))
-    code, _, err = run(capsys, "--catalog", str(bad), "reduce",
+    path = _edited_catalog(
+        tmp_path, ("families", 0, "tower_identities", "1", 0, "scale"), "6")
+    code, _, err = run(capsys, "--catalog", str(path), "reduce",
                        "--target", "family:p-5:L1", "--basis", "level-5")
     assert code == 3
     assert "internal inconsistency" in err
@@ -1280,18 +1279,6 @@ def test_fast_path_reads_one_subcommand_only(argv):
     assert not _fast_path_reads(argv)
 
 
-def _edited_catalog(tmp_path, keys, value):
-    """The shipped catalog with doc[keys[0]][keys[1]]... set to value."""
-    doc = json.loads(shipped_catalog_path().read_text())
-    node = doc
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(doc))
-    return path
-
-
 def _verify_p5(capsys, path):
     return run(capsys, "--catalog", str(path), "verify", "--family", "p-5",
                "--alpha", "1", "--nmax", "50")
@@ -1384,11 +1371,8 @@ def test_catalog_basis_pole_orders_checked_at_load(tmp_path, capsys, basis,
     # each used to load, so every other command accepted the catalog, and
     # failed only when the basis was built: without the catalog path or the
     # basis, or (no level) as "internal error: TypeError", exit 3
-    doc = json.loads(shipped_catalog_path().read_text())
-    index = [b["name"] for b in doc["bases"]].index(basis)
-    edit(doc["bases"][index])
-    path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(doc))
+    index = ["level-5", "level-7", "level-10", "demo-genus1"].index(basis)
+    path = _edited_catalog(tmp_path, ("bases", index), edit)
     refused = (2, "", f"error: {path}:bases[{index}]: {want}\n")
     assert run(capsys, "--catalog", str(path), "reduce", "--target",
                "poly:1,2", "--basis", basis) == refused
