@@ -24,6 +24,7 @@ from .errors import (
     CatalogError,
     CuspLedgerError,
     GapError,
+    IdentityMismatchError,
     InternalInconsistencyError,
     ReductionError,
     shown,
@@ -82,8 +83,7 @@ def __getattr__(name):
 
 
 def _load_catalog(args) -> Catalog:
-    path = args.catalog or os.environ.get(CATALOG_ENV) or shipped_catalog_path()
-    return catalog_load(path)
+    return catalog_load(args.catalog or shipped_catalog_path())
 
 
 def _parse_eta_spec(text: str) -> EtaQuotient:
@@ -264,8 +264,13 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
             raise CatalogError(f"family {name} lives on X_0({spec.level}), "
                                f"not on the curve of basis {basis_entry.name}")
         powers = {}
-        chart, orders = certified_identity_chart(spec, depth, trunc24 // 24,
-                                                 powers)
+        try:
+            chart, orders = certified_identity_chart(
+                spec, depth, trunc24 // 24, powers)
+        except IdentityMismatchError as exc:
+            if not args.catalog:  # the shipped catalog is wrong: a bug
+                raise
+            raise CatalogError(f"{args.catalog}: {exc}") from None
         return chart, orders, spec.prime, basis_entry.build(trunc24, powers)
     basis = basis_entry.build(trunc24)
     if target.startswith("eta:"):
@@ -556,7 +561,9 @@ def main(argv=None) -> int:
     try:
         args = (_fast_parse(sys.argv[1:] if argv is None else argv)
                 or build_parser().parse_args(argv))
-        args.catalog = getattr(args, "catalog", None)
+        # the catalog the user names, or None for the shipped one
+        args.catalog = (getattr(args, "catalog", None)
+                        or os.environ.get(CATALOG_ENV))
         args.json = getattr(args, "json", False)
         # looked up per call, so a rebound cmd_* is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)

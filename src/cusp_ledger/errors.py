@@ -66,3 +66,8 @@ class CatalogError(CuspLedgerError):
 
 class InternalInconsistencyError(CuspLedgerError):
     """Two code paths that must agree did not; signals a bug, never bad input."""
+
+
+class IdentityMismatchError(InternalInconsistencyError):
+    """A recorded tower identity disagrees with the sliced construction: a
+    bug in the shipped catalog, bad input in one the user names."""

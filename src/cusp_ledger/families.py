@@ -25,7 +25,7 @@ from .errors import (
     CuspLedgerError,
     ExactnessError,
     FamilyError,
-    InternalInconsistencyError,
+    IdentityMismatchError,
     SeriesError,
     shown,
 )
@@ -337,8 +337,7 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
     own plan.  A given dict `powers` receives the table under (Q, level),
     for BasisEntry.build to read.
 
-    A mismatch means the shipped catalog is wrong, which is an internal
-    inconsistency, not a user error.
+    A mismatch raises IdentityMismatchError: the catalog is wrong.
     """
     direct = tower_series_direct(spec, depth, IDENTITY_CHECK_TERMS)
     identity = spec.tower_identities.get(depth)
@@ -350,7 +349,7 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
         recorded = recorded + expand_at_infinity(
             term.quotient, 24 * IDENTITY_CHECK_TERMS).scaled(term.scale)
     if not direct.agrees_with(recorded):
-        raise InternalInconsistencyError(
+        raise IdentityMismatchError(
             f"family {spec.name}: recorded depth-{depth} identity disagrees "
             f"with the sliced construction")
     trunc24 = 24 * terms

@@ -1076,15 +1076,32 @@ def test_global_flags_after_subcommand(capsys):
     assert json.loads(out)["difficulty_class"] == "NoSystematicMethods"
 
 
-def test_corrupted_identity_is_internal_inconsistency(tmp_path, capsys):
-    # a recorded tower identity that disagrees with the sliced construction
-    # is shipped-data corruption: exit 3, never a silent wrong answer
-    path = _edited_catalog(
-        tmp_path, ("families", 0, "tower_identities", "1", 0, "scale"), "6")
-    code, _, err = run(capsys, "--catalog", str(path), "reduce",
-                       "--target", "family:p-5:L1", "--basis", "level-5")
-    assert code == 3
-    assert "internal inconsistency" in err
+_MISMATCH = ("family p-5: recorded depth-1 identity disagrees with the "
+             "sliced construction\n")
+_P5_L1 = ["reduce", "--target", "family:p-5:L1", "--basis", "level-5"]
+_P5_L1_SCALE = ("families", 0, "tower_identities", "1", 0, "scale")
+
+
+def test_corrupted_identity_in_named_catalog_is_usage_error(tmp_path, capsys,
+                                                            monkeypatch):
+    # a recorded tower identity that disagrees with the sliced construction,
+    # in a catalog named by the flag or the environment, is bad input: exit
+    # 2, naming the file, never a silent wrong answer
+    path = _edited_catalog(tmp_path, _P5_L1_SCALE, "6")
+    want = (2, "", f"error: {path}: {_MISMATCH}")
+    assert run(capsys, "--catalog", str(path), *_P5_L1) == want
+    monkeypatch.setenv("CUSP_LEDGER_CATALOG", str(path))
+    assert run(capsys, *_P5_L1) == want
+
+
+def test_corrupted_shipped_identity_is_internal_inconsistency(tmp_path, capsys,
+                                                              monkeypatch):
+    # the same corruption in the catalog read by default is a bug: exit 3
+    path = _edited_catalog(tmp_path, _P5_L1_SCALE, "6")
+    monkeypatch.setattr(cli, "shipped_catalog_path", lambda: path)
+    monkeypatch.delenv("CUSP_LEDGER_CATALOG", raising=False)
+    assert run(capsys, *_P5_L1) == (3, "", f"internal inconsistency: "
+                                           f"{_MISMATCH}")
 
 
 def test_expand_nonpositive_delta_refused(capsys):
