@@ -263,9 +263,46 @@ def test_tower_recursive_trivial_family_matches_u_iteration():
     assert recursive.agrees_with(direct)
 
 
+@pytest.mark.parametrize("qpow, asked", [(6, 1), (1, 5), (-1, 7)])
+def test_tower_recursive_asks_l1_for_the_exact_chain(monkeypatch, qpow, asked):
+    # L_2 = U_3(q^qpow * L_1) to 2 terms reads L_1 to 3 * 2 - qpow terms, at
+    # least 1: with a toy family whose L_1 starts at q^0, one term less of
+    # the product (or of L_1) leaves U_3 one term short
+    spec = FamilySpec(
+        name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
+        target_residue=1, schedule={}, prefactors={1: PochhammerProduct(0, ())},
+        multipliers={1: PochhammerProduct(qpow, ())}, tower_identities={})
+    series = QSeries({24 * n: n * n + 1 for n in range(200)}, 24 * 200)
+    level1 = tower_series_direct(spec, 1, 20, series=series)
+    lengths = []
+
+    def spy(spec, depth, terms, series=None):
+        lengths.append(terms)
+        return level1.truncate(24 * terms)
+    monkeypatch.setattr(families, "tower_series_direct", spy)
+    got = tower_series_recursive(spec, 2, 2, series=series)
+    assert lengths == [asked]
+    assert got == level1.shift(24 * qpow).u_operator(3).truncate(48)
+
+
+def test_tower_recursive_refuses_a_chain_left_short():
+    # a prefactor q^-1 starts L_1 at q^-1, so its product with the
+    # multiplier q is known one term less than the chain counts on, and
+    # U_3 leaves L_2 one term short of the 24 asked
+    spec = FamilySpec(
+        name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
+        target_residue=1, schedule={}, prefactors={1: PochhammerProduct(-1, ())},
+        multipliers={1: PochhammerProduct(1, ())}, tower_identities={})
+    series = QSeries({24 * n: n * n + 1 for n in range(400)}, 24 * 400)
+    with pytest.raises(FamilyError, match="family toy: recursive tower at "
+                                          "depth 2 ran out of truncation"):
+        tower_series_recursive(spec, 2, 24, series=series)
+
+
 def test_tower_missing_multiplier(catalog):
     spec = catalog.family("pd-5")
-    with pytest.raises(FamilyError):
+    with pytest.raises(FamilyError, match="no multiplier recorded for step "
+                                          "1 -> 2; recursive construction"):
         tower_series_recursive(spec, 2, 4)
 
 

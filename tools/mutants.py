@@ -1,7 +1,8 @@
 """Mutation sweep over the series kernel, the reduction engine, the
 cusp orders and their bounds, the Gamma_0(N) conditions and refusal,
 find-eta's rendering, the cusps, elliptic points and genus of X_0(N), and
-the classification and verification of congruence families.
+the classification, verification, coefficient series, recursive tower and
+identity-chart powers of congruence families.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -19,7 +20,7 @@ not run: no input the program passes tells it from the original.
 one mutant, so the list follows the code it describes.  A sweep exits 1
 when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
 run of its module's tests (about 17 s on a 2-CPU x86-64 box when it
-survives), and all of TARGETS took about 42 min there, summed over the
+survives), and all of TARGETS took about 48 min there, summed over the
 sweeps that added them, so the sweep is not part of the test suite.
 """
 
@@ -70,6 +71,9 @@ TARGETS = (
     ("families", "classify"),
     ("families", "verify_congruence"),
     ("eta", "validate_on_gamma0"),
+    ("families", "coefficient_series"),
+    ("families", "_ray_multiple"),
+    ("families", "tower_series_recursive"),
 )
 
 # the tests run against a mutant of each module
@@ -121,6 +125,14 @@ _GENUS = ("the genus of a curve is never negative, so at no level does the "
           "raise fire on either test")
 _SAME_MIN = ("a valuation equal to the least so far leaves it as it was, "
              "whether or not it is stored again")
+_NO_RAY = ("f without the first divisor of base is no k-th power of base "
+           "for any k, so the exponent check returns 0")
+_TRIVIAL_BASE = ("the default is read only for the trivial base, and then "
+                 "k = 1 only for a trivial term, whose table entry is the "
+                 "chart it gets without one; no basis x is trivial, so no "
+                 "basis reads the table")
+_RAY = ("k = next((dict(f.exponents).get(d, 0) // r for d, r in "
+        "base.exponents), 0)")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -278,6 +290,21 @@ EQUIVALENT = (
      "min_val is None or v < min_val",
      "min_val is None or v <= min_val",
      _SAME_MIN),
+    *(("families", "_ray_multiple", _RAY, _RAY.replace(old, new), why)
+      for old, new, why in (
+          ("get(d, 0)", "get(d, 1)", _NO_RAY),
+          ("get(d, 0)", "get(d, -1)", _NO_RAY),
+          ("exponents), 0)", "exponents), 1)", _TRIVIAL_BASE),
+          ("exponents), 0)", "exponents), -1)",
+           "the default is read only for the trivial base, and a k of -1 "
+           "returns 0, as 0 does"))),
+    ("families", "_ray_multiple",
+     "return k if k >= 1 and f.exponents == tuple(((d, k * r) for d, r in "
+     "base.exponents)) else 0",
+     "return k if k >= 0 and f.exponents == tuple(((d, k * r) for d, r in "
+     "base.exponents)) else 0",
+     "k = 0 passes the exponent check only for a trivial f and base, and "
+     "then returns 0 either way"),
 )
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
