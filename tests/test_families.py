@@ -270,7 +270,8 @@ def test_tower_recursive_asks_l1_for_the_exact_chain(monkeypatch, qpow, asked):
     # the product (or of L_1) leaves U_3 one term short
     spec = FamilySpec(
         name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
-        target_residue=1, schedule={}, prefactors={1: PochhammerProduct(0, ())},
+        target_residue=1, schedule={},
+        prefactors={1: PochhammerProduct(0, ())},
         multipliers={1: PochhammerProduct(qpow, ())}, tower_identities={})
     series = QSeries({24 * n: n * n + 1 for n in range(200)}, 24 * 200)
     level1 = tower_series_direct(spec, 1, 20, series=series)
@@ -291,7 +292,8 @@ def test_tower_recursive_refuses_a_chain_left_short():
     # U_3 leaves L_2 one term short of the 24 asked
     spec = FamilySpec(
         name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
-        target_residue=1, schedule={}, prefactors={1: PochhammerProduct(-1, ())},
+        target_residue=1, schedule={},
+        prefactors={1: PochhammerProduct(-1, ())},
         multipliers={1: PochhammerProduct(1, ())}, tower_identities={})
     series = QSeries({24 * n: n * n + 1 for n in range(400)}, 24 * 400)
     with pytest.raises(FamilyError, match="family toy: recursive tower at "
