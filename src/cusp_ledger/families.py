@@ -227,18 +227,27 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
 def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
                            series: QSeries | None = None) -> QSeries:
     """L_depth by the operator route: L_1 directly, then multiplier-then-U_ell
-    steps.  U_ell keeps floor(trunc/ell) terms and a multiplier's product is
-    known qpow terms past its level, so L_j gets ell*needed - qpow (>= 1).
+    steps.  U_ell keeps floor(trunc/ell) terms, and a multiplier's product
+    with L_j is known qpow + min(v, 0) terms past L_j's truncation, v the
+    lowest exponent L_j can start at; so L_j gets ell*needed less that
+    (>= 1).
     """
     _check_tower_size(depth, terms)
-    needed = [terms]
     for j in range(depth - 1, 0, -1):
-        mult = spec.multipliers.get(j)
-        if mult is None:
+        if j not in spec.multipliers:
             raise FamilyError(
                 f"family {spec.name}: no multiplier recorded for step "
                 f"{j} -> {j + 1}; recursive construction unavailable")
-        needed.append(max(needed[-1] * spec.prime - mult.qpow, 1))
+    mults = [spec.multipliers[j] for j in range(1, depth)]
+    # v: L_1 starts no lower than its prefactor, a step shifts by the
+    # multiplier's qpow, and U_ell divides the exponents by ell
+    lead = [phi.qpow if (phi := spec.prefactors.get(1)) else 0]
+    for mult in mults[:-1]:
+        lead.append(-(-(lead[-1] + mult.qpow) // spec.prime))
+    needed = [terms]
+    for mult, v in zip(mults[::-1], lead[::-1]):
+        known = 0 if mult.is_one() else mult.qpow + min(v, 0)
+        needed.append(max(needed[-1] * spec.prime - known, 1))
     needed.reverse()  # needed[j-1] = terms required of L_j
     level = tower_series_direct(spec, 1, needed[0], series=series)
     for j in range(1, depth):
@@ -246,10 +255,6 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
         if not mult.is_one():
             level = mult.expand(level.trunc24 + 24 * mult.qpow) * level
         level = level.u_operator(spec.prime)
-    if level.trunc24 < 24 * terms:
-        raise FamilyError(
-            f"family {spec.name}: recursive tower at depth {depth} ran out "
-            f"of truncation")
     return level.truncate(24 * terms)
 
 
@@ -555,8 +560,8 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
 
 
 def catalog_load(path: str | Path) -> Catalog:
-    path = Path(path)
-    text = _parsed(f"cannot read catalog {path}", path.read_text)
+    """The catalog in a file, named in every refusal as the path is given."""
+    text = _parsed(f"cannot read catalog {path}", Path(path).read_text)
     return catalog_loads(text, source=str(path))
 
 

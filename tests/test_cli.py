@@ -184,11 +184,20 @@ EXPAND_DIGESTS = [
     (["--eta", "1:-6,2:2,5:-2,10:6", "--at-cusp", "zero", "--level", "10",
       "--terms", "30"],
      "fcb2085f1bdbc39e45a3f5399343c19b0de0cdd4dcdf107278b9ed232d078ec4"),
+    # the division kernel's C path: Euler's series, Gauss's psi, and
+    # Jacobi's series, whose weights keep every segment in Python
+    (["--eta", "1:-1", "--terms", "20000"],
+     "4b3f563efbf62b8c70e03067367cfb029cc991ea37a3f77dcd2528c6baa1cb0d"),
+    (["--eta", "1:1,2:-2", "--terms", "3000"],
+     "e5634c02d2fcd0a30ba86c6b40dd523e109cf316cd8368ff3608a7f464f245d6"),
+    (["--eta", "1:-3", "--terms", "3000"],
+     "111d01528bbff8e3c9024f368c45fe81a91174e1a4fa444e30172abb6a283837"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", EXPAND_DIGESTS,
-                         ids=["infinity", "zero-level-5", "zero-level-10"])
+                         ids=["infinity", "zero-level-5", "zero-level-10",
+                              "euler-20000", "psi-3000", "jacobi-3000"])
 def test_expand_output_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, "--json", "expand", *argv)
     assert (code, err) == (0, "")
@@ -1102,6 +1111,25 @@ def test_corrupted_shipped_identity_is_internal_inconsistency(tmp_path, capsys,
     monkeypatch.delenv("CUSP_LEDGER_CATALOG", raising=False)
     assert run(capsys, *_P5_L1) == (3, "", f"internal inconsistency: "
                                            f"{_MISMATCH}")
+
+
+def test_catalog_refusals_spell_the_path_as_given(tmp_path, capsys,
+                                                  monkeypatch):
+    # a load error, a wrong identity and an unreadable file all name the
+    # catalog as typed, not as pathlib would respell it
+    monkeypatch.chdir(tmp_path)
+    _edited_catalog(tmp_path, ("families", 2, "level"), 0)
+    code, out, err = run(capsys, "--catalog", ".//catalog.json", "classify",
+                         "--family", "p-11")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: .//catalog.json:families[2]: family p-11: "
+                          "level must be")
+    _edited_catalog(tmp_path, _P5_L1_SCALE, "6")
+    assert run(capsys, "--catalog", ".//catalog.json", *_P5_L1) == (
+        2, "", f"error: .//catalog.json: {_MISMATCH}")
+    code, _, err = run(capsys, "--catalog", ".//nope//x.json", *_P5_L1)
+    assert code == 2
+    assert err.startswith("error: cannot read catalog .//nope//x.json: ")
 
 
 def test_expand_nonpositive_delta_refused(capsys):

@@ -286,19 +286,40 @@ def test_tower_recursive_asks_l1_for_the_exact_chain(monkeypatch, qpow, asked):
     assert got == level1.shift(24 * qpow).u_operator(3).truncate(48)
 
 
-def test_tower_recursive_refuses_a_chain_left_short():
+def test_tower_recursive_sizes_a_chain_below_q0():
     # a prefactor q^-1 starts L_1 at q^-1, so its product with the
-    # multiplier q is known one term less than the chain counts on, and
-    # U_3 leaves L_2 one term short of the 24 asked
+    # multiplier q is known one term less past L_1's truncation; the chain
+    # asks one more term of L_1, and L_2 = U_3(sum a(3n+1) q^n) comes out
+    # with the 24 terms asked
     spec = FamilySpec(
         name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
         target_residue=1, schedule={},
         prefactors={1: PochhammerProduct(-1, ())},
         multipliers={1: PochhammerProduct(1, ())}, tower_identities={})
     series = QSeries({24 * n: n * n + 1 for n in range(400)}, 24 * 400)
-    with pytest.raises(FamilyError, match="family toy: recursive tower at "
-                                          "depth 2 ran out of truncation"):
-        tower_series_recursive(spec, 2, 24, series=series)
+    got = tower_series_recursive(spec, 2, 24, series=series)
+    assert got == QSeries({24 * m: (9 * m + 1) ** 2 + 1 for m in range(24)},
+                          24 * 24)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_tower_recursive_follows_the_lead_down_the_chain(depth):
+    # multipliers q^-3 and q^-5 take L_2 and L_3 below q^0 (L_d is
+    # q^p_d sum a(3^d n + 1) q^n, p = 0, -1, -2, 0), so each step's product
+    # is known fewer terms past L_j's truncation than qpow alone says; the
+    # recursive route must still match the direct one term for term
+    spec = FamilySpec(
+        name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
+        target_residue=1, schedule={},
+        prefactors={1: PochhammerProduct(0, ()), 2: PochhammerProduct(-1, ()),
+                    3: PochhammerProduct(-2, ()), 4: PochhammerProduct(0, ())},
+        multipliers={1: PochhammerProduct(-3, ()),
+                     2: PochhammerProduct(-5, ()),
+                     3: PochhammerProduct(2, ())}, tower_identities={})
+    series = QSeries({24 * n: n * n + 1 for n in range(3000)}, 24 * 3000)
+    got = tower_series_recursive(spec, depth, 24, series=series)
+    assert got == tower_series_direct(spec, depth, 24, series=series)
+    assert got.trunc24 == 24 * 24
 
 
 def test_tower_missing_multiplier(catalog):
@@ -306,6 +327,17 @@ def test_tower_missing_multiplier(catalog):
     with pytest.raises(FamilyError, match="no multiplier recorded for step "
                                           "1 -> 2; recursive construction"):
         tower_series_recursive(spec, 2, 4)
+
+
+def test_tower_missing_multiplier_below_the_top():
+    # step 2 -> 3 is recorded and step 1 -> 2 is not
+    spec = FamilySpec(
+        name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
+        target_residue=1, schedule={}, prefactors={1: PochhammerProduct(0, ())},
+        multipliers={2: PochhammerProduct(0, ())}, tower_identities={})
+    with pytest.raises(FamilyError, match="no multiplier recorded for step "
+                                          "1 -> 2; recursive construction"):
+        tower_series_recursive(spec, 3, 4)
 
 
 # -- verification -----------------------------------------------------------------

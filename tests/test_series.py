@@ -18,7 +18,9 @@ from cusp_ledger.series import (
     QSeries,
     _kronecker,
     _norm,
+    _divide_out,
     _pack,
+    _scatter,
     _series_terms,
     pochhammer_expansion,
     parse_rational,
@@ -29,12 +31,14 @@ from cusp_ledger.series import (
 
 from oracles import (
     THETA_SHAPES,
+    _divide_pochhammer,
     binomial_inverse_power,
     colored_partition_counts,
     distinct_partition_counts,
     elongated_diamond_counts,
     greedy_theta_factors,
     partition_counts,
+    pentagonal_terms,
     pochhammer_by_passes,
     poly_mul,
     product_expansion,
@@ -284,6 +288,91 @@ def test_pochhammer_product_matches_reference_kernel(exponents, trunc24):
     coeffs = [got.coeff_q(n) for n in range(n_max + 1)]
     assert coeffs == pochhammer_by_passes(exponents, n_max + 1)
     assert coeffs == oracle_pochhammer_coeffs(exponents, n_max)
+
+
+def reference_divide_out(c, terms):
+    """The division kernel before its C path, kept as a reference: every
+    segment of the recurrence runs in Python."""
+    plus, minus, weighted = [], [], []
+    ends = [e for e, _ in terms[1:]] + [len(c)]
+    for (e, w), end in zip(terms, ends):
+        if w == -1:
+            plus.append(e)
+        elif w == 1:
+            minus.append(e)
+        else:
+            weighted.append((e, w))
+        for k in range(e, end):
+            t = c[k]
+            for o in plus:
+                t += c[k - o]
+            for o in minus:
+                t -= c[k - o]
+            for o, x in weighted:
+                t -= x * c[k - o]
+            c[k] = t
+
+
+# every pass length up to 64 (segments short and long around the switch to
+# the C path), and the lengths the benchmark's passes reach
+DIVIDE_LENGTHS = (*range(1, 65), 100, 300, 2600)
+
+
+def _dense_dividend(n):
+    """1 times every theta series at q: the kernel's scatter, dense."""
+    c = [1] + [0] * (n - 1)
+    for kind in range(len(_SERIES)):
+        c = _scatter(c, _series_terms(kind, 1, n)[1:])
+    return c
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 7])
+@pytest.mark.parametrize("kind", range(len(_SERIES)))
+def test_divide_out_matches_the_python_loop(kind, d):
+    for n in DIVIDE_LENGTHS:
+        terms = _series_terms(kind, d, n)[1:]
+        for dividend in [1] + [0] * (n - 1), _dense_dividend(n):
+            got, want = dividend[:], dividend[:]
+            _divide_out(got, terms)
+            reference_divide_out(want, terms)
+            assert got == want, (kind, d, n)
+            # the quotient times the divisor is the dividend again
+            assert _scatter(got, terms) == dividend, (kind, d, n)
+            if kind == 0:
+                oracle = dividend[:]
+                _divide_pochhammer(oracle, pentagonal_terms(d, n)[1:])
+                assert got == oracle, (d, n)
+
+
+@pytest.mark.parametrize("d", [12, 24])
+def test_divide_out_with_one_offset_of_a_sign(d):
+    # Euler's series at q^12 enters the C path at [24, 60) with the two
+    # exponents of weight -1, and meets its first of weight 1 at 60: a sign
+    # read through one iterator.  At q^24 the first segment, [24, 48), is
+    # long enough, with one exponent and none of the other sign.
+    for n in (48, 61, 100, 2600):
+        terms = _series_terms(0, d, n)[1:]
+        for dividend in [1] + [0] * (n - 1), _dense_dividend(n):
+            got, want = dividend[:], dividend[:]
+            _divide_out(got, terms)
+            reference_divide_out(want, terms)
+            assert got == want, (d, n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 400).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=n, max_size=n),
+    st.dictionaries(st.integers(1, n), st.sampled_from([1, -1, 1, -1, 3]),
+                    max_size=40))))
+def test_divide_out_on_drawn_terms(dividend_and_terms):
+    # any exponents in any order of signs, sometimes with a weight of 3,
+    # which keeps the whole pass in Python
+    dividend, weights = dividend_and_terms
+    terms = sorted(weights.items())
+    got, want = dividend[:], dividend[:]
+    _divide_out(got, terms)
+    reference_divide_out(want, terms)
+    assert got == want
 
 
 def _conjugate(quotient, level):

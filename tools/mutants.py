@@ -44,6 +44,7 @@ PACKAGE = Path("src", "cusp_ledger")
 # (module, qualified name) of each function the sweep mutates
 TARGETS = (
     ("series", "_divide_out"),
+    ("series", "_summed"),
     ("series", "_scatter"),
     ("series", "_kronecker"),
     ("series", "_pack"),
@@ -93,7 +94,15 @@ TESTS = {"series": _KERNEL_TESTS, "reduction": _KERNEL_TESTS,
 _NO_ZERO_POWER = "a plan holds no zero power"
 _CUT = "the entries it adds lie past the truncation, where _make cuts them"
 _UNIT_WEIGHT = ("a weight of 1 or -1 taken as a general weight is "
-                "multiplied in, to the same sum")
+                "multiplied in, to the same sum, and keeps the pass in Python")
+_SWITCH = ("the C path and the Python loop take the same sums, so where the "
+           "pass switches from one to the other changes no coefficient")
+_SWITCH_TEST = ("end - e >= _C_SEGMENT and (not weighted) and all((x * x == 1 "
+                "for _, x in terms))")
+_CHUNK = "tuples of any length take the same sums"
+_NO_PREFACTOR = ("without a depth-1 prefactor tower_series_direct refuses L_1 "
+                 "before the chain's sizes are read")
+_LEAD = "lead = [phi.qpow if (phi := spec.prefactors.get(1)) else 0]"
 _WIDER = "a wider slot holds every coefficient of the product too"
 _SLOTS_PAST = "the bias slots past the product are never unpacked"
 _UNREAD_POWER = "the one more power of b0 is never read"
@@ -155,12 +164,8 @@ EQUIVALENT = (
      "n = -(-trunc24 // 23)",
      _CUT),
     ("series", "pochhammer_product",
-     "c = [1] + [0] * (n - 1)",
-     "c = [1] + [0] * (n + 1)",
-     _CUT),
-    ("series", "pochhammer_product",
-     "c = [1] + [0] * (n - 1)",
-     "c = [1] + [0] * (n - 0)",
+     "c = [0] * max(n, 1)",
+     "c = [0] * max(n, 2)",
      _CUT),
     ("series", "QSeries.__mul__",
      "n = min(len(a) + len(b) - 1, -(-(t - off) // 24))",
@@ -169,14 +174,6 @@ EQUIVALENT = (
     ("series", "QSeries.invert",
      "n = -(-(self.trunc24 - self.offset24) // 24)",
      "n = -(-(self.trunc24 - self.offset24) // 23)",
-     _CUT),
-    ("series", "QSeries.invert",
-     "d = [1] + [0] * (n - 1)",
-     "d = [1] + [0] * (n + 1)",
-     _CUT),
-    ("series", "QSeries.invert",
-     "d = [1] + [0] * (n - 1)",
-     "d = [1] + [0] * (n - 0)",
      _CUT),
     ("series", "QSeries._binop_add",
      "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
@@ -192,6 +189,34 @@ EQUIVALENT = (
      "w == 1",
      "w == 0",
      _UNIT_WEIGHT),
+    ("series", "_divide_out",
+     _SWITCH_TEST,
+     _SWITCH_TEST.replace("end - e >=", "end - e >"),
+     _SWITCH),
+    ("series", "_divide_out",
+     _SWITCH_TEST,
+     _SWITCH_TEST.replace("end - e", "end + e"),
+     _SWITCH),
+    ("series", "_divide_out",
+     _SWITCH_TEST,
+     _SWITCH_TEST.replace("x * x == 1", "x * x == 2"),
+     _SWITCH),
+    ("series", "_divide_out",
+     _SWITCH_TEST,
+     _SWITCH_TEST.replace("x * x == 1", "x * x == 0"),
+     _SWITCH),
+    ("series", "_summed",
+     "k = -(-len(readers) // 19)",
+     "k = -(-len(readers) // 20)",
+     _CHUNK),
+    ("families", "tower_series_recursive", _LEAD,
+     _LEAD.replace("else 0", "else 1"), _NO_PREFACTOR),
+    ("families", "tower_series_recursive", _LEAD,
+     _LEAD.replace("else 0", "else -1"), _NO_PREFACTOR),
+    ("series", "_summed",
+     "k = -(-len(readers) // 19)",
+     "k = -(-len(readers) // 18)",
+     _CHUNK),
     ("series", "_kronecker",
      "bits = max(max(a), -min(a)).bit_length() + max(max(b), "
      "-min(b)).bit_length() + min(len(a), len(b)).bit_length() + 1",
