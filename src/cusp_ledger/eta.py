@@ -60,9 +60,8 @@ class EtaQuotient(Value):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EtaQuotient":
-        return cls(json_int(obj["M"], "M"),
-                   {json_key(d): json_int(r, "exponent")
-                    for d, r in obj["r"].items()})
+        level = json_int(obj["M"], "M")
+        return cls._known(level, exponent_map(obj["r"], level))
 
 
 def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
@@ -74,6 +73,32 @@ def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
         if not isinstance(r, int):
             raise EtaError(f"exponent for delta={delta} must be an integer")
     return tuple(sorted([(d, r) for d, r in items.items() if r != 0]))
+
+
+def exponent_map(r: dict, level: int | None = None
+                 ) -> tuple[tuple[int, int], ...]:
+    """The exponent map {"delta": r_delta, ...} of a JSON document as
+    exponent_vector gives it, read in one pass: each key by json_key, then
+    its value by json_int.  Then, naming the first such divisor,
+    exponent_vector's refusal of one below 1 and, given a level,
+    EtaQuotient's refusals of the level and of a divisor, zero exponents
+    included, that does not divide it."""
+    pairs, low, stray = [], [], []
+    for key, value in r.items():
+        d, e = json_key(key), json_int(value, "exponent")
+        if d < 1:
+            low.append(d)
+        elif level is not None and level % d:
+            stray.append(d)
+        if e:
+            pairs.append((d, e))
+    if low:
+        raise EtaError(f"divisor {low[0]} must be a positive integer")
+    if level is not None:
+        _require_level(level)
+        if stray:
+            raise EtaError(f"divisor {stray[0]} does not divide level {level}")
+    return tuple(sorted(pairs))
 
 
 class GammaValidation(Record):

@@ -36,7 +36,7 @@ from .eta import (
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
-    exponent_vector,
+    exponent_map,
     order_at_cusp,
     require_expandable,
     require_on_gamma0,
@@ -45,8 +45,8 @@ from .eta import (
     zero_cusp_image,
 )
 from .reduction import ModuleBasis, check_pole_orders, pole_order
-from .series import (QSeries, is_prime, json_int, json_key, json_ratio,
-                     json_str, pochhammer_product, valuation)
+from .series import (QSeries, combination, is_prime, json_int, json_key,
+                     json_ratio, json_str, pochhammer_product, valuation)
 
 
 class PochhammerProduct(Record):
@@ -69,8 +69,7 @@ class PochhammerProduct(Record):
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PochhammerProduct":
         return cls(json_int(obj.get("qpow", 0), "qpow"),
-                   exponent_vector({json_key(d): json_int(r, "exponent")
-                                    for d, r in obj.get("r", {}).items()}))
+                   exponent_map(obj.get("r", {})))
 
 
 class ScheduleStep(Record):
@@ -349,10 +348,10 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
     if not identity:
         raise FamilyError(
             f"family {spec.name}: no recorded identity for depth {depth}")
-    recorded = QSeries.zero(24 * IDENTITY_CHECK_TERMS)
-    for term in identity:
-        recorded = recorded + expand_at_infinity(
-            term.quotient, 24 * IDENTITY_CHECK_TERMS).scaled(term.scale)
+    recorded = combination(
+        [(term.scale, expand_at_infinity(term.quotient,
+                                         24 * IDENTITY_CHECK_TERMS))
+         for term in identity], 24 * IDENTITY_CHECK_TERMS)
     if not direct.agrees_with(recorded):
         raise IdentityMismatchError(
             f"family {spec.name}: recorded depth-{depth} identity disagrees "
@@ -373,14 +372,16 @@ def certified_identity_chart(spec: FamilySpec, depth: int, terms: int,
             table.append(table[-1] * table[0])
         if powers is not None:
             powers[base, spec.level] = table
-    chart = QSeries.zero(trunc24)
+    pairs = []
     for term, (scale, image), k in zip(identity, images, ks):
-        series = table[k - 1] if k \
-            else expand_at_infinity(image, trunc24).scaled(scale)
-        series = zero_cusp_checked(term.quotient, spec.level, series)
-        chart = chart + series.scaled(term.scale)
-    return chart, cusp_order_bounds([term.quotient for term in identity],
-                                    spec.level)
+        # a table entry is scaled already; another term's scale joins
+        # term.scale in its coefficient
+        series, scale = (table[k - 1], 1) if k \
+            else (expand_at_infinity(image, trunc24), scale)
+        pairs.append((scale * term.scale, zero_cusp_checked(
+            term.quotient, spec.level, series)))
+    return combination(pairs, trunc24), cusp_order_bounds(
+        [term.quotient for term in identity], spec.level)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +452,18 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
             raise CatalogError(f"{path}.{field}: {exc}") from None
         return {a: parse(v) for a, v in items}
 
-    spec = FamilySpec(
-        name=json_str(obj["name"], "name"),
-        generator=EtaQuotient.from_json_obj(obj["generator"]),
-        prime=json_int(obj["prime"], "prime"),
-        lam=json_int(obj["lam"], "lam"),
-        level=json_int(obj["level"], "level"),
-        target_residue=json_int(obj.get("target_residue", 1), "target_residue"),
-        schedule=keyed("schedule", lambda s: ScheduleStep(
+    spec = FamilySpec(  # by position, in FamilySpec._fields order
+        json_str(obj["name"], "name"),
+        EtaQuotient.from_json_obj(obj["generator"]),
+        json_int(obj["prime"], "prime"),
+        json_int(obj["lam"], "lam"),
+        json_int(obj["level"], "level"),
+        json_int(obj.get("target_residue", 1), "target_residue"),
+        keyed("schedule", lambda s: ScheduleStep(
             json_int(s["modulus"], "modulus"), json_int(s["beta"], "beta"))),
-        prefactors=keyed("prefactors", PochhammerProduct.from_json_obj),
-        multipliers=keyed("multipliers", PochhammerProduct.from_json_obj),
-        tower_identities=keyed("tower_identities", lambda terms: tuple(
+        keyed("prefactors", PochhammerProduct.from_json_obj),
+        keyed("multipliers", PochhammerProduct.from_json_obj),
+        keyed("tower_identities", lambda terms: tuple(
             EtaTerm(Fraction(*json_ratio(t["scale"], "scale")),
                     EtaQuotient.from_json_obj(t["eta"])) for t in terms)),
     )
@@ -561,7 +562,8 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
 
 def catalog_load(path: str | Path) -> Catalog:
     """The catalog in a file, named in every refusal as the path is given."""
-    text = _parsed(f"cannot read catalog {path}", Path(path).read_text)
+    text = _parsed(f"cannot read catalog {path}", Path(path).read_text,
+                   "utf-8")
     return catalog_loads(text, source=str(path))
 
 

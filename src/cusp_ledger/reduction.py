@@ -26,7 +26,8 @@ from .errors import (
     TruncationError,
 )
 from .eta import CuspOrderVector
-from .series import QSeries, Scalar, _check_prime, _norm, valuation
+from .series import (QSeries, Scalar, _check_prime, _norm, combination,
+                     valuation)
 
 DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 
@@ -153,11 +154,8 @@ class ModuleBasis:
     def combine(self, coeffs: dict[tuple[int, int], Scalar],
                 trunc24: int) -> QSeries:
         """sum c * y_k x^m over the (k, m) -> c entries, to q^(trunc24/24)."""
-        acc = QSeries.zero(trunc24)
-        for (k, m), c in coeffs.items():
-            if c:
-                acc = acc + self.monomial(k, m).scaled(c)
-        return acc
+        return combination([(c, self.monomial(k, m))
+                            for (k, m), c in coeffs.items() if c], trunc24)
 
 
 class Representation(Record):

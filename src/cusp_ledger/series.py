@@ -254,23 +254,7 @@ class QSeries:
             other = QSeries.constant(other, self.trunc24)
         if not isinstance(other, QSeries):
             return NotImplemented
-        t = min(self.trunc24, other.trunc24)
-        # a zero series has no coset: its offset24 is its truncation
-        live = [s for s in (self, other) if s._nums]
-        off = min((s.offset24 for s in live), default=t)
-        if (self.offset24 - other.offset24) % 24 and len(live) == 2:
-            raise SeriesError(f"series on two cosets mod 24 do not add: "
-                              f"{self.offset24}/24 and {other.offset24}/24")
-        den = lcm(self._den, other._den)
-        parts = [((s.offset24 - off) // 24, s._nums, m)
-                 for s, m in ((self, den // self._den),
-                              (other, sign * den // other._den)) if s._nums]
-        out = [0] * min(max((i + len(nums) for i, nums, _ in parts),
-                            default=0), -(-(t - off) // 24))
-        for i, nums, m in parts:
-            seg = out[i:i + len(nums)]
-            out[i:i + len(seg)] = [o + m * v for o, v in zip(seg, nums)]
-        return _make(off, out, den, t)
+        return combination(((1, self), (sign, other)), self.trunc24)
 
     def __add__(self, other):
         return self._binop_add(other, 1)
@@ -427,6 +411,41 @@ class QSeries:
 
 def _make(off: int, nums: list[int], den: int, trunc: int) -> QSeries:
     return object.__new__(QSeries)._set(off, nums, den, trunc)
+
+
+def combination(pairs, trunc24: int) -> QSeries:
+    """sum c * s over a sequence of (c, s) pairs, known to the least of
+    trunc24 and every series' truncation, as zero + s.scaled(c) + ...
+    would give it: each live term (c and s nonzero) is written into one
+    list over one common denominator, normalised once.
+
+    A term on another coset mod 24 than the live terms before it is
+    refused, naming the offset of their sum, cut at the truncation so far,
+    before its own, unless that sum is zero; then the rest adds to it.
+    """
+    t, live = trunc24, []
+    for i, (c, s) in enumerate(pairs):
+        c = _norm(c)
+        if c and s._nums:
+            if live and (s.offset24 - live[0][1].offset24) % 24:
+                head = combination(pairs[:i], t)
+                if head._nums:
+                    raise SeriesError(
+                        f"series on two cosets mod 24 do not add: "
+                        f"{head.offset24}/24 and {s.offset24}/24")
+                return combination(pairs[i:], t)
+            live.append((c, s))
+        t = min(t, s.trunc24)
+    den = lcm(*(s._den * c.denominator for c, s in live))
+    off = min((s.offset24 for _, s in live), default=t)
+    out = [0] * min(max(((s.offset24 - off) // 24 + len(s._nums)
+                         for _, s in live), default=0), -(-(t - off) // 24))
+    for c, s in live:
+        i, nums = (s.offset24 - off) // 24, s._nums
+        m = c.numerator * (den // (s._den * c.denominator))
+        seg = out[i:i + len(nums)]
+        out[i:i + len(seg)] = [o + m * v for o, v in zip(seg, nums)]
+    return _make(off, out, den, t)
 
 
 # QSeries.__mul__ multiplies by Kronecker substitution when the sparser

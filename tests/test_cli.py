@@ -1337,6 +1337,26 @@ def test_catalog_not_utf8_is_usage_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read catalog {path}: 'utf-8' codec")
 
+
+def test_catalog_is_read_as_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259, section 8.1): under the C locale, with no
+    # UTF-8 mode and no locale coercion, a non-ASCII note used to be read
+    # as ASCII and refused with exit 2
+    doc = json.loads(shipped_catalog_path().read_text(encoding="utf-8"))
+    [family] = [f for f in doc["families"] if f["name"] == "pd-5"]
+    family["notes"] = family["notes"].replace("Rodseth", "R\u00f8dseth")
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert "R\u00f8dseth".encode() in path.read_bytes()
+    root = Path(cusp_ledger.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "CUSP_LEDGER_CATALOG"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, str(root), "--catalog", str(path),
+         "verify", "--family", "p-5", "--alpha", "1", "--nmax", "50"],
+        capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
 @pytest.mark.parametrize("keys", [
     ("families", 0, "generator", "r"),
     ("families", 0, "prefactors", "1", "r"),

@@ -22,6 +22,7 @@ from cusp_ledger.series import (
     _pack,
     _scatter,
     _series_terms,
+    combination,
     pochhammer_expansion,
     parse_rational,
     pochhammer_plan,
@@ -904,6 +905,81 @@ def test_dense_ring_operations_match_reference(ea, eb):
     if not b.is_zero:
         assert_same(a / b, ra / rb)
         assert_same(b.invert(), rb.invert())
+
+
+def chained(pairs, trunc24):
+    """The sum as it was formed before combination: term by term."""
+    acc = QSeries.zero(trunc24)
+    for c, s in pairs:
+        acc = acc + s.scaled(c)
+    return acc
+
+
+def fraction_sum(pairs, trunc24):
+    """(terms, truncation) of the sum, one Fraction coefficient at a time."""
+    t = min([trunc24] + [s.trunc24 for _, s in pairs])
+    out = {}
+    for c, s in pairs:
+        for e, v in s.terms():
+            if e < t:
+                out[e] = out.get(e, 0) + Fraction(c) * v
+    return {e: v for e, v in out.items() if v}, t
+
+
+def _coset_refusal(a, b):
+    return (SeriesError,
+            f"series on two cosets mod 24 do not add: {a}/24 and {b}/24")
+
+
+@hyp
+@given(st.lists(st.tuples(scalars, series_entries()), max_size=4),
+       st.integers(-30, 24 * 12))
+# four live terms at mixed offsets and truncations over Fraction contents
+@example([(Fraction(1, 3), ({-24: Fraction(1, 5), 48: 2}, 24 * 7)),
+          (-2, ({0: Fraction(3, 49)}, 24 * 9)),
+          (Fraction(5, 7), ({24 * 3: 1, 24 * 6: -1}, 24 * 6 + 5)),
+          (7, ({-48: Fraction(1, 2), 24: 3}, 24 * 11))], 24 * 8)
+# the live terms so far cancel, then a term on another coset: the chain
+# adds it to the zero series
+@example([(1, ({5: 3}, 24 * 4)), (-1, ({5: 3}, 24 * 4)),
+          (2, ({0: 1, 24: 1}, 24 * 3))], 24 * 5)
+# the truncation so far cuts the live term, then another coset
+@example([(1, ({48: 1}, 24 * 5)), (1, ({5: 1}, 24))], 48)
+# the refusal names the sum so far, not its first term, before the term
+@example([(1, ({24: 1}, 24 * 5)), (1, ({0: 1}, 24 * 5)),
+          (1, ({5: 1}, 24 * 5))], 24 * 5)
+@example([(1, ({0: 1, 24: 1}, 24 * 5)), (-1, ({0: 1}, 24 * 5)),
+          (1, ({5: 1}, 24 * 5))], 24 * 5)
+# zero coefficients, a zero series, and a float refused after a refusal
+@example([(0, ({5: 1}, 24 * 5)), (Fraction(2, 7), ({}, 24 * 2)),
+          (3, ({0: Fraction(1, 49)}, 24 * 5))], 24 * 9)
+@example([(1, ({0: 1}, 24)), (1, ({5: 1}, 24)), (0.5, ({}, 24))], 24)
+def test_combination_matches_the_chain_and_a_fraction_sum(drawn, trunc24):
+    pairs = [(c, QSeries(*entries)) for c, entries in drawn]
+    got = outcome(combination, pairs, trunc24)
+    assert got == outcome(chained, pairs, trunc24)
+    if isinstance(got, QSeries):
+        assert (dict(got.terms()), got.trunc24) == fraction_sum(pairs,
+                                                                 trunc24)
+    elif got[0] is SeriesError:
+        assert got[1].startswith("series on two cosets mod 24 do not add: ")
+    # a sum of two: the refusal names self before other
+    if len(pairs) == 2 and all(type(c) is not float for c, _ in pairs):
+        a, b = (s.scaled(c) for c, s in pairs)
+        if (a.offset24 - b.offset24) % 24 and not (a.is_zero or b.is_zero):
+            want = _coset_refusal(a.offset24, b.offset24)
+            assert outcome(a.__add__, b) == outcome(a.__sub__, b) == want
+        else:
+            for sign, got in ((1, a + b), (-1, a - b)):
+                assert got == QSeries(*fraction_sum([(1, a), (sign, b)],
+                                                    a.trunc24))
+
+
+def test_combination_refusal_names_self_before_other():
+    a, b = QSeries({5: 1}, 24 * 3), QSeries({24: 1}, 24 * 3)
+    assert outcome(a.__add__, b) == _coset_refusal(5, 24)
+    assert outcome(b.__sub__, a) == _coset_refusal(24, 5)
+    assert outcome(combination, [(1, b), (2, a)], 72) == _coset_refusal(24, 5)
 
 
 @st.composite

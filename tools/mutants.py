@@ -1,8 +1,9 @@
 """Mutation sweep over the series kernel, the reduction engine, the
 cusp orders and their bounds, the Gamma_0(N) conditions and refusal,
-find-eta's rendering, the cusps, elliptic points and genus of X_0(N), and
-the classification, verification, coefficient series, recursive tower and
-identity-chart powers of congruence families.
+the catalog's exponent-map reader, find-eta's rendering, the cusps,
+elliptic points and genus of X_0(N), and the classification,
+verification, coefficient series, recursive tower and identity-chart
+powers of congruence families.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -51,6 +52,7 @@ TARGETS = (
     ("series", "QSeries.invert"),
     ("series", "QSeries._section"),
     ("series", "QSeries._binop_add"),
+    ("series", "combination"),
     ("series", "QSeries.__mul__"),
     ("series", "QSeries.__truediv__"),
     ("series", "QSeries.__pow__"),
@@ -62,6 +64,7 @@ TARGETS = (
     ("eta", "_packed_products"),
     ("eta", "cusp_order_bounds"),
     ("eta", "require_on_gamma0"),
+    ("eta", "exponent_map"),
     ("cli", "_find_eta_results"),
     ("cli", "_fast_parse"),
     ("curves", "curve_profile"),
@@ -140,6 +143,8 @@ _TRIVIAL_BASE = ("the default is read only for the trivial base, and then "
                  "k = 1 only for a trivial term, whose table entry is the "
                  "chart it gets without one; no basis x is trivial, so no "
                  "basis reads the table")
+_SUM_LIST = ("out = [0] * min(max(((s.offset24 - off) // 24 + len(s._nums) "
+             "for _, s in live), default=0), -(-(t - off) // 24))")
 _RAY = ("k = next((dict(f.exponents).get(d, 0) // r for d, r in "
         "base.exponents), 0)")
 EQUIVALENT = (
@@ -175,12 +180,8 @@ EQUIVALENT = (
      "n = -(-(self.trunc24 - self.offset24) // 24)",
      "n = -(-(self.trunc24 - self.offset24) // 23)",
      _CUT),
-    ("series", "QSeries._binop_add",
-     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
-     "default=0), -(-(t - off) // 24))",
-     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
-     "default=0), -(-(t - off) // 23))",
-     _CUT),
+    ("series", "combination", _SUM_LIST,
+     _SUM_LIST.replace("(t - off) // 24", "(t - off) // 23"), _CUT),
     ("series", "_divide_out",
      "w == -1",
      "w == -0",
@@ -239,18 +240,18 @@ EQUIVALENT = (
      "pw = [B[0] ** j for j in range(n + 1)]",
      "pw = [B[0] ** j for j in range(n + 2)]",
      _UNREAD_POWER),
-    ("series", "QSeries._binop_add",
-     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
-     "default=0), -(-(t - off) // 24))",
-     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
-     "default=1), -(-(t - off) // 24))",
-     _NOTHING_LIVE),
-    ("series", "QSeries._binop_add",
-     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
-     "default=0), -(-(t - off) // 24))",
-     "out = [0] * min(max((i + len(nums) for i, nums, _ in parts), "
-     "default=-1), -(-(t - off) // 24))",
-     _NOTHING_LIVE),
+    *(("series", "combination", _SUM_LIST,
+       _SUM_LIST.replace("default=0", new), _NOTHING_LIVE)
+      for new in ("default=1", "default=-1")),
+    ("series", "combination", _SUM_LIST,
+     _SUM_LIST.replace("off) // 24 +", "off) // 23 +"),
+     "a start read too high only lengthens the list by zeros past every "
+     "term, which _make strips"),
+    ("series", "combination",
+     "live and (s.offset24 - live[0][1].offset24) % 24",
+     "live and (s.offset24 - live[-1][1].offset24) % 24",
+     "the live terms before it lie on one coset, so the last is on the "
+     "first's"),
     ("reduction", "reduce_module",
      "head = f.truncate(min(f.trunc24, 24))",
      "head = f.truncate(min(f.trunc24, 25))",
