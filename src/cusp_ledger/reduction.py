@@ -214,13 +214,16 @@ def reduce_module(f: QSeries, basis: ModuleBasis,
                       f"basis monomial y_{km[0]} * x^{km[1]}")
         mon = basis.monomial(*km)
         c = coeffs[km] = _norm(Fraction(lead_c) / mon.leading()[1])
-        head = head - mon.truncate(min(mon.trunc24, 24)).scaled(c)
+        mon_head = mon.truncate(min(mon.trunc24, 24))
+        head = combination(((1, head), (-c, mon_head)), head.trunc24)
     if head.trunc24 <= 0:  # only a guard of 0 lets a window end here
         raise TruncationError(
             f"the elimination knows the target only to q^({head.trunc24}/24),"
             f" so its constant term at q^0 is unknown; raise the truncation")
     const = head.coeff24(0)
-    residual = f - basis.combine(coeffs, f.trunc24) - const
+    residual = combination(((1, f), (-1, basis.combine(coeffs, f.trunc24)),
+                            (-const, QSeries.constant(1, f.trunc24))),
+                           f.trunc24)
     if const:
         coeffs[(0, 0)] = const
     if not residual.is_zero:

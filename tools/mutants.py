@@ -261,12 +261,12 @@ EQUIVALENT = (
      "head = f.truncate(min(f.trunc24, 23))",
      _GRID_CUT),
     ("reduction", "reduce_module",
-     "head = head - mon.truncate(min(mon.trunc24, 24)).scaled(c)",
-     "head = head - mon.truncate(min(mon.trunc24, 25)).scaled(c)",
+     "mon_head = mon.truncate(min(mon.trunc24, 24))",
+     "mon_head = mon.truncate(min(mon.trunc24, 25))",
      _GRID_CUT),
     ("reduction", "reduce_module",
-     "head = head - mon.truncate(min(mon.trunc24, 24)).scaled(c)",
-     "head = head - mon.truncate(min(mon.trunc24, 23)).scaled(c)",
+     "mon_head = mon.truncate(min(mon.trunc24, 24))",
+     "mon_head = mon.truncate(min(mon.trunc24, 23))",
      _GRID_CUT),
     ("reduction", "reduce_module",
      "not head.is_zero and head.offset24 < 0",
