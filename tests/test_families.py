@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cusp_ledger import families
+from cusp_ledger.curves import Record
 from cusp_ledger.errors import (
     BasisError,
     CatalogError,
@@ -42,6 +43,7 @@ from oracles import (
     frobenius_two_color_counts,
     partition_counts,
 )
+from test_cli import CATALOG_LEAVES
 
 
 @pytest.fixture(scope="module")
@@ -890,6 +892,52 @@ def test_catalog_rejects_malformed_shapes(doc, want):
     with pytest.raises(CatalogError) as err:
         catalog_loads(json.dumps(doc))
     assert str(err.value).startswith(want)
+
+
+def _canonical(value):
+    """value as nested tuples that tell apart every type, field and order of
+    a loaded catalog: a record or series as its type name and fields."""
+    if value is None or type(value) in (bool, int, str):
+        return value
+    if isinstance(value, Record):
+        return (type(value).__name__,
+                *[(k, _canonical(v)) for k, v in vars(value).items()])
+    if isinstance(value, QSeries):
+        return ("QSeries", *[_canonical(getattr(value, f))
+                             for f in QSeries.__slots__])
+    if isinstance(value, dict):
+        return ("dict", *[(_canonical(k), _canonical(v))
+                          for k, v in value.items()])
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, *map(_canonical, value))
+    assert isinstance(value, Fraction), value
+    return ("Fraction", value.numerator, value.denominator)
+
+
+# sha256 over the outcome of every CATALOG_LEAVES leaf set to each
+# REFUSAL_VALUES value: the CatalogError text, or the catalog loaded
+REFUSAL_VALUES = (None, True, 1.5, [], {}, 0, -1, "x", "01")
+CATALOG_REFUSALS_DIGEST = \
+    "89e57a98994c112201162e0c17bc0a49fc51b0cbbb6408ea5b02ee03ff79db9c"
+
+
+def test_catalog_refusals_pinned():
+    doc = json.loads(shipped_catalog_path().read_text())
+    digest = hashlib.sha256()
+    for keys in CATALOG_LEAVES:
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        kept = node[keys[-1]]
+        for value in REFUSAL_VALUES:
+            node[keys[-1]] = value
+            try:
+                outcome = _canonical(catalog_loads(json.dumps(doc)))
+            except CatalogError as exc:
+                outcome = str(exc)
+            digest.update(repr((keys, value, outcome)).encode())
+        node[keys[-1]] = kept
+    assert digest.hexdigest() == CATALOG_REFUSALS_DIGEST
 
 
 def test_catalog_basis_without_level_still_loads(catalog):
