@@ -19,7 +19,7 @@ from .curves import Record, Value, divisors, enumerate_cusps, factorize
 from .errors import (EtaError, InternalInconsistencyError, TruncationError,
                      shown)
 from .series import (QSeries, ascii_decimal, json_int, json_key,
-                     parse_rational, pochhammer_product)
+                     json_object, parse_rational, pochhammer_product)
 
 
 class EtaQuotient(Value):
@@ -77,14 +77,14 @@ def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
 
 def exponent_map(r: dict, level: int | None = None
                  ) -> tuple[tuple[int, int], ...]:
-    """The exponent map {"delta": r_delta, ...} of a JSON document as
-    exponent_vector gives it, read in one pass: each key by json_key, then
+    """The exponent map r = {"delta": r_delta, ...} of a JSON document, a
+    JSON object, as exponent_vector gives it, read in one pass: each key by json_key, then
     its value by json_int.  Then, naming the first such divisor,
     exponent_vector's refusal of one below 1 and, given a level,
     EtaQuotient's refusals of the level and of a divisor, zero exponents
     included, that does not divide it."""
     pairs, low, stray = [], [], []
-    for key, value in r.items():
+    for key, value in json_object(r, "r").items():
         d, e = json_key(key), json_int(value, "exponent")
         if d < 1:
             low.append(d)

@@ -46,7 +46,8 @@ from .eta import (
 )
 from .reduction import ModuleBasis, check_pole_orders, pole_order
 from .series import (QSeries, combination, is_prime, json_int, json_key,
-                     json_ratio, json_str, pochhammer_product, valuation)
+                     json_object, json_ratio, json_str, pochhammer_product,
+                     valuation)
 
 
 class PochhammerProduct(Record):
@@ -67,7 +68,8 @@ class PochhammerProduct(Record):
         return pochhammer_product(self.exponents, rel).shift(24 * self.qpow)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "PochhammerProduct":
+    def from_json_obj(cls, obj: dict, what: str) -> "PochhammerProduct":
+        obj = json_object(obj, what)
         return cls(json_int(obj.get("qpow", 0), "qpow"),
                    exponent_map(obj.get("r", {})))
 
@@ -446,8 +448,9 @@ class Catalog(Record):
 def _family_from_json(obj: dict, path: str) -> FamilySpec:
     def keyed(field, parse):
         """obj[field], a JSON object keyed by integers; parse reads a value."""
+        items = json_object(obj.get(field, {}), field).items()
         try:
-            items = [(json_key(k), v) for k, v in obj.get(field, {}).items()]
+            items = [(json_key(k), v) for k, v in items]
         except ValueError as exc:
             raise CatalogError(f"{path}.{field}: {exc}") from None
         return {a: parse(v) for a, v in items}
@@ -460,9 +463,12 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         json_int(obj["level"], "level"),
         json_int(obj.get("target_residue", 1), "target_residue"),
         keyed("schedule", lambda s: ScheduleStep(
-            json_int(s["modulus"], "modulus"), json_int(s["beta"], "beta"))),
-        keyed("prefactors", PochhammerProduct.from_json_obj),
-        keyed("multipliers", PochhammerProduct.from_json_obj),
+            json_int(json_object(s, "schedule entry")["modulus"], "modulus"),
+            json_int(s["beta"], "beta"))),
+        keyed("prefactors",
+              lambda p: PochhammerProduct.from_json_obj(p, "prefactor")),
+        keyed("multipliers",
+              lambda m: PochhammerProduct.from_json_obj(m, "multiplier")),
         keyed("tower_identities", lambda terms: tuple(
             EtaTerm(Fraction(*json_ratio(t["scale"], "scale")),
                     EtaQuotient.from_json_obj(t["eta"])) for t in terms)),

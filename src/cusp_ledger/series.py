@@ -103,6 +103,13 @@ def json_str(value, what: str) -> str:
     return value
 
 
+def json_object(value, what: str) -> dict:
+    """A JSON object field of a JSON document, as it stands."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def json_ratio(value, what: str) -> tuple[int, int]:
     """A rational field of a JSON document, a JSON integer or an ASCII
     decimal string "p" or "p/q", as the pair of ints (p, q), q = 1 for "p"

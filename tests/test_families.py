@@ -882,10 +882,23 @@ def test_catalog_rejects_bad_json():
      "<catalog>:bases[0]: need a JSON object"),
     ({"families": [{"name": "x", "generator": {"M": 1, "r": {"1": -1}},
                     "prime": 5, "lam": 24, "level": 5, "schedule": [1]}]},
-     "<catalog>:families[0]: 'list' object has no attribute 'items'"),
+     "<catalog>:families[0]: schedule must be a JSON object, got [1]"),
     ({"families": [{"name": "x", "generator": {"M": 1, "r": [1]},
                     "prime": 5, "lam": 24, "level": 5}]},
-     "<catalog>:families[0]: 'list' object has no attribute 'items'"),
+     "<catalog>:families[0]: r must be a JSON object, got [1]"),
+    *(({"families": [{"name": "x", "generator": {"M": 1, "r": {"1": -1}},
+                      "prime": 5, "lam": 24, "level": 5, **entry}]},
+       f"<catalog>:families[0]: {want}") for entry, want in (
+        ({"schedule": {"1": [1, 1]}},
+         "schedule entry must be a JSON object, got [1, 1]"),
+        ({"prefactors": []}, "prefactors must be a JSON object, got []"),
+        ({"prefactors": {"1": [5]}},
+         "prefactor must be a JSON object, got [5]"),
+        ({"prefactors": {"1": {"r": [5]}}},
+         "r must be a JSON object, got [5]"),
+        ({"multipliers": {"1": 5}}, "multiplier must be a JSON object, got 5"),
+        ({"tower_identities": [[]]},
+         "tower_identities must be a JSON object, got [[]]"))),
 ])
 def test_catalog_rejects_malformed_shapes(doc, want):
     # each used to escape as AttributeError or TypeError (exit 3)
