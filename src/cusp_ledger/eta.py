@@ -83,9 +83,13 @@ def exponent_map(r: dict, level: int | None = None
     exponent_vector's refusal of one below 1 and, given a level,
     EtaQuotient's refusals of the level and of a divisor, zero exponents
     included, that does not divide it."""
+    if type(r) is not dict:
+        json_object(r, "r")  # the refusal
     pairs, low, stray = [], [], []
-    for key, value in json_object(r, "r").items():
-        d, e = json_key(key), json_int(value, "exponent")
+    for key, e in r.items():
+        d = json_key(key)
+        if type(e) is not int:
+            json_int(e, "exponent")  # the refusal
         if d < 1:
             low.append(d)
         elif level is not None and level % d:
@@ -98,7 +102,8 @@ def exponent_map(r: dict, level: int | None = None
         _require_level(level)
         if stray:
             raise EtaError(f"divisor {stray[0]} does not divide level {level}")
-    return tuple(sorted(pairs))
+    pairs.sort()
+    return tuple(pairs)
 
 
 class GammaValidation(Record):
@@ -136,18 +141,24 @@ def _newman_rows(N: int) -> tuple[tuple[int, ...], ...]:
     return tuple(ds), tuple(N // d for d in ds), tuple(masks)
 
 
-def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
-    """Newman/Ligozat conditions for f to define a function on X_0(N), each
-    one linear in r over the rows of _newman_rows."""
-    _require_sublevel(f, N)
+def newman_sums(f: EtaQuotient, N: int) -> tuple[int, int, int, int]:
+    """The Newman/Ligozat conditions' left sides for f over a level N that
+    f's level divides (unchecked), each one linear in r over the rows of
+    _newman_rows: sum r, sum delta*r (f.degree24), sum (N/delta)*r (24
+    times Ligozat's order at the zero cusp, c = 1) and the bitmask of the
+    primes of N that divide prod delta^r to an odd power."""
     ds, cods, masks = _newman_rows(N)
     r = _over_divisors(f, ds)
-    odd = reduce(xor, compress(masks, [e & 1 for e in r]), 0)
-    return GammaValidation(
-        level=N, weight_zero=sum(r) == 0,
-        infinity_order_integral=sum(map(mul, ds, r)) % 24 == 0,
-        zero_order_integral=sum(map(mul, cods, r)) % 24 == 0,
-        product_is_square=odd == 0)
+    return (sum(r), sum(map(mul, ds, r)), sum(map(mul, cods, r)),
+            reduce(xor, compress(masks, [e & 1 for e in r]), 0))
+
+
+def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:
+    """Newman/Ligozat conditions for f to define a function on X_0(N)."""
+    _require_sublevel(f, N)
+    weight, inf, zero, odd = newman_sums(f, N)
+    return GammaValidation(N, weight == 0, inf % 24 == 0, zero % 24 == 0,
+                           odd == 0)
 
 
 def _over_divisors(f: EtaQuotient, ds) -> list[int]:

@@ -37,10 +37,9 @@ from .eta import (
     expand_at_infinity,
     expand_at_zero,
     exponent_map,
-    order_at_cusp,
+    newman_sums,
     require_expandable,
     require_on_gamma0,
-    validate_on_gamma0,
     zero_cusp_checked,
     zero_cusp_image,
 )
@@ -69,9 +68,12 @@ class PochhammerProduct(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict, what: str) -> "PochhammerProduct":
-        obj = json_object(obj, what)
-        return cls(json_int(obj.get("qpow", 0), "qpow"),
-                   exponent_map(obj.get("r", {})))
+        # a catalog record is filled as it is read, in _fields order, as
+        # Record.__init__ would fill it
+        obj, self = json_object(obj, what), cls.__new__(cls)
+        self.qpow = json_int(obj.get("qpow", 0), "qpow")
+        self.exponents = exponent_map(obj.get("r", {}))
+        return self
 
 
 class ScheduleStep(Record):
@@ -80,11 +82,25 @@ class ScheduleStep(Record):
 
     _fields = ("modulus_exponent", "beta")
 
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "ScheduleStep":
+        obj, self = json_object(obj, "schedule entry"), cls.__new__(cls)
+        self.modulus_exponent = json_int(obj["modulus"], "modulus")
+        self.beta = json_int(obj["beta"], "beta")
+        return self
+
 
 class EtaTerm(Record):
     """scale * (eta quotient): one summand of a recorded tower identity."""
 
     _fields = ("scale", "quotient")
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "EtaTerm":
+        self = cls.__new__(cls)
+        self.scale = Fraction(*json_ratio(obj["scale"], "scale"))
+        self.quotient = EtaQuotient.from_json_obj(obj["eta"])
+        return self
 
 
 IDENTITY_CHECK_TERMS = 8  # q-terms of the cross-check at infinity
@@ -116,15 +132,17 @@ class FamilySpec(Record):
                     f"family {self.name}: bad schedule entry at depth {a}")
         for a, terms in self.tower_identities.items():
             for t in terms:
-                if self.level % t.quotient.level \
-                        or not validate_on_gamma0(t.quotient, self.level).valid:
+                weight, degree24, zero, odd = newman_sums(
+                    t.quotient, self.level) \
+                    if self.level % t.quotient.level == 0 else (1, 0, 0, 0)
+                if weight or degree24 % 24 or zero % 24 or odd:
                     raise FamilyError(
                         f"family {self.name}: depth-{a} identity term "
                         f"{t.quotient} is not a function on X_0({self.level})")
-                if t.quotient.degree24 >= 24 * IDENTITY_CHECK_TERMS:
+                if degree24 >= 24 * IDENTITY_CHECK_TERMS:
                     raise FamilyError(
                         f"family {self.name}: depth-{a} identity term "
-                        f"{t.quotient} starts at q^({t.quotient.degree24}/24), "
+                        f"{t.quotient} starts at q^({degree24}/24), "
                         f"past the {IDENTITY_CHECK_TERMS}-term check at infinity")
 
 
@@ -446,33 +464,31 @@ class Catalog(Record):
 
 
 def _family_from_json(obj: dict, path: str) -> FamilySpec:
-    def keyed(field, parse):
-        """obj[field], a JSON object keyed by integers; parse reads a value."""
+    def keyed(field):
+        """obj[field], a JSON object keyed by integers, as (key, value)
+        pairs: every key is read before any value."""
         items = json_object(obj.get(field, {}), field).items()
         try:
-            items = [(json_key(k), v) for k, v in items]
+            return [(json_key(k), v) for k, v in items]
         except ValueError as exc:
             raise CatalogError(f"{path}.{field}: {exc}") from None
-        return {a: parse(v) for a, v in items}
 
-    spec = FamilySpec(  # by position, in FamilySpec._fields order
-        json_str(obj["name"], "name"),
-        EtaQuotient.from_json_obj(obj["generator"]),
-        json_int(obj["prime"], "prime"),
-        json_int(obj["lam"], "lam"),
-        json_int(obj["level"], "level"),
-        json_int(obj.get("target_residue", 1), "target_residue"),
-        keyed("schedule", lambda s: ScheduleStep(
-            json_int(json_object(s, "schedule entry")["modulus"], "modulus"),
-            json_int(s["beta"], "beta"))),
-        keyed("prefactors",
-              lambda p: PochhammerProduct.from_json_obj(p, "prefactor")),
-        keyed("multipliers",
-              lambda m: PochhammerProduct.from_json_obj(m, "multiplier")),
-        keyed("tower_identities", lambda terms: tuple(
-            EtaTerm(Fraction(*json_ratio(t["scale"], "scale")),
-                    EtaQuotient.from_json_obj(t["eta"])) for t in terms)),
-    )
+    spec = FamilySpec.__new__(FamilySpec)  # filled as read, in _fields order
+    spec.name = json_str(obj["name"], "name")
+    spec.generator = EtaQuotient.from_json_obj(obj["generator"])
+    spec.prime = json_int(obj["prime"], "prime")
+    spec.lam = json_int(obj["lam"], "lam")
+    spec.level = json_int(obj["level"], "level")
+    spec.target_residue = json_int(obj.get("target_residue", 1),
+                                   "target_residue")
+    spec.schedule = {a: ScheduleStep.from_json_obj(s)
+                     for a, s in keyed("schedule")}
+    spec.prefactors = {a: PochhammerProduct.from_json_obj(p, "prefactor")
+                       for a, p in keyed("prefactors")}
+    spec.multipliers = {a: PochhammerProduct.from_json_obj(m, "multiplier")
+                        for a, m in keyed("multipliers")}
+    spec.tower_identities = {a: tuple([EtaTerm.from_json_obj(t) for t in terms])
+                             for a, terms in keyed("tower_identities")}
     spec.validate()
     return spec
 
@@ -501,7 +517,7 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
             raise CatalogError(f"{path}: {what} is an eta quotient, which "
                                f"needs the basis level")
         require_on_gamma0(source, level)
-        return -int(order_at_cusp(source, level, 1))
+        return -newman_sums(source, level)[2] // 24
 
     level = obj.get("level")  # optional; a bool is no level
     if "level" in obj and (type(level) is not int or level < 1):
@@ -516,8 +532,7 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     if z is not None and order(z, "z") < 1:
         raise CatalogError(f"{path}: z must have a pole at the zero cusp")
     check_pole_orders(order(x, "x"), y_orders)
-    return BasisEntry(name=json_str(obj["name"], "name"), level=level, x=x,
-                      ys=ys, z=z)
+    return BasisEntry(json_str(obj["name"], "name"), level, x, ys, z)
 
 
 def _parsed(path: str, parse, *args):
@@ -563,7 +578,7 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
         names = [e.name for e in entries]
         if len(set(names)) != len(names):
             raise CatalogError(f"{source}: duplicate {key} names")
-    return Catalog(families=families, bases=bases)
+    return Catalog(families, bases)
 
 
 def catalog_load(path: str | Path) -> Catalog:
