@@ -582,10 +582,15 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
 
 
 def catalog_load(path: str | Path) -> Catalog:
-    """The catalog in a file, named in every refusal as the path is given."""
-    text = _parsed(f"cannot read catalog {path}", Path(path).read_text,
-                   "utf-8")
-    return catalog_loads(text, source=str(path))
+    """The catalog in a file, read as UTF-8 (RFC 8259) and named in every
+    refusal as the path is given: open() keeps it as given in an OSError
+    too, where pathlib would respell it."""
+    def read():
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+
+    return catalog_loads(_parsed(f"cannot read catalog {path}", read),
+                         source=str(path))
 
 
 def shipped_catalog_path() -> Path:
