@@ -142,11 +142,12 @@ def _newman_rows(N: int) -> tuple[tuple[int, ...], ...]:
 
 
 def newman_sums(f: EtaQuotient, N: int) -> tuple[int, int, int, int]:
-    """The Newman/Ligozat conditions' left sides for f over a level N that
-    f's level divides (unchecked), each one linear in r over the rows of
-    _newman_rows: sum r, sum delta*r (f.degree24), sum (N/delta)*r (24
-    times Ligozat's order at the zero cusp, c = 1) and the bitmask of the
-    primes of N that divide prod delta^r to an odd power."""
+    """The Newman/Ligozat conditions' left sides for f at level N, each one
+    linear in r over the rows of _newman_rows: sum r, sum delta*r
+    (f.degree24), sum (N/delta)*r (24 times Ligozat's order at the zero
+    cusp, c = 1) and the bitmask of the primes of N that divide prod
+    delta^r to an odd power.  Unchecked: they read only the exponents on
+    divisors of N, so they are f's only when f's level divides N."""
     ds, cods, masks = _newman_rows(N)
     r = _over_divisors(f, ds)
     return (sum(r), sum(map(mul, ds, r)), sum(map(mul, cods, r)),

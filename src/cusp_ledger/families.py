@@ -132,10 +132,10 @@ class FamilySpec(Record):
                     f"family {self.name}: bad schedule entry at depth {a}")
         for a, terms in self.tower_identities.items():
             for t in terms:
-                weight, degree24, zero, odd = newman_sums(
-                    t.quotient, self.level) \
-                    if self.level % t.quotient.level == 0 else (1, 0, 0, 0)
-                if weight or degree24 % 24 or zero % 24 or odd:
+                weight, degree24, zero, odd = newman_sums(t.quotient,
+                                                          self.level)
+                if self.level % t.quotient.level or weight or degree24 % 24 \
+                        or zero % 24 or odd:
                     raise FamilyError(
                         f"family {self.name}: depth-{a} identity term "
                         f"{t.quotient} is not a function on X_0({self.level})")
@@ -510,7 +510,8 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     def order(source, what):
         """The pole order at the zero cusp, found without an expansion:
         the offset of a Laurent series, and Ligozat's order at c = 1 of an
-        eta quotient, which must be a function on the basis curve."""
+        eta quotient, which must be a function on the basis curve; there
+        it is the integer sum (N/delta) r_delta / 24 of newman_sums."""
         if isinstance(source, QSeries):
             return pole_order(source, what)
         if level is None:
