@@ -953,6 +953,72 @@ def test_catalog_refusals_pinned():
     assert digest.hexdigest() == CATALOG_REFUSALS_DIGEST
 
 
+def test_catalog_entry_defaults():
+    # a family may leave out its target residue (1), schedule, prefactors,
+    # multipliers and identities, and a prefactor its qpow (0) and r ({})
+    doc = {"families": [{
+        "name": "x", "generator": {"M": 1, "r": {"1": -1}}, "prime": 5,
+        "lam": 24, "level": 5, "prefactors": {"1": {}}}]}
+    family = catalog_loads(json.dumps(doc)).family("x")
+    assert (family.target_residue, family.schedule, family.multipliers,
+            family.tower_identities) == (1, {}, {}, {})
+    assert vars(family.prefactors[1]) == {"qpow": 0, "exponents": ()}
+
+
+def _identity(k):
+    """A depth-1 identity of one term, the k-th power of level-5's x, which
+    starts at q^k."""
+    return {"1": [{"scale": "1", "eta": {"M": 5, "r": {"5": 6 * k,
+                                                         "1": -6 * k}}}]}
+
+
+@pytest.mark.parametrize("entry, want", [
+    ({"schedule": {"0": {"modulus": 1, "beta": 1}}},
+     "bad schedule entry at depth 0"),
+    ({"tower_identities": _identity(7)}, None),
+    ({"tower_identities": _identity(8)},
+     "depth-1 identity term eta(1t)^-48 * eta(5t)^48 starts at q^(192/24), "
+     "past the 8-term check at infinity"),
+], ids=["depth-0", "identity-at-q^7", "identity-at-q^8"])
+def test_catalog_family_checks_at_the_edges(entry, want):
+    doc = json.dumps({"families": [{
+        "name": "x", "generator": {"M": 1, "r": {"1": -1}}, "prime": 5,
+        "lam": 24, "level": 5, **entry}]})
+    if want is None:
+        assert catalog_loads(doc).family("x").tower_identities.keys() == {1}
+    else:
+        with pytest.raises(CatalogError) as err:
+            catalog_loads(doc)
+        assert str(err.value) == f"<catalog>:families[0]: family x: {want}"
+
+
+# level-10's x, with a pole of order 1 at the zero cusp only
+LEVEL10_X = {"M": 10, "r": {"1": -3, "2": 1, "5": -1, "10": 3}}
+
+
+@pytest.mark.parametrize("basis, want", [
+    # a level of 1 is a level
+    ({"level": 1, "x": {"series": {"terms": [[-24, "1", "1"]],
+                                   "trunc24": 24}}}, None),
+    # a localizer needs a pole of order 1 at least at the zero cusp
+    ({"level": 10, "x": {"eta": LEVEL10_X}, "z": {"eta": LEVEL10_X}}, None),
+    ({"level": 10, "x": {"eta": LEVEL10_X}, "z": {"eta": {"M": 10, "r": {}}}},
+     "z must have a pole at the zero cusp"),
+    # the pole order of x^23, read exactly, needs 22 companions
+    ({"level": 5, "x": {"eta": {"M": 5, "r": {"5": 138, "1": -138}}}},
+     "basis not order-complete: companion pole orders cover 1 of 23 "
+     "residue classes mod 23"),
+], ids=["level-1", "z-order-1", "z-order-0", "x-order-23"])
+def test_catalog_basis_orders_at_the_edges(basis, want):
+    doc = json.dumps({"families": [], "bases": [{"name": "b", **basis}]})
+    if want is None:
+        assert catalog_loads(doc).basis("b").level == basis["level"]
+    else:
+        with pytest.raises(CatalogError) as err:
+            catalog_loads(doc)
+        assert str(err.value) == f"<catalog>:bases[0]: {want}"
+
+
 def test_catalog_basis_without_level_still_loads(catalog):
     assert catalog.basis("demo-genus1").level is None
 

@@ -1,9 +1,9 @@
 """Mutation sweep over the series kernel, the reduction engine, the
 cusp orders and their bounds, the Gamma_0(N) conditions and refusal,
-the catalog's exponent-map reader, find-eta's rendering, the cusps,
-elliptic points and genus of X_0(N), and the classification,
-verification, coefficient series, recursive tower and identity-chart
-powers of congruence families.
+the catalog's readers of exponent maps, families and bases, find-eta's
+rendering, the cusps, elliptic points and genus of X_0(N), and the
+classification, verification, coefficient series, recursive tower and
+identity-chart powers of congruence families.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -78,6 +78,11 @@ TARGETS = (
     ("families", "coefficient_series"),
     ("families", "_ray_multiple"),
     ("families", "tower_series_recursive"),
+    ("families", "_family_from_json"),
+    ("families", "_basis_from_json"),
+    ("families", "FamilySpec.validate"),
+    ("families", "PochhammerProduct.from_json_obj"),
+    ("eta", "newman_sums"),
 )
 
 # the tests run against a mutant of each module
@@ -324,6 +329,11 @@ EQUIVALENT = (
           ("exponents), 0)", "exponents), -1)",
            "the default is read only for the trivial base, and a k of -1 "
            "returns 0, as 0 does"))),
+    ("families", "FamilySpec.validate",
+     "degree24 >= 24 * IDENTITY_CHECK_TERMS",
+     "degree24 >= 23 * IDENTITY_CHECK_TERMS",
+     "a term that reaches it is valid, so its degree24 is a multiple of 24, "
+     "and none lies in [184, 192)"),
     ("families", "_ray_multiple",
      "return k if k >= 1 and f.exponents == tuple(((d, k * r) for d, r in "
      "base.exponents)) else 0",
