@@ -78,9 +78,9 @@ def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
 def exponent_map(r: dict, level: int | None = None
                  ) -> tuple[tuple[int, int], ...]:
     """The exponent map r = {"delta": r_delta, ...} of a JSON document, a
-    JSON object, as exponent_vector gives it, read in one pass: each key by json_key, then
-    its value by json_int.  Then, naming the first such divisor,
-    exponent_vector's refusal of one below 1 and, given a level,
+    JSON object, as exponent_vector gives it, read in one pass: each key
+    by json_key, then its value by json_int.  Then, naming the first such
+    divisor, exponent_vector's refusal of one below 1 and, given a level,
     EtaQuotient's refusals of the level and of a divisor, zero exponents
     included, that does not divide it."""
     if type(r) is not dict:

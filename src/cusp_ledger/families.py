@@ -487,8 +487,9 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
                        for a, p in keyed("prefactors")}
     spec.multipliers = {a: PochhammerProduct.from_json_obj(m, "multiplier")
                         for a, m in keyed("multipliers")}
-    spec.tower_identities = {a: tuple([EtaTerm.from_json_obj(t) for t in terms])
-                             for a, terms in keyed("tower_identities")}
+    spec.tower_identities = {
+        a: tuple([EtaTerm.from_json_obj(t) for t in terms])
+        for a, terms in keyed("tower_identities")}
     spec.validate()
     return spec
 
