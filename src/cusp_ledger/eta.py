@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import compress
+from functools import lru_cache
 from math import gcd, isqrt, prod
-from operator import eq, ge, gt, le, lt, mul, xor
+from operator import eq, ge, gt, le, lt, mul
 
 from .curves import Record, Value, divisors, enumerate_cusps, factorize
 from .errors import (EtaError, InternalInconsistencyError, TruncationError,
@@ -143,15 +142,21 @@ def _newman_rows(N: int) -> tuple[tuple[int, ...], ...]:
 
 def newman_sums(f: EtaQuotient, N: int) -> tuple[int, int, int, int]:
     """The Newman/Ligozat conditions' left sides for f at level N, each one
-    linear in r over the rows of _newman_rows: sum r, sum delta*r
+    linear in r and summed over f's exponents: sum r, sum delta*r
     (f.degree24), sum (N/delta)*r (24 times Ligozat's order at the zero
-    cusp, c = 1) and the bitmask of the primes of N that divide prod
-    delta^r to an odd power.  Unchecked: they read only the exponents on
-    divisors of N, so they are f's only when f's level divides N."""
-    ds, cods, masks = _newman_rows(N)
-    r = _over_divisors(f, ds)
-    return (sum(r), sum(map(mul, ds, r)), sum(map(mul, cods, r)),
-            reduce(xor, compress(masks, [e & 1 for e in r]), 0))
+    cusp, c = 1) and the bitmask, from _newman_rows, of the primes of N
+    that divide prod delta^r to an odd power.  Unchecked: they are the
+    conditions' sides only when f's level divides N (a delta that does
+    not divide N adds no bit)."""
+    ds, _, masks = _newman_rows(N)
+    weight = inf = zero = odd = 0
+    for d, e in f.exponents:
+        weight += e
+        inf += d * e
+        zero += N // d * e
+        if e & 1 and N % d == 0:
+            odd ^= masks[ds.index(d)]
+    return weight, inf, zero, odd
 
 
 def validate_on_gamma0(f: EtaQuotient, N: int) -> GammaValidation:

@@ -22,6 +22,7 @@ from cusp_ledger.eta import (
     expand_at_zero,
     exponent_map,
     exponent_vector,
+    newman_sums,
     order_at_cusp,
     parse_constraints,
     search_eta_quotients,
@@ -444,6 +445,18 @@ def test_search_memory_stays_flat_at_two_divisors():
         tracemalloc.stop()
     assert [f.exponents for f in found] == [((1, -4), (7, 4))]
     assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("f, N, sums", [
+    (LEVEL5_HAUPTMODUL, 5, (0, 24, -24, 0)),
+    (EtaQuotient(1, {1: -1}), 5, (-1, -1, -5, 0)),
+    # eta(2t)/eta(t): 2 divides prod delta^r to an odd power, bit 0 at N=10
+    (EtaQuotient(2, {2: 1, 1: -1}), 10, (0, 1, -5, 1)),
+], ids=["level-5-hauptmodul", "weight-minus-1", "odd-power-of-2"])
+def test_newman_sums(f, N, sums):
+    # sum r, sum delta*r (degree24), sum (N/delta)*r (24 times the order
+    # at the zero cusp) and the primes of N to an odd power, as a bitmask
+    assert newman_sums(f, N) == sums
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
