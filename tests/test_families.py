@@ -934,15 +934,18 @@ CATALOG_REFUSALS_DIGEST = \
     "89e57a98994c112201162e0c17bc0a49fc51b0cbbb6408ea5b02ee03ff79db9c"
 
 
-def test_catalog_refusals_pinned():
+def _edits_digest(paths, values):
+    """sha256 over the outcome of the shipped catalog with the node at each
+    key path set to each value in turn: the CatalogError text, or the
+    catalog loaded."""
     doc = json.loads(shipped_catalog_path().read_text())
     digest = hashlib.sha256()
-    for keys in CATALOG_LEAVES:
+    for keys in paths:
         node = doc
         for key in keys[:-1]:
             node = node[key]
         kept = node[keys[-1]]
-        for value in REFUSAL_VALUES:
+        for value in values:
             node[keys[-1]] = value
             try:
                 outcome = _canonical(catalog_loads(json.dumps(doc)))
@@ -950,7 +953,48 @@ def test_catalog_refusals_pinned():
                 outcome = str(exc)
             digest.update(repr((keys, value, outcome)).encode())
         node[keys[-1]] = kept
-    assert digest.hexdigest() == CATALOG_REFUSALS_DIGEST
+    return digest.hexdigest()
+
+
+def test_catalog_refusals_pinned():
+    assert _edits_digest(CATALOG_LEAVES, REFUSAL_VALUES) \
+        == CATALOG_REFUSALS_DIGEST
+
+
+def _read_nodes(node, keys=()):
+    """Key paths to every node of a catalog document below its top, objects,
+    lists and the free-text notes the loader ignores included."""
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    return [path for k, v in items
+            for path in [keys + (k,), *_read_nodes(v, keys + (k,))]]
+
+
+def _generic(keys):
+    """keys with each list index and integer key as "*"."""
+    return tuple("*" if str(k).lstrip("-").isdigit() else k for k in keys)
+
+
+def _first_of_each_generic_path(doc):
+    first = {}
+    for keys in _read_nodes(doc):
+        first.setdefault(_generic(keys), keys)
+    return list(first.values())
+
+
+CATALOG_SHAPE_NODES = _first_of_each_generic_path(
+    json.loads(shipped_catalog_path().read_text()))
+# sha256 over the outcome of every CATALOG_SHAPE_NODES node set to each
+# SHAPE_VALUES value, as CATALOG_REFUSALS_DIGEST is taken
+SHAPE_VALUES = (*REFUSAL_VALUES, [5], {"1": 5}, 5)
+CATALOG_SHAPES_DIGEST = \
+    "15a0b6b26b4c2edf1c7f139986fcb945cb26211dbb28f89964025014da5a2257"
+
+
+def test_catalog_shapes_pinned():
+    assert len(CATALOG_SHAPE_NODES) == 62
+    assert _edits_digest(CATALOG_SHAPE_NODES, SHAPE_VALUES) \
+        == CATALOG_SHAPES_DIGEST
 
 
 def test_catalog_entry_defaults():
