@@ -58,8 +58,8 @@ class EtaQuotient(Value):
         return {"M": self.level, "r": {str(d): r for d, r in self.exponents}}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "EtaQuotient":
-        level = json_int(obj["M"], "M")
+    def from_json_obj(cls, obj: dict, what: str = "eta") -> "EtaQuotient":
+        level = json_int(json_object(obj, what)["M"], "M")
         return cls._known(level, exponent_map(obj["r"], level))
 
 
@@ -82,10 +82,8 @@ def exponent_map(r: dict, level: int | None = None
     divisor, exponent_vector's refusal of one below 1 and, given a level,
     EtaQuotient's refusals of the level and of a divisor, zero exponents
     included, that does not divide it."""
-    if type(r) is not dict:
-        json_object(r, "r")  # the refusal
     pairs, low, stray = [], [], []
-    for key, e in r.items():
+    for key, e in json_object(r, "r").items():
         d = json_key(key)
         if type(e) is not int:
             json_int(e, "exponent")  # the refusal
@@ -101,8 +99,7 @@ def exponent_map(r: dict, level: int | None = None
         _require_level(level)
         if stray:
             raise EtaError(f"divisor {stray[0]} does not divide level {level}")
-    pairs.sort()
-    return tuple(pairs)
+    return tuple(sorted(pairs))
 
 
 class GammaValidation(Record):

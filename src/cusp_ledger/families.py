@@ -97,7 +97,7 @@ class EtaTerm(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EtaTerm":
-        self = cls.__new__(cls)
+        obj, self = json_object(obj, "identity term"), cls.__new__(cls)
         self.scale = Fraction(*json_ratio(obj["scale"], "scale"))
         self.quotient = EtaQuotient.from_json_obj(obj["eta"])
         return self
@@ -473,12 +473,11 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
         except ValueError as exc:
             raise CatalogError(f"{path}.{field}: {exc}") from None
 
-    spec = FamilySpec.__new__(FamilySpec)  # filled as read, in _fields order
+    obj, spec = json_object(obj, "family"), FamilySpec.__new__(FamilySpec)
     spec.name = json_str(obj["name"], "name")
-    spec.generator = EtaQuotient.from_json_obj(obj["generator"])
-    spec.prime = json_int(obj["prime"], "prime")
-    spec.lam = json_int(obj["lam"], "lam")
-    spec.level = json_int(obj["level"], "level")
+    spec.generator = EtaQuotient.from_json_obj(obj["generator"], "generator")
+    spec.prime, spec.lam, spec.level = [json_int(obj[field], field)
+                                        for field in ("prime", "lam", "level")]
     spec.target_residue = json_int(obj.get("target_residue", 1),
                                    "target_residue")
     spec.schedule = {a: ScheduleStep.from_json_obj(s)
@@ -488,7 +487,8 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
     spec.multipliers = {a: PochhammerProduct.from_json_obj(m, "multiplier")
                         for a, m in keyed("multipliers")}
     spec.tower_identities = {
-        a: tuple([EtaTerm.from_json_obj(t) for t in terms])
+        a: tuple([EtaTerm.from_json_obj(t)
+                  for t in json_object(terms, "tower identity", list)])
         for a, terms in keyed("tower_identities")}
     spec.validate()
     return spec
@@ -521,11 +521,12 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
         require_on_gamma0(source, level)
         return -newman_sums(source, level)[2] // 24
 
-    level = obj.get("level")  # optional; a bool is no level
+    level = json_object(obj, "basis").get("level")  # optional, never a bool
     if "level" in obj and (type(level) is not int or level < 1):
         raise CatalogError(f"{path}.level: need an integer >= 1, got {level!r}")
     x = source(obj["x"], "x")
-    ys = [source(y, f"ys[{i}]") for i, y in enumerate(obj.get("ys", []))]
+    ys = [source(y, f"ys[{i}]")
+          for i, y in enumerate(json_object(obj.get("ys", []), "ys", list))]
     z = source(obj["z"], "z") if "z" in obj else None
     if isinstance(z, QSeries):
         raise CatalogError(f"{path}.z: localizers must be eta quotients "
@@ -538,26 +539,17 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
 
 
 def _parsed(path: str, parse, *args):
-    """parse(*args); the one place where a Python exception raised by bad
-    catalog input (unreadable file, broken JSON, missing key, wrong shape or
-    number, a refusal such as a failed FamilySpec.validate) becomes
-    CatalogError "path: why"; a CatalogError already names its entry."""
+    """parse(*args), with the refusal of bad catalog input (a KeyError,
+    OSError, ValueError or CuspLedgerError) raised as CatalogError "path:
+    why", and a CatalogError as it is.  Any other exception is a bug."""
     try:
         return parse(*args)
     except KeyError as exc:
         raise CatalogError(f"{path}: missing field {exc}") from None
     except CatalogError:
         raise
-    except (AttributeError, CuspLedgerError, OSError, TypeError, ValueError,
-            ZeroDivisionError) as exc:
+    except (CuspLedgerError, OSError, ValueError) as exc:
         raise CatalogError(f"{path}: {exc}") from None
-
-
-def _entry(parse, obj, path: str):
-    """One entry of the catalog's families or bases list."""
-    if not isinstance(obj, dict):
-        raise CatalogError(f"{path}: need a JSON object, got {obj!r}")
-    return _parsed(path, parse, obj, path)
 
 
 def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
@@ -569,16 +561,16 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
     if version != 1:
         raise CatalogError(f"{source}: schema_version {version} is not "
                            f"supported (want 1)")
-    for key in ("families", "bases"):
-        if not isinstance(doc.get(key, []), list):
-            raise CatalogError(f"{source}: {key!r} must be a JSON list")
-    families = [_entry(_family_from_json, obj, f"{source}:families[{i}]")
-                for i, obj in enumerate(doc["families"])]
-    bases = [_entry(_basis_from_json, obj, f"{source}:bases[{i}]")
-             for i, obj in enumerate(doc.get("bases", []))]
+    families, bases = [_parsed(source, json_object, doc.get(k, []), repr(k),
+                               list) for k in ("families", "bases")]
+    families = [_parsed(path, _family_from_json, obj, path)
+                for i, obj in enumerate(families)
+                for path in [f"{source}:families[{i}]"]]
+    bases = [_parsed(path, _basis_from_json, obj, path)
+             for i, obj in enumerate(bases)
+             for path in [f"{source}:bases[{i}]"]]
     for key, entries in (("family", families), ("basis", bases)):
-        names = [e.name for e in entries]
-        if len(set(names)) != len(names):
+        if len({e.name for e in entries}) != len(entries):
             raise CatalogError(f"{source}: duplicate {key} names")
     return Catalog(families, bases)
 

@@ -103,22 +103,27 @@ def json_str(value, what: str) -> str:
     return value
 
 
-def json_object(value, what: str) -> dict:
-    """A JSON object field of a JSON document, as it stands."""
-    if type(value) is not dict:
-        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+def json_object(value, what: str, kind: type = dict, size: int = 0):
+    """A JSON object field of a JSON document, as it stands, or with kind
+    list a JSON list, of `size` items where a size is given."""
+    if type(value) is not kind or size and len(value) != size:
+        shape = {dict: "object", list: f"list of {size} items" if size
+                 else "list"}[kind]
+        raise ValueError(f"{what} must be a JSON {shape}, got {value!r}")
     return value
 
 
 def json_ratio(value, what: str) -> tuple[int, int]:
     """A rational field of a JSON document, a JSON integer or an ASCII
     decimal string "p" or "p/q", as the pair of ints (p, q), q = 1 for "p"
-    (int() would also read non-ASCII digits, as json_key says)."""
+    (int() would also read non-ASCII digits, as json_key says); q is not 0."""
     if type(value) is int:
         return value, 1
     if type(value) is str and value.isascii():
         p, slash, q = value.partition("/")
         if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
+            if slash and not int(q):
+                raise ValueError(f"{what} has a zero denominator: {value!r}")
             return int(p), int(q) if slash else 1
     raise ValueError(f"{what} must be an integer or an ASCII decimal string "
                      f"'p' or 'p/q', got {value!r}")
@@ -408,10 +413,13 @@ class QSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QSeries":
-        entries = {}
-        for e, num, den in obj["terms"]:
+        obj, entries = json_object(obj, "series"), {}
+        for term in json_object(obj["terms"], "terms", list):
+            e, num, den = json_object(term, "term", list, 3)
             a, b = json_ratio(num, "numerator")
             c, d = json_ratio(den, "denominator")
+            if not c:
+                raise ValueError(f"denominator must be nonzero, got {den!r}")
             entries[json_int(e, "exponent")] = _scalar(a * d, b * c)
         return cls(entries, json_int(obj["trunc24"], "trunc24"))
 

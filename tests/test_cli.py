@@ -16,7 +16,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 import cusp_ledger
-from cusp_ledger import cli
+from cusp_ledger import cli, families
 from cusp_ledger.cli import main
 from cusp_ledger.curves import divisors
 from cusp_ledger.errors import CatalogError, shown
@@ -499,6 +499,20 @@ def test_malformed_catalog_companion_is_usage_error(tmp_path, capsys, field,
                    "with an 'eta' or 'series' entry\n")
 
 
+@pytest.mark.parametrize("error", [TypeError, AttributeError,
+                                   ZeroDivisionError, RecursionError])
+def test_catalog_reader_bug_is_internal_error(capsys, monkeypatch, error):
+    # a Python exception raised while the catalog loads is a bug in the
+    # loader, never a refusal of the catalog
+    def reader(obj, path):
+        raise error("boom")
+
+    monkeypatch.delenv("CUSP_LEDGER_CATALOG", raising=False)
+    monkeypatch.setattr(families, "_basis_from_json", reader)
+    assert run(capsys, "classify", "--family", "p-5") == (
+        3, "", f"internal error: {error.__name__}: boom\n")
+
+
 def test_non_object_catalog_family_is_usage_error(tmp_path, capsys):
     # used to end as "internal error: AttributeError", exit 3
     path = tmp_path / "catalog.json"
@@ -506,7 +520,8 @@ def test_non_object_catalog_family_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "--catalog", str(path), "verify", "--family",
                          "p-5", "--alpha", "1", "--nmax", "50")
     assert (code, out) == (2, "")
-    assert err == f"error: {path}:families[0]: need a JSON object, got 5\n"
+    assert err == f"error: {path}:families[0]: family must be a JSON object, " \
+        "got 5\n"
 
 
 @pytest.mark.parametrize("level", ["five", True, 0, -5, 5.0, None])
@@ -1472,11 +1487,14 @@ def test_catalog_strings_refused_at_load(tmp_path, capsys, keys, value, want):
 ])
 def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
                                                  value, where):
-    # each used to end as "internal error: ZeroDivisionError", exit 3
+    # each used to end as "internal error: ZeroDivisionError", exit 3, and
+    # then as the refusal "Fraction(1, 0)", which named no field
     path = _edited_catalog(tmp_path, keys, value)
     code, out, err = _verify_p5(capsys, path)
     assert (code, out) == (2, "")
-    assert err == f"error: {path}:{where}: Fraction(1, 0)\n"
+    assert err == f"error: {path}:{where}: " + {
+        "1/0": "scale has a zero denominator: '1/0'",
+        "0": "denominator must be nonzero, got '0'"}[value] + "\n"
 
 
 # (keys of the edited field, value, error after the catalog path): each of

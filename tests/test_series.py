@@ -23,6 +23,7 @@ from cusp_ledger.series import (
     _scatter,
     _series_terms,
     combination,
+    json_ratio,
     pochhammer_expansion,
     parse_rational,
     pochhammer_plan,
@@ -674,6 +675,54 @@ def test_scalar_mixing_and_normalisation():
 def test_serialization_round_trip():
     a = QSeries({-19: Fraction(3, 7), 5: 2, 29: -1}, 24 * 9)
     assert QSeries.from_json_obj(a.to_json_obj()) == a
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, (3, 1)), (-2, (-2, 1)), ("7", (7, 1)), ("-3/5", (-3, 5)),
+    ("0/4", (0, 4)), ("-0", (0, 1))])
+def test_json_ratio_reads_each_form(value, want):
+    assert json_ratio(value, "scale") == want
+
+
+@pytest.mark.parametrize("value", ["1/0", "-3/00", "0/0"])
+def test_json_ratio_refuses_a_zero_denominator(value):
+    # "1/0" used to reach Fraction(1, 0), a ZeroDivisionError
+    with pytest.raises(ValueError) as err:
+        json_ratio(value, "scale")
+    assert str(err.value) == f"scale has a zero denominator: {value!r}"
+
+
+@pytest.mark.parametrize("obj, want", [
+    (5, "series must be a JSON object, got 5"),
+    ([], "series must be a JSON object, got []"),
+    ({"terms": {}, "trunc24": 24}, "terms must be a JSON list, got {}"),
+    ({"terms": "x", "trunc24": 24}, "terms must be a JSON list, got 'x'"),
+    ({"terms": [5], "trunc24": 24},
+     "term must be a JSON list of 3 items, got 5"),
+    ({"terms": [{"0": 1}], "trunc24": 24},
+     "term must be a JSON list of 3 items, got {'0': 1}"),
+    ({"terms": [[0, "1"]], "trunc24": 24},
+     "term must be a JSON list of 3 items, got [0, '1']"),
+    ({"terms": [[0, "1", "1", "1"]], "trunc24": 24},
+     "term must be a JSON list of 3 items, got [0, '1', '1', '1']"),
+    ({"terms": [[0, "1", 0]], "trunc24": 24},
+     "denominator must be nonzero, got 0"),
+    ({"terms": [[0, "1", "0/7"]], "trunc24": 24},
+     "denominator must be nonzero, got '0/7'"),
+    ({"terms": [[0, "1", "2/0"]], "trunc24": 24},
+     "denominator has a zero denominator: '2/0'"),
+])
+def test_series_from_json_refuses_wrong_shapes(obj, want):
+    # each used to raise a TypeError or ZeroDivisionError in Python's words
+    with pytest.raises(ValueError) as err:
+        QSeries.from_json_obj(obj)
+    assert str(err.value) == want
+
+
+def test_series_from_json_reads_a_term_of_ratios():
+    obj = {"terms": [[0, "3/4", "-1/2"], [24, 5, "2"]], "trunc24": 48}
+    assert QSeries.from_json_obj(obj).terms() == [(0, Fraction(-3, 2)),
+                                                  (24, Fraction(5, 2))]
 
 
 # -- the dict-backed series, kept as a reference for the dense kernel ----------
