@@ -553,7 +553,10 @@ def _parsed(path: str, parse, *args):
 
 
 def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
-    doc = _parsed(f"{source}: not valid JSON", json.loads, text)
+    try:  # json refuses nesting too deep for it with a RecursionError
+        doc = json.loads(text)
+    except (RecursionError, ValueError) as exc:
+        raise CatalogError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "families" not in doc:
         raise CatalogError(f"{source}: top level must contain 'families'")
     version = _parsed(source, json_int, doc.get("schema_version", 1),

@@ -499,6 +499,18 @@ def test_malformed_catalog_companion_is_usage_error(tmp_path, capsys, field,
                    "with an 'eta' or 'series' entry\n")
 
 
+def test_catalog_nested_too_deep_is_usage_error(tmp_path, capsys):
+    # json refuses nesting past the recursion limit with a RecursionError,
+    # which used to end as "internal error: RecursionError", exit 3
+    path = tmp_path / "catalog.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "--catalog", str(path), "classify",
+                         "--family", "p-5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not valid JSON: maximum recursion "
+                          "depth exceeded") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [TypeError, AttributeError,
                                    ZeroDivisionError, RecursionError])
 def test_catalog_reader_bug_is_internal_error(capsys, monkeypatch, error):

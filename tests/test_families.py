@@ -877,6 +877,14 @@ def test_catalog_rejects_bad_json():
         catalog_loads('{"nope": 1}')
 
 
+def test_catalog_nested_too_deep_is_not_valid_json():
+    # json refuses nesting past the recursion limit with a RecursionError
+    with pytest.raises(CatalogError) as err:
+        catalog_loads("[" * 100_000 + "]" * 100_000)
+    assert str(err.value).startswith(
+        "<catalog>: not valid JSON: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("doc, want", [
     ({"families": 5}, "<catalog>: 'families' must be a JSON list"),
     ({"families": [], "bases": {"b": 1}},
