@@ -525,6 +525,17 @@ def test_catalog_reader_bug_is_internal_error(capsys, monkeypatch, error):
         3, "", f"internal error: {error.__name__}: boom\n")
 
 
+@pytest.mark.parametrize("argv, code", [(["profile", "30"], 0),
+                                        (["profile", "x"], 2)])
+def test_entry_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    # entry() is the console script cusp-ledger
+    monkeypatch.setattr(sys, "argv", ["cusp-ledger", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == code
+    assert bool(capsys.readouterr().err) == bool(code)
+
+
 def test_non_object_catalog_family_is_usage_error(tmp_path, capsys):
     # used to end as "internal error: AttributeError", exit 3
     path = tmp_path / "catalog.json"

@@ -677,6 +677,12 @@ def test_serialization_round_trip():
     assert QSeries.from_json_obj(a.to_json_obj()) == a
 
 
+def test_repr_shows_every_term():
+    # pytest's failure output shows a series by its repr
+    assert repr(QSeries({0: 1, 24: Fraction(-1, 2)}, 48)) \
+        == "QSeries(1 - 1/2*q + O(q^2))"
+
+
 @pytest.mark.parametrize("value, want", [
     (3, (3, 1)), (-2, (-2, 1)), ("7", (7, 1)), ("-3/5", (-3, 5)),
     ("0/4", (0, 4)), ("-0", (0, 1))])
