@@ -1,9 +1,10 @@
 """Mutation sweep over the series kernel, the reduction engine, the
 cusp orders and their bounds, the Gamma_0(N) conditions and refusal,
-the catalog's readers of exponent maps, families and bases, find-eta's
-rendering, the cusps, elliptic points and genus of X_0(N), and the
-classification, verification, coefficient series, recursive tower and
-identity-chart powers of congruence families.
+the catalog's loader and its readers of rationals, series, eta quotients,
+exponent maps, families and bases, find-eta's rendering, the cusps,
+elliptic points and genus of X_0(N), and the classification,
+verification, coefficient series, recursive tower and identity-chart
+powers of congruence families.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -83,6 +84,10 @@ TARGETS = (
     ("families", "FamilySpec.validate"),
     ("families", "PochhammerProduct.from_json_obj"),
     ("eta", "newman_sums"),
+    ("series", "json_ratio"),
+    ("series", "QSeries.from_json_obj"),
+    ("eta", "EtaQuotient.from_json_obj"),
+    ("families", "catalog_loads"),
 )
 
 # the tests run against a mutant of each module
