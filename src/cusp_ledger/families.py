@@ -68,8 +68,7 @@ class PochhammerProduct(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict, what: str) -> "PochhammerProduct":
-        # a catalog record is filled as it is read, in _fields order, as
-        # Record.__init__ would fill it
+        # filled as read, in _fields order, as Record.__init__ would fill it
         obj, self = json_object(obj, what), cls.__new__(cls)
         self.qpow = json_int(obj.get("qpow", 0), "qpow")
         self.exponents = exponent_map(obj.get("r", {}))
@@ -476,8 +475,9 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
     obj, spec = json_object(obj, "family"), FamilySpec.__new__(FamilySpec)
     spec.name = json_str(obj["name"], "name")
     spec.generator = EtaQuotient.from_json_obj(obj["generator"], "generator")
-    spec.prime, spec.lam, spec.level = [json_int(obj[field], field)
-                                        for field in ("prime", "lam", "level")]
+    spec.prime = json_int(obj["prime"], "prime")
+    spec.lam = json_int(obj["lam"], "lam")
+    spec.level = json_int(obj["level"], "level")
     spec.target_residue = json_int(obj.get("target_residue", 1),
                                    "target_residue")
     spec.schedule = {a: ScheduleStep.from_json_obj(s)
@@ -539,9 +539,8 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
 
 
 def _parsed(path: str, parse, *args):
-    """parse(*args), with the refusal of bad catalog input (a KeyError,
-    OSError, ValueError or CuspLedgerError) raised as CatalogError "path:
-    why", and a CatalogError as it is.  Any other exception is a bug."""
+    """parse(*args); its KeyError, OSError, ValueError or CuspLedgerError
+    on bad input is the refusal CatalogError "path: why", all else a bug."""
     try:
         return parse(*args)
     except KeyError as exc:
