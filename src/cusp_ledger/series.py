@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, lcm
-from operator import add, neg, setitem, sub
+from operator import setitem, sub
 
 from .curves import factorize
 from .errors import ExactnessError, SeriesError, TruncationError, shown
@@ -633,7 +633,7 @@ def _scatter(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
 # least this many terms long: shorter segments do not repay building its
 # iterators.  Fitted on dividing 1 and dense dividends by (q;q) and psi(q)
 # at 100-1000 terms (lengths 12, 16, 24, 32 tried).
-_C_SEGMENT = 24
+_C_SEGMENT = 16
 
 
 def _reader(c: list[int], i: int):
@@ -641,17 +641,6 @@ def _reader(c: list[int], i: int):
     it = iter(c)
     it.__setstate__(i)
     return it
-
-
-def _summed(readers: list):
-    """The sums, step by step, of one item from each reader.  The items go
-    through tuples of at most 19, the longest CPython recycles: longer ones
-    churn the small-object allocator once per step and raise peak memory."""
-    k = -(-len(readers) // 19)
-    total = map(sum, zip(*readers[::k]))
-    for i in range(1, k):
-        total = map(add, total, map(sum, zip(*readers[i::k])))
-    return total
 
 
 def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
@@ -663,8 +652,10 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
 
     When every weight is 1 or -1 (Euler's and Gauss's psi), a segment of
     _C_SEGMENT terms or more and all after it run in C: one list iterator
-    per exponent e reads c[k - e], each sign's are zipped and summed, and
-    the sums are written back with setitem before the next step reads them.
+    per exponent e reads c[k - e], each sign's are summed through one zip
+    (the dividend's first among the added), and the difference is written
+    back with setitem before the next step reads it.  zip reuses its result
+    tuple at any length, so no step allocates one.
     """
     plus: list[int] = []   # exponents of weight -1: added
     minus: list[int] = []  # exponents of weight 1: subtracted
@@ -691,18 +682,13 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
             c[k] = t
     else:
         return
-    adds = [_reader(c, e - o) for o in plus]
-    subs = [_reader(c, e - o) for o in minus]
-    # the dividend is read only where some term of it is left
-    dividend = _reader(c, e) if any(islice(c, e, None)) else None
+    # the dividend leads the added side, read only where some of it is left
+    adds = [_reader(c, e) if any(islice(c, e, None)) else repeat(0),
+            *(_reader(c, e - o) for o in plus)]
+    subs = [repeat(0), *(_reader(c, e - o) for o in minus)]
     for (e, w), (end, _) in chain([((e, w), (end, None))], segments):
         (adds if w == -1 else subs).append(iter(c))
-        if adds and subs:
-            net = map(sub, _summed(adds), _summed(subs))
-        else:
-            net = _summed(adds) if adds else map(neg, _summed(subs))
-        if dividend is not None:
-            net = map(add, dividend, net)
+        net = map(sub, map(sum, zip(*adds)), map(sum, zip(*subs)))
         # setitem returns None, so any() runs the map to its end
         any(map(setitem, repeat(c), range(e, end), net))
 

@@ -13,6 +13,7 @@ from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
 from cusp_ledger.families import catalog_load, shipped_catalog_path
 from cusp_ledger.series import (
     MAX_INT_DIGITS,
+    _C_SEGMENT,
     _KRONECKER_NONZEROS,
     _SERIES,
     QSeries,
@@ -360,6 +361,32 @@ def test_divide_out_on_drawn_terms(dividend_and_terms):
     # which keeps the whole pass in Python
     dividend, weights = dividend_and_terms
     terms = sorted(weights.items())
+    got, want = dividend[:], dividend[:]
+    _divide_out(got, terms)
+    reference_divide_out(want, terms)
+    assert got == want
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(600, 3000), st.integers(20, 120),
+       st.sampled_from([0, 1, 19, 20, 21, 40]), st.sampled_from([1, -1, 0]),
+       st.booleans(), st.integers(0, 2 ** 32))
+@example(3000, 120, 19, 1, True, 1)
+@example(600, 20, 20, -1, False, 2)
+@example(1500, 60, 19, -1, True, 3)
+@example(2000, 90, 20, 1, False, 4)
+def test_divide_out_on_drawn_unit_terms(n, k, head, head_sign, dense, seed):
+    # weights of 1 and -1 only, so the pass moves to the C path at its first
+    # segment of _C_SEGMENT terms or more; the first `head` exponents are
+    # 1, 2, ..., packed too close for that, and of one sign (0: of drawn
+    # signs), so a sign enters the C path with no reader, 19, 20 or more
+    rng = random.Random(seed)
+    head = min(head, k)
+    rest = rng.sample(range(head + _C_SEGMENT, n), k - head)
+    terms = [(e, head_sign if e <= head and head_sign
+              else rng.choice((1, -1)))
+             for e in [*range(1, head + 1), *sorted(rest)]]
+    dividend = _dense_dividend(n) if dense else [1] + [0] * (n - 1)
     got, want = dividend[:], dividend[:]
     _divide_out(got, terms)
     reference_divide_out(want, terms)

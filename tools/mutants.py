@@ -46,7 +46,6 @@ PACKAGE = Path("src", "cusp_ledger")
 # (module, qualified name) of each function the sweep mutates
 TARGETS = (
     ("series", "_divide_out"),
-    ("series", "_summed"),
     ("series", "_scatter"),
     ("series", "_kronecker"),
     ("series", "_pack"),
@@ -112,7 +111,6 @@ _SWITCH = ("the C path and the Python loop take the same sums, so where the "
            "pass switches from one to the other changes no coefficient")
 _SWITCH_TEST = ("end - e >= _C_SEGMENT and (not weighted) and all((x * x == 1 "
                 "for _, x in terms))")
-_CHUNK = "tuples of any length take the same sums"
 _NO_PREFACTOR = ("without a depth-1 prefactor tower_series_direct refuses L_1 "
                  "before the chain's sizes are read")
 _LEAD = "lead = [phi.qpow if (phi := spec.prefactors.get(1)) else 0]"
@@ -216,18 +214,10 @@ EQUIVALENT = (
      _SWITCH_TEST,
      _SWITCH_TEST.replace("x * x == 1", "x * x == 0"),
      _SWITCH),
-    ("series", "_summed",
-     "k = -(-len(readers) // 19)",
-     "k = -(-len(readers) // 20)",
-     _CHUNK),
     ("families", "tower_series_recursive", _LEAD,
      _LEAD.replace("else 0", "else 1"), _NO_PREFACTOR),
     ("families", "tower_series_recursive", _LEAD,
      _LEAD.replace("else 0", "else -1"), _NO_PREFACTOR),
-    ("series", "_summed",
-     "k = -(-len(readers) // 19)",
-     "k = -(-len(readers) // 18)",
-     _CHUNK),
     ("series", "_kronecker",
      "bits = max(max(a), -min(a)).bit_length() + max(max(b), "
      "-min(b)).bit_length() + min(len(a), len(b)).bit_length() + 1",
