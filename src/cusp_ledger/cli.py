@@ -49,7 +49,7 @@ from .families import (
 )
 from .reduction import DEFAULT_GUARD, localize_reduce, reduce_module, valuation_table
 from .series import (MAX_INT_DIGITS, QSeries, ascii_decimal, json_key,
-                     parse_rational)
+                     numstr, parse_rational)
 
 SCHEMA_VERSION = 1
 CATALOG_ENV = "CUSP_LEDGER_CATALOG"
@@ -167,11 +167,9 @@ def _emit(args, report: dict, text: str) -> None:
 
 def cmd_profile(args) -> int:
     profile = curve_profile(args.level)
-    lines = [
-        f"X_0({profile.level}): index {profile.index}, "
-        f"cusp count {profile.cusp_count}, nu2 {profile.nu2}, "
-        f"nu3 {profile.nu3}, genus {profile.genus}"
-    ]
+    lines = [f"X_0({profile.level}): index {profile.index}, "
+             f"cusp count {profile.cusp_count}, nu2 {profile.nu2}, "
+             f"nu3 {profile.nu3}, genus {profile.genus}"]
     for c in profile.cusp_classes:
         lines.append(
             f"  class c={c.denominator}: count {c.count}, width {c.width}")
@@ -215,8 +213,8 @@ def cmd_expand(args) -> int:
         scale, series = expand_at_zero(quotient, level, trunc24)
         report = {"command": "expand", "cusp": "zero",
                   "quotient": quotient.to_json_obj(), "level": level,
-                  "scale": str(scale), "series": series.to_json_obj()}
-        text = f"scale {scale}\n{series.format()}"
+                  "scale": numstr(scale), "series": series.to_json_obj()}
+        text = f"scale {numstr(scale)}\n{series.format()}"
     else:
         trunc24 = quotient.degree24 + 24 * args.terms
         series = expand_at_infinity(quotient, trunc24)
@@ -241,7 +239,7 @@ def cmd_verify(args) -> int:
             f"demanded {rep.beta}: {'PASS' if rep.passed else 'FAIL'}")
     if rep.counterexample:
         n, c, v = rep.counterexample
-        text += f"\n  counterexample: a({n}) = {c} has valuation {v}"
+        text += f"\n  counterexample: a({n}) = {numstr(c)} has valuation {v}"
     _emit(args, {"command": "verify", **rep.to_json_obj()}, text)
     return EXIT_OK if rep.passed else EXIT_MATH_FAIL
 
@@ -320,7 +318,7 @@ def cmd_reduce(args) -> int:
              f"(localizer exponent {rep.localizer_exponent})"]
     for (k, m), c in sorted(rep.coeffs.items()):
         mon = f"x^{m}" if k == 0 else f"y_{k} x^{m}"
-        lines.append(f"  {mon}: {c}")
+        lines.append(f"  {mon}: {numstr(c)}")
     if not rep.coeffs:
         lines.append("  (zero)")
     prime = args.prime or prime

@@ -171,13 +171,11 @@ def curve_profile(N: int) -> CurveProfile:
     eps = sum(c.count for c in classes)
     if sum(c.count * c.width for c in classes) != mu:
         raise InternalInconsistencyError(
-            f"cusp widths at N={N} do not sum to the index {mu}"
-        )
+            f"cusp widths at N={N} do not sum to the index {mu}")
     nu2, nu3 = elliptic_counts(N)
     genus, rest = divmod(12 + mu - 3 * nu2 - 4 * nu3 - 6 * eps, 12)
     if rest or genus < 0:
         raise InternalInconsistencyError(
-            f"genus formula returned {genus} + {rest}/12 at N={N}"
-        )
+            f"genus formula returned {genus} + {rest}/12 at N={N}")
     return CurveProfile(level=N, index=mu, cusp_classes=tuple(classes),
                         cusp_count=eps, nu2=nu2, nu3=nu3, genus=genus)

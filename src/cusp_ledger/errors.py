@@ -8,12 +8,14 @@ CLI) can map errors onto exit codes without string matching.
 ECHO_LIMIT = 40  # the longest input value an error message repeats in full
 
 
-def shown(text: str) -> str:
-    """text as an error message repeats it: its repr, or past ECHO_LIMIT
-    characters the repr of the first ones and the length."""
+def shown(value) -> str:
+    """value as an error message repeats it: its repr, or, past ECHO_LIMIT
+    characters of a string or else of its repr, the start and the length."""
+    text = value if type(value) is str else repr(value)
     if len(text) <= ECHO_LIMIT:
-        return repr(text)
-    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
+        return repr(value)
+    head = repr(text[:ECHO_LIMIT]) if text is value else text[:ECHO_LIMIT]
+    return f"{head}... ({len(text)} characters)"
 
 
 class CuspLedgerError(Exception):

@@ -45,8 +45,8 @@ from .eta import (
 )
 from .reduction import ModuleBasis, check_pole_orders, pole_order
 from .series import (QSeries, combination, is_prime, json_int, json_key,
-                     json_object, json_ratio, json_str, pochhammer_product,
-                     valuation)
+                     json_object, json_ratio, json_str, numstr,
+                     pochhammer_product, valuation)
 
 
 class PochhammerProduct(Record):
@@ -181,14 +181,8 @@ def classify(N: int, prime: int | None = None) -> ClassificationReport:
         flags.append("level-power-of-two")
     if prime == 2:
         flags.append("prime-two")
-    if eps % 2 == 1 or prime == 2:
-        cls = SPORADIC
-    elif eps == 2:
-        cls = CLASSICAL
-    elif eps == 4:
-        cls = LOCALIZATION
-    else:
-        cls = NO_SYSTEMATIC
+    cls = SPORADIC if eps % 2 == 1 or prime == 2 else {
+        2: CLASSICAL, 4: LOCALIZATION}.get(eps, NO_SYSTEMATIC)
     return ClassificationReport(
         level=N, prime=prime, cusp_count=eps, genus=profile.genus,
         difficulty_class=cls, tedium_score=profile.genus,
@@ -289,7 +283,7 @@ class VerificationReport(Record):
         ce = None
         if self.counterexample is not None:
             n, c, v = self.counterexample
-            ce = {"n": n, "coefficient": str(c), "valuation": v}
+            ce = {"n": n, "coefficient": numstr(c), "valuation": v}
         return {**vars(self), "counterexample": ce}
 
 
@@ -306,18 +300,16 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
     beta = step.beta if beta_override is None else beta_override
     mod = spec.prime ** step.modulus_exponent
     r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
-    last = n_max - (n_max - r) % mod  # the last qualifying n; < r if none
-    if series is None and (last >= r or n_max < 0):
-        series = coefficient_series(spec, last)
-    count = 0
+    qualifying = range(r, n_max + 1, mod)
+    if series is None and (qualifying or n_max < 0):
+        series = coefficient_series(spec, n_max - (n_max - r) % mod)
     min_val: int | None = None
     counterexample = None
-    for n in range(r, n_max + 1, mod):
-        c = series.coeff_q(n)
+    for n, c in zip(qualifying, series.coeffs_q(qualifying)
+                    if qualifying else ()):
         if not isinstance(c, int):
             raise ExactnessError(
                 f"family {spec.name}: coefficient a({n}) is not an integer")
-        count += 1
         v = valuation(c, spec.prime)
         if v is None:
             continue
@@ -328,8 +320,8 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
     passed = min_val is None or min_val >= beta
     return VerificationReport(
         family=spec.name, alpha=alpha, modulus_exponent=step.modulus_exponent,
-        beta=beta, n_max=n_max, qualifying_count=count, min_valuation=min_val,
-        passed=passed, counterexample=counterexample)
+        beta=beta, n_max=n_max, qualifying_count=len(qualifying),
+        min_valuation=min_val, passed=passed, counterexample=counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +515,8 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
 
     level = json_object(obj, "basis").get("level")  # optional, never a bool
     if "level" in obj and (type(level) is not int or level < 1):
-        raise CatalogError(f"{path}.level: need an integer >= 1, got {level!r}")
+        raise CatalogError(
+            f"{path}.level: need an integer >= 1, got {shown(level)}")
     x = source(obj["x"], "x")
     ys = [source(y, f"ys[{i}]")
           for i, y in enumerate(json_object(obj.get("ys", []), "ys", list))]

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .eta import CuspOrderVector
 from .series import (QSeries, Scalar, _check_prime, _norm, combination,
-                     valuation)
+                     numstr, valuation)
 
 DEFAULT_GUARD = 10  # residual must be verifiably zero this many terms past q^0
 
@@ -54,13 +54,11 @@ def check_pole_orders(x_order: int, y_orders: list[int]) -> None:
     if len(set(residues)) != len(residues):
         raise BasisError(
             "basis not order-complete: companion pole orders collide mod "
-            f"{x_order} (orders {y_orders})"
-        )
+            f"{x_order} (orders {y_orders})")
     if len(residues) != x_order:
         raise BasisError(
             "basis not order-complete: companion pole orders cover "
-            f"{len(residues)} of {x_order} residue classes mod {x_order}"
-        )
+            f"{len(residues)} of {x_order} residue classes mod {x_order}")
 
 
 class ModuleBasis:
@@ -115,8 +113,7 @@ class ModuleBasis:
         if len(hits) > 1:
             raise InternalInconsistencyError(
                 f"order-completeness violated: pole order {order} reached by "
-                f"{hits}"
-            )
+                f"{hits}")
         return hits[0]
 
     def x_power(self, m: int) -> QSeries:
@@ -170,7 +167,7 @@ class Representation(Record):
         return {m: c for (_, m), c in self.coeffs.items()}
 
     def to_json_obj(self) -> dict:
-        quads = [[k, m, str(Fraction(c).numerator), str(Fraction(c).denominator)]
+        quads = [[k, m, numstr(c.numerator), numstr(c.denominator)]
                  for (k, m), c in sorted(self.coeffs.items())]
         return {"localizer_exponent": self.localizer_exponent,
                 "coeffs": quads,
@@ -181,8 +178,7 @@ def _check_window(trunc24: int, guard: int, what: str) -> None:
     if trunc24 < 24 * guard:
         raise TruncationError(
             f"{what} known only to q^({trunc24}/24); the residual check "
-            f"needs at least q^{guard} (guard={guard})"
-        )
+            f"needs at least q^{guard} (guard={guard})")
 
 
 def reduce_module(f: QSeries, basis: ModuleBasis,
@@ -269,8 +265,7 @@ def localize_reduce(f: QSeries, basis: ModuleBasis,
             continue
         if z_ord < 1:
             raise BasisError(
-                f"invalid localizer: cannot cancel the pole at cusp class {c}"
-            )
+                f"invalid localizer: cannot cancel the pole at cusp class {c}")
         n = max(n, ceil(Fraction(-f_ord) / z_ord))
     if n:
         f = f * basis.z() ** n
@@ -299,8 +294,7 @@ def valuation_table(rep: Representation, ell: int) -> ValuationTable:
     entries: dict[tuple[int, int], int | None] = {}
     for (k, m), c in rep.coeffs.items():
         if not isinstance(c, int):
-            raise ExactnessError(
-                f"coefficient at (k={k}, m={m}) is not an integer: {c}"
-            )
+            raise ExactnessError(f"coefficient at (k={k}, m={m}) is not an "
+                                 f"integer: {numstr(c)}")
         entries[(k, m)] = valuation(c, ell)
     return ValuationTable(prime=ell, entries=entries)

@@ -19,6 +19,7 @@ The ring operations run on integers; Fractions appear only at the boundary
 from __future__ import annotations
 
 from collections.abc import Mapping
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import gcd, lcm
@@ -42,6 +43,17 @@ def _norm(value) -> Scalar:
 
 def _scalar(num: int, den: int) -> Scalar:
     return num if den == 1 else _norm(Fraction(num, den))
+
+
+def numstr(v: Scalar) -> str:
+    """str(v) for an int or Fraction of any size: past the interpreter's
+    limit on int digits (sys.set_int_max_str_digits) through Decimal, which
+    the limit does not bind."""
+    try:
+        return str(v)
+    except ValueError:
+        p, q = Decimal(v.numerator), v.denominator
+        return f"{p}/{Decimal(q)}" if q != 1 else str(p)
 
 
 def is_prime(n: int) -> bool:
@@ -70,7 +82,7 @@ def json_int(value, what: str) -> int:
     """An integer field of a JSON document, as it stands: int() would
     truncate a float or parse a string, and a bool is no number."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {shown(value)}")
     return value
 
 
@@ -81,7 +93,7 @@ def json_key(key: str) -> int:
     digits = key.removeprefix("-")
     if not (digits.isdigit() and digits.isascii()) \
             or (digits[0] == "0" and key != "0"):
-        raise ValueError(f"key {key!r} is not a canonical ASCII decimal")
+        raise ValueError(f"key {shown(key)} is not a canonical ASCII decimal")
     return int(key)
 
 
@@ -99,7 +111,7 @@ def ascii_decimal(text: str) -> str:
 def json_str(value, what: str) -> str:
     """A string field of a JSON document, as it stands."""
     if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {value!r}")
+        raise ValueError(f"{what} must be a string, got {shown(value)}")
     return value
 
 
@@ -109,7 +121,7 @@ def json_object(value, what: str, kind: type = dict, size: int = 0):
     if type(value) is not kind or size and len(value) != size:
         shape = {dict: "object", list: f"list of {size} items" if size
                  else "list"}[kind]
-        raise ValueError(f"{what} must be a JSON {shape}, got {value!r}")
+        raise ValueError(f"{what} must be a JSON {shape}, got {shown(value)}")
     return value
 
 
@@ -123,10 +135,11 @@ def json_ratio(value, what: str) -> tuple[int, int]:
         p, slash, q = value.partition("/")
         if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
             if slash and not int(q):
-                raise ValueError(f"{what} has a zero denominator: {value!r}")
+                raise ValueError(
+                    f"{what} has a zero denominator: {shown(value)}")
             return int(p), int(q) if slash else 1
     raise ValueError(f"{what} must be an integer or an ASCII decimal string "
-                     f"'p' or 'p/q', got {value!r}")
+                     f"'p' or 'p/q', got {shown(value)}")
 
 
 MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
@@ -250,6 +263,20 @@ class QSeries:
     def coeff_q(self, n: int) -> Scalar:
         """Coefficient of q^n (integer exponent)."""
         return self.coeff24(24 * n)
+
+    def coeffs_q(self, ns: range):
+        """coeff_q(n) for each n of ns, a range of step >= 1, in order, read
+        in one stride over the numerators."""
+        known = len(ns[:len(range(ns.start, -(-self.trunc24 // 24), ns.step))])
+        i, rem = divmod(24 * ns.start - self.offset24, 24)
+        skip = max(-(i // ns.step), 0)  # the n below the leading term
+        values = chain(repeat(0, skip), islice([] if rem else self._nums,
+                       i + skip * ns.step, None, ns.step), repeat(0))
+        if self._den != 1:
+            values = map(_scalar, values, repeat(self._den))
+        yield from islice(values, known)
+        if known < len(ns):
+            self.coeff_q(ns[known])  # past the truncation: raises
 
     def agrees_with(self, other: "QSeries") -> bool:
         """Exact equality on the overlap of the two known ranges."""
@@ -407,7 +434,7 @@ class QSeries:
         return " ".join(parts + [f"+ O({_expstr(self.trunc24)})"])
 
     def to_json_obj(self) -> dict:
-        return {"terms": [[e, str(v.numerator), str(v.denominator)]
+        return {"terms": [[e, numstr(v.numerator), numstr(v.denominator)]
                           for e, v in self.terms()],
                 "trunc24": self.trunc24}
 
@@ -419,7 +446,8 @@ class QSeries:
             a, b = json_ratio(num, "numerator")
             c, d = json_ratio(den, "denominator")
             if not c:
-                raise ValueError(f"denominator must be nonzero, got {den!r}")
+                raise ValueError(
+                    f"denominator must be nonzero, got {shown(den)}")
             entries[json_int(e, "exponent")] = _scalar(a * d, b * c)
         return cls(entries, json_int(obj["trunc24"], "trunc24"))
 
@@ -733,6 +761,6 @@ def _expstr(e24: int) -> str:
 
 def _termstr(e24: int, v: Scalar, first: bool) -> str:
     sign = "-" if v < 0 else ("" if first else "+")
-    mag, base = abs(v), _expstr(e24)
-    body = str(mag) if base == "1" else (base if mag == 1 else f"{mag}*{base}")
+    mag, base = numstr(abs(v)), _expstr(e24)
+    body = mag if base == "1" else (base if mag == "1" else f"{mag}*{base}")
     return f"{sign}{body}" if first else f"{sign} {body}"

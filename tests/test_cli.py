@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -874,6 +875,51 @@ def test_refused_short_values_echoed_in_full(capsys, argv, err):
 def test_echo_limit_is_forty_characters():
     assert shown("9" * 40) == repr("9" * 40)
     assert shown("9" * 41) == f"{'9' * 40!r}... (41 characters)"
+    # any other value is cut on its repr
+    assert shown([10] + [1] * 12) == repr([10] + [1] * 12)  # 40 characters
+    assert shown([100] + [1] * 12) == ("[100, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, "
+                                       "1... (41 characters)")
+
+
+@pytest.mark.parametrize("keys, value, where, echo", [
+    (("families", 0, "schedule"), list(range(20000)),
+     "families[0]: schedule must be a JSON object", "[0, 1, 2,"),
+    (("bases", 0, "ys"), {str(k): k for k in range(20000)},
+     "bases[0]: ys must be a JSON list", "{'0': 0, '1': 1,"),
+], ids=["schedule-list", "ys-object"])
+def test_catalog_refusal_echoes_a_long_value_by_its_start(
+        tmp_path, capsys, keys, value, where, echo):
+    # each of these used to repeat the value in full, on one line of
+    # 128,946 and 297,825 bytes
+    path = _edited_catalog(tmp_path, keys, value)
+    code, out, err = run(capsys, "--catalog", str(path), "classify",
+                         "--family", "p-5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}:{where}, got {echo}")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert re.search(r"\.\.\. \([0-9]{6} characters\)\n$", err)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int digits before Python 3.10.7")
+def test_output_integers_past_the_digit_limit(capsys, monkeypatch):
+    # str(int) refuses an int of more digits than the limit, and a few
+    # coefficients of 1/eta^200 below q^3000 pass 640: under that limit this
+    # command ended in "internal error: ValueError", exit 3
+    argv = ("expand", "--eta", "1:-200", "--terms", "3000")
+    # the series is expanded once, and written anew by each run
+    monkeypatch.setattr(cli, "expand_at_infinity",
+                        lru_cache(cli.expand_at_infinity))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # no limit
+        want = run(capsys, *argv), run(capsys, "--json", *argv)
+        sys.set_int_max_str_digits(640)
+        got = run(capsys, *argv), run(capsys, "--json", *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want and want[0][0] == want[1][0] == 0
+    assert max(map(len, re.findall("[0-9]+", want[0][1]))) > 640
 
 
 def test_rational_values_with_exponents_still_read(capsys):

@@ -11,6 +11,7 @@ from cusp_ledger.curves import Record
 from cusp_ledger.errors import (
     BasisError,
     CatalogError,
+    ExactnessError,
     FamilyError,
     InternalInconsistencyError,
     TruncationError,
@@ -367,13 +368,18 @@ def test_verify_sharpness_counterexample(catalog, p_series):
     assert n == 4 and c == 5 and v == 1
 
 
-def test_verify_counterexample_is_first_violation():
-    # qualifying n = 1, 6, 11, 16 (n = 1 mod 5); a(1) violates 5^2 | a(n) with
-    # valuation 1, a(11) later attains the global minimum 0
-    spec = FamilySpec(name="toy", generator=EtaQuotient(1, {1: -1}), prime=5,
+def _toy_spec():
+    """n = 1 mod 5 qualifies at depth 1, where 5^2 | a(n) is demanded."""
+    return FamilySpec(name="toy", generator=EtaQuotient(1, {1: -1}), prime=5,
                       lam=1, level=5, target_residue=1,
                       schedule={1: ScheduleStep(1, 2)}, prefactors={},
                       multipliers={}, tower_identities={})
+
+
+def test_verify_counterexample_is_first_violation():
+    # qualifying n = 1, 6, 11, 16 (n = 1 mod 5); a(1) violates 5^2 | a(n) with
+    # valuation 1, a(11) later attains the global minimum 0
+    spec = _toy_spec()
     coeffs = [0] * 17
     coeffs[1], coeffs[6], coeffs[11], coeffs[16] = 15, 0, 7, 250
     coeffs[2] = 1  # not qualifying: ignored
@@ -382,6 +388,23 @@ def test_verify_counterexample_is_first_violation():
     assert rep.qualifying_count == 4
     assert rep.min_valuation == 0 and not rep.passed
     assert rep.counterexample == (1, 15, 1)
+
+
+@pytest.mark.parametrize("entries, trunc24, error, match", [
+    # a(11) is not an integer, and a(16) lies past the truncation
+    ({24: 25, 264: Fraction(5, 2)}, 24 * 14, ExactnessError, r"a\(11\)"),
+    ({24: 25, 264: 50}, 24 * 14, TruncationError, r"q\^\(384/24\)"),
+    ({24: 25, 264: 50}, 24 * 16, TruncationError, r"q\^\(384/24\)"),
+])
+def test_verify_refuses_a_given_series_it_cannot_read(entries, trunc24,
+                                                      error, match):
+    with pytest.raises(error, match=match):
+        verify_congruence(_toy_spec(), 1, 16, series=QSeries(entries,
+                                                             trunc24))
+    series = QSeries(entries, 24 * 17)
+    if error is TruncationError:  # known to q^16, every a(n) is read
+        rep = verify_congruence(_toy_spec(), 1, 16, series=series)
+        assert (rep.qualifying_count, rep.min_valuation) == (4, 2)
 
 
 def test_verify_subsequence_consistency(catalog, p_series):

@@ -1,8 +1,10 @@
 """Tests for the exact q-series core."""
 
 import random
+import re
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import gcd
 from unittest.mock import patch
 
@@ -25,6 +27,7 @@ from cusp_ledger.series import (
     _series_terms,
     combination,
     json_ratio,
+    numstr,
     pochhammer_expansion,
     parse_rational,
     pochhammer_plan,
@@ -678,6 +681,51 @@ def test_valuation_refuses_units_and_zero_base():
             valuation(5, ell)
         with pytest.raises(SeriesError):
             valuation(0, ell)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int digits before Python 3.10.7")
+def test_numstr_writes_past_the_digit_limit():
+    big = 7 ** 1000  # 846 digits
+    values = [big, -big, Fraction(big, 3), Fraction(-2, big), 0, -12,
+              Fraction(-1, 2)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # no limit
+        want = list(map(str, values))
+        sys.set_int_max_str_digits(640)
+        got = list(map(numstr, values))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+
+
+@pytest.mark.parametrize("entries, trunc24", [
+    ({0: 3, 24: -1, 96: 5, 240: 7}, 24 * 12),
+    ({48: 1, 72: 2, 120: -4}, 24 * 9 + 5),           # leading term past q^0
+    ({-72: 2, -24: 1, 0: 9, 48: 3}, 24 * 7),         # below q^0
+    ({24: Fraction(1, 3), 72: Fraction(2, 3), 96: 5}, 24 * 8),
+    ({0: Fraction(1, 2), 48: 3}, 24 * 5),
+    ({5: 1, 29: 2}, 24 * 6),                         # off the integer grid
+    ({}, 24 * 4),
+])
+def test_coeffs_q_reads_as_coeff_q(entries, trunc24):
+    s = QSeries(entries, trunc24)
+    known = -(-trunc24 // 24)  # the first n past the truncation
+    for start in range(-4, 6):
+        for step in (1, 2, 3, 5):
+            for stop in (start, known, known + 7):
+                ns = range(start, stop, step)
+                want = [s.coeff_q(n) for n in ns if n < known]
+                got = s.coeffs_q(ns)
+                assert list(islice(got, len(want))) == want, (start, step)
+                past = [n for n in ns if n >= known]
+                if not past:
+                    assert next(got, None) is None
+                    continue
+                with pytest.raises(TruncationError, match=re.escape(
+                        f"coefficient at q^({24 * past[0]}/24) is beyond")):
+                    next(got)
 
 
 # -- bookkeeping --------------------------------------------------------------
