@@ -21,22 +21,26 @@ from types import SimpleNamespace
 
 from .curves import curve_profile
 from .errors import (
+    MAX_INT_DIGITS,
     CatalogError,
     CuspLedgerError,
+    EtaError,
     GapError,
     IdentityMismatchError,
     InternalInconsistencyError,
     ReductionError,
+    check_digits,
     shown,
 )
 from .eta import (
+    ORDER_OPS,
     EtaQuotient,
+    OrderConstraint,
     cusp_order_numerators,
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
     order_at_cusp,
-    parse_constraints,
     search_eta_quotients,
 )
 from .families import (
@@ -44,12 +48,12 @@ from .families import (
     catalog_load,
     certified_identity_chart,
     classify,
+    json_key,
     shipped_catalog_path,
     verify_congruence,
 )
 from .reduction import DEFAULT_GUARD, localize_reduce, reduce_module, valuation_table
-from .series import (MAX_INT_DIGITS, QSeries, ascii_decimal, json_key,
-                     numstr, parse_rational)
+from .series import QSeries, numstr
 
 SCHEMA_VERSION = 1
 CATALOG_ENV = "CUSP_LEDGER_CATALOG"
@@ -86,6 +90,78 @@ def _load_catalog(args) -> Catalog:
     return catalog_load(args.catalog or shipped_catalog_path())
 
 
+def _decimal(text: str, want: str = "an integer", cap: int | None = None):
+    """int(text) of a number typed on the command line if it is ASCII digits
+    after an optional sign and leading zeros, blanks around; else None, also
+    for '_' and other scripts' digits, which int() reads ('1_0' as 10).
+    Past a cap by its digits alone it is cap + 1, unread, and past
+    MAX_INT_DIGITS digits it is refused (check_digits)."""
+    body = text.strip(" \t\n\r\v\f")
+    sign = body[:1] in ("-", "+")
+    digits = body[sign:].lstrip("0")
+    if not (text.isascii() and body[sign:].isdigit()):
+        return None
+    if cap is not None and body[0] != "-" and len(digits) > len(str(cap)):
+        return cap + 1
+    check_digits(len(digits), want)
+    return int(body[:sign] + (digits or "0"))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text) of an ASCII text without '_' (Fraction() may read
+    both), refused with a ValueError in the program's words, and, before it
+    is built, past MAX_INT_DIGITS digits of numerator or denominator as
+    written, exponent included (1e-5000: a denominator of 5001).  They are
+    counted without a regular expression, whose compiling costs start-up."""
+    num, slash, den = text.partition("/")
+    mantissa, _, exp = num.lower().partition("e")
+    e = "".join(filter(str.isdecimal, exp)).lstrip("0")
+    e = int(e or "0") if len(e) <= len(str(MAX_INT_DIGITS)) \
+        else MAX_INT_DIGITS + 1
+    if "-" in exp:
+        e = -e
+    digits = sum(map(str.isdecimal, mantissa)) + max(e, 0)
+    den_digits = sum(map(str.isdecimal, den)) if slash else \
+        sum(map(str.isdecimal, mantissa.partition(".")[2])) + max(-e, 0) + 1
+    check_digits(max(digits, den_digits), "a numerator and a denominator",
+                 counted=False)
+    try:
+        if "_" in text or not text.isascii():
+            raise ValueError
+        return Fraction(text)
+    except ValueError:  # Fraction's own message repeats all of the text
+        raise ValueError(
+            f"Invalid literal for Fraction: {shown(text)}") from None
+    except ZeroDivisionError:  # in Python's words, "Fraction(1, 0)"
+        raise ValueError(
+            f"value has a zero denominator: {shown(text)}") from None
+
+
+def parse_constraints(text: str) -> list[OrderConstraint]:
+    """Parse "1==-1,5>=1" style constraint lists: a cusp class (_decimal),
+    an operator of ORDER_OPS and a value (parse_rational)."""
+    out = []
+    for chunk in text.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        for op in ORDER_OPS:
+            if op in chunk:
+                c, v = chunk.split(op, 1)
+                try:
+                    if (cusp := _decimal(c, "a cusp class")) is None:
+                        raise ValueError(f"invalid literal {shown(c)}: want "
+                                         f"ASCII digits without '_'")
+                    out.append(OrderConstraint(cusp, op, parse_rational(v)))
+                except ValueError as exc:
+                    raise EtaError(
+                        f"bad constraint {shown(chunk)}: {exc}") from None
+                break
+        else:
+            raise EtaError(f"bad constraint {shown(chunk)}: no operator found")
+    return out
+
+
 def _parse_eta_spec(text: str) -> EtaQuotient:
     """Parse "5:6,1:-6" into an eta quotient; the level is the lcm of the keys."""
     exponents = {}
@@ -94,7 +170,9 @@ def _parse_eta_spec(text: str) -> EtaQuotient:
         if not chunk:
             continue
         try:
-            delta, r = (int(ascii_decimal(part)) for part in chunk.split(":"))
+            delta, r = map(_decimal, chunk.split(":"))
+            if None in (delta, r):
+                raise ValueError
         except ValueError:
             raise CatalogError(
                 f"bad eta spec component {shown(chunk)}: want delta:exponent"
@@ -251,7 +329,8 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
     if target.startswith("family:"):
         try:
             _, name, label = target.split(":")
-            if not label.startswith("L") or (depth := json_key(label[1:])) < 1:
+            if not label.startswith("L") \
+                    or (depth := json_key(label[1:], "depth")) < 1:
                 raise ValueError
         except ValueError:
             raise CatalogError(
@@ -283,15 +362,14 @@ def _reduce_target(args, catalog, basis_entry, trunc24):
     if target.startswith("poly:"):
         try:
             coeffs = [parse_rational(c) for c in target[5:].split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CatalogError(f"bad poly target {shown(target)}, want "
                                f"poly:c0,c1,...: {exc}") from None
         poly = {(0, m): c for m, c in enumerate(coeffs)}
         return basis.combine(poly, trunc24), None, None, basis
     if target.startswith("pole:"):
         try:
-            order = int(ascii_decimal(target[5:]))
-            if order < 0:
+            if (order := _decimal(target[5:])) is None or order < 0:
                 raise ValueError
         except ValueError:
             raise CatalogError(f"bad pole target {shown(target)}: want "
@@ -383,42 +461,28 @@ def _type_error(message: str):
     return ArgumentTypeError(message)
 
 
-def _int(text: str) -> int:
-    """argparse type: int(text) of an ASCII decimal, refused in argparse's
-    words, with the value as errors.shown repeats it."""
-    try:
-        return int(ascii_decimal(text))
-    except ValueError:
-        raise _type_error(f"invalid int value: {shown(text)}") from None
+def _int_at_least(low: int | None = None, cap: int | None = None):
+    """argparse type: an integer (_decimal) no smaller than `low` and no
+    larger than `cap`, each where one is given."""
+    want = "an integer" if low is None else f"an integer >= {low}"
 
-
-def _int_at_least(low: int, cap: int | None = None):
-    """argparse type: an integer no smaller than `low`, and no larger than
-    `cap` when one is given."""
     def parse(text: str) -> int:
-        # a decimal is judged by its digits, past the sign and the leading
-        # zeros, before int() reads it
-        sign = text[:1] if text[:1] in ("-", "+") else ""
-        body = text[len(sign):].lstrip("0")
-        digits = len(body) if body.isascii() and body.isdigit() else 0
-        if cap is not None and sign != "-" and digits > len(str(cap)):
-            value = cap + 1
-        elif digits > MAX_INT_DIGITS:
-            raise _type_error(
-                f"too large: want an integer >= {low} of at most "
-                f"{MAX_INT_DIGITS} digits, got {digits} digits")
-        else:
-            try:
-                value = int(sign + body if digits else ascii_decimal(text))
-            except ValueError:
-                value = None
-        if value is None or value < low:
-            raise _type_error(f"want an integer >= {low}, got {shown(text)}")
+        try:
+            value = _decimal(text, want, cap)
+        except ValueError as exc:  # more than MAX_INT_DIGITS digits
+            raise _type_error(str(exc)) from None
+        if value is None or low is not None and value < low:
+            raise _type_error(f"invalid int value: {shown(text)}"
+                              if low is None else
+                              f"want {want}, got {shown(text)}")
         if cap is not None and value > cap:
             raise _type_error(
                 f"want at most {cap} (the work cap), got {shown(text)}")
         return value
     return parse
+
+
+_int = _int_at_least()
 
 
 # The command line as one table, read by build_parser and by _fast_parse:

@@ -6,6 +6,7 @@ CLI) can map errors onto exit codes without string matching.
 
 
 ECHO_LIMIT = 40  # the longest input value an error message repeats in full
+MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
 
 
 def shown(value) -> str:
@@ -16,6 +17,16 @@ def shown(value) -> str:
         return repr(value)
     head = repr(text[:ECHO_LIMIT]) if text is value else text[:ECHO_LIMIT]
     return f"{head}... ({len(text)} characters)"
+
+
+def check_digits(digits: int, want: str, counted: bool = True) -> None:
+    """Refuse, with a ValueError in the program's words, a decimal of more
+    than MAX_INT_DIGITS digits, which int() refuses in Python's: 'too large:
+    want <want> of at most 4300 digits[, got <digits> digits if counted]'."""
+    if digits > MAX_INT_DIGITS:
+        got = f", got {digits} digits" if counted else ""
+        raise ValueError(f"too large: want {want} of at most "
+                         f"{MAX_INT_DIGITS} digits{got}")
 
 
 class CuspLedgerError(Exception):

@@ -17,8 +17,7 @@ from operator import eq, ge, gt, le, lt, mul
 from .curves import Record, Value, divisors, enumerate_cusps, factorize
 from .errors import (EtaError, InternalInconsistencyError, TruncationError,
                      shown)
-from .series import (QSeries, ascii_decimal, json_int, json_key,
-                     json_object, parse_rational, pochhammer_product)
+from .series import QSeries, pochhammer_product
 
 
 class EtaQuotient(Value):
@@ -28,18 +27,13 @@ class EtaQuotient(Value):
     _fields = ("level", "exponents")
 
     def __init__(self, level: int, exponents):
-        items = dict(exponents)
-        cleaned = exponent_vector(items)  # first: level may be their lcm
-        _require_level(level)
-        for delta in items:
-            if level % delta != 0:
-                raise EtaError(f"divisor {delta} does not divide level {level}")
-        vars(self).update(level=level, exponents=cleaned)
+        vars(self).update(level=level, exponents=exponent_vector(
+            dict(exponents).items(), level))
 
     @classmethod
     def _known(cls, level: int, exponents: tuple) -> "EtaQuotient":
-        """The quotient of pairs known to be sorted, nonzero and over
-        divisors of level (a search result), without __init__'s checks."""
+        """The quotient of pairs known to be sorted, nonzero and over divisors
+        of level (a search result, or exponent_vector's), unchecked."""
         self = cls.__new__(cls)
         vars(self).update(level=level, exponents=exponents)
         return self
@@ -57,49 +51,32 @@ class EtaQuotient(Value):
     def to_json_obj(self) -> dict:
         return {"M": self.level, "r": {str(d): r for d, r in self.exponents}}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict, what: str = "eta") -> "EtaQuotient":
-        level = json_int(json_object(obj, what)["M"], "M")
-        return cls._known(level, exponent_map(obj["r"], level))
 
-
-def exponent_vector(items: dict) -> tuple[tuple[int, int], ...]:
-    """{delta: r_delta} as sorted pairs without zeros, each delta >= 1 and
-    each r_delta an integer: one rule for eta quotients and prefactors."""
-    for delta, r in items.items():
-        if delta < 1:
-            raise EtaError(f"divisor {delta} must be a positive integer")
-        if not isinstance(r, int):
-            raise EtaError(f"exponent for delta={delta} must be an integer")
-    return tuple(sorted([(d, r) for d, r in items.items() if r != 0]))
-
-
-def exponent_map(r: dict, level: int | None = None
-                 ) -> tuple[tuple[int, int], ...]:
-    """The exponent map r = {"delta": r_delta, ...} of a JSON document, a
-    JSON object, as exponent_vector gives it, read in one pass: each key
-    by json_key, then its value by json_int.  Then, naming the first such
-    divisor, exponent_vector's refusal of one below 1 and, given a level,
-    EtaQuotient's refusals of the level and of a divisor, zero exponents
-    included, that does not divide it."""
-    pairs, low, stray = [], [], []
-    for key, e in json_object(r, "r").items():
-        d = json_key(key)
-        if type(e) is not int:
-            json_int(e, "exponent")  # the refusal
+def exponent_vector(pairs, level: int | None = None
+                    ) -> tuple[tuple[int, int], ...]:
+    """The pairs (delta, r_delta) as sorted pairs without zeros, read in
+    one pass: one rule for eta quotients, prefactors and multipliers, built
+    in code or read from a catalog.  Each r_delta must be an integer (no
+    bool), refused as it comes; then, naming the first such divisor, a
+    delta below 1 is refused and, given a level, a level below 1 and a
+    delta, zero exponents' included, that does not divide the level."""
+    out, low, stray = [], [], []
+    for d, r in pairs:
+        if type(r) is not int:
+            raise EtaError(f"exponent must be an integer, got {shown(r)}")
         if d < 1:
             low.append(d)
         elif level is not None and level % d:
             stray.append(d)
-        if e:
-            pairs.append((d, e))
+        if r:
+            out.append((d, r))
     if low:
         raise EtaError(f"divisor {low[0]} must be a positive integer")
     if level is not None:
         _require_level(level)
         if stray:
             raise EtaError(f"divisor {stray[0]} does not divide level {level}")
-    return tuple(sorted(pairs))
+    return tuple(sorted(out))
 
 
 class GammaValidation(Record):
@@ -358,29 +335,7 @@ class OrderConstraint(Value):
     _fields = ("denominator", "op", "value")
 
 
-_ORDER_OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
-
-
-def parse_constraints(text: str) -> list[OrderConstraint]:
-    """Parse "1==-1,5>=1" style constraint lists (cusp denominator, op, value)."""
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        for op in _ORDER_OPS:
-            if op in chunk:
-                c, v = chunk.split(op, 1)
-                try:
-                    out.append(OrderConstraint(int(ascii_decimal(c)), op,
-                                               parse_rational(v)))
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise EtaError(
-                        f"bad constraint {shown(chunk)}: {exc}") from None
-                break
-        else:
-            raise EtaError(f"bad constraint {shown(chunk)}: no operator found")
-    return out
+ORDER_OPS = {"==": eq, "<=": le, ">=": ge, "<": lt, ">": gt}
 
 
 MAX_SEARCH_BOX = 10 ** 7  # full box (2*bound+1)^(k-1) one search may span
@@ -435,9 +390,9 @@ def search_eta_quotients(N: int, constraints: list[OrderConstraint],
             raise EtaError(
                 f"constraint references denominator {cons.denominator} "
                 f"which does not divide N={N}")
-        if cons.op not in _ORDER_OPS:
+        if cons.op not in ORDER_OPS:
             raise EtaError(f"unknown constraint operator {cons.op!r}")
-    tests = [(row, _ORDER_OPS[cons.op], cons.value.denominator,
+    tests = [(row, ORDER_OPS[cons.op], cons.value.denominator,
               cons.value.numerator * den)
              for cons, (row, den) in zip(constraints, _ligozat_rows(
                  N, ds, [cons.denominator for cons in constraints]))]

@@ -21,12 +21,14 @@ from pathlib import Path
 
 from .curves import Record, curve_profile
 from .errors import (
+    MAX_INT_DIGITS,
     CatalogError,
     CuspLedgerError,
     ExactnessError,
     FamilyError,
     IdentityMismatchError,
     SeriesError,
+    check_digits,
     shown,
 )
 from .eta import (
@@ -36,7 +38,7 @@ from .eta import (
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
-    exponent_map,
+    exponent_vector,
     newman_sums,
     require_expandable,
     require_on_gamma0,
@@ -44,9 +46,80 @@ from .eta import (
     zero_cusp_image,
 )
 from .reduction import ModuleBasis, check_pole_orders, pole_order
-from .series import (QSeries, combination, is_prime, json_int, json_key,
-                     json_object, json_ratio, json_str, numstr,
+from .series import (QSeries, combination, is_prime, numstr,
                      pochhammer_product, valuation)
+
+
+def json_key(key: str, what: str) -> int:
+    """An integer key of the JSON object `what` in canonical decimal form:
+    ASCII digits, optionally negative, no leading zero and no '-0' (int()
+    also takes '01', '+1', ' 1', '1_0'), and no more than check_digits."""
+    digits = key.removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()) \
+            or (digits[0] == "0" and key != "0"):
+        raise ValueError(f"key {shown(key)} is not a canonical ASCII decimal")
+    if len(digits) > MAX_INT_DIGITS:  # its words are built only past it
+        check_digits(len(digits), f"{what} keys")
+    return int(key)
+
+
+def json_field(value, what: str, kind: type = dict, size: int = 0):
+    """A field of a JSON document of the type kind, as it stands (int()
+    would truncate a float or parse a string, and type() keeps a bool from
+    int), a list of `size` items where a size is given."""
+    if type(value) is not kind or size and len(value) != size:
+        name = {dict: "a JSON object", list: "a JSON list", int: "an integer",
+                str: "a string"}[kind] + (f" of {size} items" if size else "")
+        raise ValueError(f"{what} must be {name}, got {shown(value)}")
+    return value
+
+
+def json_ratio(value, what: str) -> tuple[int, int]:
+    """A rational field of a JSON document, a JSON integer or an ASCII
+    decimal string "p" or "p/q" (int() also reads other scripts' digits), as
+    ints (p, q), q = 1 for "p", q not 0 and neither past check_digits."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        p, slash, q = value.partition("/")
+        if (digits := p.removeprefix("-")).isdecimal() \
+                and (q.isdecimal() or not slash):
+            if (n := max(len(digits), len(q))) > MAX_INT_DIGITS:
+                check_digits(n, f"a {what}")
+            if slash and not int(q):
+                raise ValueError(
+                    f"{what} has a zero denominator: {shown(value)}")
+            return int(p), int(q) if slash else 1
+    raise ValueError(f"{what} must be an integer or an ASCII decimal string "
+                     f"'p' or 'p/q', got {shown(value)}")
+
+
+def _exponents(r, level: int | None = None) -> tuple[tuple[int, int], ...]:
+    """An exponent map {"delta": r_delta, ...} in one pass, key by key."""
+    return exponent_vector(((json_key(k, "r"), e) for k, e in
+                            json_field(r, "r").items()), level)
+
+
+def _eta_from_json(obj, what: str) -> EtaQuotient:
+    """The eta quotient {"M": level, "r": exponent map} of the field `what`,
+    its exponents read once (_exponents), not again by __init__."""
+    level = json_field(json_field(obj, what)["M"], "M", int)
+    return EtaQuotient._known(level, _exponents(obj["r"], level))
+
+
+def _series_from_json(obj) -> QSeries:
+    """The exact Laurent series {"terms": [[exponent24, numerator,
+    denominator], ...], "trunc24": t} of a basis function."""
+    obj, entries = json_field(obj, "series"), {}
+    for term in json_field(obj["terms"], "terms", list):
+        e, num, den = json_field(term, "term", list, 3)
+        a, b = json_ratio(num, "numerator")
+        c, d = json_ratio(den, "denominator")
+        if not c:
+            raise ValueError(f"denominator must be nonzero, got {shown(den)}")
+        entries[json_field(e, "exponent", int)] = \
+            a * d if b * c == 1 else Fraction(a * d, b * c)
+    return QSeries(entries, json_field(obj["trunc24"], "trunc24", int))
 
 
 class PochhammerProduct(Record):
@@ -69,9 +142,9 @@ class PochhammerProduct(Record):
     @classmethod
     def from_json_obj(cls, obj: dict, what: str) -> "PochhammerProduct":
         # filled as read, in _fields order, as Record.__init__ would fill it
-        obj, self = json_object(obj, what), cls.__new__(cls)
-        self.qpow = json_int(obj.get("qpow", 0), "qpow")
-        self.exponents = exponent_map(obj.get("r", {}))
+        obj, self = json_field(obj, what), cls.__new__(cls)
+        self.qpow = json_field(obj.get("qpow", 0), "qpow", int)
+        self.exponents = _exponents(obj.get("r", {}))
         return self
 
 
@@ -83,9 +156,9 @@ class ScheduleStep(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScheduleStep":
-        obj, self = json_object(obj, "schedule entry"), cls.__new__(cls)
-        self.modulus_exponent = json_int(obj["modulus"], "modulus")
-        self.beta = json_int(obj["beta"], "beta")
+        obj, self = json_field(obj, "schedule entry"), cls.__new__(cls)
+        self.modulus_exponent = json_field(obj["modulus"], "modulus", int)
+        self.beta = json_field(obj["beta"], "beta", int)
         return self
 
 
@@ -96,9 +169,9 @@ class EtaTerm(Record):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "EtaTerm":
-        obj, self = json_object(obj, "identity term"), cls.__new__(cls)
+        obj, self = json_field(obj, "identity term"), cls.__new__(cls)
         self.scale = Fraction(*json_ratio(obj["scale"], "scale"))
-        self.quotient = EtaQuotient.from_json_obj(obj["eta"])
+        self.quotient = _eta_from_json(obj["eta"], "eta")
         return self
 
 
@@ -458,20 +531,20 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
     def keyed(field):
         """obj[field], a JSON object keyed by integers, as (key, value)
         pairs: every key is read before any value."""
-        items = json_object(obj.get(field, {}), field).items()
+        items = json_field(obj.get(field, {}), field).items()
         try:
-            return [(json_key(k), v) for k, v in items]
+            return [(json_key(k, field), v) for k, v in items]
         except ValueError as exc:
             raise CatalogError(f"{path}.{field}: {exc}") from None
 
-    obj, spec = json_object(obj, "family"), FamilySpec.__new__(FamilySpec)
-    spec.name = json_str(obj["name"], "name")
-    spec.generator = EtaQuotient.from_json_obj(obj["generator"], "generator")
-    spec.prime = json_int(obj["prime"], "prime")
-    spec.lam = json_int(obj["lam"], "lam")
-    spec.level = json_int(obj["level"], "level")
-    spec.target_residue = json_int(obj.get("target_residue", 1),
-                                   "target_residue")
+    obj, spec = json_field(obj, "family"), FamilySpec.__new__(FamilySpec)
+    spec.name = json_field(obj["name"], "name", str)
+    spec.generator = _eta_from_json(obj["generator"], "generator")
+    spec.prime = json_field(obj["prime"], "prime", int)
+    spec.lam = json_field(obj["lam"], "lam", int)
+    spec.level = json_field(obj["level"], "level", int)
+    spec.target_residue = json_field(obj.get("target_residue", 1),
+                                     "target_residue", int)
     spec.schedule = {a: ScheduleStep.from_json_obj(s)
                      for a, s in keyed("schedule")}
     spec.prefactors = {a: PochhammerProduct.from_json_obj(p, "prefactor")
@@ -480,7 +553,7 @@ def _family_from_json(obj: dict, path: str) -> FamilySpec:
                         for a, m in keyed("multipliers")}
     spec.tower_identities = {
         a: tuple([EtaTerm.from_json_obj(t)
-                  for t in json_object(terms, "tower identity", list)])
+                  for t in json_field(terms, "tower identity", list)])
         for a, terms in keyed("tower_identities")}
     spec.validate()
     return spec
@@ -493,9 +566,9 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
             raise CatalogError(f"{path}.{what}: need a JSON object with an "
                                f"'eta' or 'series' entry")
         if "eta" in kind:
-            return EtaQuotient.from_json_obj(spec_obj["eta"])
+            return _eta_from_json(spec_obj["eta"], "eta")
         try:
-            return QSeries.from_json_obj(spec_obj["series"])
+            return _series_from_json(spec_obj["series"])
         except SeriesError:  # terms on two cosets mod 24: not all integral
             raise CatalogError(f"{path}: {what} must live on the integer "
                                f"exponent grid") from None
@@ -513,13 +586,13 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
         require_on_gamma0(source, level)
         return -newman_sums(source, level)[2] // 24
 
-    level = json_object(obj, "basis").get("level")  # optional, never a bool
+    level = json_field(obj, "basis").get("level")  # optional, never a bool
     if "level" in obj and (type(level) is not int or level < 1):
         raise CatalogError(
             f"{path}.level: need an integer >= 1, got {shown(level)}")
     x = source(obj["x"], "x")
     ys = [source(y, f"ys[{i}]")
-          for i, y in enumerate(json_object(obj.get("ys", []), "ys", list))]
+          for i, y in enumerate(json_field(obj.get("ys", []), "ys", list))]
     z = source(obj["z"], "z") if "z" in obj else None
     if isinstance(z, QSeries):
         raise CatalogError(f"{path}.z: localizers must be eta quotients "
@@ -528,7 +601,7 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
     if z is not None and order(z, "z") < 1:
         raise CatalogError(f"{path}: z must have a pole at the zero cusp")
     check_pole_orders(order(x, "x"), y_orders)
-    return BasisEntry(json_str(obj["name"], "name"), level, x, ys, z)
+    return BasisEntry(json_field(obj["name"], "name", str), level, x, ys, z)
 
 
 def _parsed(path: str, parse, *args):
@@ -551,12 +624,12 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
         raise CatalogError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "families" not in doc:
         raise CatalogError(f"{source}: top level must contain 'families'")
-    version = _parsed(source, json_int, doc.get("schema_version", 1),
-                      "schema_version")
+    version = _parsed(source, json_field, doc.get("schema_version", 1),
+                      "schema_version", int)
     if version != 1:
         raise CatalogError(f"{source}: schema_version {version} is not "
                            f"supported (want 1)")
-    families, bases = [_parsed(source, json_object, doc.get(k, []), repr(k),
+    families, bases = [_parsed(source, json_field, doc.get(k, []), repr(k),
                                list) for k in ("families", "bases")]
     families = [_parsed(path, _family_from_json, obj, path)
                 for i, obj in enumerate(families)

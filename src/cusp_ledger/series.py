@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import setitem, sub
 
 from .curves import factorize
-from .errors import ExactnessError, SeriesError, TruncationError, shown
+from .errors import ExactnessError, SeriesError, TruncationError
 
 Scalar = int | Fraction
 
@@ -76,100 +76,6 @@ def valuation(c: int, ell: int) -> int | None:
 def _check_prime(ell: int) -> None:
     if not is_prime(ell):
         raise SeriesError(f"{ell} is not prime")
-
-
-def json_int(value, what: str) -> int:
-    """An integer field of a JSON document, as it stands: int() would
-    truncate a float or parse a string, and a bool is no number."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {shown(value)}")
-    return value
-
-
-def json_key(key: str) -> int:
-    """An integer key of a JSON object in canonical decimal form: ASCII
-    digits, optionally negative, no leading zero and no '-0', so two keys
-    never name one integer (int() would also take '01', '+1', ' 1', '1_0')."""
-    digits = key.removeprefix("-")
-    if not (digits.isdigit() and digits.isascii()) \
-            or (digits[0] == "0" and key != "0"):
-        raise ValueError(f"key {shown(key)} is not a canonical ASCII decimal")
-    return int(key)
-
-
-def ascii_decimal(text: str) -> str:
-    """text, a number typed on the command line, refused with a ValueError
-    if it holds '_' or a non-ASCII character, which int() and Fraction()
-    read as digits ('1_0' as 10; Fraction only on some Pythons).  Signs,
-    leading zeros and surrounding blanks pass."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"invalid literal {shown(text)}: want ASCII digits "
-                         f"without '_'")
-    return text
-
-
-def json_str(value, what: str) -> str:
-    """A string field of a JSON document, as it stands."""
-    if type(value) is not str:
-        raise ValueError(f"{what} must be a string, got {shown(value)}")
-    return value
-
-
-def json_object(value, what: str, kind: type = dict, size: int = 0):
-    """A JSON object field of a JSON document, as it stands, or with kind
-    list a JSON list, of `size` items where a size is given."""
-    if type(value) is not kind or size and len(value) != size:
-        shape = {dict: "object", list: f"list of {size} items" if size
-                 else "list"}[kind]
-        raise ValueError(f"{what} must be a JSON {shape}, got {shown(value)}")
-    return value
-
-
-def json_ratio(value, what: str) -> tuple[int, int]:
-    """A rational field of a JSON document, a JSON integer or an ASCII
-    decimal string "p" or "p/q", as the pair of ints (p, q), q = 1 for "p"
-    (int() would also read non-ASCII digits, as json_key says); q is not 0."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str and value.isascii():
-        p, slash, q = value.partition("/")
-        if p.removeprefix("-").isdecimal() and (q.isdecimal() or not slash):
-            if slash and not int(q):
-                raise ValueError(
-                    f"{what} has a zero denominator: {shown(value)}")
-            return int(p), int(q) if slash else 1
-    raise ValueError(f"{what} must be an integer or an ASCII decimal string "
-                     f"'p' or 'p/q', got {shown(value)}")
-
-
-MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Fraction(text), refused with a ValueError, before any number is
-    built, when its numerator or denominator would have more than
-    MAX_INT_DIGITS digits as written.  The exponent counts: 1e5000 is the
-    numerator 10^5000, of 5001 digits, and 1e-5000 the denominator.  The
-    digits are counted on the text's parts, without a regular expression,
-    whose compilation would cost every command's start-up."""
-    num, slash, den = text.partition("/")
-    mantissa, _, exp = num.lower().partition("e")
-    e = "".join(filter(str.isdecimal, exp)).lstrip("0")
-    e = int(e or "0") if len(e) <= len(str(MAX_INT_DIGITS)) \
-        else MAX_INT_DIGITS + 1
-    if "-" in exp:
-        e = -e
-    digits = sum(map(str.isdecimal, mantissa)) + max(e, 0)
-    den_digits = sum(map(str.isdecimal, den)) if slash else \
-        sum(map(str.isdecimal, mantissa.partition(".")[2])) + max(-e, 0) + 1
-    if max(digits, den_digits) > MAX_INT_DIGITS:
-        raise ValueError(f"too large: want a numerator and a denominator "
-                         f"of at most {MAX_INT_DIGITS} digits")
-    try:
-        return Fraction(ascii_decimal(text))
-    except ValueError:  # Fraction's own message repeats all of the text
-        raise ValueError(
-            f"Invalid literal for Fraction: {shown(text)}") from None
 
 
 class QSeries:
@@ -437,19 +343,6 @@ class QSeries:
         return {"terms": [[e, numstr(v.numerator), numstr(v.denominator)]
                           for e, v in self.terms()],
                 "trunc24": self.trunc24}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "QSeries":
-        obj, entries = json_object(obj, "series"), {}
-        for term in json_object(obj["terms"], "terms", list):
-            e, num, den = json_object(term, "term", list, 3)
-            a, b = json_ratio(num, "numerator")
-            c, d = json_ratio(den, "denominator")
-            if not c:
-                raise ValueError(
-                    f"denominator must be nonzero, got {shown(den)}")
-            entries[json_int(e, "exponent")] = _scalar(a * d, b * c)
-        return cls(entries, json_int(obj["trunc24"], "trunc24"))
 
 
 def _make(off: int, nums: list[int], den: int, trunc: int) -> QSeries:

@@ -20,8 +20,9 @@ import cusp_ledger
 from cusp_ledger import cli, families
 from cusp_ledger.cli import main
 from cusp_ledger.curves import divisors
-from cusp_ledger.errors import CatalogError, shown
-from cusp_ledger.eta import (EtaQuotient, cusp_order_vector, parse_constraints,
+from cusp_ledger.cli import parse_constraints, parse_rational
+from cusp_ledger.errors import MAX_INT_DIGITS, CatalogError, EtaError, shown
+from cusp_ledger.eta import (EtaQuotient, OrderConstraint, cusp_order_vector,
                              search_eta_quotients)
 from cusp_ledger.families import shipped_catalog_path
 
@@ -811,6 +812,7 @@ def test_oversized_rational_values_refused_before_they_are_built(
 
 
 NINES = "9" * 5000
+NOT_INT = "9" * 4999 + "x"
 
 
 @pytest.mark.parametrize("argv, echo", [
@@ -833,14 +835,20 @@ NINES = "9" * 5000
     (("verify", "--family", "p-5", "--alpha", "1", "--nmax", "1" + NINES),
      "got '1"),
     (("expand", "--eta", "1:-1", "--terms", "1" + NINES), "got '1"),
-    (("profile", NINES), "argument level: invalid int value: '9"),
-    (("classify", "--level", NINES), "invalid int value: '9"),
-    (("find-eta", "--bound", "1", "--level", NINES),
+    # a decimal of 5000 digits is refused as too large, without an echo
+    # (test_int_options_refuse_too_many_digits); these are no decimals
+    (("profile", NOT_INT), "argument level: invalid int value: '9"),
+    (("classify", "--level", NOT_INT), "invalid int value: '9"),
+    (("find-eta", "--bound", "1", "--level", NOT_INT),
      "invalid int value: '9"),
-    (("find-eta", "--level", "5", "--bound", NINES),
+    (("find-eta", "--level", "5", "--bound", NOT_INT),
      "invalid int value: '9"),
-    (("verify", "--family", "p-5", "--nmax", "1", "--alpha", NINES),
+    (("verify", "--family", "p-5", "--nmax", "1", "--alpha", NOT_INT),
      "invalid int value: '9"),
+    # int() refused the class as "Exceeds the limit (4300 digits)"
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints",
+      NINES + "<1"), "too large: want a cusp class of at most 4300 digits, "
+     "got 5000 digits"),
     (("expand", "--eta", "1:-1", "--at-cusp", "z" * 5000),
      "argument --at-cusp: invalid choice: 'z"),
     (("expand", "--eta", "1:-1", "z" * 5000), "unrecognized arguments: 'z"),
@@ -848,8 +856,8 @@ NINES = "9" * 5000
 ], ids=["poly-too-large", "poly-literal", "pole", "eta-spec", "basis",
         "family", "constraint-value", "constraint-operator", "verify-nmax",
         "expand-terms", "profile-level", "classify-level", "find-eta-level",
-        "find-eta-bound", "verify-alpha", "at-cusp-choice", "stray-positional",
-        "command-choice"])
+        "find-eta-bound", "verify-alpha", "constraint-class",
+        "at-cusp-choice", "stray-positional", "command-choice"])
 def test_refused_long_values_echoed_by_their_start(capsys, argv, echo):
     # each of these used to print the refused value in full, 5000 bytes
     # and more on stderr
@@ -867,6 +875,17 @@ def test_refused_long_values_echoed_by_their_start(capsys, argv, echo):
      "bad constraint '1<x': Invalid literal for Fraction: 'x'"),
     (("expand", "--terms", "0", "--eta", "1:-1"),
      "argument --terms: want an integer >= 1, got '0'"),
+    # Fraction() refused it as "Fraction(1, 0)"
+    (("reduce", "--basis", "level-5", "--target", "poly:1,1/0"),
+     "bad poly target 'poly:1,1/0', want poly:c0,c1,...: value has a zero "
+     "denominator: '1/0'"),
+    # the class was read by int(): "invalid literal for int() with base 10"
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints", "==1"),
+     "bad constraint '==1': invalid literal '': want ASCII digits "
+     "without '_'"),
+    (("find-eta", "--level", "5", "--bound", "1", "--constraints", "1=<1"),
+     "bad constraint '1=<1': invalid literal '1=': want ASCII digits "
+     "without '_'"),
 ])
 def test_refused_short_values_echoed_in_full(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
@@ -1127,11 +1146,34 @@ def test_find_eta_renders_any_quotients_as_the_reference(capsys, data):
 
 
 def test_find_eta_zero_denominator_constraint_refused(capsys):
-    # used to end as "internal error: ZeroDivisionError", exit 3
+    # used to end as "internal error: ZeroDivisionError", exit 3, then as
+    # "Fraction(1, 0)" in Python's words
     code, out, err = run(capsys, "find-eta", "--level", "10", "--constraints",
                          "1<=1/0", "--bound", "1")
     assert (code, out) == (2, "")
-    assert err == "error: bad constraint '1<=1/0': Fraction(1, 0)\n"
+    assert err == ("error: bad constraint '1<=1/0': value has a zero "
+                   "denominator: '1/0'\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("profile",), "level"),
+    (("classify", "--level"), "--level"),
+    (("find-eta", "--bound", "1", "--level"), "--level"),
+    (("find-eta", "--level", "5", "--bound"), "--bound"),
+    (("verify", "--family", "p-5", "--nmax", "1", "--alpha"), "--alpha"),
+], ids=["profile-level", "classify-level", "find-eta-level", "find-eta-bound",
+        "verify-alpha"])
+def test_int_options_refuse_too_many_digits(capsys, argv, option):
+    # each used to call a decimal of 5000 digits an "invalid int value",
+    # as the integer options with a lower bound no longer did
+    too_large = (f"error: argument {option}: too large: want an integer of "
+                 f"at most 4300 digits, got 5000 digits\n")
+    for text in (NINES, "-" + NINES, " +" + NINES + " "):
+        assert run(capsys, *argv, text) == (2, "", too_large)
+    # leading zeros are no digits, as for every integer option
+    parse = cli.build_parser().parse_args
+    assert getattr(parse([*argv, "-" + "0" * 5000 + "7"]),
+                   option.lstrip("-")) == -7
 
 
 def test_find_eta_parallel_matches_serial(capsys):
@@ -1644,6 +1686,23 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
     (("schema_version",), 0, ": schema_version 0 is not supported (want 1)"),
     (("schema_version",), "1",
      ": schema_version must be an integer, got '1'"),
+    # int() refused each in Python's words, "Exceeds the limit (4300
+    # digits) for integer string conversion", naming no field
+    (("families", 0, "generator", "r"), {NINES: -1},
+     ":families[0]: too large: want r keys of at most 4300 digits, got "
+     "5000 digits"),
+    (("families", 0, "schedule"), {NINES: {"modulus": 1, "beta": 1}},
+     ":families[0].schedule: too large: want schedule keys of at most 4300 "
+     "digits, got 5000 digits"),
+    (("families", 0, "tower_identities", "1", 0, "scale"), NINES,
+     ":families[0]: too large: want a scale of at most 4300 digits, got "
+     "5000 digits"),
+    (("families", 0, "tower_identities", "1", 0, "scale"), "1/" + NINES,
+     ":families[0]: too large: want a scale of at most 4300 digits, got "
+     "5000 digits"),
+    (("bases", 3, "x", "series", "terms", 0, 1), NINES,
+     ":bases[3]: too large: want a numerator of at most 4300 digits, got "
+     "5000 digits"),
 ], ids=["prime-float", "prime-bool", "lam-float", "level-string",
         "residue-float", "modulus-float", "beta-zero", "exponent-float",
         "M-string", "qpow-float", "series-exponent-float", "trunc24-float",
@@ -1654,7 +1713,9 @@ def test_catalog_zero_denominator_is_usage_error(tmp_path, capsys, keys,
         "schedule-key-leading-zero", "multiplier-key-minus-zero",
         "r-key-leading-zero", "r-key-non-ascii", "generator-divisor",
         "identity-level", "schema-version-future", "schema-version-zero",
-        "schema-version-string"])
+        "schema-version-string", "r-key-too-large", "schedule-key-too-large",
+        "scale-too-large", "scale-denominator-too-large",
+        "numerator-too-large"])
 def test_catalog_numbers_refused_at_load(tmp_path, capsys, keys, value, want):
     path = _edited_catalog(tmp_path, keys, value)
     code, out, err = _verify_p5(capsys, path)
@@ -1937,3 +1998,35 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (code, b"")
+
+
+def test_parse_constraints_round_trip():
+    cons = parse_constraints("1==-1, 5>=1")
+    assert cons == [OrderConstraint(1, "==", Fraction(-1)),
+                    OrderConstraint(5, ">=", Fraction(1))]
+    with pytest.raises(EtaError):
+        parse_constraints("5!!2")
+
+
+def test_parse_rational_caps_digits_before_building():
+    # a numerator or denominator of more than MAX_INT_DIGITS digits as
+    # written, the exponent counting, is refused before Fraction() builds it
+    cap = MAX_INT_DIGITS
+    assert parse_rational(f"1e{cap - 1}") == 10 ** (cap - 1)
+    assert parse_rational(f" -1e-{cap - 1}") == Fraction(-1, 10 ** (cap - 1))
+    assert parse_rational(f"0.5e{cap - 2}") == 5 * 10 ** (cap - 3)
+    assert parse_rational("9" * cap + "/" + "7" * cap) \
+        == Fraction(int("9" * cap), int("7" * cap))
+    assert parse_rational("1e5") == 100_000
+    assert parse_rational("0.5") == parse_rational("1/2") == Fraction(1, 2)
+    for text in (f"1e{cap}", f"1e-{cap}", f"0.5e{cap - 1}", "1" * (cap + 1),
+                 "1/" + "1" * (cap + 1), "1." + "0" * cap,
+                 "1e" + "9" * 5000, "1e-" + "9" * 5000, "1e100000000",
+                 f" -1_0e{cap - 1} "):
+        with pytest.raises(ValueError, match="too large"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="Invalid literal"):
+        parse_rational("abc")
+    # Fraction() refused it as "Fraction(1, 0)", a ZeroDivisionError
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rational("1/0")

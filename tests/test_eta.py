@@ -1,10 +1,11 @@
 """Tests for eta-quotient validity, cusp orders, expansions, and search."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cusp_ledger import eta
 from cusp_ledger.curves import divisors, enumerate_cusps
@@ -20,15 +21,13 @@ from cusp_ledger.eta import (
     cusp_order_vector,
     expand_at_infinity,
     expand_at_zero,
-    exponent_map,
-    exponent_vector,
     newman_sums,
     order_at_cusp,
-    parse_constraints,
     search_eta_quotients,
     validate_on_gamma0,
 )
-from cusp_ledger.series import json_int, json_key
+from cusp_ledger.cli import parse_constraints
+from cusp_ledger.families import _eta_from_json
 
 from oracles import (
     distinct_partition_counts,
@@ -204,24 +203,26 @@ def test_search_results_meet_constraints_exactly():
         assert order_at_cusp(f, 10, 10) >= 1
 
 
-def test_parse_constraints_round_trip():
-    cons = parse_constraints("1==-1, 5>=1")
-    assert cons == [OrderConstraint(1, "==", Fraction(-1)),
-                    OrderConstraint(5, ">=", Fraction(1))]
-    with pytest.raises(EtaError):
-        parse_constraints("5!!2")
-
-
 def test_quotient_construction_guards():
     with pytest.raises(EtaError):
         EtaQuotient(6, {4: 1})
     with pytest.raises(EtaError):
         EtaQuotient(0, {})
+    # one rule (exponent_vector) for quotients built in code and read from
+    # a catalog: an exponent's type as it comes, then a divisor below 1,
+    # the level and a stray divisor
+    for level, r, want in (
+            (5, {0: 1, 5: True}, "exponent must be an integer, got True"),
+            (0, {3: 1, 0: 1}, "divisor 0 must be a positive integer"),
+            (-4, {3: 1}, "level must be positive, got -4"),
+            (12, {5: 1, 7: 0}, "divisor 5 does not divide level 12")):
+        with pytest.raises(EtaError, match=f"^{re.escape(want)}$"):
+            EtaQuotient(level, r)
 
 
 def test_quotient_serialization_round_trip():
     f = EtaQuotient(10, {10: 2, 5: -1, 1: -1})
-    assert EtaQuotient.from_json_obj(f.to_json_obj()) == f
+    assert _eta_from_json(f.to_json_obj(), "eta") == f
 
 
 def test_valence_of_search_output_sum_counts():
@@ -479,7 +480,7 @@ def test_quotient_refuses_nonpositive_delta(delta):
     with pytest.raises(EtaError, match=f"divisor {delta} must be a positive"):
         EtaQuotient(1, {delta: 1})
     with pytest.raises(EtaError):
-        EtaQuotient.from_json_obj({"M": 5, "r": {str(delta): 1, "5": -1}})
+        _eta_from_json({"M": 5, "r": {str(delta): 1, "5": -1}}, "eta")
 
 
 @pytest.mark.parametrize("obj", [
@@ -489,60 +490,10 @@ def test_quotient_refuses_nonpositive_delta(delta):
     {"M": 5, "r": {"5": True, "1": -1}},
 ])
 def test_quotient_from_json_needs_json_integers(obj):
-    with pytest.raises(ValueError, match="must be an integer, got"):
-        EtaQuotient.from_json_obj(obj)
-
-
-def _read(fn, *args):
-    """fn(*args), or the type and text of the refusal it raised."""
-    try:
-        return fn(*args)
-    except (AttributeError, EtaError, KeyError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def quotient_as_before(obj):
-    """EtaQuotient.from_json_obj before exponent_map: a dict of json_key
-    and json_int, then EtaQuotient(...)."""
-    return EtaQuotient(json_int(obj["M"], "M"),
-                       {json_key(d): json_int(r, "exponent")
-                        for d, r in obj["r"].items()})
-
-
-def vector_as_before(r):
-    """PochhammerProduct's exponents before exponent_map."""
-    return exponent_vector({json_key(d): json_int(e, "exponent")
-                            for d, e in r.items()})
-
-
-# mostly well formed, so that the checks past the types are reached
-json_keys = st.sampled_from([str(d) for d in range(-1, 13)] * 3 + [
-    "01", "+2", " 3", "-0", "1_0", "\u0663", "x", ""])
-json_exponents = st.sampled_from([-2, -1, 0, 0, 1, 2, 3] * 3 + [
-    True, 1.0, "2", None, [1]])
-json_levels = st.sampled_from([1, 2, 4, 5, 6, 10, 12] * 3 + [
-    *range(-2, 14), "6", 6.0, False])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(json_levels, st.dictionaries(json_keys, json_exponents, max_size=5))
-# a zero exponent's divisor must divide the level too
-@example(5, {"3": 0})
-# an exponent's type is refused before a divisor below 1
-@example(5, {"0": 1, "5": "x"})
-# the first of two divisors below 1 or not dividing the level is named
-@example(12, {"-1": 1, "0": 2, "5": 1, "7": 1})
-@example(12, {"5": 1, "7": 1, "12": 0})
-# a divisor below 1 before the level, the level before a stray divisor
-@example(0, {"3": 1, "0": 1})
-@example(-4, {"3": 1, "2": 1})
-def test_exponent_map_reads_as_before(level, r):
-    obj = {"M": level, "r": r}
-    got = _read(EtaQuotient.from_json_obj, obj)
-    assert got == _read(quotient_as_before, obj)
-    if isinstance(got, EtaQuotient):
-        assert vars(got) == vars(quotient_as_before(obj))
-    assert _read(exponent_map, r) == _read(vector_as_before, r)
+    # the level is refused as a ValueError, an exponent by exponent_vector
+    # as an EtaError; the loader words both alike
+    with pytest.raises((ValueError, EtaError), match="must be an integer, got"):
+        _eta_from_json(obj, "eta")
 
 
 def test_zero_cusp_scale_disagreeing_with_square_test_is_inconsistency(

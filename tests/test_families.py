@@ -5,12 +5,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cusp_ledger import families
 from cusp_ledger.curves import Record
 from cusp_ledger.errors import (
     BasisError,
     CatalogError,
+    EtaError,
     ExactnessError,
     FamilyError,
     InternalInconsistencyError,
@@ -30,6 +32,9 @@ from cusp_ledger.families import (
     certified_identity_chart,
     classify,
     coefficient_series,
+    json_field,
+    json_key,
+    json_ratio,
     shipped_catalog_path,
     tower_series_direct,
     tower_series_recursive,
@@ -1075,6 +1080,88 @@ def test_catalog_shapes_pinned():
     assert len(CATALOG_SHAPE_NODES) == 62
     assert _edits_digest(CATALOG_SHAPE_NODES, SHAPE_VALUES) \
         == CATALOG_SHAPES_DIGEST
+
+
+def _read(fn, *args):
+    """fn(*args), or the type and text of the refusal it raised; an EtaError
+    reads as a ValueError, since the loader words the two alike (an
+    exponent's type was json_field's ValueError, and is exponent_vector's
+    EtaError)."""
+    try:
+        return fn(*args)
+    except (AttributeError, EtaError, KeyError, ValueError) as exc:
+        return ValueError if type(exc) is EtaError else type(exc), str(exc)
+
+
+def vector_as_before(r, level=None):
+    """The exponent map r as exponent_map read it before the one exponent
+    rule, in README's order, without exponent_vector: each key, then its
+    exponent, in turn; then the first divisor below 1; then, given a level,
+    a level below 1 and the first divisor that does not divide it."""
+    pairs = [(json_key(d, "r"), json_field(e, "exponent", int))
+             for d, e in json_field(r, "r").items()]
+    for d in [d for d, _ in pairs if d < 1][:1]:
+        raise EtaError(f"divisor {d} must be a positive integer")
+    if level is not None and level < 1:
+        raise EtaError(f"level must be positive, got {level}")
+    for d in [d for d, _ in pairs if level is not None and level % d][:1]:
+        raise EtaError(f"divisor {d} does not divide level {level}")
+    return tuple(sorted((d, e) for d, e in pairs if e))
+
+
+def quotient_as_before(obj):
+    level = json_field(obj["M"], "M", int)
+    return EtaQuotient._known(level, vector_as_before(obj["r"], level))
+
+
+# mostly well formed, so that the checks past the types are reached
+json_keys = st.sampled_from([str(d) for d in range(-1, 13)] * 3 + [
+    "01", "+2", " 3", "-0", "1_0", "\u0663", "x", ""])
+json_exponents = st.sampled_from([-2, -1, 0, 0, 1, 2, 3] * 3 + [
+    True, 1.0, "2", None, [1]])
+json_levels = st.sampled_from([1, 2, 4, 5, 6, 10, 12] * 3 + [
+    *range(-2, 14), "6", 6.0, False])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_levels, st.dictionaries(json_keys, json_exponents, max_size=5))
+# a zero exponent's divisor must divide the level too
+@example(5, {"3": 0})
+# an exponent's type is refused before a divisor below 1
+@example(5, {"0": 1, "5": "x"})
+# the first of two divisors below 1 or not dividing the level is named
+@example(12, {"-1": 1, "0": 2, "5": 1, "7": 1})
+@example(12, {"5": 1, "7": 1, "12": 0})
+# a divisor below 1 before the level, the level before a stray divisor
+@example(0, {"3": 1, "0": 1})
+@example(-4, {"3": 1, "2": 1})
+def test_exponent_map_reads_as_before(level, r):
+    obj = {"M": level, "r": r}
+    got = _read(families._eta_from_json, obj, "eta")
+    assert got == _read(quotient_as_before, obj)
+    if isinstance(got, EtaQuotient):
+        assert vars(got) == vars(quotient_as_before(obj))
+    assert _read(families._exponents, r) == _read(vector_as_before, r)
+
+
+def test_series_from_json_reads_a_term_of_ratios():
+    obj = {"terms": [[0, "3/4", "-1/2"], [24, 5, "2"]], "trunc24": 48}
+    assert families._series_from_json(obj).terms() == [(0, Fraction(-3, 2)),
+                                                       (24, Fraction(5, 2))]
+
+
+def test_catalog_decimals_read_up_to_the_digit_limit():
+    # as many digits as int() reads, leading zeros counted as it counts them
+    nines = "9" * 4300
+    assert json_key(nines, "r") == int(nines)
+    assert json_ratio(f"-{nines}/{nines}", "scale") == (-int(nines),
+                                                         int(nines))
+    for text in (nines + "9", f"1/0{nines}", f"-0{nines}/1"):
+        with pytest.raises(ValueError, match="^too large: want a scale of at "
+                                             "most 4300 digits, got 4301"):
+            json_ratio(text, "scale")
+    with pytest.raises(ValueError, match="^too large: want r keys of at most"):
+        json_key(nines + "9", "r")
 
 
 def test_catalog_entry_defaults():

@@ -1,7 +1,8 @@
 """Mutation sweep over the series kernel, the reduction engine, the
 cusp orders and their bounds, the Gamma_0(N) conditions and refusal,
-the catalog's loader and its readers of rationals, series, eta quotients,
-exponent maps, families and bases, find-eta's rendering, the cusps,
+the catalog's loader and its readers of rationals, keys, series, eta
+quotients, families and bases, the exponent rule, the command line's
+reader of integers, find-eta's rendering, the cusps,
 elliptic points and genus of X_0(N), and the classification,
 verification, coefficient series, recursive tower and identity-chart
 powers of congruence families.
@@ -65,7 +66,7 @@ TARGETS = (
     ("eta", "_packed_products"),
     ("eta", "cusp_order_bounds"),
     ("eta", "require_on_gamma0"),
-    ("eta", "exponent_map"),
+    ("eta", "exponent_vector"),
     ("cli", "_find_eta_results"),
     ("cli", "_fast_parse"),
     ("curves", "curve_profile"),
@@ -84,9 +85,10 @@ TARGETS = (
     ("families", "FamilySpec.validate"),
     ("families", "PochhammerProduct.from_json_obj"),
     ("eta", "newman_sums"),
-    ("series", "json_ratio"),
-    ("series", "QSeries.from_json_obj"),
-    ("eta", "EtaQuotient.from_json_obj"),
+    ("families", "json_ratio"),
+    ("families", "json_key"),
+    ("families", "_series_from_json"),
+    ("cli", "_decimal"),
     ("families", "catalog_loads"),
 )
 
@@ -94,7 +96,8 @@ TARGETS = (
 _KERNEL_TESTS = ("tests/test_series.py", "tests/test_reduction.py",
                  "tests/test_families.py")
 TESTS = {"series": _KERNEL_TESTS, "reduction": _KERNEL_TESTS,
-         "eta": ("tests/test_eta.py", "tests/test_cli.py"),
+         "eta": ("tests/test_eta.py", "tests/test_cli.py",
+                 "tests/test_families.py"),
          "cli": ("tests/test_cli.py",),
          "curves": ("tests/test_curves.py", "tests/test_acceptance.py",
                     "tests/test_cli.py"),
@@ -156,6 +159,10 @@ _SUM_LIST = ("out = [0] * min(max(((s.offset24 - off) // 24 + len(s._nums) "
              "for _, s in live), default=0), -(-(t - off) // 24))")
 _RAY = ("k = next((dict(f.exponents).get(d, 0) // r for d, r in "
         "base.exponents), 0)")
+_TERM = ("entries[json_field(e, 'exponent', int)] = a * d if b * c == 1 "
+         "else Fraction(a * d, b * c)")
+_SAME_CHECK = ("check_digits makes the comparison again: the guard only "
+               "spares the call below the limit")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -335,6 +342,22 @@ EQUIVALENT = (
      "degree24 >= 23 * IDENTITY_CHECK_TERMS",
      "a term that reaches it is valid, so its degree24 is a multiple of 24, "
      "and none lies in [184, 192)"),
+    ("families", "json_key",
+     "len(digits) > MAX_INT_DIGITS",
+     "len(digits) >= MAX_INT_DIGITS",
+     _SAME_CHECK),
+    ("families", "json_ratio",
+     "(n := max(len(digits), len(q))) > MAX_INT_DIGITS",
+     "(n := max(len(digits), len(q))) >= MAX_INT_DIGITS",
+     _SAME_CHECK),
+    ("families", "_series_from_json", _TERM,
+     _TERM.replace("b * c == 1", "b * c == 0"),
+     "b * c is never 0, and a Fraction of denominator 1 is stored as the "
+     "int it equals"),
+    ("cli", "_decimal",
+     "return cap + 1",
+     "return cap + 2",
+     "every value past the cap is refused alike, echoing the text"),
     ("families", "_ray_multiple",
      "return k if k >= 1 and f.exponents == tuple(((d, k * r) for d, r in "
      "base.exponents)) else 0",
