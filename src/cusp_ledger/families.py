@@ -378,18 +378,26 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
         series = coefficient_series(spec, n_max - (n_max - r) % mod)
     min_val: int | None = None
     counterexample = None
-    for n, c in zip(qualifying, series.coeffs_q(qualifying)
-                    if qualifying else ()):
+    sliced = QSeries.zero(0)
+    if qualifying:  # a(r + mod*m) at q^m, as tower_series_direct reads it
+        sliced = series.progression_slice(spec.lam, spec.prime,
+                                          step.modulus_exponent,
+                                          target=spec.target_residue)
+    for e, c in sliced.truncate(min(sliced.trunc24,
+                                    24 * len(qualifying))).terms():
+        if e < 0:  # below q^0: no n reads it
+            continue
+        n = qualifying[e // 24]
         if not isinstance(c, int):
             raise ExactnessError(
                 f"family {spec.name}: coefficient a({n}) is not an integer")
         v = valuation(c, spec.prime)
-        if v is None:
-            continue
         if min_val is None or v < min_val:
             min_val = v
         if v < beta and counterexample is None:
             counterexample = (n, c, v)
+    if sliced.trunc24 < 24 * len(qualifying):  # past the truncation: raises
+        series.coeff_q(qualifying[max(sliced.trunc24 // 24, 0)])
     passed = min_val is None or min_val >= beta
     return VerificationReport(
         family=spec.name, alpha=alpha, modulus_exponent=step.modulus_exponent,

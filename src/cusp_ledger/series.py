@@ -170,20 +170,6 @@ class QSeries:
         """Coefficient of q^n (integer exponent)."""
         return self.coeff24(24 * n)
 
-    def coeffs_q(self, ns: range):
-        """coeff_q(n) for each n of ns, a range of step >= 1, in order, read
-        in one stride over the numerators."""
-        known = len(ns[:len(range(ns.start, -(-self.trunc24 // 24), ns.step))])
-        i, rem = divmod(24 * ns.start - self.offset24, 24)
-        skip = max(-(i // ns.step), 0)  # the n below the leading term
-        values = chain(repeat(0, skip), islice([] if rem else self._nums,
-                       i + skip * ns.step, None, ns.step), repeat(0))
-        if self._den != 1:
-            values = map(_scalar, values, repeat(self._den))
-        yield from islice(values, known)
-        if known < len(ns):
-            self.coeff_q(ns[known])  # past the truncation: raises
-
     def agrees_with(self, other: "QSeries") -> bool:
         """Exact equality on the overlap of the two known ranges."""
         t = min(self.trunc24, other.trunc24)
@@ -526,24 +512,15 @@ def pochhammer_expansion(delta: int, trunc24: int) -> QSeries:
 
 def _scatter(c: list[int], terms: list[tuple[int, int]]) -> list[int]:
     """c times the series 1 + sum w q^e over terms (the ones past the
-    constant), scattering them from the nonzero entries of c only."""
+    constant), scattering them from the nonzero entries of c only.  One
+    list whatever the weights: the weights 1 and -1 split off save no time
+    here, where _divide_out's feed its C path."""
     n = len(c)
-    plus = [e for e, w in terms if w == 1]
-    minus = [e for e, w in terms if w == -1]
-    weighted = [(e, w) for e, w in terms if w * w != 1]
     out = c[:]
     for i, v in enumerate(c):
         if v:
             room = n - i
-            for e in plus:
-                if e >= room:
-                    break
-                out[i + e] += v
-            for e in minus:
-                if e >= room:
-                    break
-                out[i + e] -= v
-            for e, w in weighted:
+            for e, w in terms:
                 if e >= room:
                     break
                 out[i + e] += w * v

@@ -16,6 +16,7 @@ from cusp_ledger.errors import (
     ExactnessError,
     FamilyError,
     InternalInconsistencyError,
+    SeriesError,
     TruncationError,
 )
 from cusp_ledger.eta import (CuspOrderVector, EtaQuotient, cusp_order_vector,
@@ -27,6 +28,7 @@ from cusp_ledger.families import (
     FamilySpec,
     PochhammerProduct,
     ScheduleStep,
+    VerificationReport,
     catalog_load,
     catalog_loads,
     certified_identity_chart,
@@ -41,7 +43,7 @@ from cusp_ledger.families import (
     verify_congruence,
 )
 from cusp_ledger.reduction import localize_reduce, reduce_genus0, valuation_table
-from cusp_ledger.series import QSeries
+from cusp_ledger.series import QSeries, valuation
 
 from oracles import (
     distinct_partition_counts,
@@ -410,6 +412,67 @@ def test_verify_refuses_a_given_series_it_cannot_read(entries, trunc24,
     if error is TruncationError:  # known to q^16, every a(n) is read
         rep = verify_congruence(_toy_spec(), 1, 16, series=series)
         assert (rep.qualifying_count, rep.min_valuation) == (4, 2)
+
+
+def _verify_by_coeff_q(spec, alpha, n_max, series):
+    """verify_congruence's report, read one coeff_q(n) at a time in order."""
+    step = spec.schedule[alpha]
+    mod = spec.prime ** step.modulus_exponent
+    qualifying = range(_residue(spec, mod), n_max + 1, mod)
+    min_val = counterexample = None
+    for n in qualifying:
+        c = series.coeff_q(n)
+        if not isinstance(c, int):
+            raise ExactnessError(
+                f"family {spec.name}: coefficient a({n}) is not an integer")
+        if c:
+            v = valuation(c, spec.prime)
+            min_val = v if min_val is None else min(min_val, v)
+            if v < step.beta and counterexample is None:
+                counterexample = (n, c, v)
+    return VerificationReport(
+        family=spec.name, alpha=alpha, modulus_exponent=step.modulus_exponent,
+        beta=step.beta, n_max=n_max, qualifying_count=len(qualifying),
+        min_valuation=min_val, counterexample=counterexample,
+        passed=min_val is None or min_val >= step.beta)
+
+
+@pytest.mark.parametrize("entries, trunc24", [
+    ({0: 3, 24: -1, 96: 5, 240: 7}, 24 * 12),
+    ({48: 2, 72: 4, 120: -4}, 24 * 9 + 5),           # leading term past q^0
+    ({-72: 2, -24: 1, 0: 9, 48: 3}, 24 * 7),         # below q^0
+    ({24: Fraction(1, 3), 72: Fraction(2, 3), 96: 6}, 24 * 8),
+    ({0: Fraction(1, 2), 48: 3, 72: 12}, 24 * 5),
+    ({}, 24 * 4),
+    ({0: 4, 24: 9}, 24 * 2),                         # a short truncation
+])
+def test_verify_reads_as_coeff_q(entries, trunc24):
+    series = QSeries(entries, trunc24)
+    for prime, lam, target in ((2, 1, 1), (3, 2, 1), (3, 1, 0)):
+        spec = FamilySpec(
+            name="toy", generator=EtaQuotient(1, {}), prime=prime, lam=lam,
+            level=prime, target_residue=target, prefactors={},
+            multipliers={}, tower_identities={},
+            schedule={1: ScheduleStep(1, 1), 2: ScheduleStep(2, 2),
+                      3: ScheduleStep(3, 1)})
+        for alpha in spec.schedule:
+            for n_max in range(-2, 16):
+                outcomes = []
+                for verify in (verify_congruence, _verify_by_coeff_q):
+                    try:
+                        rep = verify(spec, alpha, n_max, series=series)
+                        outcomes.append(rep.to_json_obj())
+                    except (ExactnessError, TruncationError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                assert outcomes[0] == outcomes[1], (prime, lam, target,
+                                                    alpha, n_max)
+
+
+def test_verify_refuses_a_series_off_the_integer_grid():
+    # read as zeros, this series would pass the toy family's four n
+    with pytest.raises(SeriesError, match="integer exponents"):
+        verify_congruence(_toy_spec(), 1, 16,
+                          series=QSeries({5: 1, 29: 2}, 24 * 17))
 
 
 def test_verify_subsequence_consistency(catalog, p_series):

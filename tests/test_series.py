@@ -698,34 +698,6 @@ def test_numstr_writes_past_the_digit_limit():
     assert got == want
 
 
-@pytest.mark.parametrize("entries, trunc24", [
-    ({0: 3, 24: -1, 96: 5, 240: 7}, 24 * 12),
-    ({48: 1, 72: 2, 120: -4}, 24 * 9 + 5),           # leading term past q^0
-    ({-72: 2, -24: 1, 0: 9, 48: 3}, 24 * 7),         # below q^0
-    ({24: Fraction(1, 3), 72: Fraction(2, 3), 96: 5}, 24 * 8),
-    ({0: Fraction(1, 2), 48: 3}, 24 * 5),
-    ({5: 1, 29: 2}, 24 * 6),                         # off the integer grid
-    ({}, 24 * 4),
-])
-def test_coeffs_q_reads_as_coeff_q(entries, trunc24):
-    s = QSeries(entries, trunc24)
-    known = -(-trunc24 // 24)  # the first n past the truncation
-    for start in range(-4, 6):
-        for step in (1, 2, 3, 5):
-            for stop in (start, known, known + 7):
-                ns = range(start, stop, step)
-                want = [s.coeff_q(n) for n in ns if n < known]
-                got = s.coeffs_q(ns)
-                assert list(islice(got, len(want))) == want, (start, step)
-                past = [n for n in ns if n >= known]
-                if not past:
-                    assert next(got, None) is None
-                    continue
-                with pytest.raises(TruncationError, match=re.escape(
-                        f"coefficient at q^({24 * past[0]}/24) is beyond")):
-                    next(got)
-
-
 # -- bookkeeping --------------------------------------------------------------
 
 def test_truncation_is_hard_boundary():

@@ -52,7 +52,6 @@ TARGETS = (
     ("series", "_pack"),
     ("series", "QSeries.invert"),
     ("series", "QSeries._section"),
-    ("series", "QSeries.coeffs_q"),
     ("series", "QSeries._binop_add"),
     ("series", "combination"),
     ("series", "QSeries.__mul__"),
@@ -198,11 +197,6 @@ EQUIVALENT = (
      _CUT),
     ("series", "combination", _SUM_LIST,
      _SUM_LIST.replace("(t - off) // 24", "(t - off) // 23"), _CUT),
-    ("series", "QSeries.coeffs_q",
-     "self._den != 1",
-     "self._den != 0",
-     "a denominator is at least 1, and _scalar over a denominator of 1 "
-     "gives each numerator as it is"),
     ("series", "_divide_out",
      "w == -1",
      "w == -0",
