@@ -445,6 +445,9 @@ def _verify_by_coeff_q(spec, alpha, n_max, series):
     ({0: Fraction(1, 2), 48: 3, 72: 12}, 24 * 5),
     ({}, 24 * 4),
     ({0: 4, 24: 9}, 24 * 2),                         # a short truncation
+    ({-72: 2, -48: 1}, -24),                         # known below q^0 only
+    # more than 23 qualifying n, the last of least valuation
+    ({24 * n: 6 ** (60 - n) for n in range(60)}, 24 * 60),
 ])
 def test_verify_reads_as_coeff_q(entries, trunc24):
     series = QSeries(entries, trunc24)
@@ -456,7 +459,7 @@ def test_verify_reads_as_coeff_q(entries, trunc24):
             schedule={1: ScheduleStep(1, 1), 2: ScheduleStep(2, 2),
                       3: ScheduleStep(3, 1)})
         for alpha in spec.schedule:
-            for n_max in range(-2, 16):
+            for n_max in range(-2, 64):
                 outcomes = []
                 for verify in (verify_congruence, _verify_by_coeff_q):
                     try:
