@@ -387,15 +387,14 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
                                     24 * len(qualifying))).terms():
         if e < 0:  # below q^0: no n reads it
             continue
-        n = qualifying[e // 24]
         if not isinstance(c, int):
-            raise ExactnessError(
-                f"family {spec.name}: coefficient a({n}) is not an integer")
+            raise ExactnessError(f"family {spec.name}: coefficient "
+                                 f"a({r + mod * e // 24}) is not an integer")
         v = valuation(c, spec.prime)
         if min_val is None or v < min_val:
             min_val = v
         if v < beta and counterexample is None:
-            counterexample = (n, c, v)
+            counterexample = (r + mod * e // 24, c, v)
     if sliced.trunc24 < 24 * len(qualifying):  # past the truncation: raises
         series.coeff_q(qualifying[max(sliced.trunc24 // 24, 0)])
     passed = min_val is None or min_val >= beta

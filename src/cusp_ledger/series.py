@@ -149,7 +149,7 @@ class QSeries:
 
     def terms(self) -> list[tuple[int, Scalar]]:
         off, den = self.offset24, self._den
-        return [(off + 24 * i, _scalar(v, den))
+        return [(off + 24 * i, v if den == 1 else _scalar(v, den))
                 for i, v in enumerate(self._nums) if v]
 
     def leading(self) -> tuple[int, Scalar]:

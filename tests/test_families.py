@@ -446,8 +446,9 @@ def _verify_by_coeff_q(spec, alpha, n_max, series):
     ({}, 24 * 4),
     ({0: 4, 24: 9}, 24 * 2),                         # a short truncation
     ({-72: 2, -48: 1}, -24),                         # known below q^0 only
-    # more than 23 qualifying n, the last of least valuation
-    ({24 * n: 6 ** (60 - n) for n in range(60)}, 24 * 60),
+    # more than 23 qualifying n, the last of least valuation or not integral
+    ({24 * n: 6 ** (59 - n) for n in range(60)}, 24 * 60),
+    ({24 * 59: Fraction(1, 2)}, 24 * 60),
 ])
 def test_verify_reads_as_coeff_q(entries, trunc24):
     series = QSeries(entries, trunc24)
