@@ -4,9 +4,13 @@ Every failure mode is a subclass of CuspLedgerError so callers (notably the
 CLI) can map errors onto exit codes without string matching.
 """
 
+import sys
 
 ECHO_LIMIT = 40  # the longest input value an error message repeats in full
-MAX_INT_DIGITS = 4_300  # what int() reads (sys.set_int_max_str_digits)
+# what int() reads: the interpreter's limit (PYTHONINTMAXSTRDIGITS) up to
+# 4300, and 4300 where it has none (0, or 3.10.0-3.10.6)
+MAX_INT_DIGITS = min(4_300, getattr(sys, "get_int_max_str_digits",
+                                    lambda: 0)() or 4_300)
 
 
 def shown(value) -> str:
@@ -22,11 +26,26 @@ def shown(value) -> str:
 def check_digits(digits: int, want: str, counted: bool = True) -> None:
     """Refuse, with a ValueError in the program's words, a decimal of more
     than MAX_INT_DIGITS digits, which int() refuses in Python's: 'too large:
-    want <want> of at most 4300 digits[, got <digits> digits if counted]'."""
+    want <want> of at most <MAX_INT_DIGITS> digits[, got <digits> digits if
+    counted]'."""
     if digits > MAX_INT_DIGITS:
         got = f", got {digits} digits" if counted else ""
         raise ValueError(f"too large: want {want} of at most "
                          f"{MAX_INT_DIGITS} digits{got}")
+
+
+class LongDecimal(str):
+    """A JSON integer of more than MAX_INT_DIGITS digits, kept as its text:
+    catalog_loads reads one only where json.loads refused the document, and
+    the reader of its field refuses it by check_long, naming the field."""
+
+    __repr__ = str.__str__
+
+
+def check_long(value, want: str) -> None:
+    """check_digits on a LongDecimal; nothing on any other value."""
+    if type(value) is LongDecimal:
+        check_digits(len(value.removeprefix("-")), want)
 
 
 class CuspLedgerError(Exception):

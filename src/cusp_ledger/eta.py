@@ -16,7 +16,7 @@ from operator import eq, ge, gt, le, lt, mul
 
 from .curves import Record, Value, divisors, enumerate_cusps, factorize
 from .errors import (EtaError, InternalInconsistencyError, TruncationError,
-                     shown)
+                     check_long, shown)
 from .series import QSeries, pochhammer_product
 
 
@@ -63,6 +63,7 @@ def exponent_vector(pairs, level: int | None = None
     out, low, stray = [], [], []
     for d, r in pairs:
         if type(r) is not int:
+            check_long(r, "an exponent")
             raise EtaError(f"exponent must be an integer, got {shown(r)}")
         if d < 1:
             low.append(d)

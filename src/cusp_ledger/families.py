@@ -27,8 +27,10 @@ from .errors import (
     ExactnessError,
     FamilyError,
     IdentityMismatchError,
+    LongDecimal,
     SeriesError,
     check_digits,
+    check_long,
     shown,
 )
 from .eta import (
@@ -68,6 +70,8 @@ def json_field(value, what: str, kind: type = dict, size: int = 0):
     would truncate a float or parse a string, and type() keeps a bool from
     int), a list of `size` items where a size is given."""
     if type(value) is not kind or size and len(value) != size:
+        if kind is int:
+            check_long(value, what)
         name = {dict: "a JSON object", list: "a JSON list", int: "an integer",
                 str: "a string"}[kind] + (f" of {size} items" if size else "")
         raise ValueError(f"{what} must be {name}, got {shown(value)}")
@@ -90,6 +94,7 @@ def json_ratio(value, what: str) -> tuple[int, int]:
                 raise ValueError(
                     f"{what} has a zero denominator: {shown(value)}")
             return int(p), int(q) if slash else 1
+    check_long(value, f"a {what}")
     raise ValueError(f"{what} must be an integer or an ASCII decimal string "
                      f"'p' or 'p/q', got {shown(value)}")
 
@@ -595,6 +600,7 @@ def _basis_from_json(obj: dict, path: str) -> BasisEntry:
 
     level = json_field(obj, "basis").get("level")  # optional, never a bool
     if "level" in obj and (type(level) is not int or level < 1):
+        check_long(level, "level")
         raise CatalogError(
             f"{path}.level: need an integer >= 1, got {shown(level)}")
     x = source(obj["x"], "x")
@@ -626,7 +632,14 @@ def _parsed(path: str, parse, *args):
 
 def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
     try:  # json refuses nesting too deep for it with a RecursionError
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer int() cannot read: read again,
+            # each one past the limit a LongDecimal for its reader to refuse
+            doc = json.loads(text, parse_int=lambda s: LongDecimal(s) if len(
+                s.lstrip("-")) > MAX_INT_DIGITS else int(s))
     except (RecursionError, ValueError) as exc:
         raise CatalogError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "families" not in doc:

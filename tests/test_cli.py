@@ -1483,6 +1483,28 @@ def test_catalog_is_read_as_utf8_in_any_locale(tmp_path):
         capture_output=True, env=env, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, b"")
 
+
+@pytest.mark.parametrize("argv, want", [
+    (["profile", "1" * 700], "argument level: too large: want an integer of "
+     "at most 640 digits, got 700 digits"),
+    (["reduce", "--target", "poly:" + "1" * 700, "--basis", "level-5"],
+     "want poly:c0,c1,...: too large: want a numerator and a denominator of "
+     "at most 640 digits"),
+], ids=["profile", "reduce"])
+def test_digit_limit_follows_a_lower_interpreter_limit(argv, want):
+    # int() and Fraction() read at most 640 digits here: the first was
+    # refused in Python's words, "Exceeds the limit (640 digits)", the
+    # second as "Invalid literal for Fraction"
+    root = Path(cusp_ledger.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    proc = subprocess.run([sys.executable, "-c", RUN_CLI, str(root), *argv],
+                          capture_output=True, env=env, timeout=60,
+                          text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and want in proc.stderr, \
+        proc.stderr[:300]
+
+
 @pytest.mark.parametrize("keys", [
     ("families", 0, "generator", "r"),
     ("families", 0, "prefactors", "1", "r"),
@@ -1721,6 +1743,54 @@ def test_catalog_numbers_refused_at_load(tmp_path, capsys, keys, value, want):
     code, out, err = _verify_p5(capsys, path)
     assert (code, out) == (2, "")
     assert err == f"error: {path}{want}\n"
+
+
+def _too_long(field: str) -> str:
+    return f"too large: want {field} of at most 4300 digits, got 5000 digits"
+
+
+@pytest.mark.parametrize("keys, want", [
+    (("families", 0, "prime"), ":families[0]: " + _too_long("prime")),
+    (("families", 0, "generator", "r", "1"),
+     ":families[0]: " + _too_long("an exponent")),
+    (("families", 0, "schedule", "1", "modulus"),
+     ":families[0]: " + _too_long("modulus")),
+    (("bases", 0, "level"), ":bases[0]: " + _too_long("level")),
+    (("bases", 3, "x", "series", "trunc24"),
+     ":bases[3]: " + _too_long("trunc24")),
+    (("families", 0, "name"), ":families[0]: name must be a string, got "
+     + "9" * 40 + "... (5000 characters)"),
+], ids=["prime", "generator-exponent", "modulus", "basis-level", "trunc24",
+        "name"])
+def test_catalog_integer_past_the_digit_limit_refused(tmp_path, capsys,
+                                                      keys, want):
+    # a JSON integer int() cannot read: json.loads refused the whole file,
+    # "not valid JSON: Exceeds the limit (4300 digits)...", naming no field
+    path = _edited_catalog(tmp_path, keys, "NINES")
+    path.write_text(path.read_text().replace('"NINES"', NINES))
+    code, out, err = _verify_p5(capsys, path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}{want}\n"
+
+
+def test_catalog_integer_past_the_digit_limit_unread_or_malformed(tmp_path,
+                                                                  capsys):
+    # under a key the loader ignores it loads, and an integer of 4300
+    # digits beside it is read; a malformed document is still refused as
+    # not valid JSON, wherever the integer stands
+    doc = json.loads(shipped_catalog_path().read_text())
+    doc["notes"], doc["families"][0]["schedule"]["6"]["beta"] = "N", "B"
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc).replace('"N"', "-" + NINES)
+                    .replace('"B"', "9" * 4300))
+    assert _verify_p5(capsys, path)[0] == 0
+    for text in ('{"notes": ' + NINES + ', "families": [}',
+                 '{"families": [}, "notes": ' + NINES + "}"):
+        path.write_text(text)
+        code, out, err = _verify_p5(capsys, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: not valid JSON: Expecting "), \
+            err[:200]
 
 
 @pytest.mark.parametrize("eta, shown", [
