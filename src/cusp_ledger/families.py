@@ -317,11 +317,10 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
 def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
                            series: QSeries | None = None) -> QSeries:
     """L_depth by the operator route: L_1 directly, then multiplier-then-U_ell
-    steps.  U_ell keeps floor(trunc/ell) terms, and a multiplier's product
-    with L_j is known qpow + min(v, 0) terms past L_j's truncation, v the
-    lowest exponent L_j can start at; so L_j gets ell*needed less that
-    (>= 1).
-    """
+    steps.  U_ell keeps ceil(trunc/ell) terms, so L_j gets ell*(needed-1)+1
+    less the qpow + min(v, 0) terms its product with a multiplier is known
+    past them, v the lowest exponent L_j can start at (>= 1): the chain
+    reads a(n) no further than the direct route."""
     _check_tower_size(depth, terms)
     for j in range(depth - 1, 0, -1):
         if j not in spec.multipliers:
@@ -337,7 +336,7 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
     needed = [terms]
     for mult, v in zip(mults[::-1], lead[::-1]):
         known = 0 if mult.is_one() else mult.qpow + min(v, 0)
-        needed.append(max(needed[-1] * spec.prime - known, 1))
+        needed.append(max(spec.prime * (needed[-1] - 1) + 1 - known, 1))
     needed.reverse()  # needed[j-1] = terms required of L_j
     level = tower_series_direct(spec, 1, needed[0], series=series)
     for j in range(1, depth):

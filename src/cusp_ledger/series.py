@@ -279,8 +279,8 @@ class QSeries:
     def u_operator(self, ell: int) -> "QSeries":
         """Atkin-Lehner style U_ell: sum a(n) q^n  ->  sum a(ell*n) q^n.
 
-        Requires integer exponents throughout; truncation drops to
-        floor(trunc/ell) in integer-q units.
+        Requires integer exponents throughout; known below q^T, it is known
+        below q^ceil(T/ell), as a(ell*m) is for every ell*m < T.
         """
         _check_prime(ell)
         if not self.is_integer_grid:
@@ -288,7 +288,7 @@ class QSeries:
                               "absorb prefactor first")
         if self.trunc24 % 24 != 0:
             raise SeriesError("U_ell requires truncation on the integer grid")
-        return self._section(ell, 0, 24 * ((self.trunc24 // 24) // ell))
+        return self._section(ell, 0)
 
     def progression_slice(self, lam: int, ell: int, alpha: int,
                           target: int = 1) -> "QSeries":
@@ -305,17 +305,16 @@ class QSeries:
         if not self.is_integer_grid:
             raise SeriesError("slicing requires integer exponents")
         mod = ell ** alpha
-        r = (pow(lam, -1, mod) * target) % mod
-        # first unknown integer exponent, then first unknown output index
-        n_unknown = -((-self.trunc24) // 24)
-        return self._section(mod, r, 24 * -(-(n_unknown - r) // mod))
+        return self._section(mod, (pow(lam, -1, mod) * target) % mod)
 
-    def _section(self, mod: int, r: int, trunc: int) -> "QSeries":
-        """sum a(mod*m + r) q^m + O(q^(trunc/24)): one list slice."""
-        n0 = self.offset24 // 24
+    def _section(self, mod: int, r: int) -> "QSeries":
+        """sum a(mod*m + r) q^m, one list slice, known below the first m
+        whose a(mod*m + r) is unknown: m = ceil((n_unknown - r) / mod), with
+        n_unknown the first unknown integer exponent."""
+        n0, n_unknown = self.offset24 // 24, -((-self.trunc24) // 24)
         i0 = (r - n0) % mod  # first index whose exponent is r mod `mod`
         return _make(24 * ((n0 + i0 - r) // mod), self._nums[i0::mod],
-                     self._den, trunc)
+                     self._den, 24 * -(-(n_unknown - r) // mod))
 
     def __repr__(self) -> str:
         return f"QSeries({self.format()})"

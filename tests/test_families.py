@@ -273,11 +273,11 @@ def test_tower_recursive_trivial_family_matches_u_iteration():
     assert recursive.agrees_with(direct)
 
 
-@pytest.mark.parametrize("qpow, asked", [(6, 1), (1, 5), (-1, 7)])
+@pytest.mark.parametrize("qpow, asked", [(6, 1), (1, 3), (-1, 5)])
 def test_tower_recursive_asks_l1_for_the_exact_chain(monkeypatch, qpow, asked):
-    # L_2 = U_3(q^qpow * L_1) to 2 terms reads L_1 to 3 * 2 - qpow terms, at
-    # least 1: with a toy family whose L_1 starts at q^0, one term less of
-    # the product (or of L_1) leaves U_3 one term short
+    # L_2 = U_3(q^qpow * L_1) to 2 terms reads L_1 to 3 * (2 - 1) + 1 - qpow
+    # terms, at least 1: with a toy family whose L_1 starts at q^0, one term
+    # less of the product (or of L_1) leaves U_3 one term short
     spec = FamilySpec(
         name="toy", generator=EtaQuotient(1, {}), prime=3, lam=1, level=3,
         target_residue=1, schedule={},
@@ -676,6 +676,23 @@ def test_towers_match_overlong_expansions(catalog, overlong, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_recursive_tower_reads_no_further_than_the_direct(catalog, overlong,
+                                                         monkeypatch, name):
+    # U_ell keeps ceil(trunc/ell) terms and the chain is sized by it, so L_1
+    # asks for no more of a(0..N) than the slice of L_depth does
+    spec = catalog.family(name)
+    asked = _expansions(monkeypatch, overlong)
+    for depth, terms, chain in _tower_grid(spec):
+        if terms < 1 or not chain:
+            continue
+        asked.clear()
+        _outcome(tower_series_direct, spec, depth, terms)
+        _outcome(tower_series_recursive, spec, depth, terms)
+        direct, recursive = asked
+        assert recursive <= direct, (name, depth, terms, asked)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_verify_matches_overlong_expansions(catalog, overlong, monkeypatch,
                                             name):
     spec = catalog.family(name)
@@ -704,9 +721,10 @@ def test_expansions_stop_at_the_last_coefficient_read(catalog, monkeypatch):
     tower_series_direct(p5, 4, 4)  # 625*(4 - 1 - 1) + 599, was 3724
     assert asked == [1849]
     asked.clear()
-    # L_1 needs 4*5 - 0, 20*5 - 1, 99*5 - 0 terms: 5*(495 - 1 - 1) + 4
+    # L_1 needs 5*3 + 1 - 0, 5*15 + 1 - 1, 5*74 + 1 - 0 terms, and reads
+    # 5*(371 - 1 - 1) + 4 as the direct route does (was 2469)
     tower_series_recursive(p5, 4, 4)
-    assert asked == [2469]
+    assert asked == [1849]
     asked.clear()
     rep = verify_congruence(p5, 6, 2600)  # the first qualifying n is 14974
     assert asked == [] and rep.qualifying_count == 0 and rep.passed

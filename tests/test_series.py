@@ -585,6 +585,15 @@ def test_u_operator_linearity_and_twist():
         assert lin.agrees_with(g.u_operator(ell) + h.u_operator(ell))
 
 
+def test_u_operator_keeps_every_coefficient_it_knows():
+    # known below q^11, a(0), a(5) and a(10) are known: U_5 is known below
+    # q^3, as the slice on n = 0 (mod 5) is
+    a = qs(range(1, 12), trunc_q=11)
+    u = a.u_operator(5)
+    assert u.trunc24 == 24 * 3 and u.coeff_q(2) == a.coeff_q(10) == 11
+    assert u == a.progression_slice(1, 5, 1, target=0)
+
+
 def test_u_operator_rejects_fractional_exponents():
     with pytest.raises(SeriesError):
         eta_series(1, 24 * 10).u_operator(5)
@@ -634,7 +643,7 @@ def test_slice_u_consistency_lambda_one():
         shifted = a.shift(-24)
         for _ in range(alpha):
             shifted = shifted.u_operator(ell)
-        assert direct.agrees_with(shifted)
+        assert direct == shifted
 
 
 def test_slice_gcd_violation():
@@ -648,7 +657,7 @@ def test_slice_matches_shifted_u_on_partition_series():
     series = qs(p, 61)
     sliced = series.progression_slice(24, 5, 1)
     shifted = series.shift(-24 * 4).u_operator(5)
-    assert sliced.agrees_with(shifted)
+    assert sliced == shifted
 
 
 # -- valuations ---------------------------------------------------------------
@@ -886,7 +895,7 @@ class ReferenceSeries:
         return ReferenceSeries({24 * (e // 24 // ell): v
                                 for e, v in self._c.items()
                                 if (e // 24) % ell == 0},
-                               24 * ((self.trunc24 // 24) // ell))
+                               24 * -(-(self.trunc24 // 24) // ell))
 
     def progression_slice(self, lam, ell, alpha, target=1):
         if not self.is_integer_grid:
