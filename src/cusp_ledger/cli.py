@@ -94,8 +94,8 @@ def _decimal(text: str, want: str = "an integer", cap: int | None = None):
     """int(text) of a number typed on the command line if it is ASCII digits
     after an optional sign and leading zeros, blanks around; else None, also
     for '_' and other scripts' digits, which int() reads ('1_0' as 10).
-    Past a cap by its digits alone it is cap + 1, unread, and past
-    MAX_INT_DIGITS digits it is refused (check_digits)."""
+    Past a cap by its digits alone it is cap + 1, unread, and past the
+    digit limit it is refused (check_digits)."""
     body = text.strip(" \t\n\r\v\f")
     sign = body[:1] in ("-", "+")
     digits = body[sign:].lstrip("0")
@@ -110,7 +110,7 @@ def _decimal(text: str, want: str = "an integer", cap: int | None = None):
 def parse_rational(text: str) -> Fraction:
     """Fraction(text) of an ASCII text without '_' (Fraction() may read
     both), refused with a ValueError in the program's words, and, before it
-    is built, past MAX_INT_DIGITS digits of numerator or denominator as
+    is built, past check_digits' limit in numerator or denominator as
     written, exponent included (1e-5000: a denominator of 5001).  They are
     counted without a regular expression, whose compiling costs start-up."""
     num, slash, den = text.partition("/")
@@ -469,7 +469,7 @@ def _int_at_least(low: int | None = None, cap: int | None = None):
     def parse(text: str) -> int:
         try:
             value = _decimal(text, want, cap)
-        except ValueError as exc:  # more than MAX_INT_DIGITS digits
+        except ValueError as exc:  # past the digit limit
             raise _type_error(str(exc)) from None
         if value is None or low is not None and value < low:
             raise _type_error(f"invalid int value: {shown(text)}"

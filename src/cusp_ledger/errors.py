@@ -7,10 +7,19 @@ CLI) can map errors onto exit codes without string matching.
 import sys
 
 ECHO_LIMIT = 40  # the longest input value an error message repeats in full
-# what int() reads: the interpreter's limit (PYTHONINTMAXSTRDIGITS) up to
-# 4300, and 4300 where it has none (0, or 3.10.0-3.10.6)
-MAX_INT_DIGITS = min(4_300, getattr(sys, "get_int_max_str_digits",
-                                    lambda: 0)() or 4_300)
+# the most digits of a decimal the program reads, and fewer under a lower
+# limit of the interpreter's (int_digits); one is 0 (none) or at least
+# SAFE_INT_DIGITS, so that many int() reads under any limit
+MAX_INT_DIGITS = 4_300
+SAFE_INT_DIGITS = getattr(sys.int_info, "str_digits_check_threshold", 640)
+_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def int_digits() -> int:
+    """The most digits int() reads now: the interpreter's limit, which
+    sys.set_int_max_str_digits moves at any time, up to MAX_INT_DIGITS, and
+    MAX_INT_DIGITS where it has none (0, or 3.10.0-3.10.6)."""
+    return min(MAX_INT_DIGITS, _int_limit() or MAX_INT_DIGITS)
 
 
 def shown(value) -> str:
@@ -25,17 +34,17 @@ def shown(value) -> str:
 
 def check_digits(digits: int, want: str, counted: bool = True) -> None:
     """Refuse, with a ValueError in the program's words, a decimal of more
-    than MAX_INT_DIGITS digits, which int() refuses in Python's: 'too large:
-    want <want> of at most <MAX_INT_DIGITS> digits[, got <digits> digits if
-    counted]'."""
-    if digits > MAX_INT_DIGITS:
+    than int_digits() digits, which int() refuses in Python's: 'too large:
+    want <want> of at most <int_digits()> digits[, got <digits> digits if
+    counted]'.  The limit is read only past SAFE_INT_DIGITS."""
+    if digits > SAFE_INT_DIGITS and digits > (most := int_digits()):
         got = f", got {digits} digits" if counted else ""
-        raise ValueError(f"too large: want {want} of at most "
-                         f"{MAX_INT_DIGITS} digits{got}")
+        raise ValueError(f"too large: want {want} of at most {most} "
+                         f"digits{got}")
 
 
 class LongDecimal(str):
-    """A JSON integer of more than MAX_INT_DIGITS digits, kept as its text:
+    """A JSON integer of more than int_digits() digits, kept as its text:
     catalog_loads reads one only where json.loads refused the document, and
     the reader of its field refuses it by check_long, naming the field."""
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .curves import Record, curve_profile
 from .errors import (
-    MAX_INT_DIGITS,
+    SAFE_INT_DIGITS,
     CatalogError,
     CuspLedgerError,
     ExactnessError,
@@ -31,6 +31,7 @@ from .errors import (
     SeriesError,
     check_digits,
     check_long,
+    int_digits,
     shown,
 )
 from .eta import (
@@ -60,7 +61,7 @@ def json_key(key: str, what: str) -> int:
     if not (digits.isdigit() and digits.isascii()) \
             or (digits[0] == "0" and key != "0"):
         raise ValueError(f"key {shown(key)} is not a canonical ASCII decimal")
-    if len(digits) > MAX_INT_DIGITS:  # its words are built only past it
+    if len(digits) > SAFE_INT_DIGITS:  # its words are built only past it
         check_digits(len(digits), f"{what} keys")
     return int(key)
 
@@ -88,7 +89,7 @@ def json_ratio(value, what: str) -> tuple[int, int]:
         p, slash, q = value.partition("/")
         if (digits := p.removeprefix("-")).isdecimal() \
                 and (q.isdecimal() or not slash):
-            if (n := max(len(digits), len(q))) > MAX_INT_DIGITS:
+            if (n := max(len(digits), len(q))) > SAFE_INT_DIGITS:
                 check_digits(n, f"a {what}")
             if slash and not int(q):
                 raise ValueError(
@@ -637,8 +638,9 @@ def catalog_loads(text: str, source: str = "<catalog>") -> Catalog:
             raise
         except ValueError:  # an integer int() cannot read: read again,
             # each one past the limit a LongDecimal for its reader to refuse
-            doc = json.loads(text, parse_int=lambda s: LongDecimal(s) if len(
-                s.lstrip("-")) > MAX_INT_DIGITS else int(s))
+            doc = json.loads(text, parse_int=lambda s, most=int_digits():
+                             LongDecimal(s) if len(s.lstrip("-")) > most
+                             else int(s))
     except (RecursionError, ValueError) as exc:
         raise CatalogError(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "families" not in doc:

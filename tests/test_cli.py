@@ -1505,6 +1505,34 @@ def test_digit_limit_follows_a_lower_interpreter_limit(argv, want):
         proc.stderr[:300]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int digits before Python 3.10.7")
+def test_digit_limit_read_at_each_check(capsys):
+    # a limit set while the program runs binds as one set at start-up: it
+    # was read once, at import, and these were refused in Python's words,
+    # "Exceeds the limit (640 digits)" (the JSON integer as "not valid JSON")
+    doc = json.loads(shipped_catalog_path().read_text())
+    texts = []
+    for scale in ("1" * 700, int("1" * 700)):
+        doc["families"][0]["tower_identities"]["1"][0]["scale"] = scale
+        texts.append(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        refusals = []
+        for text in texts:
+            with pytest.raises(CatalogError) as err:
+                families.catalog_loads(text, "c.json")
+            refusals.append(str(err.value))
+        got = run(capsys, "profile", "7" * 700)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refusals == ["c.json:families[0]: too large: want a scale of at "
+                        "most 640 digits, got 700 digits"] * 2
+    assert got == (2, "", "error: argument level: too large: want an "
+                   "integer of at most 640 digits, got 700 digits\n")
+
+
 @pytest.mark.parametrize("keys", [
     ("families", 0, "generator", "r"),
     ("families", 0, "prefactors", "1", "r"),

@@ -161,7 +161,7 @@ _RAY = ("k = next((dict(f.exponents).get(d, 0) // r for d, r in "
 _TERM = ("entries[json_field(e, 'exponent', int)] = a * d if b * c == 1 "
          "else Fraction(a * d, b * c)")
 _SAME_CHECK = ("check_digits makes the comparison again: the guard only "
-               "spares the call below the limit")
+               "spares the call where no limit binds")
 EQUIVALENT = (
     ("series", "pochhammer_product",
      "power > 0",
@@ -346,12 +346,12 @@ EQUIVALENT = (
      "a term that reaches it is valid, so its degree24 is a multiple of 24, "
      "and none lies in [184, 192)"),
     ("families", "json_key",
-     "len(digits) > MAX_INT_DIGITS",
-     "len(digits) >= MAX_INT_DIGITS",
+     "len(digits) > SAFE_INT_DIGITS",
+     "len(digits) >= SAFE_INT_DIGITS",
      _SAME_CHECK),
     ("families", "json_ratio",
-     "(n := max(len(digits), len(q))) > MAX_INT_DIGITS",
-     "(n := max(len(digits), len(q))) >= MAX_INT_DIGITS",
+     "(n := max(len(digits), len(q))) > SAFE_INT_DIGITS",
+     "(n := max(len(digits), len(q))) >= SAFE_INT_DIGITS",
      _SAME_CHECK),
     ("families", "_series_from_json", _TERM,
      _TERM.replace("b * c == 1", "b * c == 0"),
