@@ -52,6 +52,7 @@ TARGETS = (
     ("series", "_pack"),
     ("series", "QSeries.invert"),
     ("series", "QSeries._section"),
+    ("series", "QSeries.u_operator"),
     ("series", "QSeries._binop_add"),
     ("series", "combination"),
     ("series", "QSeries.__mul__"),
