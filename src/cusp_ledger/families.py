@@ -318,10 +318,10 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
 def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
                            series: QSeries | None = None) -> QSeries:
     """L_depth by the operator route: L_1 directly, then multiplier-then-U_ell
-    steps.  U_ell keeps ceil(trunc/ell) terms, so L_j gets ell*(needed-1)+1
-    less the qpow + min(v, 0) terms its product with a multiplier is known
-    past them, v the lowest exponent L_j can start at (>= 1): the chain
-    reads a(n) no further than the direct route."""
+    steps.  U_ell keeps ceil(trunc/ell) terms, so L_j gets at least one and
+    ell*(needed-1)+1 less the qpow + min(v, 0) terms that its product with a
+    multiplier is known past it, v the lowest exponent L_j can start at: the
+    chain reads a(n) no further than the direct route."""
     _check_tower_size(depth, terms)
     for j in range(depth - 1, 0, -1):
         if j not in spec.multipliers:
