@@ -24,7 +24,6 @@ from .errors import (
     SAFE_INT_DIGITS,
     CatalogError,
     CuspLedgerError,
-    ExactnessError,
     FamilyError,
     IdentityMismatchError,
     LongDecimal,
@@ -290,10 +289,11 @@ def _check_tower_size(depth: int, terms: int) -> None:
                           f"depth {depth} and terms {terms}")
 
 
-def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
-                        series: QSeries | None = None) -> QSeries:
+def tower_series_direct(spec: FamilySpec, depth: int, terms: int) -> QSeries:
     """L_depth by the ground-truth route: slice the coefficients on
     lam*n = target (mod ell^depth), then multiply by the recorded prefactor.
+    The slice is read for m < terms - qpow, which the prefactor, known to
+    q^terms from q^qpow, carries to q^terms exactly.
     """
     _check_tower_size(depth, terms)
     phi = spec.prefactors.get(depth)
@@ -303,20 +303,13 @@ def tower_series_direct(spec: FamilySpec, depth: int, terms: int,
             f"direct construction unavailable")
     mod = spec.prime ** depth
     r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
-    if series is None:  # read for m < terms - qpow
-        series = coefficient_series(spec, mod * max(terms - phi.qpow - 1, 0) + r)
+    series = coefficient_series(spec, mod * max(terms - phi.qpow - 1, 0) + r)
     sliced = series.progression_slice(spec.lam, spec.prime, depth,
                                       target=spec.target_residue)
-    out = phi.expand(24 * terms) * sliced
-    if out.trunc24 < 24 * terms:
-        raise FamilyError(
-            f"family {spec.name}: depth-{depth} tower series known only to "
-            f"{out.trunc24 // 24} of the requested {terms} terms")
-    return out.truncate(24 * terms)
+    return (phi.expand(24 * terms) * sliced).truncate(24 * terms)
 
 
-def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
-                           series: QSeries | None = None) -> QSeries:
+def tower_series_recursive(spec: FamilySpec, depth: int, terms: int) -> QSeries:
     """L_depth by the operator route: L_1 directly, then multiplier-then-U_ell
     steps.  U_ell keeps ceil(trunc/ell) terms, so L_j gets at least one and
     ell*(needed-1)+1 less the qpow + min(v, 0) terms that its product with a
@@ -339,7 +332,7 @@ def tower_series_recursive(spec: FamilySpec, depth: int, terms: int,
         known = 0 if mult.is_one() else mult.qpow + min(v, 0)
         needed.append(max(spec.prime * (needed[-1] - 1) + 1 - known, 1))
     needed.reverse()  # needed[j-1] = terms required of L_j
-    level = tower_series_direct(spec, 1, needed[0], series=series)
+    level = tower_series_direct(spec, 1, needed[0])
     for j in range(1, depth):
         mult = spec.multipliers[j]
         if not mult.is_one():
@@ -366,8 +359,7 @@ class VerificationReport(Record):
 
 
 def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
-                      beta_override: int | None = None,
-                      series: QSeries | None = None) -> VerificationReport:
+                      beta_override: int | None = None) -> VerificationReport:
     """Check ell^beta | a(n) for every qualifying n <= n_max, straight off the
     generating function's coefficients (independent of the tower machinery).
     """
@@ -379,29 +371,19 @@ def verify_congruence(spec: FamilySpec, alpha: int, n_max: int,
     mod = spec.prime ** step.modulus_exponent
     r = (pow(spec.lam, -1, mod) * spec.target_residue) % mod
     qualifying = range(r, n_max + 1, mod)
-    if series is None and (qualifying or n_max < 0):
-        series = coefficient_series(spec, n_max - (n_max - r) % mod)
     min_val: int | None = None
     counterexample = None
-    sliced = QSeries.zero(0)
-    if qualifying:  # a(r + mod*m) at q^m, as tower_series_direct reads it
-        sliced = series.progression_slice(spec.lam, spec.prime,
-                                          step.modulus_exponent,
-                                          target=spec.target_residue)
-    for e, c in sliced.truncate(min(sliced.trunc24,
-                                    24 * len(qualifying))).terms():
-        if e < 0:  # below q^0: no n reads it
-            continue
-        if not isinstance(c, int):
-            raise ExactnessError(f"family {spec.name}: coefficient "
-                                 f"a({r + mod * e // 24}) is not an integer")
+    terms = []  # a(r + mod*m) at q^m, as tower_series_direct reads it
+    if qualifying or n_max < 0:  # coefficient_series refuses n_max < 0
+        terms = coefficient_series(spec, n_max - (n_max - r) % mod) \
+            .progression_slice(spec.lam, spec.prime, step.modulus_exponent,
+                               target=spec.target_residue).terms()
+    for e, c in terms:
         v = valuation(c, spec.prime)
         if min_val is None or v < min_val:
             min_val = v
         if v < beta and counterexample is None:
             counterexample = (r + mod * e // 24, c, v)
-    if sliced.trunc24 < 24 * len(qualifying):  # past the truncation: raises
-        series.coeff_q(qualifying[max(sliced.trunc24 // 24, 0)])
     passed = min_val is None or min_val >= beta
     return VerificationReport(
         family=spec.name, alpha=alpha, modulus_exponent=step.modulus_exponent,

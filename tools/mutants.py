@@ -321,15 +321,6 @@ EQUIVALENT = (
      "rest or genus < -1",
      _GENUS),
     ("families", "verify_congruence",
-     "sliced = QSeries.zero(0)",
-     "sliced = QSeries.zero(1)",
-     "with no qualifying n the stand-in slice is cut at 0 and read for no "
-     "n, whatever its truncation from 0 up"),
-    ("families", "verify_congruence",
-     "e < 0",
-     "e < -1",
-     _GRID),
-    ("families", "verify_congruence",
      "min_val is None or v < min_val",
      "min_val is None or v <= min_val",
      _SAME_MIN),
