@@ -460,8 +460,8 @@ def pochhammer_plan(exponents) -> tuple[tuple[int, int, int], ...]:
     Greedy: while some theta series (or its inverse) at some q -> q^d takes
     more than one pass off what is left as plain (q^d; q^d)^r, apply the one
     that takes the most, the first in _SERIES, base and sign order among
-    equals, and apply it again for as long as it takes off as many; what is
-    left stays Euler's.  So the passes never outnumber sum |r|, and the
+    equals, as many times in a row as it takes off as many; what is left
+    stays Euler's.  So the passes never outnumber sum |r|, and the
     factors depend on the vector alone, not on the order of its pairs.
     """
     rest: dict[int, int] = {}
@@ -488,17 +488,16 @@ def pochhammer_plan(exponents) -> tuple[tuple[int, int, int], ...]:
             break
         kind, base, sign = best
         shape = [(base * m, sign * r) for m, r in _SERIES[kind][0]]
-        times = 0
-        while True:
-            for d, r in shape:
-                if not (left := rest.get(d, 0) - r):
-                    del rest[d]
-                else:
-                    rest[d] = left
-            times += 1
-            if sum(abs(rest.get(d, 0)) - abs(rest.get(d, 0) - r)
-                   for d, r in shape) != most:
-                break
+        # applied again, it takes off as many passes until an exponent a of
+        # r's sign has fewer than |r| left: after a // r applications, or
+        # after one where |a| < |r| from the start
+        times = min(max(a // r, 1) for d, r in shape
+                    if (a := rest.get(d, 0)) * r > 0)
+        for d, r in shape:
+            if not (left := rest.get(d, 0) - times * r):
+                del rest[d]
+            else:
+                rest[d] = left
         chosen[kind, base] = chosen.get((kind, base), 0) + sign * times
     return tuple((kind, d, power) for (kind, d), power in chosen.items()
                  if power) + tuple((0, d, r) for d, r in sorted(rest.items()))
@@ -557,10 +556,10 @@ def _divide_out(c: list[int], terms: list[tuple[int, int]]) -> None:
     plus: list[int] = []   # exponents of weight -1: added
     minus: list[int] = []  # exponents of weight 1: subtracted
     weighted: list[tuple[int, int]] = []
+    unit = all(x * x == 1 for _, x in terms)  # no weight but 1 and -1
     segments = zip(terms, terms[1:] + [(len(c), None)])
     for (e, w), (end, _) in segments:
-        if (end - e >= _C_SEGMENT and not weighted
-                and all(x * x == 1 for _, x in terms)):
+        if end - e >= _C_SEGMENT and unit:
             break
         if w == -1:
             plus.append(e)

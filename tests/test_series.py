@@ -11,6 +11,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cusp_ledger.cli import MAX_ETA_WEIGHT
 from cusp_ledger.errors import ExactnessError, SeriesError, TruncationError
 from cusp_ledger.families import (_series_from_json, catalog_load, json_ratio,
                                   shipped_catalog_path)
@@ -519,6 +520,35 @@ def test_theta_factors_match_greedy_oracle_on_catalog_rays():
         for k in range(1, 11):
             kv = tuple((d, k * r) for d, r in v)
             assert pochhammer_plan(kv) == greedy_theta_factors(kv), kv
+
+
+@st.composite
+def heavy_vectors(draw):
+    """A theta shape at some base, scaled, and up to four more (d, r) with
+    d in 1..48, repeats allowed: |r| summing to at most the command line's
+    MAX_ETA_WEIGHT, where a factor is applied hundreds of times."""
+    shape = draw(st.sampled_from(THETA_SHAPES))
+    base = draw(st.integers(1, 12))
+    size = sum(abs(r) for _, r in shape)
+    k = draw(st.integers(-MAX_ETA_WEIGHT // size, MAX_ETA_WEIGHT // size))
+    vector = [(base * m, k * r) for m, r in shape]
+    left = MAX_ETA_WEIGHT - abs(k) * size
+    for _ in range(draw(st.integers(0, 4))):
+        r = draw(st.integers(-left, left))
+        vector.append((draw(st.integers(1, 48)), r))
+        left -= abs(r)
+    return vector
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(heavy_vectors())
+@example([(1, -MAX_ETA_WEIGHT)])
+@example([(1, -498), (5, 498)])
+@example([(1, 333), (2, -667)])
+def test_theta_factors_match_greedy_oracle_at_large_exponents(exponents):
+    # a factor applied by its count plans what applying it once per scan
+    # does, however many times it is applied
+    assert pochhammer_plan(exponents) == greedy_theta_factors(exponents)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

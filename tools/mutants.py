@@ -113,8 +113,8 @@ _UNIT_WEIGHT = ("a weight of 1 or -1 taken as a general weight is "
                 "multiplied in, to the same sum, and keeps the pass in Python")
 _SWITCH = ("the C path and the Python loop take the same sums, so where the "
            "pass switches from one to the other changes no coefficient")
-_SWITCH_TEST = ("end - e >= _C_SEGMENT and (not weighted) and all((x * x == 1 "
-                "for _, x in terms))")
+_SWITCH_TEST = "end - e >= _C_SEGMENT and unit"
+_UNIT = "unit = all((x * x == 1 for _, x in terms))"
 _NO_PREFACTOR = ("without a depth-1 prefactor tower_series_direct refuses L_1 "
                  "before the chain's sizes are read")
 _LEAD = "lead = [phi.qpow if (phi := spec.prefactors.get(1)) else 0]"
@@ -132,19 +132,15 @@ _NO_EXPONENT = ("with no nonzero exponent every numerator is 0, and the "
 _ODD_PASSES = ("each shape's exponents sum to an odd number, so a factor "
                "takes an odd number of passes off: more than 1 is more than 2")
 _EULER_ONCE = "Euler's series takes at most one pass off, never more than most"
-# the repeat test stopping early changes no plan: the next scan picks the
-# same factor again, and applying it in bulk or once a scan plans the same
 _SHIFTED = ("every count moves down by 1, which by parity crosses no "
-            "threshold and keeps their order; the repeat test, a true count "
-            "against one less, stops at once and the next scan goes on")
-_UNDO = ("the inverse step takes off minus the passes the step just taken "
-         "did, never most; the repeat stops and the next scan goes on")
-_CLEARED = ("a shape divisor is missing from rest only when the step just "
-            "taken cleared it, and then the next step takes off 2|r| fewer "
-            "passes than most, more than a default of 1 adds back; the "
-            "repeat stops and the next scan goes on")
-_REPEAT = ("sum((abs(rest.get(d, 0)) - abs(rest.get(d, 0) - r) "
-           "for d, r in shape)) != most")
+            "threshold and keeps their order")
+# a count of 1 where more were due changes no plan: the next scan picks the
+# same factor again, and applying it in bulk or once a scan plans the same
+_ONCE = ("an exponent that counts where it should not counts max(a // r, 1) "
+         "= 1 at most, so the factor is applied once and the next scan "
+         "picks it again")
+_TIMES = ("times = min((max(a // r, 1) for d, r in shape if (a := rest.get(d, "
+          "0)) * r > 0))")
 _GENUS = ("the genus of a curve is never negative, so at no level does the "
           "raise fire on either test")
 _SAME_MIN = ("a valuation equal to the least so far leaves it as it was, "
@@ -215,12 +211,12 @@ EQUIVALENT = (
      _SWITCH_TEST.replace("end - e", "end + e"),
      _SWITCH),
     ("series", "_divide_out",
-     _SWITCH_TEST,
-     _SWITCH_TEST.replace("x * x == 1", "x * x == 2"),
+     _UNIT,
+     _UNIT.replace("x * x == 1", "x * x == 2"),
      _SWITCH),
     ("series", "_divide_out",
-     _SWITCH_TEST,
-     _SWITCH_TEST.replace("x * x == 1", "x * x == 0"),
+     _UNIT,
+     _UNIT.replace("x * x == 1", "x * x == 0"),
      _SWITCH),
     ("families", "tower_series_recursive", _LEAD,
      _LEAD.replace("else 0", "else 1"), _NO_PREFACTOR),
@@ -306,16 +302,10 @@ EQUIVALENT = (
      "plus = minus = 0",
      "plus = minus = -1",
      _SHIFTED),
-    ("series", "pochhammer_plan",
-     _REPEAT,
-     _REPEAT.replace("rest.get(d, 0) - r", "rest.get(d, 0) + r"),
-     _UNDO),
-    *(("series", "pochhammer_plan", _REPEAT, _REPEAT.replace(old, new),
-       _CLEARED)
-      for old, new in (("abs(rest.get(d, 0))", "abs(rest.get(d, 1))"),
-                       ("abs(rest.get(d, 0))", "abs(rest.get(d, -1))"),
-                       ("rest.get(d, 0) - r", "rest.get(d, 1) - r"),
-                       ("rest.get(d, 0) - r", "rest.get(d, -1) - r"))),
+    *(("series", "pochhammer_plan", _TIMES, _TIMES.replace(old, new), _ONCE)
+      for old, new in (("* r > 0", "* r >= 0"), ("* r > 0", "* r > -1"),
+                       ("get(d, 0)", "get(d, 1)"),
+                       ("get(d, 0)", "get(d, -1)"))),
     ("curves", "curve_profile",
      "rest or genus < 0",
      "rest or genus < -1",
