@@ -195,6 +195,13 @@ def test_search_strict_localizer_level10():
             assert vec.order(c) >= 1
 
 
+def test_order_vector_refuses_a_class_of_another_level():
+    vec = cusp_order_vector(EtaQuotient(10, {1: -12, 2: 8, 5: 4}), 10)
+    with pytest.raises(EtaError, match=r"^no cusp class with denominator 3 "
+                                       r"at level 10$"):
+        vec.order(3)
+
+
 def test_search_results_meet_constraints_exactly():
     cons = parse_constraints("1<0,10>=1")
     for f in search_eta_quotients(10, cons, bound=4):

@@ -99,6 +99,21 @@ def test_reduce_genus0_rejects_alien_series():
         reduce_genus0(alien, x)
 
 
+def test_polynomial_view_refuses_a_companion_term():
+    basis = genus1_basis()
+    rep = reduce_module(basis.monomial(1, 0), basis)
+    assert rep.coeffs == {(1, 0): 1}
+    with pytest.raises(ReductionError, match=r"^representation is not a "
+                                             r"plain polynomial in x$"):
+        rep.polynomial()
+
+
+def test_reduce_module_refuses_a_target_off_the_integer_grid():
+    with pytest.raises(ReductionError, match=r"^reduction target must have "
+                                             r"integer exponents$"):
+        reduce_module(QSeries({-47: 1}, TRUNC), genus1_basis())
+
+
 def test_constant_subtracted_at_the_target_truncation():
     # the constant is no basis monomial: x's own truncation, q^30, does not
     # cut the residual of a target known to q^40
@@ -273,6 +288,20 @@ def test_companion_refusals_name_the_companion():
                                          r"integer exponent grid$"):
         ModuleBasis(x=laurent(3, 3),
                     ys=[one, laurent(1, 3), QSeries({-24 * 2 + 1: 1}, TRUNC)])
+
+
+@pytest.mark.parametrize("ys, message", [
+    ([], r"^ys must start with the constant 1$"),
+    ([QSeries.constant(2, TRUNC)], r"^ys\[0\] must be the constant series 1$"),
+    ([QSeries({0: 1, 24: 1}, TRUNC)],
+     r"^ys\[0\] must be the constant series 1$"),
+    # a companion that is holomorphic at the zero cusp
+    ([QSeries.constant(1, TRUNC), QSeries({0: 1, 24: 3}, TRUNC)],
+     r"^y_1 must have a pole at the zero cusp$"),
+])
+def test_basis_refuses_companions_it_cannot_use(ys, message):
+    with pytest.raises(BasisError, match=message):
+        ModuleBasis(x=laurent(2, 3), ys=ys)
 
 
 def test_order_incomplete_basis_rejected():

@@ -681,6 +681,11 @@ def test_slice_gcd_violation():
         qs([1, 1]).progression_slice(10, 5, 1)
 
 
+def test_slice_depth_below_one_refused():
+    with pytest.raises(SeriesError, match=r"^slice depth alpha must be >= 1$"):
+        qs([1, 1]).progression_slice(1, 5, 0)
+
+
 def test_slice_matches_shifted_u_on_partition_series():
     # extracting p(5m+4) via the slice equals U_5 after shifting exponents by -4
     p = partition_counts(60)
@@ -743,6 +748,14 @@ def test_truncation_is_hard_boundary():
     a = qs([1, 2, 3], trunc_q=3)
     with pytest.raises(TruncationError):
         a.coeff_q(3)
+    with pytest.raises(TruncationError,
+                       match=r"^cannot extend truncation from 72 to 96$"):
+        a.truncate(96)
+
+
+def test_zero_series_has_no_leading_term():
+    with pytest.raises(SeriesError, match=r"^zero series has no leading term$"):
+        QSeries.zero(T).leading()
 
 
 def test_floats_rejected():
