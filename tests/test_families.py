@@ -690,6 +690,21 @@ def test_expansions_stop_at_the_last_coefficient_read(catalog, monkeypatch):
         verify_congruence(p5, 6, -1)
 
 
+def test_direct_tower_expands_no_further_than_it_reads(catalog, monkeypatch):
+    # L_1 of p-5 to 1 term: the prefactor q (q^5; q^5) is expanded to q^1
+    # and a(0..N) to N = r = 4, as terms - qpow - 1 < 0
+    asked = _expansions(monkeypatch, coefficient_series)
+    truncs = []
+    expand = PochhammerProduct.expand
+
+    def spy(self, trunc24):
+        truncs.append(trunc24)
+        return expand(self, trunc24)
+    monkeypatch.setattr(PochhammerProduct, "expand", spy)
+    assert tower_series_direct(catalog.family("p-5"), 1, 1) == QSeries.zero(24)
+    assert (asked, truncs) == ([4], [24])
+
+
 # -- recorded identities and reduction --------------------------------------------
 
 def test_certified_identity_reduces_p5(catalog):

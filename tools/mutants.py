@@ -4,8 +4,8 @@ the catalog's loader and its readers of rationals, keys, series, eta
 quotients, families and bases, the exponent rule, the command line's
 reader of integers, find-eta's rendering, the cusps,
 elliptic points and genus of X_0(N), and the classification,
-verification, coefficient series, recursive tower and identity-chart
-powers of congruence families.
+verification, coefficient series, direct and recursive towers and
+identity-chart powers of congruence families.
 
 Each mutant changes one site of one target function: it swaps `+` and `-`
 (in an expression or an augmented assignment), swaps `<` and `<=` or `>`
@@ -23,7 +23,7 @@ not run: no input the program passes tells it from the original.
 one mutant, so the list follows the code it describes.  A sweep exits 1
 when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
 run of its module's tests (about 17 s on a 2-CPU x86-64 box when it
-survives), and all of TARGETS took about 48 min there, summed over the
+survives), and all of TARGETS took about 49 min there, summed over the
 sweeps that added them, so the sweep is not part of the test suite.
 """
 
@@ -79,6 +79,7 @@ TARGETS = (
     ("eta", "validate_on_gamma0"),
     ("families", "coefficient_series"),
     ("families", "_ray_multiple"),
+    ("families", "tower_series_direct"),
     ("families", "tower_series_recursive"),
     ("families", "_family_from_json"),
     ("families", "_basis_from_json"),
@@ -139,6 +140,11 @@ _SHIFTED = ("every count moves down by 1, which by parity crosses no "
 _ONCE = ("an exponent that counts where it should not counts max(a // r, 1) "
          "= 1 at most, so the factor is applied once and the next scan "
          "picks it again")
+_JACOBI_FIRST = ("a * r = 1 only at the |r| = 1 exponent of psi or phi(-q), "
+                 "chosen only when its |r| = 2 exponent takes 2 off too; at "
+                 "|a| >= 4 there Jacobi's series at that divisor would take "
+                 "3 off as well and come first, so a // r = 1 there and the "
+                 "count is 1 either way")
 _TIMES = ("times = min((max(a // r, 1) for d, r in shape if (a := rest.get(d, "
           "0)) * r > 0))")
 _GENUS = ("the genus of a curve is never negative, so at no level does the "
@@ -306,6 +312,8 @@ EQUIVALENT = (
       for old, new in (("* r > 0", "* r >= 0"), ("* r > 0", "* r > -1"),
                        ("get(d, 0)", "get(d, 1)"),
                        ("get(d, 0)", "get(d, -1)"))),
+    ("series", "pochhammer_plan", _TIMES, _TIMES.replace("* r > 0", "* r > 1"),
+     _JACOBI_FIRST),
     ("curves", "curve_profile",
      "rest or genus < 0",
      "rest or genus < -1",
