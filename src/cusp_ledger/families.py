@@ -292,8 +292,8 @@ def _check_tower_size(depth: int, terms: int) -> None:
 def tower_series_direct(spec: FamilySpec, depth: int, terms: int) -> QSeries:
     """L_depth by the ground-truth route: slice the coefficients on
     lam*n = target (mod ell^depth), then multiply by the recorded prefactor.
-    The slice is read for m < terms - qpow, which the prefactor, known to
-    q^terms from q^qpow, carries to q^terms exactly.
+    The slice is read for m < terms - qpow: the prefactor starts at q^qpow,
+    so the product is known to q^terms.
     """
     _check_tower_size(depth, terms)
     phi = spec.prefactors.get(depth)
