@@ -138,8 +138,8 @@ _SHIFTED = ("every count moves down by 1, which by parity crosses no "
 # a count of 1 where more were due changes no plan: the next scan picks the
 # same factor again, and applying it in bulk or once a scan plans the same
 _ONCE = ("an exponent that counts where it should not counts max(a // r, 1) "
-         "= 1 at most, so the factor is applied once and the next scan "
-         "picks it again")
+         "= 1, so the factor is applied once and the next scan picks it "
+         "again")
 _JACOBI_FIRST = ("a * r = 1 only at the |r| = 1 exponent of psi or phi(-q), "
                  "chosen only when its |r| = 2 exponent takes 2 off too; at "
                  "|a| >= 4 there Jacobi's series at that divisor would take "
