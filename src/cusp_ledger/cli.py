@@ -202,15 +202,13 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte, for str, int, bool and
-    None scalars in lists, tuples and str-keyed dicts: one join per
-    container, each scalar written inline.  A _Verbatim value is JSON text
-    already written for its place, and goes out as it stands.  Any other
-    value (a float, a Fraction, a dict key that is not a str) raises
-    TypeError."""
+    """json.dumps(value, indent=2), byte for byte, for a list, tuple or
+    str-keyed dict of str, int, bool and None scalars and of such containers:
+    one join per container, each scalar written inline.  A _Verbatim value
+    is JSON text already written for its place, and goes out as it stands.
+    Any other value (a float, a Fraction, a dict key that is not a str)
+    raises TypeError."""
     kind = type(value)
-    if (write := _JSON_SCALARS.get(kind)) is not None:
-        return write(value)
     get, inner = _JSON_SCALARS.get, indent + "  "
     if kind is dict:
         if not value:

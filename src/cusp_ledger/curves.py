@@ -74,9 +74,9 @@ def cusp_count(N: int) -> int:
 
 
 class Record:
-    """Fields named once, in a subclass's _fields, given by position or by
-    keyword (a missing, unknown or repeated one is a TypeError) and kept in
-    _fields order: the key order of every {**vars(self), ...} report."""
+    """Fields named once, in a subclass's _fields, given all by position or
+    all by keyword in _fields order (anything else is a TypeError) and kept
+    in that order: the key order of every {**vars(self), ...} report."""
 
     _fields: tuple[str, ...] = ()
 
@@ -84,15 +84,12 @@ class Record:
         names = self._fields
         if not kwargs and len(args) == len(names):
             vars(self).update(zip(names, args))
-        elif not args and tuple(kwargs) == names:  # keywords in field order
+        elif not args and tuple(kwargs) == names:
             vars(self).update(kwargs)
         else:
-            rest = names[len(args):]
-            if len(args) > len(names) or kwargs.keys() != set(rest):
-                raise TypeError(
-                    f"{type(self).__name__} takes the fields {names}, got "
-                    f"{len(args)} by position and {sorted(kwargs)} by keyword")
-            vars(self).update(zip(names, args + tuple(map(kwargs.get, rest))))
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {names}, got "
+                f"{len(args)} by position and {sorted(kwargs)} by keyword")
 
 
 class Value(Record):

@@ -180,18 +180,10 @@ class QSeries:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
-    def _binop_add(self, other, sign: int):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries.constant(other, self.trunc24)
+    def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return combination(((1, self), (sign, other)), self.trunc24)
-
-    def __add__(self, other):
-        return self._binop_add(other, 1)
-
-    def __sub__(self, other):
-        return self._binop_add(other, -1)
+        return combination(((1, self), (1, other)), self.trunc24)
 
     def scaled(self, factor: Scalar) -> "QSeries":
         factor = _norm(factor)
@@ -336,25 +328,19 @@ def _make(off: int, nums: list[int], den: int, trunc: int) -> QSeries:
 
 def combination(pairs, trunc24: int) -> QSeries:
     """sum c * s over a sequence of (c, s) pairs, known to the least of
-    trunc24 and every series' truncation, as zero + s.scaled(c) + ...
-    would give it: each live term (c and s nonzero) is written into one
-    list over one common denominator, normalised once.
-
-    A term on another coset mod 24 than the live terms before it is
-    refused, naming the offset of their sum, cut at the truncation so far,
-    before its own, unless that sum is zero; then the rest adds to it.
+    trunc24 and every series' truncation: each live term (c and s nonzero)
+    is written into one list over one common denominator, normalised once.
+    A live term on another coset mod 24 than the first live term is
+    refused, naming the first's offset before its own.
     """
     t, live = trunc24, []
-    for i, (c, s) in enumerate(pairs):
+    for c, s in pairs:
         c = _norm(c)
         if c and s._nums:
             if live and (s.offset24 - live[0][1].offset24) % 24:
-                head = combination(pairs[:i], t)
-                if head._nums:
-                    raise SeriesError(
-                        f"series on two cosets mod 24 do not add: "
-                        f"{head.offset24}/24 and {s.offset24}/24")
-                return combination(pairs[i:], t)
+                raise SeriesError(
+                    f"series on two cosets mod 24 do not add: "
+                    f"{live[0][1].offset24}/24 and {s.offset24}/24")
             live.append((c, s))
         t = min(t, s.trunc24)
     den = lcm(*(s._den * c.denominator for c, s in live))

@@ -413,8 +413,8 @@ def _verify_by_coeff_q(spec, alpha, n_max, series):
     return VerificationReport(
         family=spec.name, alpha=alpha, modulus_exponent=step.modulus_exponent,
         beta=step.beta, n_max=n_max, qualifying_count=len(qualifying),
-        min_valuation=min_val, counterexample=counterexample,
-        passed=min_val is None or min_val >= step.beta)
+        min_valuation=min_val, passed=min_val is None or min_val >= step.beta,
+        counterexample=counterexample)
 
 
 @pytest.mark.parametrize("entries, trunc24", [
@@ -431,10 +431,10 @@ def test_verify_reads_as_coeff_q(monkeypatch, entries, trunc24):
     for prime, lam, target in ((2, 1, 1), (3, 2, 1), (3, 1, 0)):
         spec = FamilySpec(
             name="toy", generator=EtaQuotient(1, {}), prime=prime, lam=lam,
-            level=prime, target_residue=target, prefactors={},
-            multipliers={}, tower_identities={},
+            level=prime, target_residue=target,
             schedule={1: ScheduleStep(1, 1), 2: ScheduleStep(2, 2),
-                      3: ScheduleStep(3, 1)})
+                      3: ScheduleStep(3, 1)},
+            prefactors={}, multipliers={}, tower_identities={})
         for alpha in spec.schedule:
             for n_max in range(-2, trunc24 // 24):
                 got = verify_congruence(spec, alpha, n_max)
@@ -1386,8 +1386,8 @@ def test_basis_localizer_expanded_on_first_use(catalog, monkeypatch):
     # a localizer with a zero of order 3 at the zero cusp, which a catalog
     # refuses at load: built in code, it is refused when a reduction uses
     # it, and its expansion when it is asked for
-    zero = BasisEntry("zero-z", 10, x=entry.x, ys=[],
-                      z=EtaQuotient(10, {1: 12, 2: -8, 5: -4}))
+    zero = BasisEntry("zero-z", 10, entry.x, [],
+                      EtaQuotient(10, {1: 12, 2: -8, 5: -4}))
     basis = zero.build(24 * 3)
     with pytest.raises(BasisError, match="no pole at the zero cusp"):
         localize_reduce(basis.x, basis, x_orders)

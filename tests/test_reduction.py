@@ -59,7 +59,7 @@ def level5_x_chart(trunc24=TRUNC):
 
 def test_reduce_genus0_round_trip_fixed():
     x = level5_x_chart()
-    target = x ** 3 + x.scaled(2) - 7
+    target = x ** 3 + x.scaled(2) + QSeries.constant(-7, TRUNC)
     rep = reduce_genus0(target, x)
     assert rep.polynomial() == {3: 1, 1: 2, 0: -7}
     assert rep.residual.is_zero
@@ -148,7 +148,7 @@ def test_constant_past_every_window_refused():
 def test_reduce_module_round_trip_fixed():
     basis = genus1_basis()
     y, x = basis.ys[1], basis.x
-    target = y * (x ** 2) + x.scaled(4) - 1
+    target = y * (x ** 2) + x.scaled(4) + QSeries.constant(-1, TRUNC)
     rep = reduce_module(target, basis)
     assert rep.coeffs == {(1, 2): 1, (0, 1): 4, (0, 0): -1}
     assert rep.localizer_exponent == 0
@@ -158,7 +158,8 @@ def test_faulty_elimination_is_internal_inconsistency(monkeypatch):
     # the residual is the round trip: a term left at q^0 or below can only
     # come from the elimination, never from the target
     basis = genus1_basis()
-    target = basis.ys[1] * (basis.x ** 2) + basis.x.scaled(4) - 1
+    target = (basis.ys[1] * (basis.x ** 2) + basis.x.scaled(4)
+              + QSeries.constant(-1, TRUNC))
     combine = ModuleBasis.combine
 
     def drop_x(self, coeffs, trunc24):
@@ -172,7 +173,8 @@ def test_faulty_elimination_is_internal_inconsistency(monkeypatch):
         reduce_module(target, basis)
 
     def add_one(self, coeffs, trunc24):
-        return combine(self, coeffs, trunc24) + 1
+        return (combine(self, coeffs, trunc24)
+                + QSeries.constant(1, trunc24))
 
     # q^0 is the elimination's too: it reads the constant off the target
     monkeypatch.setattr(ModuleBasis, "combine", add_one)
