@@ -22,13 +22,20 @@ from .series import QSeries, pochhammer_product
 
 class EtaQuotient(Value):
     """Level M and exponent vector over the divisors of M (zeros dropped),
-    stored as exponents: sorted ((delta, r_delta), ...)."""
+    stored as exponents: sorted ((delta, r_delta), ...).  The vector comes
+    as a dict or as pairs, where a divisor given twice is refused."""
 
     _fields = ("level", "exponents")
 
     def __init__(self, level: int, exponents):
-        vars(self).update(level=level, exponents=exponent_vector(
-            dict(exponents).items(), level))
+        r = {}
+        for d, e in (exponents.items() if isinstance(exponents, dict)
+                     else exponents):
+            if d in r:
+                raise EtaError(f"divisor {d} given twice")
+            r[d] = e
+        vars(self).update(level=level,
+                          exponents=exponent_vector(r.items(), level))
 
     @classmethod
     def _known(cls, level: int, exponents: tuple) -> "EtaQuotient":

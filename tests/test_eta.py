@@ -227,6 +227,19 @@ def test_quotient_construction_guards():
             EtaQuotient(level, r)
 
 
+def test_quotient_refuses_a_repeated_divisor():
+    # pairs with a divisor twice were read as the last pair alone, as dict()
+    # keeps it: eta(1t)^-1 eta(1t)^3 became eta(1t)^3
+    for pairs in ([(1, -1), (1, 3)], ((1, -1), (1, 3)),
+                  [(5, 6), (1, -6), (5, 0)], ((2, 1), (5, 2), (2, 1))):
+        d = pairs[-1][0]
+        with pytest.raises(EtaError, match=f"^divisor {d} given twice$"):
+            EtaQuotient(10, pairs)
+    # pairs without a repeat read as the dict of them
+    for pairs in ([(5, 6), (1, -6)], ((1, -6), (5, 6), (10, 0))):
+        assert EtaQuotient(10, pairs) == EtaQuotient(10, dict(pairs))
+
+
 def test_quotient_serialization_round_trip():
     f = EtaQuotient(10, {10: 2, 5: -1, 1: -1})
     assert _eta_from_json(f.to_json_obj(), "eta") == f
