@@ -24,7 +24,9 @@ one mutant, so the list follows the code it describes.  A sweep exits 1
 when a mutant outside EQUIVALENT survives.  Each mutant costs up to one
 run of its module's tests (about 17 s on a 2-CPU x86-64 box when it
 survives), and all of TARGETS took about 49 min there, summed over the
-sweeps that added them, so the sweep is not part of the test suite.
+sweeps that added them, so the sweep is not part of the test suite.  A
+mutant that loops forever is killed once the collection or one test runs
+past TEST_LIMIT seconds.
 """
 
 from __future__ import annotations
@@ -362,14 +364,37 @@ EQUIVALENT = (
 
 MEMORY_LIMIT = 2 << 30  # bytes of address space for one test run
 
+# seconds that the collection, or one test with its setup and teardown,
+# may run before it ends the whole run as killed.  A mutant that loops
+# forever (a planner scan that never shrinks its rest, say) would otherwise
+# hold the run until the per-mutant timeout, 5 x the unmutated run: about
+# 90 s of the kernel tests.  On the unmutated tree (a 2-CPU x86-64 box) the
+# slowest test of any module's TESTS took 2.5 s and the slowest collection
+# 1.9 s, a module-level expansion of test_series.py among it, so only a
+# mutant that makes one of them 8 times slower is ended here.
+TEST_LIMIT = 20
+
 # loaded before the tests: a drawn test that fails stops there, since
-# shrinking its example would only delay the kill
-NO_SHRINK = """\
+# shrinking its example would only delay the kill, and the collection or a
+# test past TEST_LIMIT ends the process (faulthandler exits with status 1):
+# armed here for the collection, then again for each test
+CONFTEST = f"""\
+import faulthandler
+
+import pytest
 from hypothesis import Phase, settings
 
 settings.register_profile("mutants", phases=[Phase.explicit, Phase.reuse,
                                              Phase.generate])
 settings.load_profile("mutants")
+faulthandler.dump_traceback_later({TEST_LIMIT}, exit=True)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item):
+    faulthandler.dump_traceback_later({TEST_LIMIT}, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 """
 
 
@@ -468,7 +493,7 @@ def _limit_memory() -> None:
 
 def run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> str:
     """'survived' when the tests pass on the copied tree, 'killed' when one
-    fails, 'timed out' past the timeout.  No bytecode is written, so no
+    fails or runs past TEST_LIMIT, 'timed out' past the timeout.  No bytecode is written, so no
     stale cache outlives a mutant."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(tree / "src")}
@@ -505,7 +530,7 @@ def sweep(found: list[Mutant]) -> list[Mutant]:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy(ROOT / "pytest.ini", tree)
-        (tree / "conftest.py").write_text(NO_SHRINK)
+        (tree / "conftest.py").write_text(CONFTEST)
         timeouts = {}
         for tests in {TESTS[mutant.module] for mutant in found}:
             start = time.perf_counter()
