@@ -55,7 +55,7 @@ TARGETS = (
     ("series", "QSeries.invert"),
     ("series", "QSeries._section"),
     ("series", "QSeries.u_operator"),
-    ("series", "QSeries._binop_add"),
+    ("series", "QSeries.__add__"),
     ("series", "combination"),
     ("series", "QSeries.__mul__"),
     ("series", "QSeries.__truediv__"),
@@ -71,6 +71,7 @@ TARGETS = (
     ("eta", "exponent_vector"),
     ("cli", "_find_eta_results"),
     ("cli", "_fast_parse"),
+    ("curves", "Record.__init__"),
     ("curves", "curve_profile"),
     ("curves", "cusp_count"),
     ("curves", "enumerate_cusps"),
