@@ -217,25 +217,18 @@ def test_quotient_construction_guards():
         EtaQuotient(0, {})
     # one rule (exponent_vector) for quotients built in code and read from
     # a catalog: an exponent's type as it comes, then a divisor below 1,
-    # the level and a stray divisor
+    # the level and a stray divisor; before them, a divisor given twice
+    # among pairs, which dict() would read as its last pair alone
     for level, r, want in (
             (5, {0: 1, 5: True}, "exponent must be an integer, got True"),
             (0, {3: 1, 0: 1}, "divisor 0 must be a positive integer"),
             (-4, {3: 1}, "level must be positive, got -4"),
-            (12, {5: 1, 7: 0}, "divisor 5 does not divide level 12")):
+            (12, {5: 1, 7: 0}, "divisor 5 does not divide level 12"),
+            (10, [(1, -1), (1, 3)], "divisor 1 given twice"),
+            (10, ((2, 1), (5, 2), (2, 1)), "divisor 2 given twice"),
+            (0, [(5, 6), (0, -6), (5, 0)], "divisor 5 given twice")):
         with pytest.raises(EtaError, match=f"^{re.escape(want)}$"):
             EtaQuotient(level, r)
-
-
-def test_quotient_refuses_a_repeated_divisor():
-    # pairs with a divisor twice were read as the last pair alone, as dict()
-    # keeps it: eta(1t)^-1 eta(1t)^3 became eta(1t)^3
-    for pairs in ([(1, -1), (1, 3)], ((1, -1), (1, 3)),
-                  [(5, 6), (1, -6), (5, 0)], ((2, 1), (5, 2), (2, 1))):
-        d = pairs[-1][0]
-        with pytest.raises(EtaError, match=f"^divisor {d} given twice$"):
-            EtaQuotient(10, pairs)
-    # pairs without a repeat read as the dict of them
     for pairs in ([(5, 6), (1, -6)], ((1, -6), (5, 6), (10, 0))):
         assert EtaQuotient(10, pairs) == EtaQuotient(10, dict(pairs))
 
