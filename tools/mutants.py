@@ -494,8 +494,8 @@ def _limit_memory() -> None:
 
 def run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> str:
     """'survived' when the tests pass on the copied tree, 'killed' when one
-    fails or runs past TEST_LIMIT, 'timed out' past the timeout.  No bytecode is written, so no
-    stale cache outlives a mutant."""
+    fails or runs past TEST_LIMIT, 'timed out' past the timeout.  No
+    bytecode is written, so no stale cache outlives a mutant."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(tree / "src")}
     try:
